@@ -13,16 +13,14 @@ from .data import (DatasetSplit, Example, InflectionTable, build_vocab,
                    default_synth_spec, parse_dataset, split_tables,
                    synth_language, synth_wordlist, tables_to_examples,
                    write_dataset)
-from .model import (VARIANTS, ModelParams, init_model, load_model, nll_loss,
-                    save_model)
-from .charlm import WittenBellLM, filter_wordlist, lm_prob, lm_score_word, train_lm
+from .model import VARIANTS, ModelParams, init_model, load_model, save_model
+from .charlm import WittenBellLM, filter_wordlist, lm_score_word, train_lm
 from .search import (beam_decode, ensemble_next_dist, greedy_decode,
                      interpolated_next_dist)
 from .reranker import (FEATURE_NAMES, RerankGroup, RerankModel, extract_features,
                        levenshtein, pro_train, rerank)
-from .trainer import (TrainConfig, load_checkpoint, save_checkpoint,
-                      train_ensemble, train_factored, train_interpolated,
-                      train_joint)
+from .trainer import (TrainConfig, train_ensemble, train_factored,
+                      train_interpolated, train_joint)
 from .evaluate import (EvalReport, accuracy_by_length, evaluate_accuracy,
                        export_embeddings, vowel_harmony_check)
 
@@ -35,15 +33,14 @@ __all__ = [
     "Example", "InflectionTable", "DatasetSplit", "parse_dataset",
     "write_dataset", "build_vocab", "split_tables", "tables_to_examples",
     "default_synth_spec", "synth_language", "synth_wordlist",
-    "VARIANTS", "ModelParams", "init_model", "nll_loss", "save_model",
-    "load_model",
-    "WittenBellLM", "train_lm", "lm_prob", "lm_score_word", "filter_wordlist",
+    "VARIANTS", "ModelParams", "init_model", "save_model", "load_model",
+    "WittenBellLM", "train_lm", "lm_score_word", "filter_wordlist",
     "greedy_decode", "beam_decode", "ensemble_next_dist",
     "interpolated_next_dist",
     "FEATURE_NAMES", "RerankGroup", "RerankModel", "extract_features",
     "levenshtein", "pro_train", "rerank",
     "TrainConfig", "train_factored", "train_joint", "train_interpolated",
-    "train_ensemble", "save_checkpoint", "load_checkpoint",
+    "train_ensemble",
     "EvalReport", "evaluate_accuracy", "accuracy_by_length",
     "vowel_harmony_check", "export_embeddings",
     "__version__",

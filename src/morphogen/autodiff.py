@@ -280,13 +280,27 @@ def _sigmoid(z):
     return out
 
 
+def _softmax_lse(z, masked_ids=()):
+    """Stable softmax of z with masked ids at probability zero.
+
+    Returns (p, m, Z) with log-sum-exp over the unmasked entries equal to
+    log(Z) + m; z itself is left untouched.
+    """
+    if len(masked_ids):
+        z = z.copy()
+        z[list(masked_ids)] = -np.inf
+    m = z.max()
+    e = np.exp(z - m)
+    Z = e.sum()
+    return e / Z, m, Z
+
+
 def softmax(v):
     """Stable softmax of a plain 1-D array; output sums to 1."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise DimensionError("softmax: empty vector")
-    z = np.exp(v - v.max())
-    return z / z.sum()
+    return _softmax_lse(v)[0]
 
 
 def softmax_op(tape, x):
@@ -318,12 +332,7 @@ def weighted_sum(tape, weights, vectors):
 
 def masked_softmax(logits, masked_ids=()):
     """Softmax with the given ids forced to probability zero."""
-    z = np.asarray(logits, dtype=np.float64).copy()
-    if len(masked_ids):
-        z[list(masked_ids)] = -np.inf
-    m = z.max()
-    e = np.exp(z - m)
-    return e / e.sum()
+    return _softmax_lse(np.asarray(logits, dtype=np.float64), masked_ids)[0]
 
 
 def cross_entropy_logits(tape, logits, target, masked_ids=()):
@@ -335,13 +344,7 @@ def cross_entropy_logits(tape, logits, target, masked_ids=()):
     lv = logits.value
     if target in masked_ids:
         raise MorphogenError(f"cross_entropy_logits: target {target} is masked")
-    z = lv.copy()
-    if len(masked_ids):
-        z[list(masked_ids)] = -np.inf
-    m = z.max()
-    e = np.exp(z - m)
-    Z = e.sum()
-    p = e / Z
+    p, m, Z = _softmax_lse(lv, masked_ids)
     out = Node(np.array([np.log(Z) + m - lv[target]]))
     if tape is not None:
         def backward_fn(g):
@@ -357,24 +360,18 @@ def interpolated_cross_entropy(tape, logits, target, log_lm, lam, masked_ids=())
 
     log_lm is a constant array of language-model log probabilities aligned
     with the logits; lam is a scalar Node so the interpolation weight itself
-    receives a gradient. Masked ids keep probability zero.
+    receives a gradient. Masked ids keep probability zero. This stays apart
+    from cross_entropy_logits: at lam = 0 a -inf LM log-prob would turn
+    lam * log_lm into NaN.
     """
     lv = logits.value
     lamv = float(lam.value[0])
-    z = lv + lamv * log_lm
-    masked = list(masked_ids)
-    if masked:
-        z = z.copy()
-        z[masked] = -np.inf
-    m = z.max()
-    e = np.exp(z - m)
-    Z = e.sum()
-    p = e / Z  # combined distribution
+    p, m, Z = _softmax_lse(lv + lamv * log_lm, masked_ids)  # combined distribution
     out = Node(np.array([np.log(Z) + m - lv[target] - lamv * log_lm[target]]))
     if tape is not None:
         safe_log_lm = log_lm.copy()
-        if masked:
-            safe_log_lm[masked] = 0.0
+        if len(masked_ids):
+            safe_log_lm[list(masked_ids)] = 0.0
         def backward_fn(g):
             gl = g[0] * p
             gl[target] -= g[0]

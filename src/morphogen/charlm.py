@@ -12,6 +12,7 @@ start symbols and a single end symbol, and training uses unique word types.
 
 import math
 
+from .data import open_text
 from .errors import DataError
 from .vocab import CharVocab
 
@@ -21,7 +22,6 @@ __all__ = [
     "WittenBellLM",
     "filter_wordlist",
     "train_lm",
-    "lm_prob",
     "lm_score_word",
     "save_lm",
     "load_lm",
@@ -104,10 +104,6 @@ def train_lm(words, order=DEFAULT_ORDER):
     return lm
 
 
-def lm_prob(lm, history, char):
-    return lm.prob(history, char)
-
-
 def lm_score_word(lm, word):
     """Log probability of the word including the end-boundary transition."""
     seq = BOW * (lm.order - 1) + word + EOW
@@ -130,16 +126,13 @@ def save_lm(lm, path):
                      for h, succ in lm._succ.items() for c, n in succ.items())
     for order, history, char, count in entries:
         lines.append(f"{order}\t{_escape(history)}\t{_escape(char)}\t{count}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_text(path, "w", what="LM file") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def load_lm(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read LM file {path}: {exc}") from exc
+    with open_text(path, what="LM file") as f:
+        lines = f.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith("ngram-order ") \
             or not lines[1].startswith("alphabet "):
         raise DataError(f"LM file {path}: missing header lines")
@@ -147,7 +140,10 @@ def load_lm(path):
         order = int(lines[0].split(" ", 1)[1])
     except ValueError as exc:
         raise DataError(f"LM file {path}: bad order line {lines[0]!r}") from exc
-    alphabet = _unescape(lines[1].split(" ", 1)[1])
+    try:
+        alphabet = _unescape(lines[1].split(" ", 1)[1])
+    except ValueError as exc:
+        raise DataError(f"LM file {path}: bad alphabet line {lines[1]!r}") from exc
     counts = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:

@@ -9,7 +9,7 @@ from functools import partial
 
 from . import charlm, data, evaluate, reranker, search, trainer
 from .errors import MorphogenError
-from .model import VARIANTS, load_model
+from .model import VARIANTS, load_model, save_model
 
 __all__ = ["main", "build_parser"]
 
@@ -52,33 +52,19 @@ def _config(args, seed):
     return trainer.TrainConfig(
         hidden=args.hidden, embed_dim=args.embed_dim, l2=args.l2,
         epochs=args.epochs, ensemble_k=args.ensemble_k, seed=seed,
-        variant=args.variant, beam_width=args.beam_width,
-        max_len_slack=args.max_len_slack, lambda_init=args.lambda_init)
+        variant=args.variant, max_len_slack=args.max_len_slack,
+        lambda_init=args.lambda_init)
 
 
-def _open_lines(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
-    except OSError as exc:
-        raise MorphogenError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_pairs(path):
-    """Decode inputs: lemma TAB tag, gold column optional and ignored."""
-    pairs = []
-    for lineno, line in enumerate(_open_lines(path), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise MorphogenError(f"{path}:{lineno}: expected 'lemma<TAB>tag[<TAB>form]'")
-        pairs.append((parts[0], parts[1]))
-    return pairs
-
-
-def _load_models(paths):
-    return [load_model(p) for p in paths]
+def _read_columns(path, widths):
+    """Rows of a lemma TAB tag TAB ... file with lemma and tag non-empty."""
+    rows = []
+    with data.open_text(path) as f:
+        for lineno, fields in data.split_fields(f, widths, path):
+            if not fields[0] or not fields[1]:
+                raise MorphogenError(f"{path}:{lineno}: empty lemma or tag")
+            rows.append(fields)
+    return rows
 
 
 def _models_by_tag(args, tags):
@@ -113,10 +99,10 @@ def _cmd_train(args):
     if args.mode == "joint":
         if not args.out_dir:
             raise _Usage("--out-dir is required for mode joint")
+        _make_dir(args.out_dir)
         models = trainer.train_joint(dataset, config, log=print)
-        os.makedirs(args.out_dir, exist_ok=True)
         for tag, model in sorted(models.items()):
-            trainer.save_checkpoint(model, os.path.join(args.out_dir, f"{tag}.ckpt"))
+            save_model(model, os.path.join(args.out_dir, f"{tag}.ckpt"))
         return 0
     if not args.out:
         raise _Usage(f"--out is required for mode {args.mode}")
@@ -125,17 +111,16 @@ def _cmd_train(args):
             raise _Usage("--lm is required for mode interpolated")
         lm = charlm.load_lm(args.lm)
         model, lam = trainer.train_interpolated(dataset, args.tag, lm, config, log=print)
-        trainer.save_checkpoint(model, args.out)
+        save_model(model, args.out)
         print(f"lambda\t{lam!r}")
         return 0
     if args.ensemble_k == 1:
-        trainer.save_checkpoint(trainer.train_factored(dataset, args.tag, config,
-                                                       log=print), args.out)
+        save_model(trainer.train_factored(dataset, args.tag, config, log=print), args.out)
     else:
         members = trainer.train_ensemble(
             partial(trainer.train_factored, dataset, args.tag, log=print), config)
         for i, model in enumerate(members, start=1):
-            trainer.save_checkpoint(model, f"{args.out}.{i}")
+            save_model(model, f"{args.out}.{i}")
     return 0
 
 
@@ -160,10 +145,10 @@ def _decode_kwargs(args, models):
 
 
 def _cmd_predict(args):
-    models = _load_models(args.model)
+    models = [load_model(p) for p in args.model]
     lm, lam = _decode_kwargs(args, models)
     lines = []
-    for lemma, tag in _read_pairs(args.data):
+    for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
         pred = evaluate.predict_one(models, lemma, lm=lm, lam=lam,
                                     max_len_slack=args.max_len_slack)
         lines.append(f"{lemma}\t{tag}\t{pred}")
@@ -172,11 +157,11 @@ def _cmd_predict(args):
 
 
 def _cmd_beam(args):
-    models = _load_models(args.model)
+    models = [load_model(p) for p in args.model]
     lm, lam = _decode_kwargs(args, models)
     vocab = models[0].vocab
     rows = []
-    for lemma, tag in _read_pairs(args.data):
+    for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
         x_ids = vocab.encode(lemma)
         results = search.beam_decode(models, x_ids, args.beam_width,
                                      len(x_ids) + args.max_len_slack, lm=lm, lam=lam)
@@ -231,7 +216,7 @@ def _cmd_evaluate(args):
 
 def _cmd_analyze_length(args):
     preds = {(lemma, tag): pred
-             for lemma, tag, pred in _read_triples(args.pred)}
+             for lemma, tag, pred in _read_columns(args.pred, (3,))}
     golds = data.parse_dataset(args.data)
     pred_list, gold_list = [], []
     for ex in golds:
@@ -245,25 +230,13 @@ def _cmd_analyze_length(args):
     return 0
 
 
-def _read_triples(path):
-    triples = []
-    for lineno, line in enumerate(_open_lines(path), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise MorphogenError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        triples.append(tuple(parts))
-    return triples
-
-
 def _cmd_analyze_harmony(args):
     if bool(args.words) == bool(args.pred):
         raise _Usage("give exactly one of --words or --pred")
     if args.words:
         words = data.read_wordlist(args.words)
     else:
-        words = [pred for _, _, pred in _read_triples(args.pred)]
+        words = [pred for _, _, pred in _read_columns(args.pred, (3,))]
     fraction, verdicts = evaluate.vowel_harmony_check(words)
     print(f"harmonic-fraction\t{fraction!r}")
     for word, ok in zip(words, verdicts):
@@ -282,7 +255,7 @@ def _cmd_synth_data(args):
     spec = data.default_synth_spec()
     tables = data.synth_language(spec, args.size, seed=seed)
     split = data.split_tables(tables, seed=seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_dir(args.out_dir)
     for name, part in (("train", split.train), ("dev", split.dev), ("test", split.test)):
         data.write_dataset(data.tables_to_examples(part),
                            os.path.join(args.out_dir, f"{name}.tsv"))
@@ -291,8 +264,15 @@ def _cmd_synth_data(args):
     return 0
 
 
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise MorphogenError(f"cannot create directory {path}: {exc}") from exc
+
+
 def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with data.open_text(path, "w") as f:
         for line in lines:
             f.write(line + "\n")
 
@@ -316,7 +296,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--l2", type=float, default=1e-5)
     p.add_argument("--ensemble-k", type=int, default=1)
-    p.add_argument("--beam-width", type=int, default=20)
     p.add_argument("--max-len-slack", type=int, default=10)
     p.add_argument("--lambda-init", type=float, default=0.0)
     p.set_defaults(func=_cmd_train)

@@ -4,6 +4,7 @@ The on-disk format is a UTF-8 TSV of `lemma TAB tag TAB inflected` lines;
 `#` comments and blank lines are skipped and all text is NFC-normalized.
 """
 
+import contextlib
 import random
 import unicodedata
 from dataclasses import dataclass, field
@@ -15,6 +16,8 @@ __all__ = [
     "Example",
     "InflectionTable",
     "DatasetSplit",
+    "open_text",
+    "split_fields",
     "parse_dataset",
     "parse_dataset_lines",
     "serialize_examples",
@@ -60,25 +63,45 @@ class DatasetSplit:
     test: list
 
 
-def parse_dataset(path):
+@contextlib.contextmanager
+def open_text(path, mode="r", what="file", error=DataError):
+    """Open path as UTF-8 text with "\\n" line ends on write.
+
+    An OSError, or invalid UTF-8 met while reading inside the block, becomes
+    `error` with a one-line message naming the file.
+    """
     try:
-        with open(path, encoding="utf-8") as f:
-            return parse_dataset_lines(f, source=str(path))
+        with open(path, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as f:
+            yield f
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise error(f"{what} {path}: not valid UTF-8 ({exc})") from exc
     except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+        raise error(f"cannot {'write' if mode == 'w' else 'read'} {what} {path}: {exc}") from exc
 
 
-def parse_dataset_lines(lines, source="<input>"):
-    examples = []
+def split_fields(lines, widths, source="<input>"):
+    """(line number, tab-separated fields) of each line; blank and # lines
+    are skipped, and a line whose field count is not in `widths` is a
+    DataError."""
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise DataError(f"{source}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")
+        fields = line.split("\t")
+        if len(fields) not in widths:
+            raise DataError(f"{source}:{lineno}: expected {' or '.join(map(str, widths))} "
+                            f"tab-separated fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def parse_dataset(path):
+    with open_text(path, what="dataset") as f:
+        return parse_dataset_lines(f, source=str(path))
+
+
+def parse_dataset_lines(lines, source="<input>"):
+    examples = []
+    for lineno, cols in split_fields(lines, (3,), source):
         lemma, tag, inflected = (unicodedata.normalize("NFC", c) for c in cols)
         try:
             examples.append(Example(lemma, tag, inflected))
@@ -92,7 +115,7 @@ def serialize_examples(examples):
 
 
 def write_dataset(examples, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with open_text(path, "w", what="dataset") as f:
         f.write(serialize_examples(examples))
 
 
@@ -149,15 +172,12 @@ def tables_to_examples(tables):
 
 
 def read_wordlist(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            return [line.strip() for line in f if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read wordlist {path}: {exc}") from exc
+    with open_text(path, what="wordlist") as f:
+        return [line.strip() for line in f if line.strip()]
 
 
 def write_wordlist(words, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with open_text(path, "w", what="wordlist") as f:
         for w in words:
             f.write(w + "\n")
 

@@ -3,6 +3,7 @@ length, a whole-word vowel-harmony check, and embedding export."""
 
 from dataclasses import dataclass
 
+from .data import open_text
 from .errors import DataError
 from .reranker import rerank as rerank_pick
 from .search import beam_decode, greedy_decode
@@ -140,16 +141,20 @@ def export_embeddings(model, chars, path):
             raise DataError(f"character {ch!r} is not in the model vocabulary")
         vec = model.embed.value[vocab.id_of(ch)]
         rows.append(ch + "\t" + "\t".join(repr(float(v)) for v in vec))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_text(path, "w", what="embedding file") as f:
         f.write("\n".join(rows) + "\n")
 
 
 def read_embeddings(path):
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path, what="embedding file") as f:
         for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
+            char, *components = line.rstrip("\n").split("\t")
+            try:
+                vec = [float(v) for v in components]
+            except ValueError:
+                vec = []
+            if not vec:
                 raise DataError(f"embedding file {path}: malformed line {line!r}")
-            out[parts[0]] = [float(v) for v in parts[1:]]
+            out[char] = vec
     return out

@@ -14,25 +14,27 @@ teacher-forced negative log-likelihood with EOS closing every target.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import lstm
-from .errors import CheckpointError, DataError, DimensionError, MorphogenError
+from .data import open_text
+from .errors import CheckpointError, DataError, MorphogenError
 from .vocab import BOS, EOS, EPS, CharVocab
 
 __all__ = [
     "VARIANTS",
+    "WIRINGS",
+    "Wiring",
     "MASKED_OUTPUT_IDS",
     "ModelParams",
     "init_model",
     "embed",
     "transform_encoding",
     "attention_context",
-    "decoder_step",
     "decoder_step_count",
-    "nll_loss",
     "forward_variant",
     "DecodeSession",
     "save_model",
@@ -41,68 +43,126 @@ __all__ = [
     "check_model_gradients",
 ]
 
-VARIANTS = ("full", "plain-encdec", "attention", "no-encoder")
+
+@dataclass(frozen=True)
+class Wiring:
+    """How a variant routes the source into the decoder.
+
+    encoder          a bidirectional LSTM reads the source
+    trans            e = W_trans [h_fwd ; h_bwd] + b_trans (n wide)
+    attention        an attention context (2n wide) joins every decoder input
+    consumes_source  x_t (EPS past the source end) joins every decoder input,
+                     and the decoder runs until the whole source is read
+
+    e goes where the source goes: into every decoder input when the variant
+    consumes the source, into the initial hidden state otherwise.
+    """
+    encoder: bool
+    trans: bool
+    attention: bool
+    consumes_source: bool
+
+    @property
+    def e_per_step(self):
+        return self.trans and self.consumes_source
+
+    @property
+    def e_as_init(self):
+        return self.trans and not self.consumes_source
+
+
+WIRINGS = {
+    "full": Wiring(encoder=True, trans=True, attention=False, consumes_source=True),
+    "plain-encdec": Wiring(encoder=True, trans=True, attention=False, consumes_source=False),
+    "attention": Wiring(encoder=True, trans=False, attention=True, consumes_source=False),
+    "no-encoder": Wiring(encoder=False, trans=False, attention=False, consumes_source=True),
+}
+VARIANTS = tuple(WIRINGS)
 MASKED_OUTPUT_IDS = (BOS, EPS)
 
 INIT_SCALE = 0.1
 
+# Tensor-holding attributes in parameters() order, which is also the RNG draw
+# order of init_model and the tensor order of a checkpoint.
+_PARAM_ATTRS = (
+    "embed",                                # [V x d]
+    "enc_fwd", "enc_bwd",                   # LSTMParams
+    "trans_W", "trans_b",                   # [n x 2n], [n]
+    "attn_W_enc", "attn_W_dec", "attn_v",   # [n x 2n], [n x n], [n]
+    "dec",                                  # LSTMParams
+    "out_W", "out_b",                       # [V x n], [V]
+)
+
 
 class ModelParams:
     def __init__(self, vocab, variant, hidden, embed_dim):
-        if variant not in VARIANTS:
+        if not isinstance(variant, str) or variant not in WIRINGS:
             raise MorphogenError(f"unknown model variant {variant!r}")
         self.vocab = vocab
         self.variant = variant
+        self.wiring = WIRINGS[variant]
         self.hidden = hidden
         self.embed_dim = embed_dim
-        self.embed = None       # Parameter [V x d]
-        self.enc_fwd = None     # LSTMParams
-        self.enc_bwd = None
-        self.trans_W = None     # Parameter [n x 2n]
-        self.trans_b = None
-        self.attn_W_enc = None  # Parameter [n x 2n]
-        self.attn_W_dec = None  # Parameter [n x n]
-        self.attn_v = None
-        self.dec = None         # LSTMParams
-        self.out_W = None       # Parameter [V x n]
-        self.out_b = None
+        for attr in _PARAM_ATTRS:
+            setattr(self, attr, None)
         self.lm_lambda = None   # set by interpolated training
 
-    @property
-    def has_encoder(self):
-        return self.variant != "no-encoder"
-
     def decoder_input_size(self):
-        n, d = self.hidden, self.embed_dim
-        return {"full": n + 2 * d,
-                "plain-encdec": d,
-                "attention": 2 * n + d,
-                "no-encoder": 2 * d}[self.variant]
+        w, n, d = self.wiring, self.hidden, self.embed_dim
+        size = d                      # y_prev
+        if w.e_per_step:
+            size += n
+        if w.attention:
+            size += 2 * n
+        if w.consumes_source:
+            size += d
+        return size
 
     def parameters(self):
-        out = [self.embed]
-        if self.has_encoder:
-            out += self.enc_fwd.parameters() + self.enc_bwd.parameters()
-        if self.variant in ("full", "plain-encdec"):
-            out += [self.trans_W, self.trans_b]
-        if self.variant == "attention":
-            out += [self.attn_W_enc, self.attn_W_dec, self.attn_v]
-        out += self.dec.parameters() + [self.out_W, self.out_b]
+        out = []
+        for attr in _PARAM_ATTRS:
+            value = getattr(self, attr)
+            if isinstance(value, lstm.LSTMParams):
+                out += value.parameters()
+            elif value is not None:
+                out.append(value)
         return out
 
     def copy(self):
         m = ModelParams(self.vocab, self.variant, self.hidden, self.embed_dim)
-        _build_empty_tensors(m)
-        _assign_tensors(m, {p.name: p.value.copy() for p in self.parameters()})
+        values = {p.name: p.value for p in self.parameters()}
+        _build(m, lambda name, shape, kind: values[name].copy())
         m.lm_lambda = self.lm_lambda
         return m
 
-    def set_values(self, other):
-        """Copy tensor values from another model with identical structure."""
-        theirs = {p.name: p for p in other.parameters()}
-        for p in self.parameters():
-            p.value[...] = theirs[p.name].value
-        self.lm_lambda = other.lm_lambda
+
+def _build(m, fill):
+    """Create every tensor of m in parameters() order.
+
+    fill(name, shape, kind) supplies the values; kind is "weight", "bias" or
+    "gates" (an LSTM bias).
+    """
+    w, n, d, V = m.wiring, m.hidden, m.embed_dim, len(m.vocab)
+
+    def param(name, shape, kind="weight"):
+        return ad.Parameter(name, fill(name, shape, kind))
+
+    def cell(name, input_size):
+        return lstm.LSTMParams(name, param(f"{name}.W_x", (4 * n, input_size)),
+                               param(f"{name}.W_h", (4 * n, n)),
+                               param(f"{name}.b", (4 * n,), "gates"))
+
+    m.embed = param("embed", (V, d))
+    if w.encoder:
+        m.enc_fwd, m.enc_bwd = cell("enc_fwd", d), cell("enc_bwd", d)
+    if w.trans:
+        m.trans_W, m.trans_b = param("trans.W", (n, 2 * n)), param("trans.b", (n,), "bias")
+    if w.attention:
+        m.attn_W_enc = param("attn.W_enc", (n, 2 * n))
+        m.attn_W_dec = param("attn.W_dec", (n, n))
+        m.attn_v = param("attn.v", (n,))
+    m.dec = cell("dec", m.decoder_input_size())
+    m.out_W, m.out_b = param("softmax.W", (V, n)), param("softmax.b", (V,), "bias")
 
 
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0,
@@ -113,23 +173,18 @@ def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0,
     model; the new model aliases those Parameter objects (joint training).
     """
     d = embed_dim if embed_dim is not None else len(vocab)
-    n = hidden
-    m = ModelParams(vocab, variant, n, d)
+    m = ModelParams(vocab, variant, hidden, d)
     rng = np.random.default_rng(seed)
-    m.embed = ad.Parameter("embed", rng.uniform(-INIT_SCALE, INIT_SCALE, (len(vocab), d)))
-    if m.has_encoder:
-        m.enc_fwd = lstm.init_lstm(rng, "enc_fwd", d, n)
-        m.enc_bwd = lstm.init_lstm(rng, "enc_bwd", d, n)
-    if variant in ("full", "plain-encdec"):
-        m.trans_W = ad.Parameter("trans.W", rng.uniform(-INIT_SCALE, INIT_SCALE, (n, 2 * n)))
-        m.trans_b = ad.Parameter("trans.b", np.zeros(n))
-    if variant == "attention":
-        m.attn_W_enc = ad.Parameter("attn.W_enc", rng.uniform(-INIT_SCALE, INIT_SCALE, (n, 2 * n)))
-        m.attn_W_dec = ad.Parameter("attn.W_dec", rng.uniform(-INIT_SCALE, INIT_SCALE, (n, n)))
-        m.attn_v = ad.Parameter("attn.v", rng.uniform(-INIT_SCALE, INIT_SCALE, n))
-    m.dec = lstm.init_lstm(rng, "dec", m.decoder_input_size(), n)
-    m.out_W = ad.Parameter("softmax.W", rng.uniform(-INIT_SCALE, INIT_SCALE, (len(vocab), n)))
-    m.out_b = ad.Parameter("softmax.b", np.zeros(len(vocab)))
+
+    def draw(name, shape, kind):
+        if kind == "weight":
+            return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+        b = np.zeros(shape)
+        if kind == "gates":
+            b[hidden:2 * hidden] = lstm.FORGET_BIAS
+        return b
+
+    _build(m, draw)
     if shared_encoder is not None:
         m.embed, m.enc_fwd, m.enc_bwd = shared_encoder
     return m
@@ -146,7 +201,7 @@ def transform_encoding(tape, params, e_raw):
 
 def attention_context(tape, params, hidden_seq, s_prev):
     """Additive attention over encoder states: softmax(v . tanh(W1 h + W2 s))."""
-    if params.variant != "attention":
+    if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
     key = ad.matvec(tape, params.attn_W_dec, s_prev)
     scores = [ad.dot(tape, params.attn_v,
@@ -156,37 +211,49 @@ def attention_context(tape, params, hidden_seq, s_prev):
     return ad.weighted_sum(tape, weights, hidden_seq)
 
 
-def _encode(tape, params, x_ids):
-    xs = [embed(tape, params, i) for i in x_ids]
-    return lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
-
-
 def decoder_step_count(x_len, y_len):
     """Teacher-forced steps: all of x is consumed even past the last target."""
     return max(x_len, y_len + 1)
 
 
-def _source_id(x_ids, t):
-    return x_ids[t] if t < len(x_ids) else EPS
+@dataclass(frozen=True)
+class _Source:
+    x_ids: list
+    e: ad.Node            # transformed encoding, None without a transform
+    hidden_seq: list      # per-position encoder states, None without an encoder
 
 
-def _step_input(tape, params, e, hidden_seq, state, y_prev_id, x_t_id):
-    y_emb = embed(tape, params, y_prev_id)
-    variant = params.variant
-    if variant == "full":
-        return ad.concat(tape, [e, y_emb, embed(tape, params, x_t_id)])
-    if variant == "plain-encdec":
-        return y_emb
-    if variant == "attention":
-        context = attention_context(tape, params, hidden_seq, state.h)
-        return ad.concat(tape, [context, y_emb])
-    return ad.concat(tape, [y_emb, embed(tape, params, x_t_id)])
+def _encode_source(tape, params, x_ids):
+    x_ids = list(x_ids)
+    if not params.wiring.encoder:
+        return _Source(x_ids, None, None)
+    xs = [embed(tape, params, i) for i in x_ids]
+    e_raw, hidden_seq = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
+    e = transform_encoding(tape, params, e_raw) if params.wiring.trans else None
+    return _Source(x_ids, e, hidden_seq)
 
 
-def _initial_state(tape, params, e):
-    if params.variant == "plain-encdec":
-        return lstm.LSTMState(h=e, c=ad.constant(np.zeros(params.hidden)))
+def _initial_state(params, source):
+    if params.wiring.e_as_init:
+        return lstm.LSTMState(h=source.e, c=ad.constant(np.zeros(params.hidden)))
     return lstm.zero_state(params.hidden)
+
+
+def _decoder_step(tape, params, source, state, y_prev_id, t):
+    """Advance the decoder LSTM one step on [e|context, y_prev, x_t]."""
+    w = params.wiring
+    # y_prev is embedded first whatever its place in the input: the order of
+    # tape records fixes the order in which gradients accumulate.
+    parts = [embed(tape, params, y_prev_id)]
+    if w.e_per_step:
+        parts.insert(0, source.e)
+    elif w.attention:
+        parts.insert(0, attention_context(tape, params, source.hidden_seq, state.h))
+    if w.consumes_source:
+        x = source.x_ids
+        parts.append(embed(tape, params, x[t] if t < len(x) else EPS))
+    inp = parts[0] if len(parts) == 1 else ad.concat(tape, parts)
+    return lstm.lstm_step(tape, params.dec, inp, state)
 
 
 def _logits(tape, params, state):
@@ -202,21 +269,15 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     """
     if not x_ids:
         raise DataError("forward_variant: empty input sequence")
-    consumes_source = params.variant in ("full", "no-encoder")
-    e = hidden_seq = None
-    if params.has_encoder:
-        e_raw, hidden_seq = _encode(tape, params, x_ids)
-        if params.variant != "attention":
-            e = transform_encoding(tape, params, e_raw)
+    source = _encode_source(tape, params, x_ids)
     targets = list(y_ids) + [EOS]
-    n_steps = decoder_step_count(len(x_ids), len(y_ids)) if consumes_source else len(targets)
-    state = _initial_state(tape, params, e)
+    n_steps = decoder_step_count(len(x_ids), len(y_ids)) \
+        if params.wiring.consumes_source else len(targets)
+    state = _initial_state(params, source)
     step_losses = []
     for t in range(n_steps):
         y_prev = BOS if t == 0 else targets[min(t - 1, len(targets) - 1)]
-        x_in = _source_id(x_ids, t) if consumes_source else None
-        inp = _step_input(tape, params, e, hidden_seq, state, y_prev, x_in)
-        state = lstm.lstm_step(tape, params.dec, inp, state)
+        state = _decoder_step(tape, params, source, state, y_prev, t)
         if t < len(targets):
             logits = _logits(tape, params, state)
             if lm_logprobs is None:
@@ -231,26 +292,6 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     return total
 
 
-def nll_loss(tape, params, x_ids, y_ids):
-    """Eq-style supervised loss; identical to forward_variant on this model."""
-    return forward_variant(tape, params, x_ids, y_ids)
-
-
-def decoder_step(params, prev, e, y_prev_id, x_t_id):
-    """One inference step of the source-consuming decoder.
-
-    Returns the next state and the output distribution with BOS/EPS masked
-    and the remainder renormalized.
-    """
-    if not 0 <= y_prev_id < len(params.vocab) or not 0 <= x_t_id < len(params.vocab):
-        raise DimensionError(f"decoder_step: ids ({y_prev_id}, {x_t_id}) out of range")
-    tape = None
-    inp = _step_input(tape, params, e, None, prev, y_prev_id, x_t_id)
-    state = lstm.lstm_step(tape, params.dec, inp, prev)
-    dist = ad.masked_softmax(_logits(tape, params, state).value, MASKED_OUTPUT_IDS)
-    return state, dist
-
-
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
@@ -260,22 +301,14 @@ class DecodeSession:
 
     def __init__(self, params, x_ids):
         self.params = params
-        self.x_ids = list(x_ids)
-        tape = None
-        self._e = self._hidden_seq = None
-        if params.has_encoder:
-            e_raw, self._hidden_seq = _encode(tape, params, self.x_ids)
-            if params.variant != "attention":
-                self._e = transform_encoding(tape, params, e_raw)
+        self._source = _encode_source(None, params, x_ids)
 
     def initial_state(self):
-        return _initial_state(None, self.params, self._e)
+        return _initial_state(self.params, self._source)
 
     def step(self, state, y_prev_id, t):
         params = self.params
-        x_in = _source_id(self.x_ids, t) if params.variant in ("full", "no-encoder") else None
-        inp = _step_input(None, params, self._e, self._hidden_seq, state, y_prev_id, x_in)
-        new_state = lstm.lstm_step(None, params.dec, inp, state)
+        new_state = _decoder_step(None, params, self._source, state, y_prev_id, t)
         dist = ad.masked_softmax(_logits(None, params, new_state).value, MASKED_OUTPUT_IDS)
         return new_state, dist
 
@@ -298,73 +331,71 @@ def save_model(params, path):
     }
     if params.lm_lambda is not None:
         doc["config"]["lambda"] = float(params.lm_lambda)
-    with open(path, "w", encoding="utf-8") as f:
+    with open_text(path, "w", what="checkpoint", error=CheckpointError) as f:
         json.dump(doc, f, ensure_ascii=False, indent=1)
         f.write("\n")
 
 
 def load_model(path):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open_text(path, what="checkpoint", error=CheckpointError) as f:
             doc = json.load(f)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+
+    def bad(what):
+        return CheckpointError(f"checkpoint {path}: {what}")
+
+    def field(obj, key, ok, what):
+        if key not in obj:
+            raise bad(f"missing field {key!r}")
+        if not ok(obj[key]):
+            raise bad(f"{key} must be {what}, got {obj[key]!r:.40}")
+        return obj[key]
+
+    if not isinstance(doc, dict):
+        raise bad(f"expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path}: format_version {version!r}, expected {CHECKPOINT_VERSION}")
-    try:
-        vocab = CharVocab(doc["vocab"])
-        config = doc["config"]
-        m = ModelParams(vocab, doc["variant"], int(config["hidden"]), int(config["embed_dim"]))
-        _build_empty_tensors(m)
-        _assign_tensors(m, _parse_tensors(doc["tensors"], path))
-        m.lm_lambda = config.get("lambda")
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path}: missing field {exc}") from exc
+        raise bad(f"format_version {version!r}, expected {CHECKPOINT_VERSION}")
+    vocab = field(doc, "vocab", lambda v: isinstance(v, list)
+                  and all(isinstance(c, str) for c in v), "a list of strings")
+    variant = field(doc, "variant", lambda v: v in VARIANTS, f"one of {VARIANTS}")
+    config = field(doc, "config", lambda v: isinstance(v, dict), "an object")
+    tensors = field(doc, "tensors", lambda v: isinstance(v, dict), "an object")
+    hidden, embed_dim = (field(config, key, lambda v: _is_number(v, int) and v >= 1,
+                               "a positive integer") for key in ("hidden", "embed_dim"))
+    if "lambda" in config:
+        field(config, "lambda", lambda v: _is_number(v, (int, float)) and 0 <= v < np.inf,
+              "a finite number >= 0")
+    m = ModelParams(CharVocab(vocab), variant, hidden, embed_dim)
+
+    def tensor(name, shape, kind):
+        spec = field(tensors, name, lambda v: isinstance(v, dict)
+                     and isinstance(v.get("data"), list), "an object with a data list")
+        data = spec["data"]
+        if spec.get("shape") != list(shape):
+            raise bad(f"tensor {name!r} has shape {spec.get('shape')!r}, expected {list(shape)}")
+        if len(data) != int(np.prod(shape)):
+            raise bad(f"tensor {name!r} has {len(data)} values for shape {shape}")
+        try:
+            arr = np.array(data, dtype=np.float64)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 1:
+            raise bad(f"tensor {name!r} data must be a flat list of numbers")
+        arr = arr.reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise bad(f"tensor {name!r} has non-finite values")
+        return arr
+
+    _build(m, tensor)
+    m.lm_lambda = config.get("lambda")
     return m
 
 
-def _build_empty_tensors(m):
-    filled = init_model(m.vocab, m.variant, m.hidden, m.embed_dim, seed=0)
-    _adopt_structure(m, filled)
-
-
-def _adopt_structure(m, src):
-    m.embed = src.embed
-    m.enc_fwd, m.enc_bwd = src.enc_fwd, src.enc_bwd
-    m.trans_W, m.trans_b = src.trans_W, src.trans_b
-    m.attn_W_enc, m.attn_W_dec, m.attn_v = src.attn_W_enc, src.attn_W_dec, src.attn_v
-    m.dec = src.dec
-    m.out_W, m.out_b = src.out_W, src.out_b
-
-
-def _parse_tensors(raw, path):
-    out = {}
-    for name, spec in raw.items():
-        shape = tuple(spec["shape"])
-        data = spec["data"]
-        if int(np.prod(shape)) != len(data):
-            raise CheckpointError(
-                f"checkpoint {path}: tensor {name!r} has {len(data)} values for shape {shape}")
-        arr = np.array(data, dtype=np.float64).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"checkpoint {path}: tensor {name!r} has non-finite values")
-        out[name] = arr
-    return out
-
-
-def _assign_tensors(m, values):
-    for p in m.parameters():
-        if p.name not in values:
-            raise CheckpointError(f"checkpoint is missing tensor {p.name!r}")
-        arr = values[p.name]
-        if arr.shape != p.value.shape:
-            raise CheckpointError(
-                f"checkpoint tensor {p.name!r}: shape {arr.shape}, expected {p.value.shape}")
-        p.value[...] = arr
+def _is_number(value, types):
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def models_equal(a, b):

@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .charlm import lm_score_word
+from .data import open_text, split_fields
 from .errors import DataError, TrainError
 
 __all__ = [
@@ -196,26 +197,17 @@ def rerank(nbest, model, lm, x):
 
 
 def save_weights(model, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_text(path, "w", what="weights file") as f:
         for name, w in model.as_dict().items():
             f.write(f"{name}\t{w!r}\n")
 
 
 def load_weights(path):
     weights = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'name<TAB>weight'")
-                try:
-                    weights[parts[0]] = float(parts[1])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad weight {parts[1]!r}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read weights file {path}: {exc}") from exc
+    with open_text(path, what="weights file") as f:
+        for lineno, (name, weight) in split_fields(f, (2,), path):
+            try:
+                weights[name] = float(weight)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad weight {weight!r}") from exc
     return RerankModel.from_dict(weights)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charlm import BOW, EOW
+from .data import open_text, split_fields
 from .errors import DataError, SearchError
 from .model import DecodeSession
 from .vocab import BOS, EOS, N_SPECIAL, UNK
@@ -35,7 +36,6 @@ class Hypothesis:
     ids: tuple
     logprob: float
     states: tuple
-    terminated: bool
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
     sessions = [DecodeSession(m, x_ids) for m in models]
-    live = [Hypothesis((), 0.0, tuple(s.initial_state() for s in sessions), False)]
+    live = [Hypothesis((), 0.0, tuple(s.initial_state() for s in sessions))]
     pool = []
     for t in range(max_len):
         # EOS expansions compete with content expansions for the width slots;
@@ -169,7 +169,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
             if i == EOS:
                 pool.append(DecodeResult(base_ids, lp, truncated=False))
             else:
-                live.append(Hypothesis(grown_ids, lp, states, False))
+                live.append(Hypothesis(grown_ids, lp, states))
         if not live:
             break
     for hyp in live:
@@ -180,28 +180,17 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
 
 def write_nbest(path, rows):
     """Rows of (source, tag, candidate, model_logprob), pre-grouped by source."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_text(path, "w", what="n-best file") as f:
         for source, tag, candidate, logprob in rows:
             f.write(f"{source}\t{tag}\t{candidate}\t{logprob!r}\n")
 
 
 def read_nbest(path):
     rows = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-                try:
-                    lp = float(parts[3])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad log-probability {parts[3]!r}") from exc
-                rows.append((parts[0], parts[1], parts[2], lp))
-    except OSError as exc:
-        raise DataError(f"cannot read n-best file {path}: {exc}") from exc
+    with open_text(path, what="n-best file") as f:
+        for lineno, (source, tag, candidate, logprob) in split_fields(f, (4,), path):
+            try:
+                rows.append((source, tag, candidate, float(logprob)))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad log-probability {logprob!r}") from exc
     return rows

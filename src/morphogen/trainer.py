@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
-from .model import VARIANTS, forward_variant, init_model, load_model, save_model
+from .model import VARIANTS, forward_variant, init_model
 from .optim import AdaDeltaState, adadelta_step
 from .search import greedy_decode, lm_next_dist
 
@@ -27,8 +27,6 @@ __all__ = [
     "train_interpolated",
     "train_ensemble",
     "exact_match_accuracy",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -44,7 +42,6 @@ class TrainConfig:
     variant: str = "full"
     rho: float = 0.95
     opt_eps: float = 1e-6
-    beam_width: int = 20
     max_len_slack: int = 10
     lambda_init: float = 0.0   # initial unconstrained interpolation weight
     learn_lambda: bool = True
@@ -58,8 +55,6 @@ class TrainConfig:
             raise TrainError(f"ensemble size must be >= 1, got {self.ensemble_k}")
         if self.l2 < 0:
             raise TrainError(f"l2 must be >= 0, got {self.l2}")
-        if self.beam_width < 1:
-            raise TrainError(f"beam width must be >= 1, got {self.beam_width}")
         if self.max_len_slack < 0:
             raise TrainError(f"max_len_slack must be >= 0, got {self.max_len_slack}")
         if self.variant not in VARIANTS:
@@ -237,14 +232,6 @@ def train_ensemble(train_fn, config):
     """k independent trainings differing only in seed, in seed order."""
     config.validate()
     return [train_fn(replace(config, seed=s)) for s in config.member_seeds()]
-
-
-def save_checkpoint(model, path):
-    save_model(model, path)
-
-
-def load_checkpoint(path):
-    return load_model(path)
 
 
 def _emit(log, lines):

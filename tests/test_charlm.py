@@ -94,7 +94,6 @@ def test_score_word_is_sum_of_transition_logs():
     seq = cl.BOW * 2 + word + cl.EOW
     want = sum(math.log(lm.prob(seq[i - 2:i], seq[i])) for i in range(2, len(seq)))
     assert abs(cl.lm_score_word(lm, word) - want) < 1e-12
-    assert cl.lm_prob(lm, "a", "b") == lm.prob("a", "b")
 
 
 def test_score_empty_word_is_end_transition():
@@ -153,6 +152,10 @@ def test_load_header_errors(tmp_path):
     p.write_text("ngram-order x\nalphabet ab\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad order"):
         cl.load_lm(p)
+    for alphabet in ("\\x", "ä"):  # a truncated escape, a non-ASCII character
+        p.write_text(f"ngram-order 2\nalphabet {alphabet}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad alphabet"):
+            cl.load_lm(p)
     with pytest.raises(DataError, match="cannot read"):
         cl.load_lm(tmp_path / "missing.lm")
 

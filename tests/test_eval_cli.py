@@ -154,6 +154,14 @@ def test_read_embeddings_malformed(tmp_path):
     p.write_text("a\n", encoding="utf-8")
     with pytest.raises(DataError, match="malformed"):
         ev.read_embeddings(p)
+    p.write_text("a\t0.5\tnot-a-float\n", encoding="utf-8")
+    with pytest.raises(DataError, match="malformed"):
+        ev.read_embeddings(p)
+    p.write_bytes(b"a\t0.5\xff\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        ev.read_embeddings(p)
+    with pytest.raises(DataError, match="cannot read embedding file"):
+        ev.read_embeddings(tmp_path / "missing.tsv")
 
 
 # --- command-line flows ------------------------------------------------------
@@ -405,19 +413,29 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
 
 
 def test_cli_data_errors_exit_two(workspace, tmp_path, capsys):
-    assert cli.main(["predict", "--model", workspace["model.ckpt"],
-                     "--data", str(tmp_path / "missing.tsv"),
-                     "--out", str(tmp_path / "o.tsv")]) == 2
-    assert cli.main(["predict", "--model", str(tmp_path / "missing.ckpt"),
-                     "--data", workspace["dev.tsv"],
-                     "--out", str(tmp_path / "o.tsv")]) == 2
-    assert cli.main(["evaluate", "--model", workspace["model.ckpt"],
-                     "--data", str(tmp_path / "missing.tsv")]) == 2
+    model, dev, out = workspace["model.ckpt"], workspace["dev.tsv"], str(tmp_path / "o.tsv")
+    missing = str(tmp_path / "missing.tsv")
     bad = tmp_path / "bad.tsv"
     bad.write_text("only-one-column\n", encoding="utf-8")
-    assert cli.main(["predict", "--model", workspace["model.ckpt"],
-                     "--data", str(bad), "--out", str(tmp_path / "o.tsv")]) == 2
-    capsys.readouterr()
+    non_utf8 = tmp_path / "non-utf8.tsv"
+    non_utf8.write_bytes(b"ab\xff\tt\n")
+    listed = tmp_path / "list.ckpt"
+    listed.write_text("[1, 2]\n", encoding="utf-8")
+    unwritable = str(tmp_path / "no-such-dir" / "o.tsv")
+    for argv in (
+            ["predict", "--model", model, "--data", missing, "--out", out],
+            ["predict", "--model", str(tmp_path / "missing.ckpt"), "--data", dev, "--out", out],
+            ["evaluate", "--model", model, "--data", missing],
+            ["predict", "--model", model, "--data", str(bad), "--out", out],
+            ["predict", "--model", model, "--data", str(non_utf8), "--out", out],
+            ["analyze-harmony", "--pred", str(non_utf8)],
+            ["predict", "--model", str(listed), "--data", dev, "--out", out],
+            ["predict", "--model", model, "--data", dev, "--out", unwritable],
+            ["beam", "--model", model, "--data", dev, "--out", unwritable],
+            ["synth-data", "--size", "20", "--out-dir", str(bad / "sub")]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("morphogen: error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):

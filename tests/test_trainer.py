@@ -28,7 +28,7 @@ def test_config_validation():
     good = tr.TrainConfig()
     good.validate()
     cases = [dict(hidden=0), dict(embed_dim=0), dict(epochs=0), dict(ensemble_k=0),
-             dict(l2=-1.0), dict(beam_width=0), dict(max_len_slack=-1),
+             dict(l2=-1.0), dict(max_len_slack=-1),
              dict(variant="transformer")]
     for kw in cases:
         from dataclasses import replace
@@ -231,10 +231,3 @@ def test_ensemble_single_member_is_plain_training():
     members = tr.train_ensemble(lambda c: tr.train_factored(ds, INESSIVE, c), cfg)
     assert len(members) == 1
     assert models_equal(members[0], tr.train_factored(ds, INESSIVE, cfg))
-
-
-def test_checkpoint_aliases(tmp_path):
-    m = init_model(CharVocab("ab"), "full", hidden=4, embed_dim=3, seed=0)
-    path = tmp_path / "m.ckpt"
-    tr.save_checkpoint(m, path)
-    assert models_equal(tr.load_checkpoint(path), m)
