@@ -4,10 +4,13 @@ Every differentiable quantity is a Node wrapping an ndarray (vectors for
 activations, matrices for weights). Ops take the tape as their first
 argument; with tape=None they compute values only, which is what inference
 uses. backward() walks the tape once in reverse, so recording order is the
-topological order by construction.
+topological order by construction. A record may have several outputs (an
+LSTM step yields h and c); it fires when any of them holds a gradient, and
+its backward function adds into its inputs through the Sweep it is given.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DimensionError, MorphogenError
 
@@ -15,6 +18,7 @@ __all__ = [
     "Node",
     "Parameter",
     "Tape",
+    "Sweep",
     "constant",
     "affine",
     "matvec",
@@ -68,42 +72,78 @@ class Parameter(Node):
 
 
 class Tape:
-    """Ordered record of primitive ops; operands always precede consumers."""
+    """Ordered record of primitive ops; operands always precede consumers.
+
+    A record holds the op's output nodes and its backward function, called
+    as backward_fn(sweep, *grads) with one gradient per output (None for an
+    output that received none).
+    """
 
     def __init__(self):
         self._records = []
 
-    def append(self, node, backward_fn):
-        self._records.append((node, backward_fn))
+    def append(self, outputs, backward_fn):
+        """Record an op; outputs is its Node, or a tuple of Nodes."""
+        if isinstance(outputs, Node):
+            outputs = (outputs,)
+        self._records.append((outputs, backward_fn))
 
     def __len__(self):
         return len(self._records)
 
 
+class Sweep:
+    """Gradient accumulation for one backward() call.
+
+    It remembers every node it gave a gradient, so the call can clear them
+    all afterwards; a sweep nested inside another keeps its own list.
+    """
+
+    __slots__ = ("touched", "_outer")
+
+    def __init__(self):
+        self.touched = []
+        self._outer = {}   # Parameter -> ([a, ...], [b, ...]) pending outer products
+
+    def acc(self, node, g):
+        """Add g to node's gradient."""
+        if node.grad is None:
+            node.grad = np.array(g)
+            self.touched.append(node)
+        else:
+            node.grad += g
+
+    def grad_buffer(self, node):
+        """node's gradient, zero-initialised, for indexed accumulation."""
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+            self.touched.append(node)
+        return node.grad
+
+    def acc_outer(self, node, a, b):
+        """Add the outer product of vectors a and b to node's gradient.
+
+        Nothing reads a Parameter's gradient before the sweep ends, so for a
+        Parameter the pairs are kept and summed by one matrix product in
+        finish(); a weight used at every step then costs one product per
+        sweep instead of one per step.
+        """
+        if isinstance(node, Parameter):
+            pending = self._outer.setdefault(node, ([], []))
+            pending[0].append(a)
+            pending[1].append(b)
+        else:
+            self.acc(node, a[:, None] * b)
+
+    def finish(self):
+        """Add the pending outer products to their Parameters."""
+        for node, (a, b) in self._outer.items():
+            self.acc(node, np.array(a).T @ np.array(b))
+        self._outer.clear()
+
+
 def constant(value):
     return Node(np.asarray(value, dtype=np.float64))
-
-
-# Nodes that received a gradient in the active backward sweep. Tapes are
-# single-threaded, and backward() resets this so no grad survives a sweep,
-# even on leaves the caller did not ask about.
-_touched = []
-
-
-def _acc(node, g):
-    if node.grad is None:
-        node.grad = np.array(g)
-        _touched.append(node)
-    else:
-        node.grad += g
-
-
-def _grad_buffer(node):
-    """Zero-initialized gradient array for indexed accumulation."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-        _touched.append(node)
-    return node.grad
 
 
 def affine(tape, W, x, b):
@@ -115,10 +155,10 @@ def affine(tape, W, x, b):
         )
     out = Node(Wv @ xv + bv)
     if tape is not None:
-        def backward_fn(g):
-            _acc(W, np.outer(g, xv))
-            _acc(x, Wv.T @ g)
-            _acc(b, g)
+        def backward_fn(sweep, g):
+            sweep.acc_outer(W, g, xv)
+            sweep.acc(x, Wv.T @ g)
+            sweep.acc(b, g)
         tape.append(out, backward_fn)
     return out
 
@@ -129,9 +169,9 @@ def matvec(tape, W, x):
         raise DimensionError(f"matvec: W{Wv.shape} incompatible with x{xv.shape}")
     out = Node(Wv @ xv)
     if tape is not None:
-        def backward_fn(g):
-            _acc(W, np.outer(g, xv))
-            _acc(x, Wv.T @ g)
+        def backward_fn(sweep, g):
+            sweep.acc_outer(W, g, xv)
+            sweep.acc(x, Wv.T @ g)
         tape.append(out, backward_fn)
     return out
 
@@ -141,21 +181,21 @@ def _binary_shapes(name, a, b):
         raise DimensionError(f"{name}: shapes {a.value.shape} and {b.value.shape}")
 
 
-def _acc_bcast(node, g):
+def _acc_bcast(sweep, node, g):
     # reduce the upstream gradient when the operand was broadcast from size 1
     if node.value.size == 1 and g.size != 1:
-        _acc(node, np.array([g.sum()]))
+        sweep.acc(node, np.array([g.sum()]))
     else:
-        _acc(node, g)
+        sweep.acc(node, g)
 
 
 def add(tape, a, b):
     _binary_shapes("add", a, b)
     out = Node(a.value + b.value)
     if tape is not None:
-        def backward_fn(g):
-            _acc_bcast(a, g)
-            _acc_bcast(b, g)
+        def backward_fn(sweep, g):
+            _acc_bcast(sweep, a, g)
+            _acc_bcast(sweep, b, g)
         tape.append(out, backward_fn)
     return out
 
@@ -164,9 +204,9 @@ def sub(tape, a, b):
     _binary_shapes("sub", a, b)
     out = Node(a.value - b.value)
     if tape is not None:
-        def backward_fn(g):
-            _acc_bcast(a, g)
-            _acc_bcast(b, -g)
+        def backward_fn(sweep, g):
+            _acc_bcast(sweep, a, g)
+            _acc_bcast(sweep, b, -g)
         tape.append(out, backward_fn)
     return out
 
@@ -176,9 +216,9 @@ def mul(tape, a, b):
     av, bv = a.value, b.value
     out = Node(av * bv)
     if tape is not None:
-        def backward_fn(g):
-            _acc_bcast(a, g * bv)
-            _acc_bcast(b, g * av)
+        def backward_fn(sweep, g):
+            _acc_bcast(sweep, a, g * bv)
+            _acc_bcast(sweep, b, g * av)
         tape.append(out, backward_fn)
     return out
 
@@ -188,19 +228,19 @@ def concat(tape, parts):
     out = Node(np.concatenate(values))
     if tape is not None:
         offsets = np.cumsum([0] + [v.shape[0] for v in values])
-        def backward_fn(g):
+        def backward_fn(sweep, g):
             for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _acc(part, g[lo:hi])
+                sweep.acc(part, g[lo:hi])
         tape.append(out, backward_fn)
     return out
 
 
 def sigmoid(tape, x):
-    out = Node(_sigmoid(x.value))
+    out = Node(expit(x.value))
     if tape is not None:
         ov = out.value
-        def backward_fn(g):
-            _acc(x, g * ov * (1.0 - ov))
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * ov * (1.0 - ov))
         tape.append(out, backward_fn)
     return out
 
@@ -209,8 +249,8 @@ def tanh(tape, x):
     out = Node(np.tanh(x.value))
     if tape is not None:
         ov = out.value
-        def backward_fn(g):
-            _acc(x, g * (1.0 - ov * ov))
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * (1.0 - ov * ov))
         tape.append(out, backward_fn)
     return out
 
@@ -220,8 +260,8 @@ def softplus(tape, x):
     xv = x.value
     out = Node(np.logaddexp(0.0, xv))
     if tape is not None:
-        def backward_fn(g):
-            _acc(x, g * _sigmoid(xv))
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * expit(xv))
         tape.append(out, backward_fn)
     return out
 
@@ -233,8 +273,8 @@ def row(tape, E, i):
         raise DimensionError(f"row: index {i} out of range for {Ev.shape}")
     out = Node(Ev[i])
     if tape is not None:
-        def backward_fn(g):
-            _grad_buffer(E)[i] += g
+        def backward_fn(sweep, g):
+            sweep.grad_buffer(E)[i] += g
         tape.append(out, backward_fn)
     return out
 
@@ -242,8 +282,8 @@ def row(tape, E, i):
 def pick(tape, x, i):
     out = Node(x.value[i:i + 1])
     if tape is not None:
-        def backward_fn(g):
-            _grad_buffer(x)[i] += g[0]
+        def backward_fn(sweep, g):
+            sweep.grad_buffer(x)[i] += g[0]
         tape.append(out, backward_fn)
     return out
 
@@ -251,8 +291,8 @@ def pick(tape, x, i):
 def usum(tape, x):
     out = Node(np.array([x.value.sum()]))
     if tape is not None:
-        def backward_fn(g):
-            _acc(x, np.full_like(x.value, g[0]))
+        def backward_fn(sweep, g):
+            sweep.acc(x, np.full_like(x.value, g[0]))
         tape.append(out, backward_fn)
     return out
 
@@ -263,20 +303,10 @@ def dot(tape, a, b):
     av, bv = a.value, b.value
     out = Node(np.array([av @ bv]))
     if tape is not None:
-        def backward_fn(g):
-            _acc(a, g[0] * bv)
-            _acc(b, g[0] * av)
+        def backward_fn(sweep, g):
+            sweep.acc(a, g[0] * bv)
+            sweep.acc(b, g[0] * av)
         tape.append(out, backward_fn)
-    return out
-
-
-def _sigmoid(z):
-    # stable on both tails
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
     return out
 
 
@@ -308,8 +338,8 @@ def softmax_op(tape, x):
     p = softmax(x.value)
     out = Node(p)
     if tape is not None:
-        def backward_fn(g):
-            _acc(x, p * (g - g @ p))
+        def backward_fn(sweep, g):
+            sweep.acc(x, p * (g - g @ p))
         tape.append(out, backward_fn)
     return out
 
@@ -322,10 +352,10 @@ def weighted_sum(tape, weights, vectors):
     vals = [v.value for v in vectors]
     out = Node(sum(w * v for w, v in zip(wv, vals)))
     if tape is not None:
-        def backward_fn(g):
-            _acc(weights, np.array([g @ v for v in vals]))
+        def backward_fn(sweep, g):
+            sweep.acc(weights, np.array([g @ v for v in vals]))
             for w, v in zip(wv, vectors):
-                _acc(v, w * g)
+                sweep.acc(v, w * g)
         tape.append(out, backward_fn)
     return out
 
@@ -347,10 +377,10 @@ def cross_entropy_logits(tape, logits, target, masked_ids=()):
     p, m, Z = _softmax_lse(lv, masked_ids)
     out = Node(np.array([np.log(Z) + m - lv[target]]))
     if tape is not None:
-        def backward_fn(g):
+        def backward_fn(sweep, g):
             gl = g[0] * p
             gl[target] -= g[0]
-            _acc(logits, gl)
+            sweep.acc(logits, gl)
         tape.append(out, backward_fn)
     return out
 
@@ -372,11 +402,11 @@ def interpolated_cross_entropy(tape, logits, target, log_lm, lam, masked_ids=())
         safe_log_lm = log_lm.copy()
         if len(masked_ids):
             safe_log_lm[list(masked_ids)] = 0.0
-        def backward_fn(g):
+        def backward_fn(sweep, g):
             gl = g[0] * p
             gl[target] -= g[0]
-            _acc(logits, gl)
-            _acc(lam, np.array([g[0] * (p @ safe_log_lm - log_lm[target])]))
+            sweep.acc(logits, gl)
+            sweep.acc(lam, np.array([g[0] * (p @ safe_log_lm - log_lm[target])]))
         tape.append(out, backward_fn)
     return out
 
@@ -386,25 +416,25 @@ def backward(tape, loss, params=()):
 
     Parameters not reached by the sweep get zero gradients. Every node that
     received a gradient is cleared afterwards, including leaves outside
-    `params`, so tapes stay independent.
+    `params`, so tapes stay independent. A record fires when any of its
+    outputs holds a gradient.
     """
     if loss.value.size != 1:
         raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
-    del _touched[:]
+    sweep = Sweep()
     loss.grad = np.ones(1)
-    for node, backward_fn in reversed(tape._records):
-        if node.grad is not None:
-            backward_fn(node.grad)
-    out = {}
-    for p in params:
-        out[p] = p.grad if p.grad is not None else np.zeros_like(p.value)
-    loss.grad = None
-    for node, _ in tape._records:
-        node.grad = None
-    for node in _touched:
-        node.grad = None
-    del _touched[:]
-    return out
+    try:
+        for outputs, backward_fn in reversed(tape._records):
+            grads = [node.grad for node in outputs]
+            if any(g is not None for g in grads):
+                backward_fn(sweep, *grads)
+        sweep.finish()
+        return {p: p.grad if p.grad is not None else np.zeros_like(p.value)
+                for p in params}
+    finally:
+        loss.grad = None
+        for node in sweep.touched:
+            node.grad = None
 
 
 def grads_by_name(grads):

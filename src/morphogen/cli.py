@@ -5,6 +5,7 @@ import argparse
 import itertools
 import os
 import sys
+import tempfile
 from functools import partial
 
 from . import charlm, data, evaluate, reranker, search, trainer
@@ -106,9 +107,13 @@ def _cmd_train(args):
         return 0
     if not args.out:
         raise _Usage(f"--out is required for mode {args.mode}")
+    if args.mode == "interpolated" and not args.lm:
+        raise _Usage("--lm is required for mode interpolated")
+    outs = [args.out] if args.mode == "interpolated" or args.ensemble_k == 1 else \
+        [f"{args.out}.{i}" for i in range(1, args.ensemble_k + 1)]
+    for path in outs:
+        _check_writable(path)
     if args.mode == "interpolated":
-        if not args.lm:
-            raise _Usage("--lm is required for mode interpolated")
         lm = charlm.load_lm(args.lm)
         model, lam = trainer.train_interpolated(dataset, args.tag, lm, config, log=print)
         save_model(model, args.out)
@@ -119,8 +124,8 @@ def _cmd_train(args):
     else:
         members = trainer.train_ensemble(
             partial(trainer.train_factored, dataset, args.tag, log=print), config)
-        for i, model in enumerate(members, start=1):
-            save_model(model, f"{args.out}.{i}")
+        for model, path in zip(members, outs):
+            save_model(model, path)
     return 0
 
 
@@ -269,6 +274,17 @@ def _make_dir(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise MorphogenError(f"cannot create directory {path}: {exc}") from exc
+
+
+def _check_writable(path):
+    """Fail before a long run if no file can be created where path goes."""
+    if os.path.isdir(path):
+        raise MorphogenError(f"cannot write {path}: it is a directory")
+    try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+            pass
+    except OSError as exc:
+        raise MorphogenError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_lines(path, lines):

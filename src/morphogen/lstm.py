@@ -2,20 +2,21 @@
 
 Single-layer, no peepholes, independent forget gate. Gate weights are stored
 fused as [4n x l] / [4n x n] blocks in (input, forget, output, candidate)
-order; the forget block of the bias starts at 1.0.
+order; the forget block of the bias starts at 1.0. A cell step is one tape
+record with a hand-written backward over the fused [4n] gate vector.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import DimensionError
 
-__all__ = ["LSTMParams", "LSTMState", "init_lstm", "lstm_step", "run_sequence",
+__all__ = ["LSTMParams", "LSTMState", "lstm_step", "run_sequence",
            "encode_bidirectional", "zero_state"]
 
-INIT_SCALE = 0.1
 FORGET_BIAS = 1.0
 
 
@@ -44,16 +45,6 @@ class LSTMParams:
         return [self.W_x, self.W_h, self.b]
 
 
-def init_lstm(rng, name, input_size, hidden_size):
-    W_x = ad.Parameter(f"{name}.W_x", rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                                  (4 * hidden_size, input_size)))
-    W_h = ad.Parameter(f"{name}.W_h", rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                                  (4 * hidden_size, hidden_size)))
-    b = ad.Parameter(f"{name}.b", np.zeros(4 * hidden_size))
-    b.value[hidden_size:2 * hidden_size] = FORGET_BIAS
-    return LSTMParams(name, W_x, W_h, b)
-
-
 def zero_state(hidden_size):
     return LSTMState(h=ad.constant(np.zeros(hidden_size)),
                      c=ad.constant(np.zeros(hidden_size)))
@@ -62,27 +53,40 @@ def zero_state(hidden_size):
 def lstm_step(tape, params, x, prev):
     """One cell update: i,f,o = sigmoid, g = tanh, c' = f*c + i*g, h' = o*tanh(c')."""
     n = params.hidden_size
-    if x.value.shape[0] != params.input_size:
+    n3 = 3 * n
+    xv, hv, cv = x.value, prev.h.value, prev.c.value
+    if xv.shape[0] != params.input_size:
         raise DimensionError(
-            f"lstm {params.name}: input {x.value.shape} vs expected ({params.input_size},)")
-    z = ad.add(tape, ad.affine(tape, params.W_x, x, params.b),
-               ad.matvec(tape, params.W_h, prev.h))
-    i = ad.sigmoid(tape, _block(tape, z, 0, n))
-    f = ad.sigmoid(tape, _block(tape, z, 1, n))
-    o = ad.sigmoid(tape, _block(tape, z, 2, n))
-    g = ad.tanh(tape, _block(tape, z, 3, n))
-    c = ad.add(tape, ad.mul(tape, f, prev.c), ad.mul(tape, i, g))
-    h = ad.mul(tape, o, ad.tanh(tape, c))
-    return LSTMState(h=h, c=c)
-
-
-def _block(tape, z, k, n):
-    out = ad.Node(z.value[k * n:(k + 1) * n])
+            f"lstm {params.name}: input {xv.shape} vs expected ({params.input_size},)")
+    W_x, W_h, b = params.W_x, params.W_h, params.b
+    z = (W_x.value @ xv + b.value) + W_h.value @ hv
+    sig = expit(z[:n3])
+    i, f, o = sig[:n], sig[n:2 * n], sig[2 * n:]
+    g = np.tanh(z[n3:])
+    c = ad.Node(f * cv + i * g)
+    tc = np.tanh(c.value)
+    h = ad.Node(o * tc)
     if tape is not None:
-        def backward_fn(g):
-            ad._grad_buffer(z)[k * n:(k + 1) * n] += g
-        tape.append(out, backward_fn)
-    return out
+        def backward_fn(sweep, gh, gc):
+            # dc sums both paths into c': directly, and through h' = o*tanh(c')
+            if gh is None:
+                dc, do = gc, np.zeros_like(gc)
+            else:
+                dc = gh * o * (1.0 - tc * tc)
+                if gc is not None:
+                    dc += gc
+                do = gh * tc
+            dz = np.concatenate((dc * g, dc * cv, do, dc * i))
+            dz[:n3] *= sig * (1.0 - sig)
+            dz[n3:] *= 1.0 - g * g
+            sweep.acc_outer(W_x, dz, xv)
+            sweep.acc(x, W_x.value.T @ dz)
+            sweep.acc(b, dz)
+            sweep.acc_outer(W_h, dz, hv)
+            sweep.acc(prev.h, W_h.value.T @ dz)
+            sweep.acc(prev.c, dc * f)
+        tape.append((h, c), backward_fn)
+    return LSTMState(h=h, c=c)
 
 
 def run_sequence(tape, params, xs, init=None):
@@ -108,6 +112,19 @@ def encode_bidirectional(tape, fwd, bwd, xs):
     fwd_states = run_sequence(tape, fwd, xs)
     bwd_states = run_sequence(tape, bwd, list(reversed(xs)))
     e_raw = ad.concat(tape, [fwd_states[-1].h, bwd_states[-1].h])
-    hidden_seq = [ad.concat(tape, [f.h, b.h])
-                  for f, b in zip(fwd_states, reversed(bwd_states))]
-    return e_raw, hidden_seq
+    return e_raw, _pair_states(tape, fwd_states, bwd_states[::-1])
+
+
+def _pair_states(tape, fwd_states, bwd_states):
+    """[fwd h_t ; bwd h_t] for every t, as one record with one output per t."""
+    n = fwd_states[0].h.value.shape[0]
+    pairs = tuple(ad.Node(np.concatenate((f.h.value, b.h.value)))
+                  for f, b in zip(fwd_states, bwd_states))
+    if tape is not None:
+        def backward_fn(sweep, *grads):
+            for g, f, b in zip(grads, fwd_states, bwd_states):
+                if g is not None:
+                    sweep.acc(f.h, g[:n])
+                    sweep.acc(b.h, g[n:])
+        tape.append(pairs, backward_fn)
+    return list(pairs)

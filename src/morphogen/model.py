@@ -200,15 +200,34 @@ def transform_encoding(tape, params, e_raw):
 
 
 def attention_context(tape, params, hidden_seq, s_prev):
-    """Additive attention over encoder states: softmax(v . tanh(W1 h + W2 s))."""
+    """Additive attention over encoder states: softmax(v . tanh(W1 h + W2 s)).
+
+    One tape record: the states are stacked into H [T, 2n], and scores,
+    weights and context are computed over all positions at once.
+    """
     if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
-    key = ad.matvec(tape, params.attn_W_dec, s_prev)
-    scores = [ad.dot(tape, params.attn_v,
-                     ad.tanh(tape, ad.add(tape, ad.matvec(tape, params.attn_W_enc, h), key)))
-              for h in hidden_seq]
-    weights = ad.softmax_op(tape, ad.concat(tape, scores))
-    return ad.weighted_sum(tape, weights, hidden_seq)
+    W_enc, W_dec, v = params.attn_W_enc, params.attn_W_dec, params.attn_v
+    H = np.array([h.value for h in hidden_seq])
+    sv = s_prev.value
+    act = np.tanh(H @ W_enc.value.T + W_dec.value @ sv)    # [T, n]
+    weights = ad.softmax(act @ v.value)
+    out = ad.Node(weights @ H)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            gw = H @ g
+            gscores = weights * (gw - gw @ weights)
+            sweep.acc(v, act.T @ gscores)
+            gpre = gscores[:, None] * v.value * (1.0 - act * act)
+            gkey = gpre.sum(axis=0)
+            sweep.acc_outer(W_dec, gkey, sv)
+            sweep.acc(s_prev, W_dec.value.T @ gkey)
+            sweep.acc(W_enc, gpre.T @ H)
+            gH = weights[:, None] * g + gpre @ W_enc.value
+            for h, gh in zip(hidden_seq, gH):
+                sweep.acc(h, gh)
+        tape.append(out, backward_fn)
+    return out
 
 
 def decoder_step_count(x_len, y_len):

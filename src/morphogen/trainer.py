@@ -94,7 +94,11 @@ def _epoch_loop(config, train_examples, make_loss, update_params, eval_dev, snap
         for ex in batch:
             tape = ad.Tape()
             loss = make_loss(tape, ex)
-            total += float(loss.value[0])
+            value = float(loss.value[0])
+            if not math.isfinite(value):
+                raise TrainError(f"epoch {epoch}: non-finite loss {value!r} on lemma "
+                                 f"{ex.lemma!r} ({ex.tag}) with target {ex.inflected!r}")
+            total += value
             grads = ad.backward(tape, loss, update_params(ex))
             adadelta_step(update_params(ex), grads, opt, l2=config.l2)
         acc = eval_dev()

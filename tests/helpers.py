@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 
+from morphogen import autodiff as ad
+from morphogen import lstm
 from morphogen.charlm import train_lm
+from morphogen.errors import DimensionError
 from morphogen.reranker import RerankGroup
 
 
@@ -61,3 +64,42 @@ def levenshtein_matrix_oracle(a, b):
                           m[i, j - 1] + 1,
                           m[i - 1, j - 1] + (a[i - 1] != b[j - 1]))
     return int(m[len(a), len(b)])
+
+
+# --- composed references for the fused recurrent ops ----------------------
+# The cell and the attention context as chains of primitive tape ops, one
+# record per primitive: slower, but each piece is checked on its own, so
+# they serve as oracles for lstm.lstm_step and model.attention_context.
+
+def reference_lstm_step(tape, params, x, prev):
+    n = params.hidden_size
+    if x.value.shape[0] != params.input_size:
+        raise DimensionError(
+            f"lstm {params.name}: input {x.value.shape} vs expected ({params.input_size},)")
+    z = ad.add(tape, ad.affine(tape, params.W_x, x, params.b),
+               ad.matvec(tape, params.W_h, prev.h))
+    i = ad.sigmoid(tape, _block(tape, z, 0, n))
+    f = ad.sigmoid(tape, _block(tape, z, 1, n))
+    o = ad.sigmoid(tape, _block(tape, z, 2, n))
+    g = ad.tanh(tape, _block(tape, z, 3, n))
+    c = ad.add(tape, ad.mul(tape, f, prev.c), ad.mul(tape, i, g))
+    h = ad.mul(tape, o, ad.tanh(tape, c))
+    return lstm.LSTMState(h=h, c=c)
+
+
+def _block(tape, z, k, n):
+    out = ad.Node(z.value[k * n:(k + 1) * n])
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.grad_buffer(z)[k * n:(k + 1) * n] += g
+        tape.append(out, backward_fn)
+    return out
+
+
+def reference_attention_context(tape, params, hidden_seq, s_prev):
+    key = ad.matvec(tape, params.attn_W_dec, s_prev)
+    scores = [ad.dot(tape, params.attn_v,
+                     ad.tanh(tape, ad.add(tape, ad.matvec(tape, params.attn_W_enc, h), key)))
+              for h in hidden_seq]
+    weights = ad.softmax_op(tape, ad.concat(tape, scores))
+    return ad.weighted_sum(tape, weights, hidden_seq)

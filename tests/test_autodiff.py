@@ -211,6 +211,34 @@ def test_backward_clears_all_gradients():
     assert np.array_equal(first, second)
 
 
+def test_nested_sweep_leaves_outer_sweep_clean():
+    # a record whose backward sweeps another tape must not make the outer
+    # sweep forget which nodes it touched: w would keep a stale gradient
+    w = ad.Parameter("w", [2.0])
+    u = ad.Parameter("u", [3.0])
+    z = ad.Parameter("z", [5.0])
+    outer = ad.Tape()
+    inner_grads = []
+
+    def nested(x):
+        out = ad.Node(x.value.copy())
+
+        def backward_fn(sweep, g):
+            inner = ad.Tape()
+            inner_grads.append(ad.backward(inner, ad.mul(inner, u, u), [u])[u])
+            sweep.acc(x, g)
+        outer.append(out, backward_fn)
+        return out
+
+    n = nested(z)                 # recorded first, so it fires after w's record
+    loss = ad.add(outer, ad.usum(outer, w), n)
+    grads = ad.backward(outer, loss, [w, z])
+    assert grads[w] == [1.0] and grads[z] == [1.0] and inner_grads == [[6.0]]
+    assert w.grad is None and z.grad is None and u.grad is None
+    tape = ad.Tape()
+    assert ad.backward(tape, ad.mul(tape, w, w), [w])[w] == [4.0]
+
+
 def test_grads_by_name():
     w = ad.Parameter("w", [2.0])
     tape = ad.Tape()

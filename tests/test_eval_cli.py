@@ -462,6 +462,22 @@ def test_cli_seed_env_invalid(tmp_path, monkeypatch, capsys):
     assert "MORPHOGEN_SEED" in capsys.readouterr().err
 
 
+def test_cli_train_checks_out_before_training(workspace, tmp_path, capsys):
+    missing_dir = str(tmp_path / "no-such-dir" / "m.ckpt")
+    base = ["train", "--data", workspace["train.tsv"], "--tag", INESSIVE,
+            "--hidden", "4", "--epochs", "1", "--seed", "0"]
+    for extra in (["--out", missing_dir],
+                  ["--out", missing_dir, "--ensemble-k", "2"],
+                  ["--out", str(tmp_path)],
+                  ["--mode", "interpolated", "--lm", workspace["lm.txt"], "--out", missing_dir]):
+        assert cli.main(base + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == "", extra       # no epoch line: nothing was trained
+        assert captured.err.startswith("morphogen: error: cannot write ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 def test_cli_ensemble_training_writes_numbered_checkpoints(workspace, tmp_path):
     out = tmp_path / "ens.ckpt"
     rc = cli.main(["train", "--data", workspace["train.tsv"], "--tag", INESSIVE,

@@ -3,7 +3,15 @@ import pytest
 
 from morphogen import autodiff as ad
 from morphogen import lstm
+from morphogen import model as mod
 from morphogen.errors import DimensionError
+from morphogen.vocab import CharVocab
+
+
+def _model_with_cells(input_size, hidden_size, seed=0):
+    """A seeded `full` model; its encoder cells read input_size-wide inputs."""
+    return mod.init_model(CharVocab("ab"), "full", hidden=hidden_size,
+                          embed_dim=input_size, seed=seed)
 
 
 def _const_params(name, input_size, hidden_size, weight, bias=0.0):
@@ -18,7 +26,8 @@ def _const_params(name, input_size, hidden_size, weight, bias=0.0):
 
 def _random_params(name, input_size, hidden_size, seed):
     rng = np.random.default_rng(seed)
-    p = lstm.init_lstm(rng, name, input_size, hidden_size)
+    p = _model_with_cells(input_size, hidden_size, seed).enc_fwd
+    p.name = name
     for t in p.parameters():
         t.value = rng.normal(0.0, 0.5, size=t.value.shape)
     return p
@@ -76,17 +85,19 @@ def test_step_rejects_wrong_input_size():
 
 
 def test_init_shapes_scale_and_forget_bias():
-    p = lstm.init_lstm(np.random.default_rng(0), "enc", 7, 5)
-    assert p.W_x.value.shape == (20, 7)
-    assert p.W_h.value.shape == (20, 5)
-    assert p.b.value.shape == (20,)
-    assert np.all(np.abs(p.W_x.value) <= lstm.INIT_SCALE)
-    assert np.all(np.abs(p.W_h.value) <= lstm.INIT_SCALE)
-    # forget gate block starts at 1 so early training does not erase memory
-    assert np.array_equal(p.b.value[5:10], np.ones(5))
-    assert np.array_equal(p.b.value[:5], np.zeros(5))
-    assert np.array_equal(p.b.value[10:], np.zeros(10))
-    assert [t.name for t in p.parameters()] == ["enc.W_x", "enc.W_h", "enc.b"]
+    m = _model_with_cells(7, 5)
+    for p, input_size in ((m.enc_fwd, 7), (m.enc_bwd, 7), (m.dec, m.decoder_input_size())):
+        assert p.W_x.value.shape == (20, input_size)
+        assert p.W_h.value.shape == (20, 5)
+        assert p.b.value.shape == (20,)
+        assert np.all(np.abs(p.W_x.value) <= mod.INIT_SCALE)
+        assert np.all(np.abs(p.W_h.value) <= mod.INIT_SCALE)
+        # forget gate block starts at 1 so early training does not erase memory
+        assert np.array_equal(p.b.value[5:10], np.ones(5))
+        assert np.array_equal(p.b.value[:5], np.zeros(5))
+        assert np.array_equal(p.b.value[10:], np.zeros(10))
+    assert [t.name for t in m.enc_fwd.parameters()] == [
+        "enc_fwd.W_x", "enc_fwd.W_h", "enc_fwd.b"]
 
 
 def test_params_shape_validation():

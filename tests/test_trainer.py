@@ -36,6 +36,22 @@ def test_config_validation():
             replace(good, **kw).validate()
 
 
+def test_non_finite_loss_names_the_example(monkeypatch):
+    bad = Example("kala", INESSIVE, "kalassa")
+    ds = DatasetSplit(train=[Example("talo", INESSIVE, "talossa"), bad], dev=[], test=[])
+    vocab = build_vocab(ds.train)
+
+    def forward(tape, params, x_ids, y_ids, **kwargs):
+        if x_ids == vocab.encode(bad.lemma):
+            return ad.constant([np.nan])
+        return forward_variant(tape, params, x_ids, y_ids, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_variant", forward)
+    with pytest.raises(TrainError, match=r"epoch 1: non-finite loss nan on lemma 'kala' "
+                                         r"\(case=inessive\) with target 'kalassa'"):
+        tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=3, epochs=2), vocab=vocab)
+
+
 def test_member_seeds_default_and_explicit():
     assert tr.TrainConfig(seed=3, ensemble_k=4).member_seeds() == (3, 4, 5, 6)
     assert tr.TrainConfig(seeds=(9, 2, 5)).member_seeds() == (9, 2, 5)
