@@ -365,6 +365,15 @@ def masked_softmax(logits, masked_ids=()):
     return _softmax_lse(np.asarray(logits, dtype=np.float64), masked_ids)[0]
 
 
+def softmax_rows(z, masked_ids=()):
+    """masked_softmax of every row of a 2-D array; each row equals the 1-D result."""
+    if len(masked_ids):
+        z = z.copy()
+        z[:, list(masked_ids)] = -np.inf
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def cross_entropy_logits(tape, logits, target, masked_ids=()):
     """-log softmax(logits)[target] with masked ids excluded and renormalized.
 

@@ -11,6 +11,7 @@ start symbols and a single end symbol, and training uses unique word types.
 """
 
 import math
+import warnings
 
 from .data import open_text
 from .errors import DataError
@@ -45,6 +46,9 @@ class WittenBellLM:
             raise DataError("LM alphabet must not contain boundary symbols")
         self._succ = {}   # history -> {char: count}
         self._total = {}  # history -> c(history)
+        # (vocab data chars, history) -> read-only next-char vector, filled
+        # by search.lm_next_dist; emptied whenever a count changes
+        self.bridge_cache = {}
 
     @property
     def base_prob(self):
@@ -54,6 +58,7 @@ class WittenBellLM:
         d = self._succ.setdefault(history, {})
         d[char] = d.get(char, 0) + count
         self._total[history] = self._total.get(history, 0) + count
+        self.bridge_cache.clear()
 
     def _count_word(self, word):
         seq = BOW * (self.order - 1) + word + EOW
@@ -117,7 +122,13 @@ def _escape(s):
 
 
 def _unescape(s):
-    return s.encode("ascii").decode("unicode_escape")
+    """Inverse of _escape; an escape _escape never writes is a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return s.encode("ascii").decode("unicode_escape")
+        except DeprecationWarning as exc:
+            raise ValueError(f"{s!r}: {exc}") from None
 
 
 def save_lm(lm, path):
@@ -152,10 +163,11 @@ def load_lm(path):
         if len(parts) != 4:
             raise DataError(f"LM file {path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            history, char, count = _unescape(parts[1]), _unescape(parts[2]), int(parts[3])
+            order_field, count = int(parts[0]), int(parts[3])
+            history, char = _unescape(parts[1]), _unescape(parts[2])
         except ValueError as exc:
             raise DataError(f"LM file {path}:{lineno}: {exc}") from exc
-        if len(history) + 1 != int(parts[0]):
+        if len(history) + 1 != order_field:
             raise DataError(f"LM file {path}:{lineno}: order field disagrees with history")
         counts.setdefault(history, {})[char] = count
     return WittenBellLM.from_counts(order, alphabet, counts)

@@ -5,6 +5,7 @@ The on-disk format is a UTF-8 TSV of `lemma TAB tag TAB inflected` lines;
 """
 
 import contextlib
+import os
 import random
 import unicodedata
 from dataclasses import dataclass, field
@@ -67,16 +68,38 @@ class DatasetSplit:
 def open_text(path, mode="r", what="file", error=DataError):
     """Open path as UTF-8 text with "\\n" line ends on write.
 
-    An OSError, or invalid UTF-8 met while reading inside the block, becomes
-    `error` with a one-line message naming the file.
+    A write goes to a temporary file beside the target, which replaces the
+    target only when the block completes: a write that fails or is
+    interrupted leaves the old file as it was and no partial file behind.
+    (A target that exists but is not a regular file, such as a device or a
+    pipe, is written in place.) An OSError, or invalid UTF-8 met while
+    reading inside the block, becomes `error` with a one-line message naming
+    the file.
     """
+    writing = mode == "w"
+    target = os.path.realpath(path) if writing else path
+    tmp = None
+    if writing and (os.path.isfile(target) or not os.path.exists(target)):
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(path, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as f:
-            yield f
+        try:
+            with open(tmp or path, "x" if tmp else mode, encoding="utf-8",
+                      newline="\n" if writing else None) as f:
+                yield f
+            if tmp:
+                os.replace(tmp, target)
+        except BaseException:
+            if tmp:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            raise
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path}: not valid UTF-8 ({exc})") from exc
     except OSError as exc:
-        raise error(f"cannot {'write' if mode == 'w' else 'read'} {what} {path}: {exc}") from exc
+        if writing:
+            raise error(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def split_fields(lines, widths, source="<input>"):

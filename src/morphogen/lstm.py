@@ -14,8 +14,8 @@ from scipy.special import expit
 from . import autodiff as ad
 from .errors import DimensionError
 
-__all__ = ["LSTMParams", "LSTMState", "lstm_step", "run_sequence",
-           "encode_bidirectional", "zero_state"]
+__all__ = ["LSTMParams", "LSTMState", "lstm_step", "lstm_step_rows", "run_sequence",
+           "encode_bidirectional", "pair_states", "zero_state"]
 
 FORGET_BIAS = 1.0
 
@@ -89,6 +89,16 @@ def lstm_step(tape, params, x, prev):
     return LSTMState(h=h, c=c)
 
 
+def lstm_step_rows(params, X, H, C):
+    """lstm_step for a batch of rows, untaped: X [B,l], H and C [B,n] -> (H', C')."""
+    n = params.hidden_size
+    n3 = 3 * n
+    z = (X @ params.W_x.value.T + params.b.value) + H @ params.W_h.value.T
+    sig = expit(z[:, :n3])
+    C = sig[:, n:2 * n] * C + sig[:, :n] * np.tanh(z[:, n3:])
+    return sig[:, 2 * n:] * np.tanh(C), C
+
+
 def run_sequence(tape, params, xs, init=None):
     """States for every step of xs; init defaults to the zero state."""
     if not xs:
@@ -102,29 +112,28 @@ def run_sequence(tape, params, xs, init=None):
 
 
 def encode_bidirectional(tape, fwd, bwd, xs):
-    """Concatenated final states and per-position hidden vectors of both passes.
+    """Concatenated final states and the per-position hidden states of both passes.
 
-    Returns (e_raw, hidden_seq) with e_raw = [fwd h_T ; bwd h_1] of size 2n;
-    hidden_seq[t] pairs the two directions at position t (attention input).
+    Returns (e_raw, positions) with e_raw = [fwd h_T ; bwd h_1] of size 2n and
+    positions[t] = (fwd h_t, bwd h_t); pair_states joins them for attention.
     """
     if not xs:
         raise DimensionError("encode_bidirectional: empty input sequence")
     fwd_states = run_sequence(tape, fwd, xs)
     bwd_states = run_sequence(tape, bwd, list(reversed(xs)))
     e_raw = ad.concat(tape, [fwd_states[-1].h, bwd_states[-1].h])
-    return e_raw, _pair_states(tape, fwd_states, bwd_states[::-1])
+    return e_raw, [(f.h, b.h) for f, b in zip(fwd_states, bwd_states[::-1])]
 
 
-def _pair_states(tape, fwd_states, bwd_states):
+def pair_states(tape, positions):
     """[fwd h_t ; bwd h_t] for every t, as one record with one output per t."""
-    n = fwd_states[0].h.value.shape[0]
-    pairs = tuple(ad.Node(np.concatenate((f.h.value, b.h.value)))
-                  for f, b in zip(fwd_states, bwd_states))
+    n = positions[0][0].value.shape[0]
+    pairs = tuple(ad.Node(np.concatenate((f.value, b.value))) for f, b in positions)
     if tape is not None:
         def backward_fn(sweep, *grads):
-            for g, f, b in zip(grads, fwd_states, bwd_states):
+            for g, (f, b) in zip(grads, positions):
                 if g is not None:
-                    sweep.acc(f.h, g[:n])
-                    sweep.acc(b.h, g[n:])
+                    sweep.acc(f, g[:n])
+                    sweep.acc(b, g[n:])
         tape.append(pairs, backward_fn)
     return list(pairs)

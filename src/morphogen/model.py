@@ -15,6 +15,7 @@ teacher-forced negative log-likelihood with EOS closing every target.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -239,16 +240,18 @@ def decoder_step_count(x_len, y_len):
 class _Source:
     x_ids: list
     e: ad.Node            # transformed encoding, None without a transform
-    hidden_seq: list      # per-position encoder states, None without an encoder
+    hidden_seq: list      # per-position [fwd h ; bwd h], None without attention
 
 
 def _encode_source(tape, params, x_ids):
     x_ids = list(x_ids)
-    if not params.wiring.encoder:
+    w = params.wiring
+    if not w.encoder:
         return _Source(x_ids, None, None)
     xs = [embed(tape, params, i) for i in x_ids]
-    e_raw, hidden_seq = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
-    e = transform_encoding(tape, params, e_raw) if params.wiring.trans else None
+    e_raw, positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
+    hidden_seq = lstm.pair_states(tape, positions) if w.attention else None
+    e = transform_encoding(tape, params, e_raw) if w.trans else None
     return _Source(x_ids, e, hidden_seq)
 
 
@@ -314,8 +317,10 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
-    Runs the encoder once; step(state, y_prev_id, t) advances the decoder one
-    position and returns (state, masked distribution).
+    Runs the encoder once. step(state, y_prev_id, t) advances one decoder
+    state and returns (state, masked distribution); step_many advances a
+    batch of state rows at once, untaped, for beam search. Greedy keeps step
+    and its own loop: a width-1 beam costs more per word.
     """
 
     def __init__(self, params, x_ids):
@@ -330,6 +335,37 @@ class DecodeSession:
         new_state = _decoder_step(None, params, self._source, state, y_prev_id, t)
         dist = ad.masked_softmax(_logits(None, params, new_state).value, MASKED_OUTPUT_IDS)
         return new_state, dist
+
+    def step_many(self, H, C, y_prev, t):
+        """step for B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V])."""
+        params, source = self.params, self._source
+        w, E, B = params.wiring, params.embed.value, len(y_prev)
+        # decoder input columns in _decoder_step's order: [e|context, y_prev, x_t]
+        parts = [E[y_prev]]
+        if w.e_per_step:
+            parts.insert(0, source.e.value[None].repeat(B, axis=0))
+        elif w.attention:
+            parts.insert(0, self._attention_rows(H))
+        if w.consumes_source:
+            x = source.x_ids
+            parts.append(E[[x[t] if t < len(x) else EPS]].repeat(B, axis=0))
+        X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        H, C = lstm.lstm_step_rows(params.dec, X, H, C)
+        logits = H @ params.out_W.value.T + params.out_b.value
+        return H, C, ad.softmax_rows(logits, MASKED_OUTPUT_IDS)
+
+    @cached_property
+    def _attention_keys(self):
+        """The encoder states [T, 2n] and their projections W_enc h_t [T, n]."""
+        H = np.array([h.value for h in self._source.hidden_seq])
+        return H, H @ self.params.attn_W_enc.value.T
+
+    def _attention_rows(self, S):
+        """attention_context for every row of the decoder states S [B, n]."""
+        params = self.params
+        H, keys = self._attention_keys
+        act = np.tanh(keys + (S @ params.attn_W_dec.value.T)[:, None, :])    # [B, T, n]
+        return ad.softmax_rows(act @ params.attn_v.value) @ H
 
 
 # --- persistence -----------------------------------------------------------
@@ -361,6 +397,8 @@ def load_model(path):
             doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CheckpointError(f"checkpoint {path} is not valid JSON: nested too deeply") from exc
 
     def bad(what):
         return CheckpointError(f"checkpoint {path}: {what}")

@@ -5,6 +5,10 @@ p(i) proportional to prod_j p_j(i)**(1/k). An optional character LM joins in
 as p_model(i) * p_lm(i)**lambda, renormalized each step. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
+
+Beam search advances all live hypotheses of a member with one batched
+DecodeSession.step_many call per step, and the combiners below work row by
+row on [B, V] arrays as well as on single distributions.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,6 @@ from .model import DecodeSession
 from .vocab import BOS, EOS, N_SPECIAL, UNK
 
 __all__ = [
-    "Hypothesis",
     "DecodeResult",
     "ensemble_next_dist",
     "interpolated_next_dist",
@@ -32,13 +35,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Hypothesis:
-    ids: tuple
-    logprob: float
-    states: tuple
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     ids: tuple
     logprob: float
@@ -49,7 +45,10 @@ class DecodeResult:
 
 
 def ensemble_next_dist(dists):
-    """Product of experts: geometric mean of the member distributions."""
+    """Product of experts: geometric mean of the member distributions.
+
+    Each member gives one distribution [V], or one per row [B, V].
+    """
     k = len(dists)
     if k == 0:
         raise SearchError("ensemble_next_dist needs at least one distribution")
@@ -58,22 +57,23 @@ def ensemble_next_dist(dists):
     stacked = np.stack([np.asarray(d, dtype=np.float64) for d in dists])
     combined = np.exp(np.log(np.maximum(stacked, 1e-300)).mean(axis=0))
     combined[np.any(stacked == 0.0, axis=0)] = 0.0
-    z = combined.sum()
-    if z <= 0.0:
+    z = combined.sum(axis=-1, keepdims=True)
+    if np.any(z <= 0.0):
         raise SearchError("ensemble distributions have disjoint support")
     return combined / z
 
 
 def interpolated_next_dist(model_dist, lm_dist, lam):
-    """p(i) proportional to p_model(i) * p_lm(i)**lam, renormalized."""
+    """p(i) proportional to p_model(i) * p_lm(i)**lam, renormalized (per row
+    for [B, V] arrays)."""
     if lam < 0:
         raise SearchError(f"interpolation weight must be >= 0, got {lam}")
     model_dist = np.asarray(model_dist, dtype=np.float64)
     if lam == 0:
         return model_dist.copy()
     combined = model_dist * np.asarray(lm_dist, dtype=np.float64) ** lam
-    z = combined.sum()
-    if z <= 0.0:
+    z = combined.sum(axis=-1, keepdims=True)
+    if np.any(z <= 0.0):
         raise SearchError("interpolated distribution has zero mass")
     return combined / z
 
@@ -89,14 +89,21 @@ def lm_next_dist(lm, vocab, prefix_ids):
     """LM next-char probabilities mapped onto vocab ids (EOS carries EOW).
 
     BOS and EPS get zero; the vector is a scoring bridge, not normalized
-    over the vocab, and is meant for the renormalizing combiners above.
+    over the vocab, and is meant for the renormalizing combiners above. It is
+    memoised per (vocabulary, history) in the LM's bridge_cache, so the
+    returned array is shared and read-only.
     """
     history = lm_history(vocab, lm.order, prefix_ids)
-    dist = np.zeros(len(vocab))
-    dist[EOS] = lm.prob(history, EOW)
-    dist[UNK] = lm.prob(history, "\x00")
-    for i in vocab.data_ids():
-        dist[i] = lm.prob(history, vocab.token_of(i))
+    key = (vocab.data_chars, history)
+    dist = lm.bridge_cache.get(key)
+    if dist is None:
+        dist = np.zeros(len(vocab))
+        dist[EOS] = lm.prob(history, EOW)
+        dist[UNK] = lm.prob(history, "\x00")
+        for i in vocab.data_ids():
+            dist[i] = lm.prob(history, vocab.token_of(i))
+        dist.flags.writeable = False
+        lm.bridge_cache[key] = dist
     return dist
 
 
@@ -144,38 +151,72 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
 
 
 def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
-    """Up to `width` results sorted by log-prob, ties by output ids."""
+    """Up to `width` results sorted by log-prob, ties by output ids.
+
+    The live hypotheses are rows of one [B, n] state batch per member; after
+    each step the rows of the survivors' parents are gathered in their order.
+    """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
     if max_len < 1:
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
     sessions = [DecodeSession(m, x_ids) for m in models]
-    live = [Hypothesis((), 0.0, tuple(s.initial_state() for s in sessions))]
+    initial = [sess.initial_state() for sess in sessions]
+    states = [(s.h.value[None], s.c.value[None]) for s in initial]
+    live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):
+        y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
+        stepped, dists = [], []
+        for sess, (H, C) in zip(sessions, states):
+            H, C, dist = sess.step_many(H, C, y_prev, t)
+            stepped.append((H, C))
+            dists.append(dist)
+        dist = ensemble_next_dist(dists)
+        if lm is not None:
+            lm_dists = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids])
+            dist = interpolated_next_dist(dist, lm_dists, lam)
+        with np.errstate(divide="ignore"):
+            scores = np.array(live_lp)[:, None] + np.log(dist)
         # EOS expansions compete with content expansions for the width slots;
         # surviving EOS branches retire, so width 1 walks the greedy path.
-        cands = []
-        for hyp in live:
-            states, dist = _combined_dist(sessions, hyp.states, hyp.ids, t, lm, vocab, lam)
-            for i in np.flatnonzero(dist > 0.0):
-                i = int(i)
-                lp = hyp.logprob + float(np.log(dist[i]))
-                cands.append((-lp, hyp.ids + (i,), i, lp, hyp.ids, states))
-        cands.sort(key=lambda c: (c[0], c[1]))
-        live = []
-        for _, grown_ids, i, lp, base_ids, states in cands[:width]:
-            if i == EOS:
-                pool.append(DecodeResult(base_ids, lp, truncated=False))
+        best = _best(scores.ravel(), live_ids, width)
+        rows, live_ids, live_lp = [], [], []
+        for ids, lp, row in best:
+            if ids[-1] == EOS:
+                pool.append(DecodeResult(ids[:-1], lp, truncated=False))
             else:
-                live.append(Hypothesis(grown_ids, lp, states))
-        if not live:
+                rows.append(row)
+                live_ids.append(ids)
+                live_lp.append(lp)
+        if not rows:
             break
-    for hyp in live:
-        pool.append(DecodeResult(hyp.ids, hyp.logprob, truncated=True))
+        states = [(H[rows], C[rows]) for H, C in stepped]
+    pool += [DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]
     pool.sort(key=lambda r: (-r.logprob, r.ids))
     return pool[:width]
+
+
+def _best(scores, live_ids, width):
+    """(grown ids, logprob, parent row) of the `width` best finite scores of
+    the flattened [B, V] candidates, in the (-logprob, ids) order a full sort
+    of every candidate gives.
+
+    np.partition finds the width-th best score; every candidate scoring at
+    least that much is sorted, so ties across the boundary resolve by ids.
+    """
+    V = scores.size // len(live_ids)
+    keep = scores > -np.inf
+    if np.count_nonzero(keep) > width:
+        keep = scores >= np.partition(scores, scores.size - width)[scores.size - width]
+    cands = []
+    for j in np.flatnonzero(keep).tolist():
+        row, i = divmod(j, V)
+        lp = float(scores[j])
+        cands.append((-lp, live_ids[row] + (i,), lp, row))
+    cands.sort()
+    return [(ids, lp, row) for _, ids, lp, row in cands[:width]]
 
 
 def write_nbest(path, rows):

@@ -5,10 +5,12 @@ import random
 import numpy as np
 
 from morphogen import autodiff as ad
-from morphogen import lstm
+from morphogen import lstm, search
 from morphogen.charlm import train_lm
 from morphogen.errors import DimensionError
+from morphogen.model import DecodeSession
 from morphogen.reranker import RerankGroup
+from morphogen.vocab import BOS, EOS
 
 
 def randomize_params(model, seed, scale=0.5):
@@ -103,3 +105,40 @@ def reference_attention_context(tape, params, hidden_seq, s_prev):
               for h in hidden_seq]
     weights = ad.softmax_op(tape, ad.concat(tape, scores))
     return ad.weighted_sum(tape, weights, hidden_seq)
+
+
+# --- reference beam search --------------------------------------------------
+# One DecodeSession.step per live hypothesis and member, every candidate
+# built and fully sorted by (-logprob, ids): the oracle for the batched
+# search.beam_decode and its partial selection.
+
+def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
+    sessions = [DecodeSession(m, x_ids) for m in models]
+    vocab = models[0].vocab
+    live = [((), 0.0, tuple(s.initial_state() for s in sessions))]
+    pool = []
+    for t in range(max_len):
+        cands = []
+        for ids, logprob, states in live:
+            y_prev = ids[-1] if ids else BOS
+            stepped = [s.step(state, y_prev, t) for s, state in zip(sessions, states)]
+            dist = search.ensemble_next_dist([d for _, d in stepped])
+            if lm is not None:
+                dist = search.interpolated_next_dist(
+                    dist, search.lm_next_dist(lm, vocab, ids), lam)
+            for i in np.flatnonzero(dist > 0.0):
+                i = int(i)
+                lp = logprob + float(np.log(dist[i]))
+                cands.append((-lp, ids + (i,), lp, tuple(s for s, _ in stepped)))
+        cands.sort(key=lambda c: (c[0], c[1]))
+        live = []
+        for _, grown, lp, states in cands[:width]:
+            if grown[-1] == EOS:
+                pool.append(search.DecodeResult(grown[:-1], lp, truncated=False))
+            else:
+                live.append((grown, lp, states))
+        if not live:
+            break
+    pool += [search.DecodeResult(ids, lp, truncated=True) for ids, lp, _ in live]
+    pool.sort(key=lambda r: (-r.logprob, r.ids))
+    return pool[:width]

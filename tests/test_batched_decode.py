@@ -1,0 +1,152 @@
+"""The batched beam path against the per-hypothesis one: DecodeSession.step_many
+rows against step, the row-wise combiners against their 1-D forms, the
+memoised LM bridge against a fresh computation, and beam_decode against the
+fully sorted reference beam in helpers.py."""
+
+import numpy as np
+import pytest
+
+from helpers import randomize_params, reference_beam_decode
+from morphogen import autodiff as ad
+from morphogen import search as se
+from morphogen.charlm import EOW, WittenBellLM, train_lm
+from morphogen.errors import SearchError
+from morphogen.lstm import LSTMState
+from morphogen.model import VARIANTS, DecodeSession, init_model
+from morphogen.vocab import EOS, UNK, CharVocab
+
+VOCAB = CharVocab("abc")
+TOL = 1e-12
+
+
+def _model(variant, seed=3, hidden=4):
+    return randomize_params(init_model(VOCAB, variant, hidden=hidden, embed_dim=3, seed=0), seed)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("B", (1, 3, 8))
+def test_step_many_rows_equal_step(variant, B):
+    m = _model(variant)
+    sess = DecodeSession(m, VOCAB.encode("abca"))
+    rng = np.random.default_rng(B)
+    n = m.hidden
+    for t in (0, 2, 6):   # t = 6 is past the source end: x_t is EPS
+        H, C = rng.normal(size=(B, n)), rng.normal(size=(B, n))
+        y_prev = rng.integers(0, len(VOCAB), size=B)
+        H2, C2, dist = sess.step_many(H, C, y_prev, t)
+        assert H2.shape == C2.shape == (B, n) and dist.shape == (B, len(VOCAB))
+        for r in range(B):
+            state = LSTMState(ad.constant(H[r]), ad.constant(C[r]))
+            want, want_dist = sess.step(state, int(y_prev[r]), t)
+            np.testing.assert_allclose(H2[r], want.h.value, rtol=0, atol=TOL)
+            np.testing.assert_allclose(C2[r], want.c.value, rtol=0, atol=TOL)
+            np.testing.assert_allclose(dist[r], want_dist, rtol=0, atol=TOL)
+
+
+def _rows(rng, B, V, zero=()):
+    d = rng.random((B, V))
+    d[:, list(zero)] = 0.0
+    return d / d.sum(axis=1, keepdims=True)
+
+
+def test_row_wise_combiners_equal_one_dimensional():
+    rng = np.random.default_rng(0)
+    members = [_rows(rng, 5, 7, zero=(0, 2)) for _ in range(3)]
+    members[1][3, 4] = 0.0      # a zero in one member's row only
+    lm = _rows(rng, 5, 7, zero=(0,))
+    ens = se.ensemble_next_dist(members)
+    for r in range(5):
+        assert np.array_equal(ens[r], se.ensemble_next_dist([d[r] for d in members]))
+        for lam in (0.0, 0.5, 1.0, 2.5):
+            got = se.interpolated_next_dist(ens, lm, lam)[r]
+            assert np.array_equal(got, se.interpolated_next_dist(ens[r], lm[r], lam))
+    assert np.array_equal(se.ensemble_next_dist(members[:1]), members[0])
+
+
+def test_row_wise_combiners_reject_a_bad_row():
+    good = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(SearchError, match="disjoint"):
+        se.ensemble_next_dist([good, np.array([[0.5, 0.5], [0.0, 1.0]]),
+                               np.array([[0.5, 0.5], [1.0, 0.0]])])
+    with pytest.raises(SearchError, match="zero mass"):
+        se.interpolated_next_dist(good, np.array([[0.5, 0.5], [0.0, 0.0]]), 1.0)
+
+
+def _bridge_uncached(lm, vocab, prefix_ids):
+    history = se.lm_history(vocab, lm.order, prefix_ids)
+    dist = np.zeros(len(vocab))
+    dist[EOS] = lm.prob(history, EOW)
+    dist[UNK] = lm.prob(history, "\x00")
+    for i in vocab.data_ids():
+        dist[i] = lm.prob(history, vocab.token_of(i))
+    return dist
+
+
+def test_lm_bridge_memo_exact_read_only_and_per_vocab():
+    lm = train_lm(["abca", "bacab", "cab", "ab"], order=3)
+    wide = CharVocab("abcd")
+    for prefix in ([], [4], [4, 5], [6, 5, 4, UNK]):
+        got = se.lm_next_dist(lm, VOCAB, prefix)
+        assert np.array_equal(got, _bridge_uncached(lm, VOCAB, prefix))
+        assert se.lm_next_dist(lm, VOCAB, prefix) is got   # served from the memo
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[EOS] = 0.5
+        other = se.lm_next_dist(lm, wide, prefix)
+        assert len(other) == len(wide) != len(got)
+        assert np.array_equal(other, _bridge_uncached(lm, wide, prefix))
+    # four histories, each under two vocabularies
+    assert len(lm.bridge_cache) == 8
+
+
+def test_lm_bridge_memo_dropped_when_counts_change():
+    lm = WittenBellLM(2, "ab")
+    before = se.lm_next_dist(lm, CharVocab("ab"), [4])
+    lm._observe("a", "b")
+    assert lm.bridge_cache == {}
+    after = se.lm_next_dist(lm, CharVocab("ab"), [4])
+    assert not np.array_equal(before, after)
+
+
+def _tied_model(bias):
+    """Output layer zeroed but for a bias: every step gives one fixed
+    distribution, so candidates tie whenever they hold the same ids in another
+    order (ab and ba), and across parents whose own scores differ."""
+    m = init_model(CharVocab("ab"), "full", hidden=3, embed_dim=2, seed=0)
+    m.out_W.value[...] = 0.0
+    m.out_b.value[...] = bias
+    return m
+
+
+@pytest.mark.parametrize("bias", ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                  [0.0, -0.5, 0.0, 0.3, 0.3, 0.3],
+                                  [0.0, 0.2, 0.0, -1.0, 0.2, 0.2],
+                                  [0.0, -0.2, 0.0, -1.0, 0.1, 0.6]),
+                         ids=("uniform", "three-way-tie", "eos-ties-content",
+                              "likelier-b"))
+@pytest.mark.parametrize("width", (1, 2, 3, 4, 5))
+def test_ties_across_the_width_boundary_match_the_full_sort(bias, width):
+    m = _tied_model(bias)
+    x = m.vocab.encode("ab")
+    want = reference_beam_decode([m], x, width, 4)
+    got = se.beam_decode([m], x, width, 4)
+    assert [(r.ids, r.truncated) for r in got] == [(r.ids, r.truncated) for r in want]
+    for g, w in zip(got, want):
+        assert abs(g.logprob - w.logprob) < TOL
+
+
+def test_beam_matches_reference_on_mixed_ensemble_with_lm():
+    # members differ in variant and hidden size; the LM joins in
+    models = [_model("full", 5), _model("attention", 6, hidden=5),
+              _model("plain-encdec", 7, hidden=2), _model("no-encoder", 8)]
+    lm = train_lm(["abca", "bacab", "cab", "ab", "cca"], order=3)
+    for word, width in (("a", 3), ("abc", 8), ("cabba", 5)):
+        x = VOCAB.encode(word)
+        for members, lm_, lam in ((models, lm, 1.0), (models[1:3], None, 1.0),
+                                  (models[:1], lm, 0.5)):
+            want = reference_beam_decode(members, x, width, len(x) + 3, lm=lm_, lam=lam)
+            got = se.beam_decode(members, x, width, len(x) + 3, lm=lm_, lam=lam)
+            assert [(r.ids, r.truncated) for r in got] == [(r.ids, r.truncated) for r in want]
+            for g, w in zip(got, want):
+                assert abs(g.logprob - w.logprob) < TOL
+                assert type(g.logprob) is float and all(type(i) is int for i in g.ids)

@@ -174,3 +174,15 @@ def test_load_entry_errors_carry_line_numbers(tmp_path):
     p.write_text("ngram-order 2\nalphabet ab\n1\t\ta\n", encoding="utf-8")
     with pytest.raises(DataError, match=":3: expected 4"):
         cl.load_lm(p)
+
+
+def test_load_rejects_fields_save_lm_never_writes(tmp_path):
+    p = tmp_path / "bad.lm"
+    # a non-integer order field, then two escapes _escape never writes
+    for line in ("x\t\ta\t1", "2\t\\ \ta\t1", "1\t\t\\q\t1"):
+        p.write_text(f"ngram-order 2\nalphabet ab\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":3: "):
+            cl.load_lm(p)
+    p.write_text("ngram-order 2\nalphabet \\ a\n", encoding="utf-8")
+    with pytest.raises(DataError, match="bad alphabet"):
+        cl.load_lm(p)

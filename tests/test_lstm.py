@@ -117,14 +117,19 @@ def test_bidirectional_shapes_and_pairing():
     fwd = _random_params("enc.fwd", 3, 4, seed=4)
     bwd = _random_params("enc.bwd", 3, 4, seed=5)
     xs = [ad.constant(v) for v in np.random.default_rng(6).normal(size=(5, 3))]
-    e_raw, hidden_seq = lstm.encode_bidirectional(None, fwd, bwd, xs)
+    e_raw, positions = lstm.encode_bidirectional(None, fwd, bwd, xs)
     assert e_raw.value.shape == (8,)
-    assert len(hidden_seq) == 5
+    assert len(positions) == 5
     fwd_states = lstm.run_sequence(None, fwd, xs)
     bwd_states = lstm.run_sequence(None, bwd, list(reversed(xs)))
     assert np.array_equal(e_raw.value[:4], fwd_states[-1].h.value)
     assert np.array_equal(e_raw.value[4:], bwd_states[-1].h.value)
+    tape = ad.Tape()
+    hidden_seq = lstm.pair_states(tape, positions)
+    assert len(tape) == 1 and len(hidden_seq) == 5
     for t in range(5):
+        assert np.array_equal(positions[t][0].value, fwd_states[t].h.value)
+        assert np.array_equal(positions[t][1].value, bwd_states[4 - t].h.value)
         assert np.array_equal(hidden_seq[t].value[:4], fwd_states[t].h.value)
         assert np.array_equal(hidden_seq[t].value[4:], bwd_states[4 - t].h.value)
 
@@ -133,10 +138,11 @@ def test_bidirectional_length_one_halves():
     fwd = _random_params("enc.fwd", 2, 3, seed=7)
     bwd = _random_params("enc.bwd", 2, 3, seed=8)
     x = ad.constant([0.4, -1.1])
-    e_raw, hidden_seq = lstm.encode_bidirectional(None, fwd, bwd, [x])
+    e_raw, positions = lstm.encode_bidirectional(None, fwd, bwd, [x])
     sf = lstm.lstm_step(None, fwd, x, lstm.zero_state(3))
     sb = lstm.lstm_step(None, bwd, x, lstm.zero_state(3))
     assert np.array_equal(e_raw.value, np.concatenate([sf.h.value, sb.h.value]))
+    hidden_seq = lstm.pair_states(None, positions)
     assert len(hidden_seq) == 1
     assert np.array_equal(hidden_seq[0].value, e_raw.value)
 

@@ -250,3 +250,26 @@ def test_synth_wordlist_unique_and_deterministic():
     assert words == d.synth_wordlist(spec, 30, seed=5)
     suffix_variants = tuple(v for pair in spec.suffixes.values() for v in pair)
     assert all(w.endswith(suffix_variants) for w in words)
+
+
+def test_open_text_write_is_atomic(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"old\tcontents\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with d.open_text(path, "w") as f:
+            f.write("new\tpartial")
+            f.flush()
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\tcontents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+    d.write_dataset([d.Example("ab", "t", "aba")], path)
+    assert path.read_bytes() == b"ab\tt\taba\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_open_text_write_errors_leave_nothing(tmp_path):
+    with pytest.raises(DataError, match=r"^cannot write dataset .*missing.*: No such file"):
+        d.write_dataset([d.Example("ab", "t", "aba")], tmp_path / "missing" / "out.tsv")
+    with pytest.raises(DataError, match="cannot write dataset"):
+        d.write_dataset([d.Example("ab", "t", "aba")], tmp_path)
+    assert list(tmp_path.iterdir()) == []
