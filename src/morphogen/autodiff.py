@@ -361,17 +361,13 @@ def weighted_sum(tape, weights, vectors):
 
 
 def masked_softmax(logits, masked_ids=()):
-    """Softmax with the given ids forced to probability zero."""
-    return _softmax_lse(np.asarray(logits, dtype=np.float64), masked_ids)[0]
-
-
-def softmax_rows(z, masked_ids=()):
-    """masked_softmax of every row of a 2-D array; each row equals the 1-D result."""
+    """Softmax over the last axis with the given ids forced to probability zero."""
+    z = np.asarray(logits, dtype=np.float64)
     if len(masked_ids):
         z = z.copy()
-        z[:, list(masked_ids)] = -np.inf
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+        z.T[list(masked_ids)] = -np.inf    # the last axis; cheaper than z[..., ids]
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_logits(tape, logits, target, masked_ids=()):

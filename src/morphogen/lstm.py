@@ -90,13 +90,14 @@ def lstm_step(tape, params, x, prev):
 
 
 def lstm_step_rows(params, X, H, C):
-    """lstm_step for a batch of rows, untaped: X [B,l], H and C [B,n] -> (H', C')."""
+    """lstm_step untaped, on one state (X [l], H and C [n]) or on a batch of
+    rows (X [B,l], H and C [B,n]) -> (H', C')."""
     n = params.hidden_size
     n3 = 3 * n
     z = (X @ params.W_x.value.T + params.b.value) + H @ params.W_h.value.T
-    sig = expit(z[:, :n3])
-    C = sig[:, n:2 * n] * C + sig[:, :n] * np.tanh(z[:, n3:])
-    return sig[:, 2 * n:] * np.tanh(C), C
+    sig = expit(z[..., :n3])
+    C = sig[..., n:2 * n] * C + sig[..., :n] * np.tanh(z[..., n3:])
+    return sig[..., 2 * n:] * np.tanh(C), C
 
 
 def run_sequence(tape, params, xs, init=None):
@@ -112,17 +113,17 @@ def run_sequence(tape, params, xs, init=None):
 
 
 def encode_bidirectional(tape, fwd, bwd, xs):
-    """Concatenated final states and the per-position hidden states of both passes.
+    """The hidden states of both passes at every source position.
 
-    Returns (e_raw, positions) with e_raw = [fwd h_T ; bwd h_1] of size 2n and
-    positions[t] = (fwd h_t, bwd h_t); pair_states joins them for attention.
+    Returns positions with positions[t] = (fwd h_t, bwd h_t); the final
+    states are positions[-1][0] and positions[0][1], and pair_states joins
+    each position's pair for attention.
     """
     if not xs:
         raise DimensionError("encode_bidirectional: empty input sequence")
     fwd_states = run_sequence(tape, fwd, xs)
     bwd_states = run_sequence(tape, bwd, list(reversed(xs)))
-    e_raw = ad.concat(tape, [fwd_states[-1].h, bwd_states[-1].h])
-    return e_raw, [(f.h, b.h) for f, b in zip(fwd_states, bwd_states[::-1])]
+    return [(f.h, b.h) for f, b in zip(fwd_states, bwd_states[::-1])]
 
 
 def pair_states(tape, positions):

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import lstm
 from .data import open_text
-from .errors import CheckpointError, DataError, MorphogenError
+from .errors import CheckpointError, DataError, DimensionError, MorphogenError
 from .vocab import BOS, EOS, EPS, CharVocab
 
 __all__ = [
@@ -249,9 +249,12 @@ def _encode_source(tape, params, x_ids):
     if not w.encoder:
         return _Source(x_ids, None, None)
     xs = [embed(tape, params, i) for i in x_ids]
-    e_raw, positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
+    positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
     hidden_seq = lstm.pair_states(tape, positions) if w.attention else None
-    e = transform_encoding(tape, params, e_raw) if w.trans else None
+    e = None
+    if w.trans:
+        e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
+        e = transform_encoding(tape, params, e_raw)
     return _Source(x_ids, e, hidden_seq)
 
 
@@ -317,42 +320,49 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
-    Runs the encoder once. step(state, y_prev_id, t) advances one decoder
-    state and returns (state, masked distribution); step_many advances a
-    batch of state rows at once, untaped, for beam search. Greedy keeps step
-    and its own loop: a width-1 beam costs more per word.
+    Runs the encoder once; step advances the decoder untaped, on one state or
+    on a batch of state rows.
     """
 
     def __init__(self, params, x_ids):
+        V = len(params.vocab)
+        if not all(0 <= i < V for i in x_ids):
+            raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
         self.params = params
         self._source = _encode_source(None, params, x_ids)
 
     def initial_state(self):
-        return _initial_state(self.params, self._source)
+        """The decoder's (h, c) before the first step, as [n] arrays."""
+        state = _initial_state(self.params, self._source)
+        return state.h.value, state.c.value
 
-    def step(self, state, y_prev_id, t):
-        params = self.params
-        new_state = _decoder_step(None, params, self._source, state, y_prev_id, t)
-        dist = ad.masked_softmax(_logits(None, params, new_state).value, MASKED_OUTPUT_IDS)
-        return new_state, dist
+    def step(self, H, C, y_prev, t):
+        """One decoder step, as _decoder_step + _logits + masked_softmax.
 
-    def step_many(self, H, C, y_prev, t):
-        """step for B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V])."""
+        One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
+        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).
+        Row ids are not range-checked: only the search makes them.
+        """
         params, source = self.params, self._source
-        w, E, B = params.wiring, params.embed.value, len(y_prev)
+        w, E = params.wiring, params.embed.value
+        one = H.ndim == 1
+        if one and not 0 <= y_prev < len(E):
+            raise DimensionError(f"y_prev id {y_prev} out of range for a vocabulary of {len(E)}")
         # decoder input columns in _decoder_step's order: [e|context, y_prev, x_t]
         parts = [E[y_prev]]
         if w.e_per_step:
-            parts.insert(0, source.e.value[None].repeat(B, axis=0))
+            e = source.e.value
+            parts.insert(0, e if one else e[None].repeat(len(H), axis=0))
         elif w.attention:
             parts.insert(0, self._attention_rows(H))
         if w.consumes_source:
             x = source.x_ids
-            parts.append(E[[x[t] if t < len(x) else EPS]].repeat(B, axis=0))
-        X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            x_t = E[x[t] if t < len(x) else EPS]
+            parts.append(x_t if one else x_t[None].repeat(len(H), axis=0))
+        X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         H, C = lstm.lstm_step_rows(params.dec, X, H, C)
         logits = H @ params.out_W.value.T + params.out_b.value
-        return H, C, ad.softmax_rows(logits, MASKED_OUTPUT_IDS)
+        return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
 
     @cached_property
     def _attention_keys(self):
@@ -361,11 +371,11 @@ class DecodeSession:
         return H, H @ self.params.attn_W_enc.value.T
 
     def _attention_rows(self, S):
-        """attention_context for every row of the decoder states S [B, n]."""
+        """attention_context for a decoder state S [n] or for every row of S [B, n]."""
         params = self.params
         H, keys = self._attention_keys
-        act = np.tanh(keys + (S @ params.attn_W_dec.value.T)[:, None, :])    # [B, T, n]
-        return ad.softmax_rows(act @ params.attn_v.value) @ H
+        act = np.tanh(keys + (S @ params.attn_W_dec.value.T)[..., None, :])    # [(B,) T, n]
+        return ad.masked_softmax(act @ params.attn_v.value) @ H
 
 
 # --- persistence -----------------------------------------------------------

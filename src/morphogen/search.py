@@ -6,9 +6,10 @@ as p_model(i) * p_lm(i)**lambda, renormalized each step. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
-Beam search advances all live hypotheses of a member with one batched
-DecodeSession.step_many call per step, and the combiners below work row by
-row on [B, V] arrays as well as on single distributions.
+Greedy search steps one state per member, beam search all live hypotheses
+of a member as the rows of one DecodeSession.step call; both go through
+_next_dist, and the combiners below work row by row on [B, V] arrays as well
+as on single distributions.
 """
 
 from dataclasses import dataclass
@@ -117,17 +118,21 @@ def _check_models(models):
     return vocab
 
 
-def _combined_dist(sessions, states, prefix, t, lm, vocab, lam):
+def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
+    """Step every member, combine them and interpolate the LM vector, if any.
+
+    states holds one (h, c) per member, as one state or as B rows; returns
+    the stepped states and the combined distribution [V] or [B, V].
+    """
     stepped, dists = [], []
-    for sess, state in zip(sessions, states):
-        y_prev = prefix[-1] if prefix else BOS
-        new_state, dist = sess.step(state, y_prev, t)
-        stepped.append(new_state)
+    for sess, (H, C) in zip(sessions, states):
+        H, C, dist = sess.step(H, C, y_prev, t)
+        stepped.append((H, C))
         dists.append(dist)
-    combined = ensemble_next_dist(dists)
-    if lm is not None:
-        combined = interpolated_next_dist(combined, lm_next_dist(lm, vocab, prefix), lam)
-    return tuple(stepped), combined
+    dist = ensemble_next_dist(dists)
+    if lm_dist is not None:
+        dist = interpolated_next_dist(dist, lm_dist, lam)
+    return stepped, dist
 
 
 def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
@@ -136,10 +141,11 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
     sessions = [DecodeSession(m, x_ids) for m in models]
-    states = tuple(s.initial_state() for s in sessions)
+    states = [s.initial_state() for s in sessions]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
-        states, dist = _combined_dist(sessions, states, ids, t, lm, vocab, lam)
+        lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
+        states, dist = _next_dist(sessions, states, ids[-1] if ids else BOS, t, lm_dist, lam)
         choice = int(np.argmax(dist))
         logprob += float(np.log(dist[choice]))
         if choice == EOS:
@@ -162,21 +168,14 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
     sessions = [DecodeSession(m, x_ids) for m in models]
-    initial = [sess.initial_state() for sess in sessions]
-    states = [(s.h.value[None], s.c.value[None]) for s in initial]
+    states = [(h[None], c[None]) for h, c in (s.initial_state() for s in sessions)]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
-        stepped, dists = [], []
-        for sess, (H, C) in zip(sessions, states):
-            H, C, dist = sess.step_many(H, C, y_prev, t)
-            stepped.append((H, C))
-            dists.append(dist)
-        dist = ensemble_next_dist(dists)
-        if lm is not None:
-            lm_dists = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids])
-            dist = interpolated_next_dist(dist, lm_dists, lam)
+        lm_dist = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
+            if lm is not None else None
+        stepped, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
         with np.errstate(divide="ignore"):
             scores = np.array(live_lp)[:, None] + np.log(dist)
         # EOS expansions compete with content expansions for the width slots;

@@ -37,11 +37,8 @@ class TrainConfig:
     l2: float = 1e-5
     epochs: int = 30
     ensemble_k: int = 5
-    seed: int = 0
-    seeds: tuple = None        # ensemble member seeds; None: seed, seed+1, ...
+    seed: int = 0              # ensemble members use seed, seed+1, ...
     variant: str = "full"
-    rho: float = 0.95
-    opt_eps: float = 1e-6
     max_len_slack: int = 10
     lambda_init: float = 0.0   # initial unconstrained interpolation weight
     learn_lambda: bool = True
@@ -61,11 +58,7 @@ class TrainConfig:
             raise TrainError(f"unknown variant {self.variant!r}")
 
     def member_seeds(self):
-        seeds = self.seeds if self.seeds is not None else \
-            tuple(self.seed + i for i in range(self.ensemble_k))
-        if len(set(seeds)) != len(seeds):
-            raise TrainError(f"ensemble seeds must be distinct, got {seeds}")
-        return tuple(seeds)
+        return tuple(range(self.seed, self.seed + self.ensemble_k))
 
 
 def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
@@ -83,7 +76,7 @@ def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
 
 def _epoch_loop(config, train_examples, make_loss, update_params, eval_dev, snapshot):
     """Shared epoch scaffolding; returns (best snapshot, log lines)."""
-    opt = AdaDeltaState(rho=config.rho, eps=config.opt_eps)
+    opt = AdaDeltaState()
     order_rng = random.Random(config.seed)
     lines = []
     best_acc, best = -math.inf, None

@@ -108,9 +108,9 @@ def reference_attention_context(tape, params, hidden_seq, s_prev):
 
 
 # --- reference beam search --------------------------------------------------
-# One DecodeSession.step per live hypothesis and member, every candidate
-# built and fully sorted by (-logprob, ids): the oracle for the batched
-# search.beam_decode and its partial selection.
+# One DecodeSession.step on one state per live hypothesis and member, every
+# candidate built and fully sorted by (-logprob, ids): the oracle for the
+# batched search.beam_decode and its partial selection.
 
 def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     sessions = [DecodeSession(m, x_ids) for m in models]
@@ -121,15 +121,15 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         cands = []
         for ids, logprob, states in live:
             y_prev = ids[-1] if ids else BOS
-            stepped = [s.step(state, y_prev, t) for s, state in zip(sessions, states)]
-            dist = search.ensemble_next_dist([d for _, d in stepped])
+            stepped = [s.step(h, c, y_prev, t) for s, (h, c) in zip(sessions, states)]
+            dist = search.ensemble_next_dist([d for _, _, d in stepped])
             if lm is not None:
                 dist = search.interpolated_next_dist(
                     dist, search.lm_next_dist(lm, vocab, ids), lam)
             for i in np.flatnonzero(dist > 0.0):
                 i = int(i)
                 lp = logprob + float(np.log(dist[i]))
-                cands.append((-lp, ids + (i,), lp, tuple(s for s, _ in stepped)))
+                cands.append((-lp, ids + (i,), lp, tuple((h, c) for h, c, _ in stepped)))
         cands.sort(key=lambda c: (c[0], c[1]))
         live = []
         for _, grown, lp, states in cands[:width]:

@@ -128,7 +128,7 @@ def _exhaustive_decode(model, x_ids, max_len):
     out = []
 
     def rec(state, ids, lp, t):
-        new_state, dist = sess.step(state, ids[-1] if ids else BOS, t)
+        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
         for i in np.flatnonzero(dist > 0.0):
             i = int(i)
             lp2 = lp + float(np.log(dist[i]))
@@ -137,7 +137,7 @@ def _exhaustive_decode(model, x_ids, max_len):
             elif t + 1 == max_len:
                 out.append(DecodeResult(ids + (i,), lp2, truncated=True))
             else:
-                rec(new_state, ids + (i,), lp2, t + 1)
+                rec((h, c), ids + (i,), lp2, t + 1)
 
     rec(sess.initial_state(), (), 0.0, 0)
     out.sort(key=lambda r: (-r.logprob, r.ids))
@@ -245,10 +245,10 @@ def test_criterion_07_interpolation_identities():
     for word in ("ab", "dca"):
         x = vocab.encode(word)
         sess = DecodeSession(model, x)
-        state = sess.initial_state()
+        h, c = sess.initial_state()
         prefix = []
         for t in range(len(x) + 3):
-            state, dist = sess.step(state, prefix[-1] if prefix else BOS, t)
+            h, c, dist = sess.step(h, c, prefix[-1] if prefix else BOS, t)
             lm_dist = lm_next_dist(uniform, vocab, prefix)
             for lam in (0.3, 1.0, 2.5):
                 mixed = interpolated_next_dist(dist, lm_dist, lam)

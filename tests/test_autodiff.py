@@ -164,6 +164,11 @@ def test_masked_softmax_zeroes_and_renormalizes():
     assert abs(p.sum() - 1.0) < 1e-12
     sub = ad.softmax(logits[[1, 3]])
     assert abs(p[1] - sub[0]) < 1e-12 and abs(p[3] - sub[1]) < 1e-12
+    # over the last axis: each row of a 2-D input equals its 1-D result
+    rows = np.random.default_rng(0).normal(size=(3, 4))
+    P = ad.masked_softmax(rows, masked_ids=(0, 2))
+    for r in range(3):
+        assert np.array_equal(P[r], ad.masked_softmax(rows[r], masked_ids=(0, 2)))
 
 
 def test_backward_linear_gradient_is_input():

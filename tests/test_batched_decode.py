@@ -1,13 +1,15 @@
-"""The batched beam path against the per-hypothesis one: DecodeSession.step_many
-rows against step, the row-wise combiners against their 1-D forms, the
-memoised LM bridge against a fresh computation, and beam_decode against the
-fully sorted reference beam in helpers.py."""
+"""The batched beam path against the per-hypothesis one: DecodeSession.step on
+one state and on B rows against the taped training step, the row-wise
+combiners against their 1-D forms, the memoised LM bridge against a fresh
+computation, and beam_decode against the fully sorted reference beam in
+helpers.py."""
 
 import numpy as np
 import pytest
 
 from helpers import randomize_params, reference_beam_decode
 from morphogen import autodiff as ad
+from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import EOW, WittenBellLM, train_lm
 from morphogen.errors import SearchError
@@ -23,24 +25,36 @@ def _model(variant, seed=3, hidden=4):
     return randomize_params(init_model(VOCAB, variant, hidden=hidden, embed_dim=3, seed=0), seed)
 
 
+def _training_step(m, source, h, c, y_prev, t):
+    """The taped training path run untaped: _decoder_step, _logits, masked_softmax."""
+    state = mod._decoder_step(None, m, source, LSTMState(ad.constant(h), ad.constant(c)),
+                              y_prev, t)
+    dist = ad.masked_softmax(mod._logits(None, m, state).value, mod.MASKED_OUTPUT_IDS)
+    return state.h.value, state.c.value, dist
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("B", (1, 3, 8))
 def test_step_many_rows_equal_step(variant, B):
+    """DecodeSession.step on many rows, and on one state, equals the training step."""
     m = _model(variant)
-    sess = DecodeSession(m, VOCAB.encode("abca"))
+    x = VOCAB.encode("abca")
+    sess = DecodeSession(m, x)
+    source = mod._encode_source(None, m, x)
     rng = np.random.default_rng(B)
     n = m.hidden
     for t in (0, 2, 6):   # t = 6 is past the source end: x_t is EPS
         H, C = rng.normal(size=(B, n)), rng.normal(size=(B, n))
         y_prev = rng.integers(0, len(VOCAB), size=B)
-        H2, C2, dist = sess.step_many(H, C, y_prev, t)
+        H2, C2, dist = sess.step(H, C, y_prev, t)
         assert H2.shape == C2.shape == (B, n) and dist.shape == (B, len(VOCAB))
         for r in range(B):
-            state = LSTMState(ad.constant(H[r]), ad.constant(C[r]))
-            want, want_dist = sess.step(state, int(y_prev[r]), t)
-            np.testing.assert_allclose(H2[r], want.h.value, rtol=0, atol=TOL)
-            np.testing.assert_allclose(C2[r], want.c.value, rtol=0, atol=TOL)
-            np.testing.assert_allclose(dist[r], want_dist, rtol=0, atol=TOL)
+            want = _training_step(m, source, H[r], C[r], int(y_prev[r]), t)
+            one = sess.step(H[r], C[r], int(y_prev[r]), t)
+            assert one[0].shape == one[1].shape == (n,) and one[2].shape == (len(VOCAB),)
+            for got_row, got_one, w in zip((H2[r], C2[r], dist[r]), one, want):
+                np.testing.assert_allclose(got_row, w, rtol=0, atol=TOL)
+                np.testing.assert_allclose(got_one, w, rtol=0, atol=TOL)
 
 
 def _rows(rng, B, V, zero=()):

@@ -117,13 +117,13 @@ def test_bidirectional_shapes_and_pairing():
     fwd = _random_params("enc.fwd", 3, 4, seed=4)
     bwd = _random_params("enc.bwd", 3, 4, seed=5)
     xs = [ad.constant(v) for v in np.random.default_rng(6).normal(size=(5, 3))]
-    e_raw, positions = lstm.encode_bidirectional(None, fwd, bwd, xs)
-    assert e_raw.value.shape == (8,)
+    positions = lstm.encode_bidirectional(None, fwd, bwd, xs)
     assert len(positions) == 5
     fwd_states = lstm.run_sequence(None, fwd, xs)
     bwd_states = lstm.run_sequence(None, bwd, list(reversed(xs)))
-    assert np.array_equal(e_raw.value[:4], fwd_states[-1].h.value)
-    assert np.array_equal(e_raw.value[4:], bwd_states[-1].h.value)
+    # the final states that model._encode_source joins into e_raw
+    assert np.array_equal(positions[-1][0].value, fwd_states[-1].h.value)
+    assert np.array_equal(positions[0][1].value, bwd_states[-1].h.value)
     tape = ad.Tape()
     hidden_seq = lstm.pair_states(tape, positions)
     assert len(tape) == 1 and len(hidden_seq) == 5
@@ -138,22 +138,25 @@ def test_bidirectional_length_one_halves():
     fwd = _random_params("enc.fwd", 2, 3, seed=7)
     bwd = _random_params("enc.bwd", 2, 3, seed=8)
     x = ad.constant([0.4, -1.1])
-    e_raw, positions = lstm.encode_bidirectional(None, fwd, bwd, [x])
+    positions = lstm.encode_bidirectional(None, fwd, bwd, [x])
     sf = lstm.lstm_step(None, fwd, x, lstm.zero_state(3))
     sb = lstm.lstm_step(None, bwd, x, lstm.zero_state(3))
-    assert np.array_equal(e_raw.value, np.concatenate([sf.h.value, sb.h.value]))
+    assert len(positions) == 1
+    assert np.array_equal(positions[0][0].value, sf.h.value)
+    assert np.array_equal(positions[0][1].value, sb.h.value)
     hidden_seq = lstm.pair_states(None, positions)
     assert len(hidden_seq) == 1
-    assert np.array_equal(hidden_seq[0].value, e_raw.value)
+    assert np.array_equal(hidden_seq[0].value, np.concatenate([sf.h.value, sb.h.value]))
 
 
 def test_bidirectional_reversal_swaps_halves_with_shared_params():
     p = _random_params("enc", 2, 3, seed=9)
     xs = [ad.constant(v) for v in np.random.default_rng(10).normal(size=(4, 2))]
-    e_fwd, _ = lstm.encode_bidirectional(None, p, p, xs)
-    e_rev, _ = lstm.encode_bidirectional(None, p, p, list(reversed(xs)))
-    assert np.array_equal(e_fwd.value[:3], e_rev.value[3:])
-    assert np.array_equal(e_fwd.value[3:], e_rev.value[:3])
+    fwd = lstm.encode_bidirectional(None, p, p, xs)
+    rev = lstm.encode_bidirectional(None, p, p, list(reversed(xs)))
+    # e_raw = [fwd h_T ; bwd h_1]: reversing the input swaps its halves
+    assert np.array_equal(fwd[-1][0].value, rev[0][1].value)
+    assert np.array_equal(fwd[0][1].value, rev[-1][0].value)
 
 
 def test_bidirectional_rejects_empty_input():

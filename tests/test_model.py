@@ -6,6 +6,7 @@ import pytest
 
 from helpers import randomize_params
 from morphogen import autodiff as ad
+from morphogen import lstm
 from morphogen import model as mod
 from morphogen.errors import (CheckpointError, DataError, DimensionError,
                               MorphogenError)
@@ -76,6 +77,22 @@ def test_transform_encoding_affine():
     assert np.allclose(e.value, np.arange(5.0) + 5.0, atol=1e-12)
 
 
+def test_encoding_is_the_transformed_final_states():
+    # e = W_trans [fwd h_T ; bwd h_1] + b_trans; attention builds no e
+    x = VOCAB.encode("abba")
+    for variant in mod.VARIANTS:
+        m = randomize_params(_model(variant), 4)
+        source = mod._encode_source(None, m, x)
+        if not m.wiring.trans:
+            assert source.e is None
+            continue
+        xs = [mod.embed(None, m, i) for i in x]
+        h_fwd = lstm.run_sequence(None, m.enc_fwd, xs)[-1].h.value
+        h_bwd = lstm.run_sequence(None, m.enc_bwd, xs[::-1])[-1].h.value
+        want = m.trans_W.value @ np.concatenate([h_fwd, h_bwd]) + m.trans_b.value
+        assert np.array_equal(source.e.value, want)
+
+
 def test_decoder_step_count_consumes_whole_source():
     assert mod.decoder_step_count(3, 0) == 3
     assert mod.decoder_step_count(2, 4) == 5
@@ -87,7 +104,7 @@ def test_step_distribution_masks_and_normalizes():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
         sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-        state, dist = sess.step(sess.initial_state(), BOS, 0)
+        _, _, dist = sess.step(*sess.initial_state(), BOS, 0)
         assert dist[BOS] == 0.0 and dist[EPS] == 0.0
         assert abs(dist.sum() - 1.0) < 1e-12
         assert np.all(dist >= 0.0)
@@ -96,9 +113,9 @@ def test_step_distribution_masks_and_normalizes():
 def test_session_consumes_epsilon_past_source_end():
     m = randomize_params(_model("full"), 4)
     sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-    state = sess.initial_state()
+    h, c = sess.initial_state()
     for t in range(6):  # steps 2.. feed the learned epsilon symbol
-        state, dist = sess.step(state, 4, t)
+        h, c, dist = sess.step(h, c, 4, t)
         assert abs(dist.sum() - 1.0) < 1e-12
 
 
@@ -129,11 +146,11 @@ def test_training_loss_matches_inference_distributions():
         x, y = VOCAB.encode("aab"), VOCAB.encode("ba")
         targets = y + [EOS]
         sess = mod.DecodeSession(m, x)
-        state = sess.initial_state()
+        h, c = sess.initial_state()
         total = 0.0
         for t, target in enumerate(targets):
             y_prev = BOS if t == 0 else targets[t - 1]
-            state, dist = sess.step(state, y_prev, t)
+            h, c, dist = sess.step(h, c, y_prev, t)
             total -= np.log(dist[target])
         loss = mod.forward_variant(None, m, x, y).value[0]
         assert abs(loss - total) < 1e-9, variant
@@ -184,13 +201,15 @@ def test_attention_context_rejects_other_variants():
 def test_decoder_step_rejects_out_of_range_ids():
     m = randomize_params(_model("full"), 4)
     sess = mod.DecodeSession(m, VOCAB.encode("a"))
-    state = sess.initial_state()
+    h, c = sess.initial_state()
     with pytest.raises(DimensionError, match="out of range"):
-        sess.step(state, len(VOCAB), 0)
+        sess.step(h, c, len(VOCAB), 0)
     with pytest.raises(DimensionError, match="out of range"):
-        sess.step(state, -1, 0)
+        sess.step(h, c, -1, 0)
     with pytest.raises(DimensionError, match="out of range"):
         mod.DecodeSession(m, [len(VOCAB)])
+    with pytest.raises(DimensionError, match="out of range"):   # no encoder reads x
+        mod.DecodeSession(_model("no-encoder"), [0, -1])
 
 
 def test_gradients_all_variants_small_fixture():
@@ -383,7 +402,7 @@ PINNED = {
                      (28, 24)),
     "attention": ("3be2ec6beddeb92e84ab20da3e442e909082964a59986b35706c8dfb570c46cb",
                   "6126a29ab3499c439d4fbb4c2d4281bb2afa979ba7dfb908f5cf0ada3126d266",
-                  (34, 32)),
+                  (33, 31)),
     "no-encoder": ("bfc29732a645eda4860b0387197b57f614711451ca8b761f1b262607b5d66578",
                    "857949ecd2479d87ff96f6af66b330f3b90aeacf7dc3255f9bab15f98b10890f",
                    (24, 27)),

@@ -165,7 +165,7 @@ def _exhaustive(model, x_ids, max_len):
     out = []
 
     def rec(state, ids, lp, t):
-        new_state, dist = sess.step(state, ids[-1] if ids else BOS, t)
+        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
         for i in np.flatnonzero(dist > 0.0):
             i = int(i)
             lp2 = lp + float(np.log(dist[i]))
@@ -174,7 +174,7 @@ def _exhaustive(model, x_ids, max_len):
             elif t + 1 == max_len:
                 out.append(se.DecodeResult(ids + (i,), lp2, truncated=True))
             else:
-                rec(new_state, ids + (i,), lp2, t + 1)
+                rec((h, c), ids + (i,), lp2, t + 1)
 
     rec(sess.initial_state(), (), 0.0, 0)
     out.sort(key=lambda r: (-r.logprob, r.ids))
@@ -250,7 +250,8 @@ def _replay_logprob(models, x_ids, result, lm=None, lam=1.0):
     for t, choice in enumerate(chosen):
         dists = []
         for j, sess in enumerate(sessions):
-            states[j], d = sess.step(states[j], prefix[-1] if prefix else BOS, t)
+            h, c, d = sess.step(*states[j], prefix[-1] if prefix else BOS, t)
+            states[j] = (h, c)
             dists.append(d)
         dist = se.ensemble_next_dist(dists)
         if lm is not None:

@@ -54,9 +54,6 @@ def test_non_finite_loss_names_the_example(monkeypatch):
 
 def test_member_seeds_default_and_explicit():
     assert tr.TrainConfig(seed=3, ensemble_k=4).member_seeds() == (3, 4, 5, 6)
-    assert tr.TrainConfig(seeds=(9, 2, 5)).member_seeds() == (9, 2, 5)
-    with pytest.raises(TrainError, match="distinct"):
-        tr.TrainConfig(seeds=(3, 3)).member_seeds()
 
 
 def test_exact_match_accuracy_empty_is_none():
