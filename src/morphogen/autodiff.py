@@ -419,23 +419,35 @@ def interpolated_cross_entropy(tape, logits, target, log_lm, lam, masked_ids=())
 def backward(tape, loss, params=()):
     """Reverse sweep from a scalar loss; returns {parameter: gradient}.
 
-    Parameters not reached by the sweep get zero gradients. Every node that
-    received a gradient is cleared afterwards, including leaves outside
-    `params`, so tapes stay independent. A record fires when any of its
-    outputs holds a gradient.
+    params lists the parameters to return gradients for; each gets a new zero
+    array to accumulate into, so unreached ones come back as zeros. Given a
+    {parameter: zeroed buffer} dict instead, the sweep accumulates into those
+    buffers (views into one flat gradient vector, say) and returns the dict.
+    Every node that received a gradient is cleared afterwards, including
+    leaves outside `params`, so tapes stay independent. A record fires when
+    any of its outputs holds a gradient.
     """
     if loss.value.size != 1:
         raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
+    out = params if isinstance(params, dict) else \
+        {p: np.zeros_like(p.value) for p in params}
     sweep = Sweep()
+    for p, buf in out.items():
+        p.grad = buf
+        sweep.touched.append(p)
     loss.grad = np.ones(1)
     try:
         for outputs, backward_fn in reversed(tape._records):
+            if len(outputs) == 1:       # most records; spares building a list
+                g = outputs[0].grad
+                if g is not None:
+                    backward_fn(sweep, g)
+                continue
             grads = [node.grad for node in outputs]
             if any(g is not None for g in grads):
                 backward_fn(sweep, *grads)
         sweep.finish()
-        return {p: p.grad if p.grad is not None else np.zeros_like(p.value)
-                for p in params}
+        return out
     finally:
         loss.grad = None
         for node in sweep.touched:

@@ -1,5 +1,6 @@
 """Command-line surface. Every subcommand is a thin wrapper over one
-library call; exit codes are 0 success, 1 usage, 2 data/model error."""
+library call; exit codes are 0 success, 1 usage, 2 data/model error, 130
+interrupted (Ctrl-C)."""
 
 import argparse
 import itertools
@@ -403,6 +404,9 @@ def main(argv=None):
     except MorphogenError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print(f"{parser.prog}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -23,12 +23,15 @@ from . import autodiff as ad
 from . import lstm
 from .data import open_text
 from .errors import CheckpointError, DataError, DimensionError, MorphogenError
+from .optim import Block
 from .vocab import BOS, EOS, EPS, CharVocab
 
 __all__ = [
     "VARIANTS",
     "WIRINGS",
     "Wiring",
+    "SHARED_ATTRS",
+    "DECODER_ATTRS",
     "MASKED_OUTPUT_IDS",
     "ModelParams",
     "init_model",
@@ -84,7 +87,7 @@ MASKED_OUTPUT_IDS = (BOS, EPS)
 INIT_SCALE = 0.1
 
 # Tensor-holding attributes in parameters() order, which is also the RNG draw
-# order of init_model and the tensor order of a checkpoint.
+# order of init_model, the tensor order of a checkpoint and the layout of theta.
 _PARAM_ATTRS = (
     "embed",                                # [V x d]
     "enc_fwd", "enc_bwd",                   # LSTMParams
@@ -93,9 +96,20 @@ _PARAM_ATTRS = (
     "dec",                                  # LSTMParams
     "out_W", "out_b",                       # [V x n], [V]
 )
+# Joint training shares this leading part between the models of all tags.
+SHARED_ATTRS = _PARAM_ATTRS[:3]
+DECODER_ATTRS = _PARAM_ATTRS[3:]
 
 
 class ModelParams:
+    """A model's configuration and tensors.
+
+    Every tensor is a view into one flat float64 vector, theta, in
+    parameters() order. A model built around another model's encoder
+    (joint training) reads those tensors from the other model's theta; the
+    matching head of its own theta goes unused.
+    """
+
     def __init__(self, vocab, variant, hidden, embed_dim):
         if not isinstance(variant, str) or variant not in WIRINGS:
             raise MorphogenError(f"unknown model variant {variant!r}")
@@ -106,6 +120,7 @@ class ModelParams:
         self.embed_dim = embed_dim
         for attr in _PARAM_ATTRS:
             setattr(self, attr, None)
+        self.theta = None
         self.lm_lambda = None   # set by interpolated training
 
     def decoder_input_size(self):
@@ -119,9 +134,9 @@ class ModelParams:
             size += d
         return size
 
-    def parameters(self):
+    def parameters(self, attrs=_PARAM_ATTRS):
         out = []
-        for attr in _PARAM_ATTRS:
+        for attr in attrs:
             value = getattr(self, attr)
             if isinstance(value, lstm.LSTMParams):
                 out += value.parameters()
@@ -129,16 +144,26 @@ class ModelParams:
                 out.append(value)
         return out
 
+    def block(self, attrs=_PARAM_ATTRS):
+        """The tensors of attrs, consecutive in parameters() order, as one
+        optimiser block over their slice of theta."""
+        start = _PARAM_ATTRS.index(attrs[0])
+        lo = sum(p.value.size for p in self.parameters(_PARAM_ATTRS[:start]))
+        parts = self.parameters(attrs)
+        return Block(self.theta[lo:lo + sum(p.value.size for p in parts)], parts)
+
     def copy(self):
+        """A deep copy with a theta of its own, shared tensors included."""
         m = ModelParams(self.vocab, self.variant, self.hidden, self.embed_dim)
         values = {p.name: p.value for p in self.parameters()}
-        _build(m, lambda name, shape, kind: values[name].copy())
+        _build(m, lambda name, shape, kind: values[name])
         m.lm_lambda = self.lm_lambda
         return m
 
 
 def _build(m, fill):
-    """Create every tensor of m in parameters() order.
+    """Create every tensor of m in parameters() order, then pack them into
+    m.theta and make each tensor a view into it.
 
     fill(name, shape, kind) supplies the values; kind is "weight", "bias" or
     "gates" (an LSTM bias).
@@ -164,6 +189,13 @@ def _build(m, fill):
         m.attn_v = param("attn.v", (n,))
     m.dec = cell("dec", m.decoder_input_size())
     m.out_W, m.out_b = param("softmax.W", (V, n)), param("softmax.b", (V,), "bias")
+    params = m.parameters()
+    m.theta = np.concatenate([p.value.reshape(-1) for p in params])
+    offset = 0
+    for p in params:
+        size = p.value.size
+        p.value = m.theta[offset:offset + size].reshape(p.value.shape)
+        offset += size
 
 
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0,

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
-from .model import VARIANTS, forward_variant, init_model
+from .model import DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model
 from .optim import AdaDeltaState, adadelta_step
 from .search import greedy_decode, lm_next_dist
 
@@ -50,8 +50,10 @@ class TrainConfig:
             raise TrainError(f"epochs must be >= 1, got {self.epochs}")
         if self.ensemble_k < 1:
             raise TrainError(f"ensemble size must be >= 1, got {self.ensemble_k}")
-        if self.l2 < 0:
-            raise TrainError(f"l2 must be >= 0, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise TrainError(f"l2 must be a finite number >= 0, got {self.l2}")
+        if not math.isfinite(self.lambda_init):
+            raise TrainError(f"lambda_init must be a finite number, got {self.lambda_init}")
         if self.max_len_slack < 0:
             raise TrainError(f"max_len_slack must be >= 0, got {self.max_len_slack}")
         if self.variant not in VARIANTS:
@@ -74,7 +76,24 @@ def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
     return hits / len(examples)
 
 
-def _epoch_loop(config, train_examples, make_loss, update_params, eval_dev, snapshot):
+class _Update:
+    """The optimiser blocks one training example updates, and one flat
+    gradient vector laid out like them: a view of it per block for the
+    optimiser, and per parameter for the backward sweep."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.flat = np.zeros(sum(b.value.size for b in blocks))
+        self.block_grads, self.param_grads = {}, {}
+        offset = 0
+        for b in blocks:
+            self.block_grads[b] = self.flat[offset:offset + b.value.size].reshape(b.value.shape)
+            for p in getattr(b, "parts", (b,)):
+                self.param_grads[p] = self.flat[offset:offset + p.value.size].reshape(p.value.shape)
+                offset += p.value.size
+
+
+def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapshot):
     """Shared epoch scaffolding; returns (best snapshot, log lines)."""
     opt = AdaDeltaState()
     order_rng = random.Random(config.seed)
@@ -92,8 +111,10 @@ def _epoch_loop(config, train_examples, make_loss, update_params, eval_dev, snap
                 raise TrainError(f"epoch {epoch}: non-finite loss {value!r} on lemma "
                                  f"{ex.lemma!r} ({ex.tag}) with target {ex.inflected!r}")
             total += value
-            grads = ad.backward(tape, loss, update_params(ex))
-            adadelta_step(update_params(ex), grads, opt, l2=config.l2)
+            update = update_for(ex)
+            update.flat.fill(0.0)
+            ad.backward(tape, loss, update.param_grads)
+            adadelta_step(update.blocks, update.block_grads, opt, l2=config.l2)
         acc = eval_dev()
         lines.append(f"{epoch}\t{total / len(batch)!r}\t{acc!r}")
         if acc is not None and acc > best_acc:
@@ -117,14 +138,14 @@ def train_factored(dataset, tag, config, log=None, vocab=None):
     vocab = vocab if vocab is not None else build_vocab(dataset.train)
     model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
                        seed=config.seed)
-    params = model.parameters()
+    update = _Update([model.block()])
 
     def make_loss(tape, ex):
         return forward_variant(tape, model, vocab.encode(ex.lemma),
                                vocab.encode(ex.inflected))
 
     best, lines = _epoch_loop(
-        config, train, make_loss, lambda ex: params,
+        config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack),
         model.copy)
     _emit(log, lines)
@@ -136,8 +157,10 @@ def train_joint(dataset, config, log=None):
 
     Examples of all tags are shuffled into a single stream; each step updates
     the owning tag's decoder plus the shared encoder, so the encoder sees
-    gradients from every inflection type. Epoch selection uses the average
-    of the per-tag dev accuracies.
+    gradients from every inflection type. The encoder lives in the first
+    model's theta and each decoder in its own tag model's theta, so a step
+    updates two blocks. Epoch selection uses the average of the per-tag dev
+    accuracies.
     """
     config.validate()
     tags = sorted({ex.tag for ex in dataset.train})
@@ -150,6 +173,8 @@ def train_joint(dataset, config, log=None):
     models = {tag: init_model(vocab, config.variant, config.hidden, config.embed_dim,
                               seed=config.seed + i, shared_encoder=shared)
               for i, tag in enumerate(tags)}
+    encoder = base.block(SHARED_ATTRS)
+    updates = {tag: _Update([encoder, models[tag].block(DECODER_ATTRS)]) for tag in tags}
     dev_by_tag = {tag: _tag_examples(dataset.dev, tag) for tag in tags}
 
     def make_loss(tape, ex):
@@ -171,7 +196,7 @@ def train_joint(dataset, config, log=None):
         return copies
 
     best, lines = _epoch_loop(config, list(dataset.train), make_loss,
-                              lambda ex: models[ex.tag].parameters(), eval_dev, snapshot)
+                              lambda ex: updates[ex.tag], eval_dev, snapshot)
     _emit(log, lines)
     return best
 
@@ -196,7 +221,7 @@ def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
     model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
                        seed=config.seed)
     lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
-    params = model.parameters() + ([lam_hat] if config.learn_lambda else [])
+    update = _Update([model.block()] + ([lam_hat] if config.learn_lambda else []))
 
     def lam_value():
         return float(np.logaddexp(0.0, lam_hat.value[0]))
@@ -215,7 +240,7 @@ def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
                                lm_logprobs=lm_logprobs, lam=lam)
 
     best, lines = _epoch_loop(
-        config, train, make_loss, lambda ex: params,
+        config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack,
                                      lm=lm, lam=lam_value()),
         lambda: (model.copy(), lam_value()))

@@ -24,7 +24,7 @@ def randomize_params(model, seed, scale=0.5):
     """
     rng = np.random.default_rng(seed)
     for p in sorted(model.parameters(), key=lambda p: p.name):
-        p.value = rng.normal(0.0, scale, size=p.value.shape)
+        p.value[...] = rng.normal(0.0, scale, size=p.value.shape)   # stays a view into theta
     return model
 
 
@@ -105,6 +105,27 @@ def reference_attention_context(tape, params, hidden_seq, s_prev):
               for h in hidden_seq]
     weights = ad.softmax_op(tape, ad.concat(tape, scores))
     return ad.weighted_sum(tape, weights, hidden_seq)
+
+
+# --- reference optimiser step ------------------------------------------------
+# AdaDelta one parameter at a time, with its own accumulators: the oracle
+# that optim.adadelta_step, stepping whole flat blocks, must equal bit for bit.
+
+def reference_adadelta_step(params, grads, acc, l2=0.0, rho=0.95, eps=1e-6):
+    """acc maps each Parameter to its (E[g^2], E[dx^2]) pair, filled on first use."""
+    for p in params:
+        g = grads[p]
+        if l2 != 0.0:
+            g = g + l2 * p.value
+        if p not in acc:
+            acc[p] = (np.zeros_like(p.value), np.zeros_like(p.value))
+        sq_g, sq_d = acc[p]
+        sq_g *= rho
+        sq_g += (1.0 - rho) * g * g
+        delta = -np.sqrt((sq_d + eps) / (sq_g + eps)) * g
+        sq_d *= rho
+        sq_d += (1.0 - rho) * delta * delta
+        p.value += delta
 
 
 # --- reference beam search --------------------------------------------------

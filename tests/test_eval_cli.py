@@ -3,6 +3,7 @@ import pytest
 
 from morphogen import cli
 from morphogen import evaluate as ev
+from morphogen import trainer
 from morphogen.charlm import load_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
 from morphogen.errors import DataError
@@ -487,3 +488,47 @@ def test_cli_ensemble_training_writes_numbered_checkpoints(workspace, tmp_path):
     m1 = load_model(str(out) + ".1")
     m2 = load_model(str(out) + ".2")
     assert not models_equal(m1, m2)
+
+
+@pytest.mark.parametrize("flag, value", [("--l2", "nan"), ("--l2", "inf"),
+                                         ("--lambda-init", "nan"), ("--lambda-init", "-inf")])
+def test_cli_train_rejects_non_finite_hyperparameters(workspace, tmp_path, capsys, flag, value):
+    field = flag[2:].replace("-", "_")
+    base = ["train", "--data", workspace["train.tsv"], "--hidden", "4", "--epochs", "1",
+            "--seed", "0", f"{flag}={value}"]
+    for extra in (["--tag", INESSIVE, "--out", str(tmp_path / "m.ckpt")],
+                  ["--mode", "joint", "--out-dir", str(tmp_path / "joint")],
+                  ["--mode", "interpolated", "--tag", INESSIVE, "--lm", workspace["lm.txt"],
+                   "--out", str(tmp_path / "m.ckpt")]):
+        assert cli.main(base + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == "", extra       # no epoch line: nothing was trained
+        assert captured.err.startswith(f"morphogen: error: {field} must be a finite number")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("mode", ["factored", "joint"])
+def test_cli_interrupt_exits_130_without_traceback(workspace, tmp_path, capsys, monkeypatch,
+                                                   mode):
+    real_step, calls = trainer.adadelta_step, []
+
+    def step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 5:
+            raise KeyboardInterrupt
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adadelta_step", step)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    where = (["--tag", INESSIVE, "--out", str(out_dir / "m.ckpt")] if mode == "factored"
+             else ["--out-dir", str(out_dir)])
+    rc = cli.main(["train", "--mode", mode, "--data", workspace["train.tsv"],
+                   "--hidden", "4", "--epochs", "3", "--seed", "0"] + where)
+    assert rc == 130
+    captured = capsys.readouterr()
+    assert captured.err == "morphogen: interrupted\n"
+    assert captured.out == ""
+    assert len(calls) == 6
+    assert list(out_dir.iterdir()) == []

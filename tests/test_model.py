@@ -250,6 +250,43 @@ def test_copy_is_deep_and_keeps_lambda():
     assert m.embed.value[0, 0] != c.embed.value[0, 0]
 
 
+def _assert_laid_out_in_theta(m):
+    assert m.theta.dtype == np.float64 and m.theta.flags.c_contiguous
+    assert m.theta.size == sum(p.value.size for p in m.parameters())
+    for p in m.parameters():
+        assert np.shares_memory(p.value, m.theta), p.name
+
+
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_parameters_are_views_into_theta(tmp_path, variant):
+    m = _model(variant)
+    _assert_laid_out_in_theta(m)
+    assert np.array_equal(m.theta, np.concatenate([p.value.reshape(-1)
+                                                   for p in m.parameters()]))
+    path = tmp_path / "m.ckpt"
+    mod.save_model(m, path)
+    loaded = mod.load_model(path)
+    _assert_laid_out_in_theta(loaded)
+    assert np.array_equal(loaded.theta, m.theta)
+    c = m.copy()
+    _assert_laid_out_in_theta(c)
+    assert np.array_equal(c.theta, m.theta)
+    assert not np.shares_memory(c.theta, m.theta)
+    for p in c.parameters():
+        assert not np.shares_memory(p.value, m.theta), p.name
+
+
+def test_copy_of_a_shared_encoder_model_takes_the_shared_values():
+    base = _model("full", seed=0)
+    other = mod.init_model(VOCAB, "full", hidden=5, embed_dim=4, seed=1,
+                           shared_encoder=(base.embed, base.enc_fwd, base.enc_bwd))
+    c = other.copy()
+    _assert_laid_out_in_theta(c)
+    for a, b in zip(c.parameters(), other.parameters()):
+        assert np.array_equal(a.value, b.value), a.name
+    assert np.array_equal(c.embed.value, base.embed.value)
+
+
 def test_shared_encoder_aliases_parameters():
     base = _model("full", seed=0)
     other = mod.init_model(VOCAB, "full", hidden=5, embed_dim=4, seed=1,

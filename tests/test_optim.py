@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import reference_adadelta_step
 from morphogen.autodiff import Parameter
-from morphogen.errors import TrainError
-from morphogen.optim import AdaDeltaState, adadelta_step
+from morphogen.errors import MorphogenError, TrainError
+from morphogen.model import DECODER_ATTRS, SHARED_ATTRS, init_model
+from morphogen.optim import AdaDeltaState, Block, adadelta_step
+from morphogen.vocab import CharVocab
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
@@ -59,6 +62,9 @@ def test_hyperparameter_validation():
         AdaDeltaState(eps=0.0)
     with pytest.raises(TrainError, match="eps"):
         AdaDeltaState(eps=-1e-6)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(TrainError, match="eps"):
+            AdaDeltaState(eps=eps)
 
 
 def test_accumulators_keyed_by_object_identity():
@@ -98,3 +104,85 @@ def test_updates_are_in_place():
     state = AdaDeltaState()
     adadelta_step([p], {p: np.ones(1)}, state)
     assert p.value is buf
+
+
+# --- flat blocks -------------------------------------------------------------
+
+def _model(seed, **kw):
+    return init_model(CharVocab("abcde"), "full", hidden=5, embed_dim=4, seed=seed, **kw)
+
+
+def _random_grads(params, rng):
+    return {p: rng.normal(0.0, 1.0, size=p.value.shape) for p in params}
+
+
+def _joint_pair():
+    base = _model(0)
+    encoder = (base.embed, base.enc_fwd, base.enc_bwd)
+    return base, [_model(0, shared_encoder=encoder), _model(1, shared_encoder=encoder)]
+
+
+def test_flat_step_equals_per_parameter_reference():
+    # one block over a model's whole theta, five steps with l2 > 0
+    flat, ref = _model(3), _model(3)
+    block, state, acc = flat.block(), AdaDeltaState(), {}
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        grads = _random_grads(ref.parameters(), rng)
+        reference_adadelta_step(ref.parameters(), grads, acc, l2=1e-3)
+        g = np.concatenate([grads[p].reshape(-1) for p in ref.parameters()])
+        adadelta_step([block], {block: g}, state, l2=1e-3)
+        for a, b in zip(flat.parameters(), ref.parameters()):
+            assert np.array_equal(a.value, b.value), a.name
+    for table, i in ((state.sq_grad, 0), (state.sq_delta, 1)):
+        want = np.concatenate([acc[p][i].reshape(-1) for p in ref.parameters()])
+        assert np.array_equal(table[block], want)
+
+
+def test_flat_step_equals_reference_on_a_joint_shared_encoder_pair():
+    # the two tag models step alternately: the shared encoder block and each
+    # tag's decoder block keep one accumulator pair each, as per parameter
+    flat_base, flat_tags = _joint_pair()
+    _, ref_tags = _joint_pair()
+    encoder = flat_base.block(SHARED_ATTRS)
+    blocks = [[encoder, m.block(DECODER_ATTRS)] for m in flat_tags]
+    state, acc = AdaDeltaState(), {}
+    rng = np.random.default_rng(1)
+    for step in range(5):
+        k = step % 2
+        params = ref_tags[k].parameters()
+        grads = _random_grads(params, rng)
+        reference_adadelta_step(params, grads, acc, l2=1e-3)
+        g = np.concatenate([grads[p].reshape(-1) for p in params])
+        cut = encoder.value.size
+        adadelta_step(blocks[k], {blocks[k][0]: g[:cut], blocks[k][1]: g[cut:]}, state,
+                      l2=1e-3)
+    assert len(state.sq_grad) == 3
+    for flat, ref in zip(flat_tags, ref_tags):
+        for a, b in zip(flat.parameters(), ref.parameters()):
+            assert np.array_equal(a.value, b.value), a.name
+
+
+def test_non_finite_gradient_names_the_parameter_inside_a_block():
+    m = _model(0)
+    block = m.block()
+    g = np.zeros(block.value.size)
+    offset = sum(p.value.size for p in m.parameters()[:4])
+    g[offset + 2] = np.nan
+    g[-1] = np.inf
+    before = block.value.copy()
+    with pytest.raises(TrainError, match=repr(m.parameters()[4].name)):
+        adadelta_step([block], {block: g}, AdaDeltaState())
+    assert np.array_equal(block.value, before)    # nothing stepped
+
+
+def test_block_parts_must_tile_its_vector():
+    m = _model(0)
+    params = m.parameters()
+    with pytest.raises(MorphogenError, match="not laid out"):
+        Block(m.theta, params[1:])
+    with pytest.raises(MorphogenError, match="cover"):
+        Block(m.theta, params[:-1])
+    tag = _joint_pair()[1][0]
+    with pytest.raises(MorphogenError, match="not laid out"):
+        tag.block(SHARED_ATTRS)      # the shared tensors live in base's theta

@@ -36,6 +36,14 @@ def test_config_validation():
             replace(good, **kw).validate()
 
 
+@pytest.mark.parametrize("field", ["l2", "lambda_init"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_hyperparameters(field, value):
+    from dataclasses import replace
+    with pytest.raises(TrainError, match=f"{field} must be a finite number"):
+        replace(tr.TrainConfig(), **{field: value}).validate()
+
+
 def test_non_finite_loss_names_the_example(monkeypatch):
     bad = Example("kala", INESSIVE, "kalassa")
     ds = DatasetSplit(train=[Example("talo", INESSIVE, "talossa"), bad], dev=[], test=[])
@@ -140,6 +148,32 @@ def test_joint_shares_encoder_objects():
         assert m.enc_bwd is first.enc_bwd
         assert m.dec is not first.dec
         assert m.out_W is not first.out_W
+
+
+def test_joint_steps_the_shared_encoder_once_per_example(monkeypatch):
+    # every step updates one encoder block (the same object for every tag)
+    # and one decoder block of the example's own tag model
+    spec = default_synth_spec()
+    spec.suffixes = {"case=inessive": ("ssä", "ssa"), "case=adessive": ("llä", "lla")}
+    ds = _synth_split(10, spec=spec)
+    steps, encoder_blocks = [], set()
+    real_step = tr.adadelta_step
+
+    def step(blocks, grads, state, l2=0.0):
+        steps.append([[p.name for p in b.parts] for b in blocks])
+        encoder_blocks.add(id(blocks[0]))
+        real_step(blocks, grads, state, l2=l2)
+
+    monkeypatch.setattr(tr, "adadelta_step", step)
+    tr.train_joint(ds, tr.TrainConfig(hidden=4, epochs=2, seed=0))
+    assert len(steps) == 2 * len(ds.train)
+    encoder = ["embed"] + [f"enc_{d}.{w}" for d in ("fwd", "bwd") for w in ("W_x", "W_h", "b")]
+    for names in steps:
+        assert len(names) == 2
+        assert names[0] == encoder
+        assert not set(encoder) & set(names[1])
+        assert names[1][-2:] == ["softmax.W", "softmax.b"]
+    assert len(encoder_blocks) == 1
 
 
 def test_joint_two_tags_reach_dev_accuracy():
