@@ -21,26 +21,14 @@ __all__ = [
     "Sweep",
     "constant",
     "affine",
-    "matvec",
     "add",
-    "sub",
-    "mul",
     "concat",
-    "sigmoid",
-    "tanh",
     "softplus",
     "row",
-    "pick",
-    "usum",
-    "dot",
-    "softmax",
-    "softmax_op",
-    "weighted_sum",
+    "masked_softmax",
     "cross_entropy_logits",
     "interpolated_cross_entropy",
     "backward",
-    "grads_by_name",
-    "gradient_check",
 ]
 
 
@@ -163,19 +151,6 @@ def affine(tape, W, x, b):
     return out
 
 
-def matvec(tape, W, x):
-    Wv, xv = W.value, x.value
-    if Wv.ndim != 2 or Wv.shape[1] != xv.shape[0]:
-        raise DimensionError(f"matvec: W{Wv.shape} incompatible with x{xv.shape}")
-    out = Node(Wv @ xv)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc_outer(W, g, xv)
-            sweep.acc(x, Wv.T @ g)
-        tape.append(out, backward_fn)
-    return out
-
-
 def _binary_shapes(name, a, b):
     if a.value.shape != b.value.shape and a.value.size != 1 and b.value.size != 1:
         raise DimensionError(f"{name}: shapes {a.value.shape} and {b.value.shape}")
@@ -200,29 +175,6 @@ def add(tape, a, b):
     return out
 
 
-def sub(tape, a, b):
-    _binary_shapes("sub", a, b)
-    out = Node(a.value - b.value)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            _acc_bcast(sweep, a, g)
-            _acc_bcast(sweep, b, -g)
-        tape.append(out, backward_fn)
-    return out
-
-
-def mul(tape, a, b):
-    _binary_shapes("mul", a, b)
-    av, bv = a.value, b.value
-    out = Node(av * bv)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            _acc_bcast(sweep, a, g * bv)
-            _acc_bcast(sweep, b, g * av)
-        tape.append(out, backward_fn)
-    return out
-
-
 def concat(tape, parts):
     values = [p.value for p in parts]
     out = Node(np.concatenate(values))
@@ -231,26 +183,6 @@ def concat(tape, parts):
         def backward_fn(sweep, g):
             for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 sweep.acc(part, g[lo:hi])
-        tape.append(out, backward_fn)
-    return out
-
-
-def sigmoid(tape, x):
-    out = Node(expit(x.value))
-    if tape is not None:
-        ov = out.value
-        def backward_fn(sweep, g):
-            sweep.acc(x, g * ov * (1.0 - ov))
-        tape.append(out, backward_fn)
-    return out
-
-
-def tanh(tape, x):
-    out = Node(np.tanh(x.value))
-    if tape is not None:
-        ov = out.value
-        def backward_fn(sweep, g):
-            sweep.acc(x, g * (1.0 - ov * ov))
         tape.append(out, backward_fn)
     return out
 
@@ -279,37 +211,6 @@ def row(tape, E, i):
     return out
 
 
-def pick(tape, x, i):
-    out = Node(x.value[i:i + 1])
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.grad_buffer(x)[i] += g[0]
-        tape.append(out, backward_fn)
-    return out
-
-
-def usum(tape, x):
-    out = Node(np.array([x.value.sum()]))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc(x, np.full_like(x.value, g[0]))
-        tape.append(out, backward_fn)
-    return out
-
-
-def dot(tape, a, b):
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"dot: shapes {a.value.shape} and {b.value.shape}")
-    av, bv = a.value, b.value
-    out = Node(np.array([av @ bv]))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc(a, g[0] * bv)
-            sweep.acc(b, g[0] * av)
-        tape.append(out, backward_fn)
-    return out
-
-
 def _softmax_lse(z, masked_ids=()):
     """Stable softmax of z with masked ids at probability zero.
 
@@ -323,41 +224,6 @@ def _softmax_lse(z, masked_ids=()):
     e = np.exp(z - m)
     Z = e.sum()
     return e / Z, m, Z
-
-
-def softmax(v):
-    """Stable softmax of a plain 1-D array; output sums to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise DimensionError("softmax: empty vector")
-    return _softmax_lse(v)[0]
-
-
-def softmax_op(tape, x):
-    """Differentiable softmax (used for attention weights)."""
-    p = softmax(x.value)
-    out = Node(p)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc(x, p * (g - g @ p))
-        tape.append(out, backward_fn)
-    return out
-
-
-def weighted_sum(tape, weights, vectors):
-    """sum_t weights[t] * vectors[t] for a weight Node and a list of vector Nodes."""
-    wv = weights.value
-    if wv.shape[0] != len(vectors):
-        raise DimensionError(f"weighted_sum: {wv.shape[0]} weights, {len(vectors)} vectors")
-    vals = [v.value for v in vectors]
-    out = Node(sum(w * v for w, v in zip(wv, vals)))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc(weights, np.array([g @ v for v in vals]))
-            for w, v in zip(wv, vectors):
-                sweep.acc(v, w * g)
-        tape.append(out, backward_fn)
-    return out
 
 
 def masked_softmax(logits, masked_ids=()):
@@ -452,38 +318,3 @@ def backward(tape, loss, params=()):
         loss.grad = None
         for node in sweep.touched:
             node.grad = None
-
-
-def grads_by_name(grads):
-    return {p.name: g for p, g in grads.items()}
-
-
-def gradient_check(loss_fn, params, h=1e-4):
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn(tape) must rebuild the graph under the current parameter values
-    and return the scalar loss Node; it is called with tape=None for the
-    2 * #components value-only evaluations of the central differences.
-    """
-    params = list(params)
-    tape = Tape()
-    analytic = backward(tape, loss_fn(tape), params)
-
-    def value():
-        return float(loss_fn(None).value[0])
-
-    worst = 0.0
-    for p in params:
-        flat = p.value.reshape(-1)
-        gflat = analytic[p].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = value()
-            flat[i] = orig - h
-            down = value()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst

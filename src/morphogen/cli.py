@@ -19,8 +19,20 @@ __all__ = ["main", "build_parser"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        # a subcommand's prog is "morphogen <command>"; every error line
+        # starts with the program name alone
+        print(f"{self.prog.split()[0]}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 class _Usage(Exception):
@@ -200,7 +212,8 @@ def _cmd_evaluate(args):
     lm, lam = _decode_kwargs(args, any_models)
     rerank_model = reranker.load_weights(args.rerank) if args.rerank else None
     report = evaluate.evaluate_accuracy(
-        models_by_tag, examples, beam_width=args.beam_width if args.beam else None,
+        models_by_tag, examples,
+        beam_width=args.beam_width if args.beam or args.rerank else None,
         lm=lm, lam=lam, rerank_model=rerank_model, max_len_slack=args.max_len_slack)
     for tag in sorted(report.per_tag):
         print(f"tag\t{tag}\t{report.per_tag[tag]!r}\t{report.counts[tag]}")
@@ -313,7 +326,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--l2", type=float, default=1e-5)
     p.add_argument("--ensemble-k", type=int, default=1)
-    p.add_argument("--max-len-slack", type=int, default=10)
+    p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
     p.add_argument("--lambda-init", type=float, default=0.0)
     p.set_defaults(func=_cmd_train)
 
@@ -334,7 +347,7 @@ def build_parser():
         p.add_argument("--lm", default=None)
         p.add_argument("--interp-lambda", type=float, default=None,
                        help="override the checkpoint's interpolation weight")
-        p.add_argument("--max-len-slack", type=int, default=10)
+        p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
         if name == "beam":
             p.add_argument("--beam-width", type=int, default=20)
         p.set_defaults(func=fn)
@@ -358,7 +371,7 @@ def build_parser():
     p.add_argument("--rerank", default=None, help="reranker weights file (implies beam)")
     p.add_argument("--lm", default=None)
     p.add_argument("--interp-lambda", type=float, default=None)
-    p.add_argument("--max-len-slack", type=int, default=10)
+    p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
     p.add_argument("--by-length", action="store_true")
     p.add_argument("--harmony", action="store_true")
     p.add_argument("--pred-out", default=None)

@@ -45,7 +45,9 @@ def predict_one(models, lemma, *, beam_width=None, lm=None, lam=1.0,
     if rerank_model is not None:
         if lm is None:
             raise DataError("reranking needs a language model for its features")
-        results = beam_decode(models, x_ids, beam_width or 20, max_len)
+        if beam_width is None:
+            raise DataError("reranking needs a beam width")
+        results = beam_decode(models, x_ids, beam_width, max_len)
         nbest = [(r.text(vocab), r.logprob) for r in results]
         return rerank_pick(nbest, rerank_model, lm, lemma)
     if beam_width is not None:
@@ -59,7 +61,7 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
     """Per-tag and macro exact-match accuracy over labelled examples.
 
     models_by_tag maps each tag to a model or ensemble list. Decoding is
-    greedy unless beam_width is given; a reranker implies beam decoding.
+    greedy unless beam_width is given; a reranker needs beam_width and an LM.
     """
     if not examples:
         raise DataError("evaluate_accuracy: no examples given")

@@ -50,6 +50,20 @@ def zero_state(hidden_size):
                      c=ad.constant(np.zeros(hidden_size)))
 
 
+def _cell(params, X, H, C):
+    """The cell on one state (X [l], H and C [n]) or on a batch of rows
+    (X [B,l], H and C [B,n]) -> (H', C', sigmoid(z) over the i/f/o slice,
+    the candidate g, tanh(C'))."""
+    n = params.hidden_size
+    n3 = 3 * n
+    z = (X @ params.W_x.value.T + params.b.value) + H @ params.W_h.value.T
+    sig = expit(z[..., :n3])
+    g = np.tanh(z[..., n3:])
+    C = sig[..., n:2 * n] * C + sig[..., :n] * g
+    tc = np.tanh(C)
+    return sig[..., 2 * n:] * tc, C, sig, g, tc
+
+
 def lstm_step(tape, params, x, prev):
     """One cell update: i,f,o = sigmoid, g = tanh, c' = f*c + i*g, h' = o*tanh(c')."""
     n = params.hidden_size
@@ -58,15 +72,12 @@ def lstm_step(tape, params, x, prev):
     if xv.shape[0] != params.input_size:
         raise DimensionError(
             f"lstm {params.name}: input {xv.shape} vs expected ({params.input_size},)")
-    W_x, W_h, b = params.W_x, params.W_h, params.b
-    z = (W_x.value @ xv + b.value) + W_h.value @ hv
-    sig = expit(z[:n3])
-    i, f, o = sig[:n], sig[n:2 * n], sig[2 * n:]
-    g = np.tanh(z[n3:])
-    c = ad.Node(f * cv + i * g)
-    tc = np.tanh(c.value)
-    h = ad.Node(o * tc)
+    h, c, sig, g, tc = _cell(params, xv, hv, cv)
+    h, c = ad.Node(h), ad.Node(c)
     if tape is not None:
+        W_x, W_h, b = params.W_x, params.W_h, params.b
+        i, f, o = sig[:n], sig[n:2 * n], sig[2 * n:]
+
         def backward_fn(sweep, gh, gc):
             # dc sums both paths into c': directly, and through h' = o*tanh(c')
             if gh is None:
@@ -92,19 +103,14 @@ def lstm_step(tape, params, x, prev):
 def lstm_step_rows(params, X, H, C):
     """lstm_step untaped, on one state (X [l], H and C [n]) or on a batch of
     rows (X [B,l], H and C [B,n]) -> (H', C')."""
-    n = params.hidden_size
-    n3 = 3 * n
-    z = (X @ params.W_x.value.T + params.b.value) + H @ params.W_h.value.T
-    sig = expit(z[..., :n3])
-    C = sig[..., n:2 * n] * C + sig[..., :n] * np.tanh(z[..., n3:])
-    return sig[..., 2 * n:] * np.tanh(C), C
+    return _cell(params, X, H, C)[:2]
 
 
-def run_sequence(tape, params, xs, init=None):
-    """States for every step of xs; init defaults to the zero state."""
+def run_sequence(tape, params, xs):
+    """States for every step of xs, from the zero state."""
     if not xs:
         raise DimensionError(f"lstm {params.name}: empty input sequence")
-    state = init if init is not None else zero_state(params.hidden_size)
+    state = zero_state(params.hidden_size)
     states = []
     for x in xs:
         state = lstm_step(tape, params, x, state)

@@ -15,7 +15,6 @@ teacher-forced negative log-likelihood with EOS closing every target.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "DecodeSession",
     "save_model",
     "load_model",
-    "models_equal",
-    "check_model_gradients",
 ]
 
 
@@ -232,20 +229,24 @@ def transform_encoding(tape, params, e_raw):
     return ad.affine(tape, params.trans_W, e_raw, params.trans_b)
 
 
-def attention_context(tape, params, hidden_seq, s_prev):
-    """Additive attention over encoder states: softmax(v . tanh(W1 h + W2 s)).
+def _attend(params, source, S):
+    """Additive attention of a decoder state S [n], or of every row of S
+    [B, n], over the source's states: softmax(v . tanh(W_enc h_t + W_dec s))
+    weighting the h_t. Returns (context, weights, tanh activations)."""
+    act = np.tanh(source.keys + (S @ params.attn_W_dec.value.T)[..., None, :])  # [(B,) T, n]
+    weights = ad.masked_softmax(act @ params.attn_v.value)
+    return weights @ source.H, weights, act
 
-    One tape record: the states are stacked into H [T, 2n], and scores,
-    weights and context are computed over all positions at once.
-    """
+
+def attention_context(tape, params, source, s_prev):
+    """The attention context of decoder state s_prev over an encoded source,
+    as one tape record whose backward reaches every position's state."""
     if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
     W_enc, W_dec, v = params.attn_W_enc, params.attn_W_dec, params.attn_v
-    H = np.array([h.value for h in hidden_seq])
-    sv = s_prev.value
-    act = np.tanh(H @ W_enc.value.T + W_dec.value @ sv)    # [T, n]
-    weights = ad.softmax(act @ v.value)
-    out = ad.Node(weights @ H)
+    H, sv = source.H, s_prev.value
+    context, weights, act = _attend(params, source, sv)
+    out = ad.Node(context)
     if tape is not None:
         def backward_fn(sweep, g):
             gw = H @ g
@@ -257,7 +258,7 @@ def attention_context(tape, params, hidden_seq, s_prev):
             sweep.acc(s_prev, W_dec.value.T @ gkey)
             sweep.acc(W_enc, gpre.T @ H)
             gH = weights[:, None] * g + gpre @ W_enc.value
-            for h, gh in zip(hidden_seq, gH):
+            for h, gh in zip(source.hidden_seq, gH):
                 sweep.acc(h, gh)
         tape.append(out, backward_fn)
     return out
@@ -268,18 +269,26 @@ def decoder_step_count(x_len, y_len):
     return max(x_len, y_len + 1)
 
 
-@dataclass(frozen=True)
 class _Source:
-    x_ids: list
-    e: ad.Node            # transformed encoding, None without a transform
-    hidden_seq: list      # per-position [fwd h ; bwd h], None without attention
+    """An encoded source: its ids, e (None without a transform) and, with
+    attention, the per-position [fwd h ; bwd h] Nodes, stacked into H [T, 2n]
+    together with their projections keys = W_enc h_t [T, n], which do not
+    depend on the decoder step."""
+
+    def __init__(self, params, x_ids, e=None, hidden_seq=None):
+        self.x_ids = x_ids
+        self.e = e
+        self.hidden_seq = hidden_seq
+        if hidden_seq is not None:
+            self.H = np.array([h.value for h in hidden_seq])
+            self.keys = self.H @ params.attn_W_enc.value.T
 
 
 def _encode_source(tape, params, x_ids):
     x_ids = list(x_ids)
     w = params.wiring
     if not w.encoder:
-        return _Source(x_ids, None, None)
+        return _Source(params, x_ids)
     xs = [embed(tape, params, i) for i in x_ids]
     positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
     hidden_seq = lstm.pair_states(tape, positions) if w.attention else None
@@ -287,7 +296,7 @@ def _encode_source(tape, params, x_ids):
     if w.trans:
         e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
         e = transform_encoding(tape, params, e_raw)
-    return _Source(x_ids, e, hidden_seq)
+    return _Source(params, x_ids, e, hidden_seq)
 
 
 def _initial_state(params, source):
@@ -305,7 +314,7 @@ def _decoder_step(tape, params, source, state, y_prev_id, t):
     if w.e_per_step:
         parts.insert(0, source.e)
     elif w.attention:
-        parts.insert(0, attention_context(tape, params, source.hidden_seq, state.h))
+        parts.insert(0, attention_context(tape, params, source, state.h))
     if w.consumes_source:
         x = source.x_ids
         parts.append(embed(tape, params, x[t] if t < len(x) else EPS))
@@ -386,7 +395,7 @@ class DecodeSession:
             e = source.e.value
             parts.insert(0, e if one else e[None].repeat(len(H), axis=0))
         elif w.attention:
-            parts.insert(0, self._attention_rows(H))
+            parts.insert(0, _attend(params, source, H)[0])
         if w.consumes_source:
             x = source.x_ids
             x_t = E[x[t] if t < len(x) else EPS]
@@ -395,19 +404,6 @@ class DecodeSession:
         H, C = lstm.lstm_step_rows(params.dec, X, H, C)
         logits = H @ params.out_W.value.T + params.out_b.value
         return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
-
-    @cached_property
-    def _attention_keys(self):
-        """The encoder states [T, 2n] and their projections W_enc h_t [T, n]."""
-        H = np.array([h.value for h in self._source.hidden_seq])
-        return H, H @ self.params.attn_W_enc.value.T
-
-    def _attention_rows(self, S):
-        """attention_context for a decoder state S [n] or for every row of S [B, n]."""
-        params = self.params
-        H, keys = self._attention_keys
-        act = np.tanh(keys + (S @ params.attn_W_dec.value.T)[..., None, :])    # [(B,) T, n]
-        return ad.masked_softmax(act @ params.attn_v.value) @ H
 
 
 # --- persistence -----------------------------------------------------------
@@ -495,18 +491,3 @@ def load_model(path):
 
 def _is_number(value, types):
     return isinstance(value, types) and not isinstance(value, bool)
-
-
-def models_equal(a, b):
-    if (a.variant, a.hidden, a.embed_dim, a.vocab.data_chars) != \
-            (b.variant, b.hidden, b.embed_dim, b.vocab.data_chars):
-        return False
-    bp = {p.name: p.value for p in b.parameters()}
-    return all(np.array_equal(p.value, bp[p.name]) for p in a.parameters())
-
-
-def check_model_gradients(params, x_ids, y_ids, h=1e-4):
-    """Finite-difference verification of the full training gradient."""
-    def loss_fn(tape):
-        return forward_variant(tape, params, x_ids, y_ids)
-    return ad.gradient_check(loss_fn, params.parameters(), h=h)

@@ -67,8 +67,8 @@ def ensemble_next_dist(dists):
 def interpolated_next_dist(model_dist, lm_dist, lam):
     """p(i) proportional to p_model(i) * p_lm(i)**lam, renormalized (per row
     for [B, V] arrays)."""
-    if lam < 0:
-        raise SearchError(f"interpolation weight must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise SearchError(f"interpolation weight must be a finite number >= 0, got {lam}")
     model_dist = np.asarray(model_dist, dtype=np.float64)
     if lam == 0:
         return model_dist.copy()

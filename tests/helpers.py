@@ -3,12 +3,13 @@
 import random
 
 import numpy as np
+from scipy.special import expit
 
 from morphogen import autodiff as ad
 from morphogen import lstm, search
 from morphogen.charlm import train_lm
 from morphogen.errors import DimensionError
-from morphogen.model import DecodeSession
+from morphogen.model import DecodeSession, forward_variant
 from morphogen.reranker import RerankGroup
 from morphogen.vocab import BOS, EOS
 
@@ -68,6 +69,182 @@ def levenshtein_matrix_oracle(a, b):
     return int(m[len(a), len(b)])
 
 
+# --- primitive tape ops -------------------------------------------------------
+# Element-wise and reduction ops in the package's tape conventions (value and
+# backward for each); the composed references below are chains of them, and
+# test_autodiff checks each one on its own.
+
+def matvec(tape, W, x):
+    Wv, xv = W.value, x.value
+    if Wv.ndim != 2 or Wv.shape[1] != xv.shape[0]:
+        raise DimensionError(f"matvec: W{Wv.shape} incompatible with x{xv.shape}")
+    out = ad.Node(Wv @ xv)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc_outer(W, g, xv)
+            sweep.acc(x, Wv.T @ g)
+        tape.append(out, backward_fn)
+    return out
+
+
+def sub(tape, a, b):
+    ad._binary_shapes("sub", a, b)
+    out = ad.Node(a.value - b.value)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            ad._acc_bcast(sweep, a, g)
+            ad._acc_bcast(sweep, b, -g)
+        tape.append(out, backward_fn)
+    return out
+
+
+def mul(tape, a, b):
+    ad._binary_shapes("mul", a, b)
+    av, bv = a.value, b.value
+    out = ad.Node(av * bv)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            ad._acc_bcast(sweep, a, g * bv)
+            ad._acc_bcast(sweep, b, g * av)
+        tape.append(out, backward_fn)
+    return out
+
+
+def sigmoid(tape, x):
+    out = ad.Node(expit(x.value))
+    if tape is not None:
+        ov = out.value
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * ov * (1.0 - ov))
+        tape.append(out, backward_fn)
+    return out
+
+
+def tanh(tape, x):
+    out = ad.Node(np.tanh(x.value))
+    if tape is not None:
+        ov = out.value
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * (1.0 - ov * ov))
+        tape.append(out, backward_fn)
+    return out
+
+
+def pick(tape, x, i):
+    out = ad.Node(x.value[i:i + 1])
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.grad_buffer(x)[i] += g[0]
+        tape.append(out, backward_fn)
+    return out
+
+
+def usum(tape, x):
+    out = ad.Node(np.array([x.value.sum()]))
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc(x, np.full_like(x.value, g[0]))
+        tape.append(out, backward_fn)
+    return out
+
+
+def dot(tape, a, b):
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"dot: shapes {a.value.shape} and {b.value.shape}")
+    av, bv = a.value, b.value
+    out = ad.Node(np.array([av @ bv]))
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc(a, g[0] * bv)
+            sweep.acc(b, g[0] * av)
+        tape.append(out, backward_fn)
+    return out
+
+
+def softmax(v):
+    """Stable softmax of a plain 1-D array; output sums to 1."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise DimensionError("softmax: empty vector")
+    return ad._softmax_lse(v)[0]
+
+
+def softmax_op(tape, x):
+    """Differentiable softmax (used for attention weights)."""
+    p = softmax(x.value)
+    out = ad.Node(p)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc(x, p * (g - g @ p))
+        tape.append(out, backward_fn)
+    return out
+
+
+def weighted_sum(tape, weights, vectors):
+    """sum_t weights[t] * vectors[t] for a weight Node and a list of vector Nodes."""
+    wv = weights.value
+    if wv.shape[0] != len(vectors):
+        raise DimensionError(f"weighted_sum: {wv.shape[0]} weights, {len(vectors)} vectors")
+    vals = [v.value for v in vectors]
+    out = ad.Node(sum(w * v for w, v in zip(wv, vals)))
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc(weights, np.array([g @ v for v in vals]))
+            for w, v in zip(wv, vectors):
+                sweep.acc(v, w * g)
+        tape.append(out, backward_fn)
+    return out
+
+
+# --- gradient checks ----------------------------------------------------------
+
+def gradient_check(loss_fn, params, h=1e-4):
+    """Max relative error between analytic gradients and central differences.
+
+    loss_fn(tape) must rebuild the graph under the current parameter values
+    and return the scalar loss Node; it is called with tape=None for the
+    2 * #components value-only evaluations of the central differences.
+    """
+    params = list(params)
+    tape = ad.Tape()
+    analytic = ad.backward(tape, loss_fn(tape), params)
+
+    def value():
+        return float(loss_fn(None).value[0])
+
+    worst = 0.0
+    for p in params:
+        flat = p.value.reshape(-1)
+        gflat = analytic[p].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = value()
+            flat[i] = orig - h
+            down = value()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return worst
+
+
+def check_model_gradients(params, x_ids, y_ids, h=1e-4):
+    """Finite-difference verification of the full training gradient."""
+    def loss_fn(tape):
+        return forward_variant(tape, params, x_ids, y_ids)
+    return gradient_check(loss_fn, params.parameters(), h=h)
+
+
+def models_equal(a, b):
+    """Same configuration, vocabulary and tensor values."""
+    if (a.variant, a.hidden, a.embed_dim, a.vocab.data_chars) != \
+            (b.variant, b.hidden, b.embed_dim, b.vocab.data_chars):
+        return False
+    bp = {p.name: p.value for p in b.parameters()}
+    return all(np.array_equal(p.value, bp[p.name]) for p in a.parameters())
+
+
 # --- composed references for the fused recurrent ops ----------------------
 # The cell and the attention context as chains of primitive tape ops, one
 # record per primitive: slower, but each piece is checked on its own, so
@@ -79,13 +256,13 @@ def reference_lstm_step(tape, params, x, prev):
         raise DimensionError(
             f"lstm {params.name}: input {x.value.shape} vs expected ({params.input_size},)")
     z = ad.add(tape, ad.affine(tape, params.W_x, x, params.b),
-               ad.matvec(tape, params.W_h, prev.h))
-    i = ad.sigmoid(tape, _block(tape, z, 0, n))
-    f = ad.sigmoid(tape, _block(tape, z, 1, n))
-    o = ad.sigmoid(tape, _block(tape, z, 2, n))
-    g = ad.tanh(tape, _block(tape, z, 3, n))
-    c = ad.add(tape, ad.mul(tape, f, prev.c), ad.mul(tape, i, g))
-    h = ad.mul(tape, o, ad.tanh(tape, c))
+               matvec(tape, params.W_h, prev.h))
+    i = sigmoid(tape, _block(tape, z, 0, n))
+    f = sigmoid(tape, _block(tape, z, 1, n))
+    o = sigmoid(tape, _block(tape, z, 2, n))
+    g = tanh(tape, _block(tape, z, 3, n))
+    c = ad.add(tape, mul(tape, f, prev.c), mul(tape, i, g))
+    h = mul(tape, o, tanh(tape, c))
     return lstm.LSTMState(h=h, c=c)
 
 
@@ -98,13 +275,14 @@ def _block(tape, z, k, n):
     return out
 
 
-def reference_attention_context(tape, params, hidden_seq, s_prev):
-    key = ad.matvec(tape, params.attn_W_dec, s_prev)
-    scores = [ad.dot(tape, params.attn_v,
-                     ad.tanh(tape, ad.add(tape, ad.matvec(tape, params.attn_W_enc, h), key)))
+def reference_attention_context(tape, params, source, s_prev):
+    hidden_seq = source.hidden_seq
+    key = matvec(tape, params.attn_W_dec, s_prev)
+    scores = [dot(tape, params.attn_v,
+                  tanh(tape, ad.add(tape, matvec(tape, params.attn_W_enc, h), key)))
               for h in hidden_seq]
-    weights = ad.softmax_op(tape, ad.concat(tape, scores))
-    return ad.weighted_sum(tape, weights, hidden_seq)
+    weights = softmax_op(tape, ad.concat(tape, scores))
+    return weighted_sum(tape, weights, hidden_seq)
 
 
 # --- reference optimiser step ------------------------------------------------

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import randomize_params, separable_rerank_fixture
+from helpers import (check_model_gradients, models_equal, randomize_params,
+                     separable_rerank_fixture)
 from morphogen import cli
 from morphogen.charlm import (BOW, EOW, WittenBellLM, filter_wordlist, load_lm,
                               save_lm, train_lm)
@@ -22,8 +23,7 @@ from morphogen.data import (DatasetSplit, default_synth_spec, split_tables,
                             synth_language, synth_wordlist, tables_to_examples,
                             write_dataset)
 from morphogen.evaluate import evaluate_accuracy, vowel_harmony_check
-from morphogen.model import (VARIANTS, DecodeSession, check_model_gradients,
-                             init_model, load_model, models_equal, save_model)
+from morphogen.model import VARIANTS, DecodeSession, init_model, load_model, save_model
 from morphogen.reranker import (RerankGroup, pairwise_accuracy, pro_train,
                                 rerank, save_weights)
 from morphogen.search import (beam_decode, ensemble_next_dist, greedy_decode,

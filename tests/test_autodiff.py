@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (dot, gradient_check, matvec, mul, pick, sigmoid, softmax, softmax_op, sub,
+                     tanh, usum, weighted_sum)
 from morphogen import autodiff as ad
 from morphogen.errors import DimensionError, MorphogenError
 
@@ -32,25 +34,25 @@ def test_affine_shape_error_names_shapes():
 
 def test_matvec_value_and_error():
     W = ad.Parameter("W", [[1.0, 0.0], [0.0, -2.0]])
-    out = ad.matvec(None, W, ad.constant([3.0, 4.0]))
+    out = matvec(None, W, ad.constant([3.0, 4.0]))
     assert np.array_equal(out.value, [3.0, -8.0])
     with pytest.raises(DimensionError, match="matvec"):
-        ad.matvec(None, W, ad.constant([1.0, 2.0, 3.0]))
+        matvec(None, W, ad.constant([1.0, 2.0, 3.0]))
 
 
 def test_elementwise_ops_values():
     a = ad.constant([1.0, 2.0])
     b = ad.constant([3.0, 5.0])
     assert np.array_equal(ad.add(None, a, b).value, [4.0, 7.0])
-    assert np.array_equal(ad.sub(None, a, b).value, [-2.0, -3.0])
-    assert np.array_equal(ad.mul(None, a, b).value, [3.0, 10.0])
+    assert np.array_equal(sub(None, a, b).value, [-2.0, -3.0])
+    assert np.array_equal(mul(None, a, b).value, [3.0, 10.0])
 
 
 def test_elementwise_broadcast_size_one():
     a = ad.constant([1.0, 2.0, 3.0])
     s = ad.constant([2.0])
-    assert np.array_equal(ad.mul(None, a, s).value, [2.0, 4.0, 6.0])
-    assert np.array_equal(ad.mul(None, s, a).value, [2.0, 4.0, 6.0])
+    assert np.array_equal(mul(None, a, s).value, [2.0, 4.0, 6.0])
+    assert np.array_equal(mul(None, s, a).value, [2.0, 4.0, 6.0])
     assert np.array_equal(ad.add(None, s, a).value, [3.0, 4.0, 5.0])
 
 
@@ -59,7 +61,7 @@ def test_elementwise_broadcast_gradient_sums():
     a = ad.constant([1.0, 2.0, 3.0])
     s = ad.Parameter("s", [2.0])
     tape = ad.Tape()
-    loss = ad.usum(tape, ad.mul(tape, a, s))
+    loss = usum(tape, mul(tape, a, s))
     grads = ad.backward(tape, loss, [s])
     assert np.array_equal(grads[s], [6.0])
 
@@ -75,7 +77,7 @@ def test_concat_values_and_gradient_slices():
     tape = ad.Tape()
     cat = ad.concat(tape, [a, b])
     assert np.array_equal(cat.value, [1.0, 2.0, 3.0])
-    loss = ad.dot(tape, cat, ad.constant([10.0, 20.0, 30.0]))
+    loss = dot(tape, cat, ad.constant([10.0, 20.0, 30.0]))
     grads = ad.backward(tape, loss, [a, b])
     assert np.array_equal(grads[a], [10.0, 20.0])
     assert np.array_equal(grads[b], [30.0])
@@ -83,14 +85,14 @@ def test_concat_values_and_gradient_slices():
 
 def test_scalar_nonlinearities_at_zero():
     z = ad.constant([0.0])
-    assert ad.sigmoid(None, z).value[0] == 0.5
-    assert ad.tanh(None, z).value[0] == 0.0
+    assert sigmoid(None, z).value[0] == 0.5
+    assert tanh(None, z).value[0] == 0.0
     assert ad.softplus(None, z).value[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_nonlinearities_stable_on_tails():
     big = ad.constant([1000.0, -1000.0])
-    s = ad.sigmoid(None, big).value
+    s = sigmoid(None, big).value
     assert np.array_equal(s, [1.0, 0.0])
     sp = ad.softplus(None, big).value
     assert sp[0] == 1000.0 and sp[1] == 0.0
@@ -102,7 +104,7 @@ def test_row_lookup_and_gradient():
     tape = ad.Tape()
     r = ad.row(tape, E, 2)
     assert np.array_equal(r.value, [6.0, 7.0, 8.0])
-    loss = ad.usum(tape, r)
+    loss = usum(tape, r)
     grads = ad.backward(tape, loss, [E])
     want = np.zeros((4, 3))
     want[2] = 1.0
@@ -119,30 +121,30 @@ def test_row_out_of_range():
 
 def test_pick_usum_dot_values():
     x = ad.constant([5.0, 7.0, 9.0])
-    assert ad.pick(None, x, 1).value.shape == (1,)
-    assert ad.pick(None, x, 1).value[0] == 7.0
-    assert ad.usum(None, x).value[0] == 21.0
+    assert pick(None, x, 1).value.shape == (1,)
+    assert pick(None, x, 1).value[0] == 7.0
+    assert usum(None, x).value[0] == 21.0
     y = ad.constant([1.0, 0.0, 2.0])
-    assert ad.dot(None, x, y).value[0] == 23.0
+    assert dot(None, x, y).value[0] == 23.0
     with pytest.raises(DimensionError, match="dot"):
-        ad.dot(None, x, ad.constant([1.0]))
+        dot(None, x, ad.constant([1.0]))
 
 
 def test_softmax_uniform():
-    p = ad.softmax([3.0, 3.0, 3.0, 3.0])
+    p = softmax([3.0, 3.0, 3.0, 3.0])
     assert np.max(np.abs(p - 0.25)) < 1e-15
 
 
 def test_softmax_hand_values():
     # exp(log 2) : exp(0) = 2 : 1
-    p = ad.softmax([np.log(2.0), 0.0])
+    p = softmax([np.log(2.0), 0.0])
     assert abs(p[0] - 2.0 / 3.0) < 1e-12
     assert abs(p[1] - 1.0 / 3.0) < 1e-12
 
 
 def test_softmax_empty_error():
     with pytest.raises(DimensionError, match="softmax"):
-        ad.softmax([])
+        softmax([])
 
 
 @settings(deadline=None, max_examples=60)
@@ -151,8 +153,8 @@ def test_softmax_empty_error():
     st.floats(min_value=-50.0, max_value=50.0),
 )
 def test_softmax_shift_invariance_and_normalization(v, c):
-    p = ad.softmax(v)
-    q = ad.softmax([x + c for x in v])
+    p = softmax(v)
+    q = softmax([x + c for x in v])
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.max(np.abs(p - q)) < 1e-12
 
@@ -162,7 +164,7 @@ def test_masked_softmax_zeroes_and_renormalizes():
     p = ad.masked_softmax(logits, masked_ids=(0, 2))
     assert p[0] == 0.0 and p[2] == 0.0
     assert abs(p.sum() - 1.0) < 1e-12
-    sub = ad.softmax(logits[[1, 3]])
+    sub = softmax(logits[[1, 3]])
     assert abs(p[1] - sub[0]) < 1e-12 and abs(p[3] - sub[1]) < 1e-12
     # over the last axis: each row of a 2-D input equals its 1-D result
     rows = np.random.default_rng(0).normal(size=(3, 4))
@@ -175,7 +177,7 @@ def test_backward_linear_gradient_is_input():
     w = ad.Parameter("w", [1.0, -1.0, 2.0])
     x = ad.constant([4.0, 5.0, 6.0])
     tape = ad.Tape()
-    loss = ad.dot(tape, w, x)
+    loss = dot(tape, w, x)
     grads = ad.backward(tape, loss, [w])
     assert np.array_equal(grads[w], x.value)
 
@@ -184,7 +186,7 @@ def test_backward_unreached_parameter_gets_zeros():
     w = ad.Parameter("w", [1.0])
     other = ad.Parameter("other", np.ones((2, 2)))
     tape = ad.Tape()
-    loss = ad.usum(tape, w)
+    loss = usum(tape, w)
     grads = ad.backward(tape, loss, [w, other])
     assert np.array_equal(grads[other], np.zeros((2, 2)))
     assert np.array_equal(grads[w], [1.0])
@@ -193,7 +195,7 @@ def test_backward_unreached_parameter_gets_zeros():
 def test_backward_rejects_nonscalar_loss():
     x = ad.Parameter("x", [1.0, 2.0])
     tape = ad.Tape()
-    out = ad.tanh(tape, x)
+    out = tanh(tape, x)
     with pytest.raises(DimensionError, match="backward"):
         ad.backward(tape, out, [x])
 
@@ -207,7 +209,7 @@ def test_backward_clears_all_gradients():
 
     def run():
         tape = ad.Tape()
-        loss = ad.dot(tape, ad.add(tape, ad.row(tape, E, 1), c), w)
+        loss = dot(tape, ad.add(tape, ad.row(tape, E, 1), c), w)
         return ad.backward(tape, loss, [E])
 
     first = run()[E].copy()
@@ -230,27 +232,18 @@ def test_nested_sweep_leaves_outer_sweep_clean():
 
         def backward_fn(sweep, g):
             inner = ad.Tape()
-            inner_grads.append(ad.backward(inner, ad.mul(inner, u, u), [u])[u])
+            inner_grads.append(ad.backward(inner, mul(inner, u, u), [u])[u])
             sweep.acc(x, g)
         outer.append(out, backward_fn)
         return out
 
     n = nested(z)                 # recorded first, so it fires after w's record
-    loss = ad.add(outer, ad.usum(outer, w), n)
+    loss = ad.add(outer, usum(outer, w), n)
     grads = ad.backward(outer, loss, [w, z])
     assert grads[w] == [1.0] and grads[z] == [1.0] and inner_grads == [[6.0]]
     assert w.grad is None and z.grad is None and u.grad is None
     tape = ad.Tape()
-    assert ad.backward(tape, ad.mul(tape, w, w), [w])[w] == [4.0]
-
-
-def test_grads_by_name():
-    w = ad.Parameter("w", [2.0])
-    tape = ad.Tape()
-    loss = ad.usum(tape, w)
-    named = ad.grads_by_name(ad.backward(tape, loss, [w]))
-    assert set(named) == {"w"}
-    assert np.array_equal(named["w"], [1.0])
+    assert ad.backward(tape, mul(tape, w, w), [w])[w] == [4.0]
 
 
 def _manual_ce(logits, target, masked):
@@ -315,7 +308,7 @@ def test_interpolated_ce_lambda_gradient_matches_finite_difference():
     def loss_fn(tape):
         return ad.interpolated_cross_entropy(tape, logits, 1, log_lm, lam)
 
-    assert ad.gradient_check(loss_fn, [lam, logits]) < 1e-7
+    assert gradient_check(loss_fn, [lam, logits]) < 1e-7
 
 
 def test_interpolated_ce_masked_ids_stay_zero_in_gradient():
@@ -342,23 +335,23 @@ def _build_params(seed):
 
 def _composed_loss(p, tape):
     x = ad.row(tape, p["E"], 2)
-    h = ad.tanh(tape, ad.affine(tape, p["W"], x, p["b"]))
-    s = ad.sigmoid(tape, ad.matvec(tape, p["W"], x))
-    sp = ad.softplus(tape, ad.sub(tape, s, p["v"]))
+    h = tanh(tape, ad.affine(tape, p["W"], x, p["b"]))
+    s = sigmoid(tape, matvec(tape, p["W"], x))
+    sp = ad.softplus(tape, sub(tape, s, p["v"]))
     scores = ad.concat(tape, [
-        ad.dot(tape, h, p["v"]),
-        ad.dot(tape, s, p["v"]),
-        ad.dot(tape, sp, p["v"]),
+        dot(tape, h, p["v"]),
+        dot(tape, s, p["v"]),
+        dot(tape, sp, p["v"]),
     ])
-    weights = ad.softmax_op(tape, scores)
-    ctx = ad.weighted_sum(tape, weights, [h, s, sp])
-    return ad.add(tape, ad.dot(tape, ctx, p["v"]),
-                  ad.mul(tape, ad.pick(tape, ctx, 1), p["a"]))
+    weights = softmax_op(tape, scores)
+    ctx = weighted_sum(tape, weights, [h, s, sp])
+    return ad.add(tape, dot(tape, ctx, p["v"]),
+                  mul(tape, pick(tape, ctx, 1), p["a"]))
 
 
 def test_gradient_check_on_composed_graph():
     p = _build_params(7)
-    err = ad.gradient_check(lambda tape: _composed_loss(p, tape), p.values())
+    err = gradient_check(lambda tape: _composed_loss(p, tape), p.values())
     assert err < 1e-4
 
 
@@ -383,7 +376,7 @@ def test_weighted_sum_shape_error():
     w = ad.constant([0.5, 0.5])
     vecs = [ad.constant([1.0, 2.0])]
     with pytest.raises(DimensionError, match="weighted_sum"):
-        ad.weighted_sum(None, w, vecs)
+        weighted_sum(None, w, vecs)
 
 
 def test_softmax_op_gradient():
@@ -391,6 +384,6 @@ def test_softmax_op_gradient():
     v = ad.constant([1.0, 2.0, 3.0])
 
     def loss_fn(tape):
-        return ad.dot(tape, ad.softmax_op(tape, x), v)
+        return dot(tape, softmax_op(tape, x), v)
 
-    assert ad.gradient_check(loss_fn, [x]) < 1e-7
+    assert gradient_check(loss_fn, [x]) < 1e-7

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import models_equal
 from morphogen import cli
 from morphogen import evaluate as ev
 from morphogen import trainer
 from morphogen.charlm import load_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
 from morphogen.errors import DataError
-from morphogen.model import load_model, models_equal
+from morphogen.model import load_model
 from morphogen.reranker import load_weights
 from morphogen.search import read_nbest
 from morphogen.trainer import TrainConfig, train_factored
@@ -532,3 +533,56 @@ def test_cli_interrupt_exits_130_without_traceback(workspace, tmp_path, capsys, 
     assert captured.out == ""
     assert len(calls) == 6
     assert list(out_dir.iterdir()) == []
+
+
+# --- decode arguments rejected before anything is written ----------------------
+
+DECODE_COMMANDS = ("predict", "beam", "evaluate")
+# (command, extra arguments, exit code, what the error line names); "{lm}" and
+# "{weights}" stand for the workspace's LM and reranker weights
+BAD_DECODE_ARGS = (
+    [(cmd, ["--lm", "{lm}", "--interp-lambda", lam], 2, "interpolation weight")
+     for cmd in DECODE_COMMANDS for lam in ("nan", "inf", "-1")]
+    + [(cmd, ["--max-len-slack", "-1"], 1, "--max-len-slack") for cmd in DECODE_COMMANDS]
+    + [("beam", ["--beam-width", "0"], 2, "beam width"),
+       ("evaluate", ["--beam", "--beam-width", "0"], 2, "beam width"),
+       ("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--beam-width", "0"], 2,
+        "beam width")])
+
+
+@pytest.mark.parametrize("command, extra, code, names", BAD_DECODE_ARGS,
+                         ids=[f"{c} {' '.join(e)}" for c, e, _, _ in BAD_DECODE_ARGS])
+def test_cli_rejects_bad_decode_arguments(workspace, tmp_path, capsys, command, extra,
+                                          code, names):
+    out = tmp_path / "out.tsv"
+    argv = [command, "--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"],
+            "--pred-out" if command == "evaluate" else "--out", str(out)]
+    argv += [a.format(lm=workspace["lm.txt"], weights=workspace["weights.tsv"]) for a in extra]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 1:
+        assert err.startswith(f"usage: morphogen {command} ")
+        assert sum("morphogen: error: " in line for line in lines) == 1
+    else:
+        assert len(lines) == 1
+    assert lines[-1].startswith("morphogen: error: ") and names in lines[-1]
+    assert not out.exists()
+
+
+def test_cli_evaluate_rerank_beams_at_the_given_width(workspace, monkeypatch, capsys):
+    real_beam, widths = ev.beam_decode, []
+
+    def spy(models, x_ids, width, max_len, **kwargs):
+        widths.append(width)
+        return real_beam(models, x_ids, width, max_len, **kwargs)
+
+    monkeypatch.setattr(ev, "beam_decode", spy)
+    base = ["evaluate", "--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"],
+            "--rerank", workspace["weights.tsv"], "--lm", workspace["lm.txt"]]
+    for extra, width in (([], 20), (["--beam-width", "3"], 3)):
+        widths.clear()
+        assert cli.main(base + extra) == 0
+        assert widths and set(widths) == {width}
+    capsys.readouterr()

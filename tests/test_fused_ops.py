@@ -4,7 +4,7 @@ references in helpers.py: values to 1e-12, gradients to 1e-10."""
 import numpy as np
 import pytest
 
-from helpers import randomize_params, reference_attention_context, reference_lstm_step
+from helpers import dot, randomize_params, reference_attention_context, reference_lstm_step
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -40,9 +40,9 @@ def _cell_loss(tape, step, params, x, prev, weights, consume):
     state = step(tape, params, x, step(tape, params, x, prev))
     terms = []
     if consume in ("both", "h"):
-        terms.append(ad.dot(tape, state.h, weights[0]))
+        terms.append(dot(tape, state.h, weights[0]))
     if consume in ("both", "c"):
-        terms.append(ad.dot(tape, state.c, weights[1]))
+        terms.append(dot(tape, state.c, weights[1]))
     return terms[0] if len(terms) == 1 else ad.add(tape, *terms)
 
 
@@ -102,11 +102,12 @@ ATTENTION_SHAPES = [(1, 1), (1, 3), (4, 1), (5, 3)]
 def test_attention_context_matches_reference(length, hidden_size):
     m, hidden_seq, s_prev, weights, leaves = _attention_case(length, hidden_size, seed=length)
     values, grads = {}, {}
+    source = mod._Source(m, [], hidden_seq=hidden_seq)
     for fn in (mod.attention_context, reference_attention_context):
         tape = ad.Tape()
-        ctx = fn(tape, m, hidden_seq, s_prev)
+        ctx = fn(tape, m, source, s_prev)
         values[fn] = ctx.value
-        grads[fn] = ad.backward(tape, ad.dot(tape, ctx, weights), leaves)
+        grads[fn] = ad.backward(tape, dot(tape, ctx, weights), leaves)
     _close(values[mod.attention_context], values[reference_attention_context], VALUE_TOL)
     for leaf in leaves:
         _close(grads[mod.attention_context][leaf],
@@ -116,7 +117,7 @@ def test_attention_context_matches_reference(length, hidden_size):
 def test_attention_context_is_one_record():
     m, hidden_seq, s_prev, _, _ = _attention_case(4, 2, seed=0)
     tape = ad.Tape()
-    mod.attention_context(tape, m, hidden_seq, s_prev)
+    mod.attention_context(tape, m, mod._Source(m, [], hidden_seq=hidden_seq), s_prev)
     assert len(tape) == 1
 
 

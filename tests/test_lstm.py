@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import gradient_check, usum
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -171,6 +172,6 @@ def test_gradient_check_through_sequence():
 
     def loss_fn(tape):
         states = lstm.run_sequence(tape, p, xs)
-        return ad.usum(tape, ad.concat(tape, [states[-1].h, states[-1].c]))
+        return usum(tape, ad.concat(tape, [states[-1].h, states[-1].c]))
 
-    assert ad.gradient_check(loss_fn, p.parameters()) < 1e-4
+    assert gradient_check(loss_fn, p.parameters()) < 1e-4

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import randomize_params
+from helpers import check_model_gradients, models_equal, randomize_params
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -53,8 +53,8 @@ def test_parameter_names_unique_and_variant_specific():
 def test_init_scale_and_seed_determinism():
     m = _model(seed=9)
     again = _model(seed=9)
-    assert mod.models_equal(m, again)
-    assert not mod.models_equal(m, _model(seed=10))
+    assert models_equal(m, again)
+    assert not models_equal(m, _model(seed=10))
     for p in m.parameters():
         assert np.all(np.abs(p.value) <= 1.0)  # forget biases are the max
     assert np.max(np.abs(m.embed.value)) <= mod.INIT_SCALE
@@ -179,7 +179,7 @@ def test_attention_single_position_context_is_that_state():
     m = randomize_params(_model("attention"), 4)
     h = ad.constant(np.linspace(-1.0, 1.0, 10))
     s = ad.constant(np.zeros(5))
-    ctx = mod.attention_context(None, m, [h], s)
+    ctx = mod.attention_context(None, m, mod._Source(m, [], hidden_seq=[h]), s)
     assert np.allclose(ctx.value, h.value, atol=1e-12)
 
 
@@ -187,7 +187,8 @@ def test_attention_uniform_scores_average_states():
     m = randomize_params(_model("attention"), 4)
     m.attn_v.value[...] = 0.0  # all scores collapse to zero
     hs = [ad.constant(v) for v in np.random.default_rng(0).normal(size=(4, 10))]
-    ctx = mod.attention_context(None, m, hs, ad.constant(np.zeros(5)))
+    ctx = mod.attention_context(None, m, mod._Source(m, [], hidden_seq=hs),
+                                ad.constant(np.zeros(5)))
     mean = np.mean([h.value for h in hs], axis=0)
     assert np.allclose(ctx.value, mean, atol=1e-12)
 
@@ -195,7 +196,7 @@ def test_attention_uniform_scores_average_states():
 def test_attention_context_rejects_other_variants():
     m = _model("full")
     with pytest.raises(MorphogenError, match="attention"):
-        mod.attention_context(None, m, [ad.constant(np.zeros(10))], ad.constant(np.zeros(5)))
+        mod.attention_context(None, m, mod._encode_source(None, m, [4]), ad.constant(np.zeros(5)))
 
 
 def test_decoder_step_rejects_out_of_range_ids():
@@ -216,13 +217,13 @@ def test_gradients_all_variants_small_fixture():
     x, y = VOCAB.encode("ab"), VOCAB.encode("ba")
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
-        err = mod.check_model_gradients(m, x, y)
+        err = check_model_gradients(m, x, y)
         assert err < 1e-4, (variant, err)
 
 
 def test_gradient_check_empty_target():
     m = randomize_params(_model("full"), 3)
-    err = mod.check_model_gradients(m, VOCAB.encode("ab"), [])
+    err = check_model_gradients(m, VOCAB.encode("ab"), [])
     assert err < 1e-4
 
 
@@ -231,8 +232,8 @@ def test_gradient_check_step_sizes_agree():
     # both pass the tolerance and stay within one order of magnitude
     m = randomize_params(_model("full"), 3)
     x, y = VOCAB.encode("ab"), VOCAB.encode("ba")
-    e4 = mod.check_model_gradients(m, x, y, h=1e-4)
-    e5 = mod.check_model_gradients(m, x, y, h=1e-5)
+    e4 = check_model_gradients(m, x, y, h=1e-4)
+    e5 = check_model_gradients(m, x, y, h=1e-5)
     assert e4 < 1e-4
     assert e5 < 1e-3
     ratio = max(e4, e5) / min(e4, e5)
@@ -243,10 +244,10 @@ def test_copy_is_deep_and_keeps_lambda():
     m = randomize_params(_model("full"), 4)
     m.lm_lambda = 0.25
     c = m.copy()
-    assert mod.models_equal(m, c)
+    assert models_equal(m, c)
     assert c.lm_lambda == 0.25
     c.embed.value[0, 0] += 1.0
-    assert not mod.models_equal(m, c)
+    assert not models_equal(m, c)
     assert m.embed.value[0, 0] != c.embed.value[0, 0]
 
 
@@ -304,7 +305,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         path = tmp_path / f"{variant}.ckpt"
         mod.save_model(m, path)
         loaded = mod.load_model(path)
-        assert mod.models_equal(m, loaded)
+        assert models_equal(m, loaded)
         theirs = {p.name: p.value for p in loaded.parameters()}
         for p in m.parameters():
             assert np.array_equal(p.value, theirs[p.name])
@@ -418,12 +419,12 @@ def test_checkpoint_missing_config_field(tmp_path):
 
 def test_models_equal_detects_structural_differences():
     a = _model("full")
-    assert not mod.models_equal(a, _model("plain-encdec"))
-    assert not mod.models_equal(a, _model("full", hidden=6))
-    assert not mod.models_equal(a, _model("full", vocab=CharVocab("abc")))
+    assert not models_equal(a, _model("plain-encdec"))
+    assert not models_equal(a, _model("full", hidden=6))
+    assert not models_equal(a, _model("full", vocab=CharVocab("abc")))
     b = _model("full")
     b.out_b.value[0] += 1e-12
-    assert not mod.models_equal(a, b)
+    assert not models_equal(a, b)
 
 
 # The numerical contract of init and persistence, per variant: the sha256 of

@@ -75,6 +75,12 @@ def test_interpolation_negative_lambda_rejected():
         se.interpolated_next_dist(np.array([1.0]), np.array([1.0]), -0.5)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_interpolation_non_finite_lambda_rejected(lam):
+    with pytest.raises(SearchError, match="interpolation weight must be a finite number"):
+        se.interpolated_next_dist(np.array([1.0]), np.array([1.0]), lam)
+
+
 def test_interpolation_lambda_zero_returns_model_copy():
     d = np.array([0.3, 0.7])
     out = se.interpolated_next_dist(d, np.array([0.9, 0.1]), 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import randomize_params
+from helpers import gradient_check, models_equal, randomize_params
 from morphogen import autodiff as ad
 from morphogen import trainer as tr
 from morphogen.charlm import filter_wordlist, train_lm
@@ -9,7 +9,7 @@ from morphogen.data import (DatasetSplit, Example, build_vocab,
                             default_synth_spec, split_tables, synth_language,
                             synth_wordlist, tables_to_examples)
 from morphogen.errors import TrainError
-from morphogen.model import forward_variant, init_model, models_equal
+from morphogen.model import forward_variant, init_model
 from morphogen.search import lm_next_dist
 from morphogen.vocab import CharVocab
 
@@ -251,10 +251,10 @@ def test_interpolated_loss_gradients():
         lam = ad.softplus(tape, lam_hat)
         return forward_variant(tape, model, x, y, lm_logprobs=lm_logprobs, lam=lam)
 
-    assert ad.gradient_check(loss_fn, [lam_hat]) < 1e-4
+    assert gradient_check(loss_fn, [lam_hat]) < 1e-4
     subset = [model.embed, model.trans_W, model.dec.W_x,
               model.out_W, model.out_b, lam_hat]
-    assert ad.gradient_check(loss_fn, subset) < 1e-4
+    assert gradient_check(loss_fn, subset) < 1e-4
 
 
 def test_ensemble_seed_layout():
