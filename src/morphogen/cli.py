@@ -4,6 +4,7 @@ interrupted (Ctrl-C)."""
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -110,6 +111,8 @@ def _cmd_train(args):
     config = _config(args, seed)
     if args.mode in ("factored", "interpolated") and not args.tag:
         raise _Usage(f"--tag is required for mode {args.mode}")
+    if args.mode != "factored" and args.ensemble_k != 1:
+        raise _Usage(f"--ensemble-k applies to mode factored only, not {args.mode}")
     if args.mode == "joint":
         if not args.out_dir:
             raise _Usage("--out-dir is required for mode joint")
@@ -122,7 +125,7 @@ def _cmd_train(args):
         raise _Usage(f"--out is required for mode {args.mode}")
     if args.mode == "interpolated" and not args.lm:
         raise _Usage("--lm is required for mode interpolated")
-    outs = [args.out] if args.mode == "interpolated" or args.ensemble_k == 1 else \
+    outs = [args.out] if args.ensemble_k == 1 else \
         [f"{args.out}.{i}" for i in range(1, args.ensemble_k + 1)]
     for path in outs:
         _check_writable(path)
@@ -132,13 +135,10 @@ def _cmd_train(args):
         save_model(model, args.out)
         print(f"lambda\t{lam!r}")
         return 0
-    if args.ensemble_k == 1:
-        save_model(trainer.train_factored(dataset, args.tag, config, log=print), args.out)
-    else:
-        members = trainer.train_ensemble(
-            partial(trainer.train_factored, dataset, args.tag, log=print), config)
-        for model, path in zip(members, outs):
-            save_model(model, path)
+    members = trainer.train_ensemble(
+        partial(trainer.train_factored, dataset, args.tag, log=print), config)
+    for model, path in zip(members, outs):
+        save_model(model, path)
     return 0
 
 
@@ -149,6 +149,15 @@ def _cmd_lm_train(args):
         words = charlm.filter_wordlist(words, vocab)
     charlm.save_lm(charlm.train_lm(words, order=args.order), args.out)
     return 0
+
+
+def _check_decode_flags(args):
+    """Reject a bad --beam-width or --interp-lambda, used or not."""
+    if getattr(args, "beam_width", 1) < 1:
+        raise MorphogenError(f"beam width must be >= 1, got {args.beam_width}")
+    lam = getattr(args, "interp_lambda", None)
+    if lam is not None and not 0 <= lam < math.inf:
+        raise MorphogenError(f"interpolation weight must be a finite number >= 0, got {lam}")
 
 
 def _decode_kwargs(args, models):
@@ -410,6 +419,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        _check_decode_flags(args)   # before any command loads a file
         return args.func(args)
     except _Usage as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

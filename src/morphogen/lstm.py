@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .errors import DimensionError
 
 __all__ = ["LSTMParams", "LSTMState", "lstm_step", "lstm_step_rows", "run_sequence",
-           "encode_bidirectional", "pair_states", "zero_state"]
+           "encode_bidirectional", "zero_state"]
 
 FORGET_BIAS = 1.0
 
@@ -122,25 +122,9 @@ def encode_bidirectional(tape, fwd, bwd, xs):
     """The hidden states of both passes at every source position.
 
     Returns positions with positions[t] = (fwd h_t, bwd h_t); the final
-    states are positions[-1][0] and positions[0][1], and pair_states joins
-    each position's pair for attention.
+    states are positions[-1][0] and positions[0][1].
     """
-    if not xs:
-        raise DimensionError("encode_bidirectional: empty input sequence")
     fwd_states = run_sequence(tape, fwd, xs)
     bwd_states = run_sequence(tape, bwd, list(reversed(xs)))
     return [(f.h, b.h) for f, b in zip(fwd_states, bwd_states[::-1])]
 
-
-def pair_states(tape, positions):
-    """[fwd h_t ; bwd h_t] for every t, as one record with one output per t."""
-    n = positions[0][0].value.shape[0]
-    pairs = tuple(ad.Node(np.concatenate((f.value, b.value))) for f, b in positions)
-    if tape is not None:
-        def backward_fn(sweep, *grads):
-            for g, (f, b) in zip(grads, positions):
-                if g is not None:
-                    sweep.acc(f, g[:n])
-                    sweep.acc(b, g[n:])
-        tape.append(pairs, backward_fn)
-    return list(pairs)

@@ -258,8 +258,9 @@ def attention_context(tape, params, source, s_prev):
             sweep.acc(s_prev, W_dec.value.T @ gkey)
             sweep.acc(W_enc, gpre.T @ H)
             gH = weights[:, None] * g + gpre @ W_enc.value
-            for h, gh in zip(source.hidden_seq, gH):
-                sweep.acc(h, gh)
+            for (f, b), gh in zip(source.positions, gH):
+                sweep.acc(f, gh[:params.hidden])
+                sweep.acc(b, gh[params.hidden:])
         tape.append(out, backward_fn)
     return out
 
@@ -271,16 +272,16 @@ def decoder_step_count(x_len, y_len):
 
 class _Source:
     """An encoded source: its ids, e (None without a transform) and, with
-    attention, the per-position [fwd h ; bwd h] Nodes, stacked into H [T, 2n]
-    together with their projections keys = W_enc h_t [T, n], which do not
-    depend on the decoder step."""
+    attention, the per-position (fwd h, bwd h) Node pairs, stacked into
+    H [T, 2n] together with their projections keys = W_enc h_t [T, n], which
+    do not depend on the decoder step."""
 
-    def __init__(self, params, x_ids, e=None, hidden_seq=None):
+    def __init__(self, params, x_ids, e=None, positions=None):
         self.x_ids = x_ids
         self.e = e
-        self.hidden_seq = hidden_seq
-        if hidden_seq is not None:
-            self.H = np.array([h.value for h in hidden_seq])
+        self.positions = positions
+        if positions is not None:
+            self.H = np.array([np.concatenate((f.value, b.value)) for f, b in positions])
             self.keys = self.H @ params.attn_W_enc.value.T
 
 
@@ -291,12 +292,11 @@ def _encode_source(tape, params, x_ids):
         return _Source(params, x_ids)
     xs = [embed(tape, params, i) for i in x_ids]
     positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
-    hidden_seq = lstm.pair_states(tape, positions) if w.attention else None
     e = None
     if w.trans:
         e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
         e = transform_encoding(tape, params, e_raw)
-    return _Source(params, x_ids, e, hidden_seq)
+    return _Source(params, x_ids, e, positions if w.attention else None)
 
 
 def _initial_state(params, source):

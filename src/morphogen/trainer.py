@@ -16,9 +16,10 @@ import numpy as np
 from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
+from .evaluate import predict_one
 from .model import DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model
 from .optim import AdaDeltaState, adadelta_step
-from .search import greedy_decode, lm_next_dist
+from .search import lm_next_dist
 
 __all__ = [
     "TrainConfig",
@@ -67,12 +68,8 @@ def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
     """Greedy-decode exact match rate of an ensemble over examples."""
     if not examples:
         return None
-    vocab = models[0].vocab
-    hits = 0
-    for ex in examples:
-        x_ids = vocab.encode(ex.lemma)
-        res = greedy_decode(models, x_ids, len(x_ids) + max_len_slack, lm=lm, lam=lam)
-        hits += res.text(vocab) == ex.inflected
+    hits = sum(predict_one(models, ex.lemma, lm=lm, lam=lam, max_len_slack=max_len_slack)
+               == ex.inflected for ex in examples)
     return hits / len(examples)
 
 
@@ -93,11 +90,10 @@ class _Update:
                 offset += p.value.size
 
 
-def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapshot):
-    """Shared epoch scaffolding; returns (best snapshot, log lines)."""
+def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapshot, log):
+    """Shared epoch scaffolding; logs each epoch's line as it ends, returns the best snapshot."""
     opt = AdaDeltaState()
     order_rng = random.Random(config.seed)
-    lines = []
     best_acc, best = -math.inf, None
     for epoch in range(1, config.epochs + 1):
         batch = list(train_examples)
@@ -116,40 +112,44 @@ def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapsho
             ad.backward(tape, loss, update.param_grads)
             adadelta_step(update.blocks, update.block_grads, opt, l2=config.l2)
         acc = eval_dev()
-        lines.append(f"{epoch}\t{total / len(batch)!r}\t{acc!r}")
+        if log is not None:
+            log(f"{epoch}\t{total / len(batch)!r}\t{acc!r}")
         if acc is not None and acc > best_acc:
             best_acc, best = acc, snapshot()
     if best is None:
         best = snapshot()
-    return best, lines
+    return best
 
 
 def _tag_examples(examples, tag):
     return [ex for ex in examples if ex.tag == tag]
 
 
-def train_factored(dataset, tag, config, log=None, vocab=None):
-    """One model for a single inflection type."""
+def _tag_setup(dataset, tag, config, vocab):
+    """Validate config; (train, dev, vocab, new model) for one tag's training."""
     config.validate()
     train = _tag_examples(dataset.train, tag)
     if not train:
         raise TrainError(f"no training examples for tag {tag!r}")
-    dev = _tag_examples(dataset.dev, tag)
     vocab = vocab if vocab is not None else build_vocab(dataset.train)
     model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
                        seed=config.seed)
+    return train, _tag_examples(dataset.dev, tag), vocab, model
+
+
+def train_factored(dataset, tag, config, log=None, vocab=None):
+    """One model for a single inflection type."""
+    train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
     update = _Update([model.block()])
 
     def make_loss(tape, ex):
         return forward_variant(tape, model, vocab.encode(ex.lemma),
                                vocab.encode(ex.inflected))
 
-    best, lines = _epoch_loop(
+    return _epoch_loop(
         config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack),
-        model.copy)
-    _emit(log, lines)
-    return best
+        model.copy, log)
 
 
 def train_joint(dataset, config, log=None):
@@ -195,10 +195,8 @@ def train_joint(dataset, config, log=None):
             m.embed, m.enc_fwd, m.enc_bwd = first.embed, first.enc_fwd, first.enc_bwd
         return copies
 
-    best, lines = _epoch_loop(config, list(dataset.train), make_loss,
-                              lambda ex: updates[ex.tag], eval_dev, snapshot)
-    _emit(log, lines)
-    return best
+    return _epoch_loop(config, list(dataset.train), make_loss,
+                       lambda ex: updates[ex.tag], eval_dev, snapshot, log)
 
 
 def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
@@ -208,44 +206,32 @@ def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
     by the same optimizer when config.learn_lambda is set. Returns the
     selected model (lm_lambda filled in) and the learned weight.
     """
-    config.validate()
-    train = _tag_examples(dataset.train, tag)
-    if not train:
-        raise TrainError(f"no training examples for tag {tag!r}")
-    dev = _tag_examples(dataset.dev, tag)
-    vocab = vocab if vocab is not None else build_vocab(dataset.train)
+    train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
     unknown = set(lm.alphabet) - set(vocab.data_chars)
     if unknown:
         raise TrainError(
             f"LM alphabet has characters outside the model vocabulary: {sorted(unknown)}")
-    model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
-                       seed=config.seed)
     lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
     update = _Update([model.block()] + ([lam_hat] if config.learn_lambda else []))
 
     def lam_value():
         return float(np.logaddexp(0.0, lam_hat.value[0]))
 
-    def step_log_lm(prefix_ids):
-        dist = lm_next_dist(lm, vocab, prefix_ids)
-        with np.errstate(divide="ignore"):
-            return np.log(dist)
-
     def make_loss(tape, ex):
         x_ids = vocab.encode(ex.lemma)
         y_ids = vocab.encode(ex.inflected)
-        lm_logprobs = [step_log_lm(y_ids[:t]) for t in range(len(y_ids) + 1)]
+        dists = [lm_next_dist(lm, vocab, y_ids[:t]) for t in range(len(y_ids) + 1)]
+        with np.errstate(divide="ignore"):
+            lm_logprobs = [np.log(d) for d in dists]
         lam = ad.softplus(tape, lam_hat)
         return forward_variant(tape, model, x_ids, y_ids,
                                lm_logprobs=lm_logprobs, lam=lam)
 
-    best, lines = _epoch_loop(
+    best_model, best_lam = _epoch_loop(
         config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack,
                                      lm=lm, lam=lam_value()),
-        lambda: (model.copy(), lam_value()))
-    _emit(log, lines)
-    best_model, best_lam = best
+        lambda: (model.copy(), lam_value()), log)
     best_model.lm_lambda = best_lam
     return best_model, best_lam
 
@@ -254,9 +240,3 @@ def train_ensemble(train_fn, config):
     """k independent trainings differing only in seed, in seed order."""
     config.validate()
     return [train_fn(replace(config, seed=s)) for s in config.member_seeds()]
-
-
-def _emit(log, lines):
-    if log is not None:
-        for line in lines:
-            log(line)

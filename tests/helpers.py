@@ -276,7 +276,7 @@ def _block(tape, z, k, n):
 
 
 def reference_attention_context(tape, params, source, s_prev):
-    hidden_seq = source.hidden_seq
+    hidden_seq = [ad.concat(tape, pair) for pair in source.positions]
     key = matvec(tape, params.attn_W_dec, s_prev)
     scores = [dot(tape, params.attn_v,
                   tanh(tape, ad.add(tape, matvec(tape, params.attn_W_enc, h), key)))

@@ -412,6 +412,14 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
                    "--data", workspace["test.tsv"]])
     assert rc == 1  # mixing plain and TAG=PATH entries
     capsys.readouterr()
+    for mode, extra in (("joint", ["--out-dir", str(tmp_path / "joint")]),
+                        ("interpolated", ["--tag", INESSIVE, "--lm", workspace["lm.txt"],
+                                          "--out", str(tmp_path / "i.ckpt")])):
+        argv = ["train", "--mode", mode, "--data", workspace["train.tsv"], "--hidden", "2",
+                "--epochs", "1", "--ensemble-k", "3"] + extra
+        assert cli.main(argv) == 1, mode
+        assert "--ensemble-k" in capsys.readouterr().err.splitlines()[-1]
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_data_errors_exit_two(workspace, tmp_path, capsys):
@@ -547,7 +555,11 @@ BAD_DECODE_ARGS = (
     + [("beam", ["--beam-width", "0"], 2, "beam width"),
        ("evaluate", ["--beam", "--beam-width", "0"], 2, "beam width"),
        ("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--beam-width", "0"], 2,
-        "beam width")])
+        "beam width"),
+       ("evaluate", ["--beam-width", "0"], 2, "beam width"),
+       ("predict", ["--interp-lambda", "nan"], 2, "interpolation weight"),
+       ("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--interp-lambda", "nan"], 2,
+        "interpolation weight")])
 
 
 @pytest.mark.parametrize("command, extra, code, names", BAD_DECODE_ARGS,

@@ -87,12 +87,13 @@ def _attention_case(length, hidden_size, seed):
     m = randomize_params(mod.init_model(CharVocab("ab"), "attention", hidden=hidden_size,
                                         embed_dim=2, seed=seed), seed)
     rng = np.random.default_rng(seed)
-    hidden_seq = [ad.Parameter(f"h{t}", rng.normal(size=2 * hidden_size))
-                  for t in range(length)]
+    positions = [(ad.Parameter(f"f{t}", rng.normal(size=hidden_size)),
+                  ad.Parameter(f"b{t}", rng.normal(size=hidden_size)))
+                 for t in range(length)]
     s_prev = ad.Parameter("s", rng.normal(size=hidden_size))
     weights = ad.constant(rng.normal(size=2 * hidden_size))
-    leaves = [m.attn_W_enc, m.attn_W_dec, m.attn_v, s_prev] + hidden_seq
-    return m, hidden_seq, s_prev, weights, leaves
+    leaves = [m.attn_W_enc, m.attn_W_dec, m.attn_v, s_prev] + [h for p in positions for h in p]
+    return m, positions, s_prev, weights, leaves
 
 
 ATTENTION_SHAPES = [(1, 1), (1, 3), (4, 1), (5, 3)]
@@ -100,9 +101,9 @@ ATTENTION_SHAPES = [(1, 1), (1, 3), (4, 1), (5, 3)]
 
 @pytest.mark.parametrize("length, hidden_size", ATTENTION_SHAPES)
 def test_attention_context_matches_reference(length, hidden_size):
-    m, hidden_seq, s_prev, weights, leaves = _attention_case(length, hidden_size, seed=length)
+    m, positions, s_prev, weights, leaves = _attention_case(length, hidden_size, seed=length)
     values, grads = {}, {}
-    source = mod._Source(m, [], hidden_seq=hidden_seq)
+    source = mod._Source(m, [], positions=positions)
     for fn in (mod.attention_context, reference_attention_context):
         tape = ad.Tape()
         ctx = fn(tape, m, source, s_prev)
@@ -115,9 +116,9 @@ def test_attention_context_matches_reference(length, hidden_size):
 
 
 def test_attention_context_is_one_record():
-    m, hidden_seq, s_prev, _, _ = _attention_case(4, 2, seed=0)
+    m, positions, s_prev, _, _ = _attention_case(4, 2, seed=0)
     tape = ad.Tape()
-    mod.attention_context(tape, m, mod._Source(m, [], hidden_seq=hidden_seq), s_prev)
+    mod.attention_context(tape, m, mod._Source(m, [], positions=positions), s_prev)
     assert len(tape) == 1
 
 

@@ -125,14 +125,9 @@ def test_bidirectional_shapes_and_pairing():
     # the final states that model._encode_source joins into e_raw
     assert np.array_equal(positions[-1][0].value, fwd_states[-1].h.value)
     assert np.array_equal(positions[0][1].value, bwd_states[-1].h.value)
-    tape = ad.Tape()
-    hidden_seq = lstm.pair_states(tape, positions)
-    assert len(tape) == 1 and len(hidden_seq) == 5
     for t in range(5):
         assert np.array_equal(positions[t][0].value, fwd_states[t].h.value)
         assert np.array_equal(positions[t][1].value, bwd_states[4 - t].h.value)
-        assert np.array_equal(hidden_seq[t].value[:4], fwd_states[t].h.value)
-        assert np.array_equal(hidden_seq[t].value[4:], bwd_states[4 - t].h.value)
 
 
 def test_bidirectional_length_one_halves():
@@ -145,9 +140,6 @@ def test_bidirectional_length_one_halves():
     assert len(positions) == 1
     assert np.array_equal(positions[0][0].value, sf.h.value)
     assert np.array_equal(positions[0][1].value, sb.h.value)
-    hidden_seq = lstm.pair_states(None, positions)
-    assert len(hidden_seq) == 1
-    assert np.array_equal(hidden_seq[0].value, np.concatenate([sf.h.value, sb.h.value]))
 
 
 def test_bidirectional_reversal_swaps_halves_with_shared_params():

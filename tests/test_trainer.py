@@ -60,6 +60,35 @@ def test_non_finite_loss_names_the_example(monkeypatch):
         tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=3, epochs=2), vocab=vocab)
 
 
+@pytest.mark.parametrize("mode", ["factored", "joint", "interpolated"])
+def test_epoch_lines_are_logged_as_epochs_end(monkeypatch, mode):
+    # training that fails in epoch 2 has already logged epoch 1's line
+    ds = DatasetSplit(train=[Example("talo", INESSIVE, "talossa"),
+                             Example("kala", INESSIVE, "kalassa"),
+                             Example("talo", "case=adessive", "talolla")], dev=[], test=[])
+    lm = train_lm(["talo", "kala"], order=3)
+    per_epoch = len(ds.train) if mode == "joint" else 2
+    run = {"factored": lambda cfg, log: tr.train_factored(ds, INESSIVE, cfg, log=log),
+           "joint": lambda cfg, log: tr.train_joint(ds, cfg, log=log),
+           "interpolated": lambda cfg, log: tr.train_interpolated(ds, INESSIVE, lm, cfg,
+                                                                  log=log)}[mode]
+    first = []
+    run(tr.TrainConfig(hidden=3, epochs=1), first.append)
+    calls = []
+
+    def forward(tape, *args, **kwargs):
+        calls.append(None)
+        if len(calls) > per_epoch:
+            return ad.constant([np.nan])
+        return forward_variant(tape, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_variant", forward)
+    log = []
+    with pytest.raises(TrainError, match="epoch 2: non-finite loss"):
+        run(tr.TrainConfig(hidden=3, epochs=3), log.append)
+    assert len(first) == 1 and log == first
+
+
 def test_member_seeds_default_and_explicit():
     assert tr.TrainConfig(seed=3, ensemble_k=4).member_seeds() == (3, 4, 5, 6)
 
