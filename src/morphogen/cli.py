@@ -283,11 +283,11 @@ def _cmd_synth_data(args):
     spec = data.default_synth_spec()
     tables = data.synth_language(spec, args.size, seed=seed)
     split = data.split_tables(tables, seed=seed)
+    words = data.synth_wordlist(spec, args.wordlist_size, seed=seed + 1)
     _make_dir(args.out_dir)
     for name, part in (("train", split.train), ("dev", split.dev), ("test", split.test)):
         data.write_dataset(data.tables_to_examples(part),
                            os.path.join(args.out_dir, f"{name}.tsv"))
-    words = data.synth_wordlist(spec, args.wordlist_size, seed=seed + 1)
     data.write_wordlist(words, os.path.join(args.out_dir, "words.txt"))
     return 0
 

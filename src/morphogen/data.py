@@ -290,6 +290,8 @@ def synth_language(spec, size, seed=0):
 
 def synth_wordlist(spec, size, seed=0):
     """Unlabeled inflected forms from fresh stems (for language-model training)."""
+    if size < 1:
+        raise DataError(f"word list size must be >= 1, got {size}")
     seen = dict.fromkeys(ex.inflected
                          for t in synth_language(spec, size, seed=seed)
                          for ex in t.examples())

@@ -135,6 +135,8 @@ def vowel_harmony_check(words):
 
 def export_embeddings(model, chars, path):
     """Write one `char TAB components...` line per char, floats via repr."""
+    if not chars:
+        raise DataError("no characters to export")
     vocab = model.vocab
     known = set(vocab.data_chars)
     rows = []

@@ -148,6 +148,8 @@ def _sample_pairs(feats, quality, rng):
 
 def pro_train(groups, lm, iterations=100, seed=0, l2=1e-4):
     """Fit reranker weights on beam groups with known gold forms."""
+    if iterations < 1:
+        raise TrainError(f"PRO iterations must be >= 1, got {iterations}")
     rng = random.Random(seed)
     diffs = []
     for group in groups:

@@ -18,7 +18,7 @@ from .data import build_vocab
 from .errors import TrainError
 from .evaluate import predict_one
 from .model import DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model
-from .optim import AdaDeltaState, adadelta_step
+from .optim import Block, adadelta_step
 from .search import lm_next_dist
 
 __all__ = [
@@ -42,7 +42,6 @@ class TrainConfig:
     variant: str = "full"
     max_len_slack: int = 10
     lambda_init: float = 0.0   # initial unconstrained interpolation weight
-    learn_lambda: bool = True
 
     def validate(self):
         if self.hidden < 1 or (self.embed_dim is not None and self.embed_dim < 1):
@@ -73,26 +72,14 @@ def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
     return hits / len(examples)
 
 
-class _Update:
-    """The optimiser blocks one training example updates, and one flat
-    gradient vector laid out like them: a view of it per block for the
-    optimiser, and per parameter for the backward sweep."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.flat = np.zeros(sum(b.value.size for b in blocks))
-        self.block_grads, self.param_grads = {}, {}
-        offset = 0
-        for b in blocks:
-            self.block_grads[b] = self.flat[offset:offset + b.value.size].reshape(b.value.shape)
-            for p in getattr(b, "parts", (b,)):
-                self.param_grads[p] = self.flat[offset:offset + p.value.size].reshape(p.value.shape)
-                offset += p.value.size
+def _update(blocks):
+    """The blocks one training example steps, and the {Parameter: gradient
+    view} dict that backward() accumulates into."""
+    return blocks, {p: g for b in blocks for p, g in zip(b.parts, b.part_grads)}
 
 
 def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapshot, log):
     """Shared epoch scaffolding; logs each epoch's line as it ends, returns the best snapshot."""
-    opt = AdaDeltaState()
     order_rng = random.Random(config.seed)
     best_acc, best = -math.inf, None
     for epoch in range(1, config.epochs + 1):
@@ -107,10 +94,11 @@ def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapsho
                 raise TrainError(f"epoch {epoch}: non-finite loss {value!r} on lemma "
                                  f"{ex.lemma!r} ({ex.tag}) with target {ex.inflected!r}")
             total += value
-            update = update_for(ex)
-            update.flat.fill(0.0)
-            ad.backward(tape, loss, update.param_grads)
-            adadelta_step(update.blocks, update.block_grads, opt, l2=config.l2)
+            blocks, grads = update_for(ex)
+            for b in blocks:
+                b.grad.fill(0.0)
+            ad.backward(tape, loss, grads)
+            adadelta_step(blocks, l2=config.l2)
         acc = eval_dev()
         if log is not None:
             log(f"{epoch}\t{total / len(batch)!r}\t{acc!r}")
@@ -140,7 +128,7 @@ def _tag_setup(dataset, tag, config, vocab):
 def train_factored(dataset, tag, config, log=None, vocab=None):
     """One model for a single inflection type."""
     train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
-    update = _Update([model.block()])
+    update = _update([model.block()])
 
     def make_loss(tape, ex):
         return forward_variant(tape, model, vocab.encode(ex.lemma),
@@ -167,14 +155,14 @@ def train_joint(dataset, config, log=None):
     if not tags:
         raise TrainError("joint training needs at least one tag in the training data")
     vocab = build_vocab(dataset.train)
-    base = init_model(vocab, config.variant, config.hidden, config.embed_dim,
-                      seed=config.seed)
-    shared = (base.embed, base.enc_fwd, base.enc_bwd)
+    first = init_model(vocab, config.variant, config.hidden, config.embed_dim,
+                       seed=config.seed)
+    shared = (first.embed, first.enc_fwd, first.enc_bwd)
     models = {tag: init_model(vocab, config.variant, config.hidden, config.embed_dim,
-                              seed=config.seed + i, shared_encoder=shared)
+                              seed=config.seed + i, shared_encoder=shared) if i else first
               for i, tag in enumerate(tags)}
-    encoder = base.block(SHARED_ATTRS)
-    updates = {tag: _Update([encoder, models[tag].block(DECODER_ATTRS)]) for tag in tags}
+    encoder = first.block(SHARED_ATTRS)
+    updates = {tag: _update([encoder, models[tag].block(DECODER_ATTRS)]) for tag in tags}
     dev_by_tag = {tag: _tag_examples(dataset.dev, tag) for tag in tags}
 
     def make_loss(tape, ex):
@@ -203,8 +191,8 @@ def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
     """Train with the per-step LM-interpolated distribution.
 
     The interpolation weight is softplus of an unconstrained scalar, updated
-    by the same optimizer when config.learn_lambda is set. Returns the
-    selected model (lm_lambda filled in) and the learned weight.
+    by the same optimizer. Returns the selected model (lm_lambda filled in)
+    and the learned weight.
     """
     train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
     unknown = set(lm.alphabet) - set(vocab.data_chars)
@@ -212,7 +200,7 @@ def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
         raise TrainError(
             f"LM alphabet has characters outside the model vocabulary: {sorted(unknown)}")
     lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
-    update = _Update([model.block()] + ([lam_hat] if config.learn_lambda else []))
+    update = _update([model.block(), Block(lam_hat.value, [lam_hat])])
 
     def lam_value():
         return float(np.logaddexp(0.0, lam_hat.value[0]))

@@ -448,6 +448,24 @@ def test_cli_data_errors_exit_two(workspace, tmp_path, capsys):
         assert err.startswith("morphogen: error: ") and err.count("\n") == 1, (argv, err)
 
 
+@pytest.mark.parametrize("command, flag, value", [("rerank-train", "--iterations", "0"),
+                                                 ("rerank-train", "--iterations", "-1"),
+                                                 ("synth-data", "--wordlist-size", "-1"),
+                                                 ("export-embeddings", "--chars", "")])
+def test_cli_nothing_to_do_exits_two_without_output(workspace, tmp_path, capsys,
+                                                    command, flag, value):
+    out = tmp_path / "out"
+    inputs = {"rerank-train": ["--nbest", workspace["beams.tsv"], "--data", workspace["dev.tsv"],
+                               "--lm", workspace["lm.txt"], "--out", str(out)],
+              "synth-data": ["--size", "20", "--out-dir", str(out)],
+              "export-embeddings": ["--model", workspace["model.ckpt"], "--out", str(out)]}
+    assert cli.main([command, flag, value] + inputs[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("morphogen: error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     monkeypatch.delenv("MORPHOGEN_SEED", raising=False)

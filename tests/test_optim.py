@@ -5,15 +5,25 @@ from helpers import reference_adadelta_step
 from morphogen.autodiff import Parameter
 from morphogen.errors import MorphogenError, TrainError
 from morphogen.model import DECODER_ATTRS, SHARED_ATTRS, init_model
-from morphogen.optim import AdaDeltaState, Block, adadelta_step
+from morphogen.optim import EPS, RHO, Block, adadelta_step
 from morphogen.vocab import CharVocab
 
 
+def _param_block(name, value):
+    p = Parameter(name, value)
+    return p, Block(p.value, [p])
+
+
+def _step(blocks, grads, l2=0.0):
+    for b, g in zip(blocks, grads):
+        b.grad[...] = g
+    adadelta_step(blocks, l2=l2)
+
+
 def test_zero_gradient_leaves_parameter_unchanged():
-    p = Parameter("p", [1.0, -2.0, 3.0])
+    p, b = _param_block("p", [1.0, -2.0, 3.0])
     before = p.value.copy()
-    state = AdaDeltaState()
-    adadelta_step([p], {p: np.zeros(3)}, state)
+    _step([b], [np.zeros(3)])
     assert np.array_equal(p.value, before)
 
 
@@ -21,12 +31,12 @@ def test_unit_gradient_step_sequence():
     # scalar recurrence with rho=0.95, eps=1e-6, g=1 throughout:
     # E[g^2] grows each step while E[dx^2] lags, so the early steps are
     # d1 then a slightly larger d2 before the schedule levels off
-    p = Parameter("p", [0.0])
-    state = AdaDeltaState(rho=0.95, eps=1e-6)
+    assert (RHO, EPS) == (0.95, 1e-6)
+    p, b = _param_block("p", [0.0])
     deltas = []
     for _ in range(3):
         before = p.value.copy()
-        adadelta_step([p], {p: np.ones(1)}, state)
+        _step([b], [np.ones(1)])
         deltas.append(float(p.value[0] - before[0]))
     assert abs(deltas[0] - -0.0044720912343108364) < 1e-15
     assert abs(deltas[1] - -0.004529062265533205) < 1e-15
@@ -38,72 +48,57 @@ def test_unit_gradient_step_sequence():
 
 
 def test_update_direction_opposes_gradient():
-    p = Parameter("p", [0.0, 0.0])
-    state = AdaDeltaState()
-    adadelta_step([p], {p: np.array([3.0, -4.0])}, state)
+    p, b = _param_block("p", [0.0, 0.0])
+    _step([b], [np.array([3.0, -4.0])])
     assert p.value[0] < 0.0 and p.value[1] > 0.0
 
 
 def test_nonfinite_gradient_names_parameter():
-    p = Parameter("embed.chars", [1.0])
-    state = AdaDeltaState()
+    _, b = _param_block("embed.chars", [1.0])
     with pytest.raises(TrainError, match="embed.chars"):
-        adadelta_step([p], {p: np.array([np.nan])}, state)
+        _step([b], [np.array([np.nan])])
     with pytest.raises(TrainError, match="embed.chars"):
-        adadelta_step([p], {p: np.array([np.inf])}, state)
-
-
-def test_hyperparameter_validation():
-    with pytest.raises(TrainError, match="rho"):
-        AdaDeltaState(rho=0.0)
-    with pytest.raises(TrainError, match="rho"):
-        AdaDeltaState(rho=1.0)
-    with pytest.raises(TrainError, match="eps"):
-        AdaDeltaState(eps=0.0)
-    with pytest.raises(TrainError, match="eps"):
-        AdaDeltaState(eps=-1e-6)
-    for eps in (np.nan, np.inf):
-        with pytest.raises(TrainError, match="eps"):
-            AdaDeltaState(eps=eps)
+        _step([b], [np.array([np.inf])])
 
 
 def test_accumulators_keyed_by_object_identity():
-    # two parameters with equal names and values must not share accumulators,
-    # while one object reached through two references must
-    a = Parameter("same", [1.0])
-    b = Parameter("same", [1.0])
-    state = AdaDeltaState()
-    adadelta_step([a], {a: np.ones(1)}, state)
-    adadelta_step([b], {b: np.ones(1)}, state)
-    assert len(state.sq_grad) == 2
-    adadelta_step([a], {a: np.ones(1)}, state)
-    assert len(state.sq_grad) == 2
+    # blocks over two parameters with equal names and values must not share
+    # accumulators, while one block reached through two references must
+    _, a = _param_block("same", [1.0])
+    _, b = _param_block("same", [1.0])
+    _step([a], [np.ones(1)])
+    _step([b], [np.ones(1)])
+    assert a.sq_grad is not b.sq_grad and a.sq_delta is not b.sq_delta
+    _step([a], [np.ones(1)])
+    assert a.sq_grad[0] > b.sq_grad[0]      # b's pair saw one step, a's two
 
 
 def test_shared_parameter_keeps_single_accumulator():
-    shared = Parameter("encoder.W", np.zeros(2))
+    _, shared = _param_block("encoder.W", np.zeros(2))
+    _, alone = _param_block("encoder.W", np.zeros(2))
     views = [shared, shared]
-    state = AdaDeltaState()
-    adadelta_step([views[0]], {views[0]: np.ones(2)}, state)
-    adadelta_step([views[1]], {views[1]: np.ones(2)}, state)
-    assert len(state.sq_grad) == 1
+    _step([views[0]], [np.ones(2)])
+    _step([views[1]], [np.ones(2)])
+    for _ in range(2):
+        _step([alone], [np.ones(2)])
+    assert np.array_equal(shared.sq_grad, alone.sq_grad)
+    assert np.array_equal(shared.sq_delta, alone.sq_delta)
 
 
 def test_l2_term_shrinks_parameter_norm_with_zero_gradient():
-    p = Parameter("p", [4.0, -3.0])
-    state = AdaDeltaState()
+    p, b = _param_block("p", [4.0, -3.0])
     before = np.linalg.norm(p.value)
     for _ in range(10):
-        adadelta_step([p], {p: np.zeros(2)}, state, l2=0.1)
+        _step([b], [np.zeros(2)], l2=0.1)
     assert np.linalg.norm(p.value) < before
 
 
 def test_updates_are_in_place():
-    p = Parameter("p", [1.0])
+    p, b = _param_block("p", [1.0])
     buf = p.value
-    state = AdaDeltaState()
-    adadelta_step([p], {p: np.ones(1)}, state)
+    _step([b], [np.ones(1)])
     assert p.value is buf
+    assert b.value is buf
 
 
 # --- flat blocks -------------------------------------------------------------
@@ -117,36 +112,46 @@ def _random_grads(params, rng):
 
 
 def _joint_pair():
-    base = _model(0)
-    encoder = (base.embed, base.enc_fwd, base.enc_bwd)
-    return base, [_model(0, shared_encoder=encoder), _model(1, shared_encoder=encoder)]
+    # as in train_joint: the first tag model owns the encoder, the next aliases it
+    first = _model(0)
+    encoder = (first.embed, first.enc_fwd, first.enc_bwd)
+    return [first, _model(1, shared_encoder=encoder)]
+
+
+def test_part_grads_are_views_of_grad_in_parts_order():
+    block = _model(0).block(DECODER_ATTRS)
+    assert [g.shape for g in block.part_grads] == [p.value.shape for p in block.parts]
+    for i, g in enumerate(block.part_grads):
+        assert np.shares_memory(g, block.grad)
+        g[...] = i + 1.0
+    want = np.concatenate([np.full(p.value.size, i + 1.0) for i, p in enumerate(block.parts)])
+    assert np.array_equal(block.grad, want)
 
 
 def test_flat_step_equals_per_parameter_reference():
     # one block over a model's whole theta, five steps with l2 > 0
     flat, ref = _model(3), _model(3)
-    block, state, acc = flat.block(), AdaDeltaState(), {}
+    block, acc = flat.block(), {}
     rng = np.random.default_rng(0)
     for _ in range(5):
         grads = _random_grads(ref.parameters(), rng)
         reference_adadelta_step(ref.parameters(), grads, acc, l2=1e-3)
         g = np.concatenate([grads[p].reshape(-1) for p in ref.parameters()])
-        adadelta_step([block], {block: g}, state, l2=1e-3)
+        _step([block], [g], l2=1e-3)
         for a, b in zip(flat.parameters(), ref.parameters()):
             assert np.array_equal(a.value, b.value), a.name
-    for table, i in ((state.sq_grad, 0), (state.sq_delta, 1)):
+    for table, i in ((block.sq_grad, 0), (block.sq_delta, 1)):
         want = np.concatenate([acc[p][i].reshape(-1) for p in ref.parameters()])
-        assert np.array_equal(table[block], want)
+        assert np.array_equal(table, want)
 
 
 def test_flat_step_equals_reference_on_a_joint_shared_encoder_pair():
     # the two tag models step alternately: the shared encoder block and each
     # tag's decoder block keep one accumulator pair each, as per parameter
-    flat_base, flat_tags = _joint_pair()
-    _, ref_tags = _joint_pair()
-    encoder = flat_base.block(SHARED_ATTRS)
+    flat_tags, ref_tags = _joint_pair(), _joint_pair()
+    encoder = flat_tags[0].block(SHARED_ATTRS)
     blocks = [[encoder, m.block(DECODER_ATTRS)] for m in flat_tags]
-    state, acc = AdaDeltaState(), {}
+    acc = {}
     rng = np.random.default_rng(1)
     for step in range(5):
         k = step % 2
@@ -155,9 +160,8 @@ def test_flat_step_equals_reference_on_a_joint_shared_encoder_pair():
         reference_adadelta_step(params, grads, acc, l2=1e-3)
         g = np.concatenate([grads[p].reshape(-1) for p in params])
         cut = encoder.value.size
-        adadelta_step(blocks[k], {blocks[k][0]: g[:cut], blocks[k][1]: g[cut:]}, state,
-                      l2=1e-3)
-    assert len(state.sq_grad) == 3
+        _step(blocks[k], [g[:cut], g[cut:]], l2=1e-3)
+    assert len({id(b) for pair in blocks for b in pair}) == 3
     for flat, ref in zip(flat_tags, ref_tags):
         for a, b in zip(flat.parameters(), ref.parameters()):
             assert np.array_equal(a.value, b.value), a.name
@@ -172,8 +176,26 @@ def test_non_finite_gradient_names_the_parameter_inside_a_block():
     g[-1] = np.inf
     before = block.value.copy()
     with pytest.raises(TrainError, match=repr(m.parameters()[4].name)):
-        adadelta_step([block], {block: g}, AdaDeltaState())
+        _step([block], [g])
     assert np.array_equal(block.value, before)    # nothing stepped
+
+
+def test_non_finite_gradient_leaves_every_block_untouched():
+    # the bad gradient is in the second block; neither block's value or
+    # accumulators move, not even the first block's
+    m = _model(0)
+    blocks = [m.block(SHARED_ATTRS), m.block(DECODER_ATTRS)]
+    rng = np.random.default_rng(2)
+    _step(blocks, [rng.normal(size=b.value.size) for b in blocks], l2=1e-3)
+    before = [(b.value.copy(), b.sq_grad.copy(), b.sq_delta.copy()) for b in blocks]
+    bad = rng.normal(size=blocks[1].value.size)
+    bad[3] = np.nan
+    with pytest.raises(TrainError, match="non-finite"):
+        _step(blocks, [rng.normal(size=blocks[0].value.size), bad], l2=1e-3)
+    for b, (value, sq_grad, sq_delta) in zip(blocks, before):
+        assert np.array_equal(b.value, value)
+        assert np.array_equal(b.sq_grad, sq_grad)
+        assert np.array_equal(b.sq_delta, sq_delta)
 
 
 def test_block_parts_must_tile_its_vector():
@@ -183,6 +205,6 @@ def test_block_parts_must_tile_its_vector():
         Block(m.theta, params[1:])
     with pytest.raises(MorphogenError, match="cover"):
         Block(m.theta, params[:-1])
-    tag = _joint_pair()[1][0]
+    tag = _joint_pair()[1]
     with pytest.raises(MorphogenError, match="not laid out"):
-        tag.block(SHARED_ATTRS)      # the shared tensors live in base's theta
+        tag.block(SHARED_ATTRS)      # the shared tensors live in the first model's theta

@@ -188,10 +188,10 @@ def test_joint_steps_the_shared_encoder_once_per_example(monkeypatch):
     steps, encoder_blocks = [], set()
     real_step = tr.adadelta_step
 
-    def step(blocks, grads, state, l2=0.0):
+    def step(blocks, l2=0.0):
         steps.append([[p.name for p in b.parts] for b in blocks])
         encoder_blocks.add(id(blocks[0]))
-        real_step(blocks, grads, state, l2=l2)
+        real_step(blocks, l2=l2)
 
     monkeypatch.setattr(tr, "adadelta_step", step)
     tr.train_joint(ds, tr.TrainConfig(hidden=4, epochs=2, seed=0))
@@ -230,8 +230,7 @@ def test_interpolated_tiny_lambda_matches_factored_losses():
     vocab = build_vocab(ds.train)
     lm = train_lm(filter_wordlist(synth_wordlist(default_synth_spec(), 60, seed=5),
                                   vocab), 5)
-    cfg = tr.TrainConfig(hidden=12, epochs=4, seed=0,
-                         lambda_init=-40.0, learn_lambda=False)
+    cfg = tr.TrainConfig(hidden=12, epochs=4, seed=0, lambda_init=-40.0)
     log_f, log_i = [], []
     tr.train_factored(ds, INESSIVE, cfg, log=log_f.append)
     model, lam = tr.train_interpolated(ds, INESSIVE, lm, cfg, log=log_i.append)
