@@ -427,6 +427,9 @@ def main(argv=None):
     except MorphogenError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"{parser.prog}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print(f"{parser.prog}: interrupted", file=sys.stderr)
         return 130

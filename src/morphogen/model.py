@@ -34,10 +34,7 @@ __all__ = [
     "MASKED_OUTPUT_IDS",
     "ModelParams",
     "init_model",
-    "embed",
-    "transform_encoding",
     "attention_context",
-    "decoder_step_count",
     "forward_variant",
     "DecodeSession",
     "save_model",
@@ -52,8 +49,7 @@ class Wiring:
     encoder          a bidirectional LSTM reads the source
     trans            e = W_trans [h_fwd ; h_bwd] + b_trans (n wide)
     attention        an attention context (2n wide) joins every decoder input
-    consumes_source  x_t (EPS past the source end) joins every decoder input,
-                     and the decoder runs until the whole source is read
+    consumes_source  x_t (EPS past the source end) joins every decoder input
 
     e goes where the source goes: into every decoder input when the variant
     consumes the source, into the initial hidden state otherwise.
@@ -195,13 +191,8 @@ def _build(m, fill):
         offset += size
 
 
-def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0,
-               shared_encoder=None):
-    """Seeded uniform [-0.1, 0.1] init; forget-gate biases start at 1.
-
-    shared_encoder, if given, must be (embed, enc_fwd, enc_bwd) from another
-    model; the new model aliases those Parameter objects (joint training).
-    """
+def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
+    """Seeded uniform [-0.1, 0.1] init; forget-gate biases start at 1."""
     d = embed_dim if embed_dim is not None else len(vocab)
     m = ModelParams(vocab, variant, hidden, d)
     rng = np.random.default_rng(seed)
@@ -215,18 +206,7 @@ def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0,
         return b
 
     _build(m, draw)
-    if shared_encoder is not None:
-        m.embed, m.enc_fwd, m.enc_bwd = shared_encoder
     return m
-
-
-def embed(tape, params, char_id):
-    return ad.row(tape, params.embed, char_id)
-
-
-def transform_encoding(tape, params, e_raw):
-    """e = W_trans @ e_raw + b_trans, mapping 2n down to n."""
-    return ad.affine(tape, params.trans_W, e_raw, params.trans_b)
 
 
 def _attend(params, source, S):
@@ -265,11 +245,6 @@ def attention_context(tape, params, source, s_prev):
     return out
 
 
-def decoder_step_count(x_len, y_len):
-    """Teacher-forced steps: all of x is consumed even past the last target."""
-    return max(x_len, y_len + 1)
-
-
 class _Source:
     """An encoded source: its ids, e (None without a transform) and, with
     attention, the per-position (fwd h, bwd h) Node pairs, stacked into
@@ -290,12 +265,12 @@ def _encode_source(tape, params, x_ids):
     w = params.wiring
     if not w.encoder:
         return _Source(params, x_ids)
-    xs = [embed(tape, params, i) for i in x_ids]
+    xs = [ad.row(tape, params.embed, i) for i in x_ids]
     positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
     e = None
     if w.trans:
         e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
-        e = transform_encoding(tape, params, e_raw)
+        e = ad.affine(tape, params.trans_W, e_raw, params.trans_b)   # 2n -> n
     return _Source(params, x_ids, e, positions if w.attention else None)
 
 
@@ -310,20 +285,16 @@ def _decoder_step(tape, params, source, state, y_prev_id, t):
     w = params.wiring
     # y_prev is embedded first whatever its place in the input: the order of
     # tape records fixes the order in which gradients accumulate.
-    parts = [embed(tape, params, y_prev_id)]
+    parts = [ad.row(tape, params.embed, y_prev_id)]
     if w.e_per_step:
         parts.insert(0, source.e)
     elif w.attention:
         parts.insert(0, attention_context(tape, params, source, state.h))
     if w.consumes_source:
         x = source.x_ids
-        parts.append(embed(tape, params, x[t] if t < len(x) else EPS))
+        parts.append(ad.row(tape, params.embed, x[t] if t < len(x) else EPS))
     inp = parts[0] if len(parts) == 1 else ad.concat(tape, parts)
     return lstm.lstm_step(tape, params.dec, inp, state)
-
-
-def _logits(tape, params, state):
-    return ad.affine(tape, params.out_W, state.h, params.out_b)
 
 
 def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
@@ -337,21 +308,17 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
         raise DataError("forward_variant: empty input sequence")
     source = _encode_source(tape, params, x_ids)
     targets = list(y_ids) + [EOS]
-    n_steps = decoder_step_count(len(x_ids), len(y_ids)) \
-        if params.wiring.consumes_source else len(targets)
     state = _initial_state(params, source)
     step_losses = []
-    for t in range(n_steps):
-        y_prev = BOS if t == 0 else targets[min(t - 1, len(targets) - 1)]
+    for t, target in enumerate(targets):    # a step past EOS would feed no loss
+        y_prev = BOS if t == 0 else targets[t - 1]
         state = _decoder_step(tape, params, source, state, y_prev, t)
-        if t < len(targets):
-            logits = _logits(tape, params, state)
-            if lm_logprobs is None:
-                step_losses.append(ad.cross_entropy_logits(
-                    tape, logits, targets[t], MASKED_OUTPUT_IDS))
-            else:
-                step_losses.append(ad.interpolated_cross_entropy(
-                    tape, logits, targets[t], lm_logprobs[t], lam, MASKED_OUTPUT_IDS))
+        logits = ad.affine(tape, params.out_W, state.h, params.out_b)
+        if lm_logprobs is None:
+            step_losses.append(ad.cross_entropy_logits(tape, logits, target, MASKED_OUTPUT_IDS))
+        else:
+            step_losses.append(ad.interpolated_cross_entropy(
+                tape, logits, target, lm_logprobs[t], lam, MASKED_OUTPUT_IDS))
     total = step_losses[0]
     for piece in step_losses[1:]:
         total = ad.add(tape, total, piece)
@@ -378,7 +345,7 @@ class DecodeSession:
         return state.h.value, state.c.value
 
     def step(self, H, C, y_prev, t):
-        """One decoder step, as _decoder_step + _logits + masked_softmax.
+        """One decoder step, as _decoder_step, the output affine and masked_softmax.
 
         One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
         B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).

@@ -113,21 +113,21 @@ def _tag_examples(examples, tag):
     return [ex for ex in examples if ex.tag == tag]
 
 
-def _tag_setup(dataset, tag, config, vocab):
+def _tag_setup(dataset, tag, config):
     """Validate config; (train, dev, vocab, new model) for one tag's training."""
     config.validate()
     train = _tag_examples(dataset.train, tag)
     if not train:
         raise TrainError(f"no training examples for tag {tag!r}")
-    vocab = vocab if vocab is not None else build_vocab(dataset.train)
+    vocab = build_vocab(dataset.train)
     model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
                        seed=config.seed)
     return train, _tag_examples(dataset.dev, tag), vocab, model
 
 
-def train_factored(dataset, tag, config, log=None, vocab=None):
+def train_factored(dataset, tag, config, log=None):
     """One model for a single inflection type."""
-    train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
+    train, dev, vocab, model = _tag_setup(dataset, tag, config)
     update = _update([model.block()])
 
     def make_loss(tape, ex):
@@ -138,6 +138,14 @@ def train_factored(dataset, tag, config, log=None, vocab=None):
         config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack),
         model.copy, log)
+
+
+def _share_encoder(models):
+    """Point every model at the first model's embedding and encoder."""
+    first = models[0]
+    for m in models[1:]:
+        m.embed, m.enc_fwd, m.enc_bwd = first.embed, first.enc_fwd, first.enc_bwd
+    return models
 
 
 def train_joint(dataset, config, log=None):
@@ -155,13 +163,10 @@ def train_joint(dataset, config, log=None):
     if not tags:
         raise TrainError("joint training needs at least one tag in the training data")
     vocab = build_vocab(dataset.train)
-    first = init_model(vocab, config.variant, config.hidden, config.embed_dim,
-                       seed=config.seed)
-    shared = (first.embed, first.enc_fwd, first.enc_bwd)
-    models = {tag: init_model(vocab, config.variant, config.hidden, config.embed_dim,
-                              seed=config.seed + i, shared_encoder=shared) if i else first
-              for i, tag in enumerate(tags)}
-    encoder = first.block(SHARED_ATTRS)
+    models = dict(zip(tags, _share_encoder(
+        [init_model(vocab, config.variant, config.hidden, config.embed_dim, seed=config.seed + i)
+         for i in range(len(tags))])))
+    encoder = models[tags[0]].block(SHARED_ATTRS)
     updates = {tag: _update([encoder, models[tag].block(DECODER_ATTRS)]) for tag in tags}
     dev_by_tag = {tag: _tag_examples(dataset.dev, tag) for tag in tags}
 
@@ -176,25 +181,20 @@ def train_joint(dataset, config, log=None):
         return sum(accs) / len(accs) if accs else None
 
     def snapshot():
-        copies = {tag: models[tag].copy() for tag in tags}
-        first = copies[tags[0]]
-        for tag in tags[1:]:
-            m = copies[tag]
-            m.embed, m.enc_fwd, m.enc_bwd = first.embed, first.enc_fwd, first.enc_bwd
-        return copies
+        return dict(zip(tags, _share_encoder([models[tag].copy() for tag in tags])))
 
     return _epoch_loop(config, list(dataset.train), make_loss,
                        lambda ex: updates[ex.tag], eval_dev, snapshot, log)
 
 
-def train_interpolated(dataset, tag, lm, config, log=None, vocab=None):
+def train_interpolated(dataset, tag, lm, config, log=None):
     """Train with the per-step LM-interpolated distribution.
 
     The interpolation weight is softplus of an unconstrained scalar, updated
     by the same optimizer. Returns the selected model (lm_lambda filled in)
     and the learned weight.
     """
-    train, dev, vocab, model = _tag_setup(dataset, tag, config, vocab)
+    train, dev, vocab, model = _tag_setup(dataset, tag, config)
     unknown = set(lm.alphabet) - set(vocab.data_chars)
     if unknown:
         raise TrainError(

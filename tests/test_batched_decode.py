@@ -26,10 +26,11 @@ def _model(variant, seed=3, hidden=4):
 
 
 def _training_step(m, source, h, c, y_prev, t):
-    """The taped training path run untaped: _decoder_step, _logits, masked_softmax."""
+    """The taped training path run untaped: _decoder_step, the output affine, masked_softmax."""
     state = mod._decoder_step(None, m, source, LSTMState(ad.constant(h), ad.constant(c)),
                               y_prev, t)
-    dist = ad.masked_softmax(mod._logits(None, m, state).value, mod.MASKED_OUTPUT_IDS)
+    logits = ad.affine(None, m.out_W, state.h, m.out_b)
+    dist = ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS)
     return state.h.value, state.c.value, dist
 
 

@@ -448,6 +448,86 @@ def test_cli_data_errors_exit_two(workspace, tmp_path, capsys):
         assert err.startswith("morphogen: error: ") and err.count("\n") == 1, (argv, err)
 
 
+# One valid command line per subcommand and mode. "<name" is a workspace
+# file the command reads, ">name" a path it writes; the matrix below breaks one
+# of them at a time.
+_FILE_ARGV = [
+    ["train", "--data", "<train.tsv", "--dev", "<dev.tsv", "--tag", INESSIVE,
+     "--out", ">m.ckpt", "--hidden", "2", "--epochs", "1"],
+    ["train", "--mode", "joint", "--data", "<train.tsv", "--out-dir", ">joint",
+     "--hidden", "2", "--epochs", "1"],
+    ["train", "--mode", "interpolated", "--data", "<train.tsv", "--tag", INESSIVE,
+     "--lm", "<lm.txt", "--out", ">i.ckpt", "--hidden", "2", "--epochs", "1"],
+    ["lm-train", "--words", "<words.txt", "--data", "<train.tsv", "--out", ">lm.txt"],
+    ["predict", "--model", "<model.ckpt", "--data", "<dev.tsv", "--lm", "<lm.txt",
+     "--out", ">p.tsv"],
+    ["beam", "--model", "<model.ckpt", "--data", "<dev.tsv", "--beam-width", "2",
+     "--out", ">b.tsv"],
+    ["rerank-train", "--nbest", "<beams.tsv", "--data", "<dev.tsv", "--lm", "<lm.txt",
+     "--iterations", "1", "--out", ">w.tsv"],
+    ["evaluate", "--model", "<model.ckpt", "--data", "<dev.tsv", "--rerank", "<weights.tsv",
+     "--lm", "<lm.txt", "--beam-width", "2", "--pred-out", ">p.tsv"],
+    ["analyze-length", "--pred", "<dev.tsv", "--data", "<dev.tsv"],
+    ["analyze-harmony", "--words", "<words.txt"],
+    ["analyze-harmony", "--pred", "<dev.tsv"],
+    ["export-embeddings", "--model", "<model.ckpt", "--chars", "a", "--out", ">e.tsv"],
+    ["synth-data", "--size", "4", "--out-dir", ">s"],
+]
+
+
+def _file_cases():
+    for argv in _FILE_ARGV:
+        name = " ".join(argv[:3] if argv[1] == "--mode" else argv[:1])
+        for i, arg in enumerate(argv):
+            if arg.startswith(">"):
+                failures = ("through-a-file",)
+            elif arg == "<words.txt":    # any line is a word: no malformed wordlist
+                failures = ("missing", "invalid-utf8")
+            elif arg.startswith("<"):
+                failures = ("missing", "invalid-utf8", "malformed")
+            else:
+                failures = ()
+            for failure in failures:
+                yield pytest.param(argv, i, failure, id=f"{name} {argv[i - 1]} {failure}")
+
+
+@pytest.mark.parametrize("argv, i, failure", _file_cases())
+def test_cli_file_error_matrix_exits_two(workspace, tmp_path, capsys, argv, i, failure):
+    (tmp_path / "invalid-utf8").write_bytes(b"ab\xff\tt\n")
+    (tmp_path / "malformed").write_text("only-one-column\n", encoding="utf-8")
+    (tmp_path / "regular").write_text("x\n", encoding="utf-8")
+
+    def fill(arg):
+        if arg.startswith("<"):
+            return workspace[arg[1:]]
+        return str(tmp_path / arg[1:]) if arg.startswith(">") else arg
+
+    args = [fill(arg) for arg in argv]
+    args[i] = str(tmp_path / ("regular/out" if failure == "through-a-file" else failure))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("morphogen: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+# Larger than a process's address space: the first allocation fails at once,
+# touching no memory.
+HUGE = str(10 ** 15)
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--hidden"), ("train", "--embed-dim"),
+                                           ("lm-train", "--order")])
+def test_cli_unallocatable_size_exits_two(workspace, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    inputs = {"train": ["--data", workspace["train.tsv"], "--tag", INESSIVE, "--epochs", "1"],
+              "lm-train": ["--words", workspace["words.txt"]]}[command]
+    assert cli.main([command, flag, HUGE, "--out", str(out)] + inputs) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("morphogen: error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())     # no checkpoint, LM or temporary file
+
+
 @pytest.mark.parametrize("command, flag, value", [("rerank-train", "--iterations", "0"),
                                                  ("rerank-train", "--iterations", "-1"),
                                                  ("synth-data", "--wordlist-size", "-1"),

@@ -103,8 +103,8 @@ def test_updates_are_in_place():
 
 # --- flat blocks -------------------------------------------------------------
 
-def _model(seed, **kw):
-    return init_model(CharVocab("abcde"), "full", hidden=5, embed_dim=4, seed=seed, **kw)
+def _model(seed):
+    return init_model(CharVocab("abcde"), "full", hidden=5, embed_dim=4, seed=seed)
 
 
 def _random_grads(params, rng):
@@ -113,9 +113,9 @@ def _random_grads(params, rng):
 
 def _joint_pair():
     # as in train_joint: the first tag model owns the encoder, the next aliases it
-    first = _model(0)
-    encoder = (first.embed, first.enc_fwd, first.enc_bwd)
-    return [first, _model(1, shared_encoder=encoder)]
+    first, second = _model(0), _model(1)
+    second.embed, second.enc_fwd, second.enc_bwd = first.embed, first.enc_fwd, first.enc_bwd
+    return [first, second]
 
 
 def test_part_grads_are_views_of_grad_in_parts_order():

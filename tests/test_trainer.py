@@ -57,7 +57,7 @@ def test_non_finite_loss_names_the_example(monkeypatch):
     monkeypatch.setattr(tr, "forward_variant", forward)
     with pytest.raises(TrainError, match=r"epoch 1: non-finite loss nan on lemma 'kala' "
                                          r"\(case=inessive\) with target 'kalassa'"):
-        tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=3, epochs=2), vocab=vocab)
+        tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=3, epochs=2))
 
 
 @pytest.mark.parametrize("mode", ["factored", "joint", "interpolated"])
