@@ -21,7 +21,7 @@ __all__ = [
     "Sweep",
     "constant",
     "affine",
-    "add",
+    "total",
     "concat",
     "softplus",
     "row",
@@ -33,17 +33,12 @@ __all__ = [
 
 
 class Node:
-    """A value in the computation graph. grad is filled lazily by backward()."""
+    """A value in the computation graph; its gradient lives in the Sweep."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
-        self.grad = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class Parameter(Node):
@@ -83,51 +78,47 @@ class Tape:
 class Sweep:
     """Gradient accumulation for one backward() call.
 
-    It remembers every node it gave a gradient, so the call can clear them
-    all afterwards; a sweep nested inside another keeps its own list.
+    grads maps each node reached so far to its gradient. It belongs to the
+    call, so nested sweeps keep apart and nothing needs clearing afterwards.
     """
 
-    __slots__ = ("touched", "_outer")
+    __slots__ = ("grads", "_outer")
 
-    def __init__(self):
-        self.touched = []
+    def __init__(self, grads):
+        self.grads = grads
         self._outer = {}   # Parameter -> ([a, ...], [b, ...]) pending outer products
 
     def acc(self, node, g):
         """Add g to node's gradient."""
-        if node.grad is None:
-            node.grad = np.array(g)
-            self.touched.append(node)
+        buf = self.grads.get(node)
+        if buf is None:
+            self.grads[node] = np.array(g)
         else:
-            node.grad += g
+            buf += g
 
     def grad_buffer(self, node):
         """node's gradient, zero-initialised, for indexed accumulation."""
-        if node.grad is None:
-            node.grad = np.zeros_like(node.value)
-            self.touched.append(node)
-        return node.grad
+        buf = self.grads.get(node)
+        if buf is None:
+            buf = self.grads[node] = np.zeros_like(node.value)
+        return buf
 
     def acc_outer(self, node, a, b):
-        """Add the outer product of vectors a and b to node's gradient.
+        """Add the outer product of vectors a and b to a Parameter's gradient.
 
-        Nothing reads a Parameter's gradient before the sweep ends, so for a
-        Parameter the pairs are kept and summed by one matrix product in
-        finish(); a weight used at every step then costs one product per
-        sweep instead of one per step.
+        Nothing reads a Parameter's gradient before the sweep ends, so the
+        pairs are kept and summed by one matrix product in finish(); a weight
+        used at every step then costs one product per sweep instead of one
+        per step.
         """
-        if isinstance(node, Parameter):
-            pending = self._outer.setdefault(node, ([], []))
-            pending[0].append(a)
-            pending[1].append(b)
-        else:
-            self.acc(node, a[:, None] * b)
+        pending = self._outer.setdefault(node, ([], []))
+        pending[0].append(a)
+        pending[1].append(b)
 
     def finish(self):
         """Add the pending outer products to their Parameters."""
         for node, (a, b) in self._outer.items():
             self.acc(node, np.array(a).T @ np.array(b))
-        self._outer.clear()
 
 
 def constant(value):
@@ -151,26 +142,18 @@ def affine(tape, W, x, b):
     return out
 
 
-def _binary_shapes(name, a, b):
-    if a.value.shape != b.value.shape and a.value.size != 1 and b.value.size != 1:
-        raise DimensionError(f"{name}: shapes {a.value.shape} and {b.value.shape}")
-
-
-def _acc_bcast(sweep, node, g):
-    # reduce the upstream gradient when the operand was broadcast from size 1
-    if node.value.size == 1 and g.size != 1:
-        sweep.acc(node, np.array([g.sum()]))
-    else:
-        sweep.acc(node, g)
-
-
-def add(tape, a, b):
-    _binary_shapes("add", a, b)
-    out = Node(a.value + b.value)
+def total(tape, parts):
+    """Sum of same-shape Nodes, added left to right, as one record."""
+    value = parts[0].value
+    for part in parts[1:]:
+        if part.value.shape != value.shape:
+            raise DimensionError(f"total: shapes {value.shape} and {part.value.shape}")
+        value = value + part.value
+    out = Node(value)
     if tape is not None:
         def backward_fn(sweep, g):
-            _acc_bcast(sweep, a, g)
-            _acc_bcast(sweep, b, g)
+            for part in parts:
+                sweep.acc(part, g)
         tape.append(out, backward_fn)
     return out
 
@@ -289,32 +272,22 @@ def backward(tape, loss, params=()):
     array to accumulate into, so unreached ones come back as zeros. Given a
     {parameter: zeroed buffer} dict instead, the sweep accumulates into those
     buffers (views into one flat gradient vector, say) and returns the dict.
-    Every node that received a gradient is cleared afterwards, including
-    leaves outside `params`, so tapes stay independent. A record fires when
-    any of its outputs holds a gradient.
+    Every other gradient stays in this call's Sweep, so tapes and nested
+    sweeps stay independent. A record fires when any of its outputs holds a
+    gradient.
     """
     if loss.value.size != 1:
         raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
     out = params if isinstance(params, dict) else \
         {p: np.zeros_like(p.value) for p in params}
-    sweep = Sweep()
-    for p, buf in out.items():
-        p.grad = buf
-        sweep.touched.append(p)
-    loss.grad = np.ones(1)
-    try:
-        for outputs, backward_fn in reversed(tape._records):
-            if len(outputs) == 1:       # most records; spares building a list
-                g = outputs[0].grad
-                if g is not None:
-                    backward_fn(sweep, g)
-                continue
-            grads = [node.grad for node in outputs]
-            if any(g is not None for g in grads):
-                backward_fn(sweep, *grads)
-        sweep.finish()
-        return out
-    finally:
-        loss.grad = None
-        for node in sweep.touched:
-            node.grad = None
+    grads = {**out, loss: np.ones(1)}
+    sweep = Sweep(grads)
+    for outputs, backward_fn in reversed(tape._records):
+        if len(outputs) == 1:       # most records; spares building a list
+            g = grads.get(outputs[0])
+            if g is not None:
+                backward_fn(sweep, g)
+        elif any(node in grads for node in outputs):
+            backward_fn(sweep, *[grads.get(node) for node in outputs])
+    sweep.finish()
+    return out

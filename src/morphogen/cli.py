@@ -428,7 +428,10 @@ def main(argv=None):
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size too large to allocate
-        print(f"{parser.prog}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        sizes = ", ".join(f"--{key.replace('_', '-')} {val}" for key, val in vars(args).items()
+                          if key in ("hidden", "embed_dim", "order") and val is not None)
+        print(f"{parser.prog}: error: {str(exc) or 'out of memory'}"
+              + (f" (sizes: {sizes})" if sizes else ""), file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print(f"{parser.prog}: interrupted", file=sys.stderr)

@@ -319,10 +319,7 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
         else:
             step_losses.append(ad.interpolated_cross_entropy(
                 tape, logits, target, lm_logprobs[t], lam, MASKED_OUTPUT_IDS))
-    total = step_losses[0]
-    for piece in step_losses[1:]:
-        total = ad.add(tape, total, piece)
-    return total
+    return ad.total(tape, step_losses)
 
 
 class DecodeSession:

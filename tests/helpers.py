@@ -87,25 +87,30 @@ def matvec(tape, W, x):
     return out
 
 
+def _same_shape(name, a, b):
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"{name}: shapes {a.value.shape} and {b.value.shape}")
+
+
 def sub(tape, a, b):
-    ad._binary_shapes("sub", a, b)
+    _same_shape("sub", a, b)
     out = ad.Node(a.value - b.value)
     if tape is not None:
         def backward_fn(sweep, g):
-            ad._acc_bcast(sweep, a, g)
-            ad._acc_bcast(sweep, b, -g)
+            sweep.acc(a, g)
+            sweep.acc(b, -g)
         tape.append(out, backward_fn)
     return out
 
 
 def mul(tape, a, b):
-    ad._binary_shapes("mul", a, b)
+    _same_shape("mul", a, b)
     av, bv = a.value, b.value
     out = ad.Node(av * bv)
     if tape is not None:
         def backward_fn(sweep, g):
-            ad._acc_bcast(sweep, a, g * bv)
-            ad._acc_bcast(sweep, b, g * av)
+            sweep.acc(a, g * bv)
+            sweep.acc(b, g * av)
         tape.append(out, backward_fn)
     return out
 
@@ -255,13 +260,13 @@ def reference_lstm_step(tape, params, x, prev):
     if x.value.shape[0] != params.input_size:
         raise DimensionError(
             f"lstm {params.name}: input {x.value.shape} vs expected ({params.input_size},)")
-    z = ad.add(tape, ad.affine(tape, params.W_x, x, params.b),
-               matvec(tape, params.W_h, prev.h))
+    z = ad.total(tape, [ad.affine(tape, params.W_x, x, params.b),
+                        matvec(tape, params.W_h, prev.h)])
     i = sigmoid(tape, _block(tape, z, 0, n))
     f = sigmoid(tape, _block(tape, z, 1, n))
     o = sigmoid(tape, _block(tape, z, 2, n))
     g = tanh(tape, _block(tape, z, 3, n))
-    c = ad.add(tape, mul(tape, f, prev.c), mul(tape, i, g))
+    c = ad.total(tape, [mul(tape, f, prev.c), mul(tape, i, g)])
     h = mul(tape, o, tanh(tape, c))
     return lstm.LSTMState(h=h, c=c)
 
@@ -279,7 +284,7 @@ def reference_attention_context(tape, params, source, s_prev):
     hidden_seq = [ad.concat(tape, pair) for pair in source.positions]
     key = matvec(tape, params.attn_W_dec, s_prev)
     scores = [dot(tape, params.attn_v,
-                  tanh(tape, ad.add(tape, matvec(tape, params.attn_W_enc, h), key)))
+                  tanh(tape, ad.total(tape, [matvec(tape, params.attn_W_enc, h), key])))
               for h in hidden_seq]
     weights = softmax_op(tape, ad.concat(tape, scores))
     return weighted_sum(tape, weights, hidden_seq)

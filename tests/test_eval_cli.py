@@ -422,32 +422,6 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_data_errors_exit_two(workspace, tmp_path, capsys):
-    model, dev, out = workspace["model.ckpt"], workspace["dev.tsv"], str(tmp_path / "o.tsv")
-    missing = str(tmp_path / "missing.tsv")
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("only-one-column\n", encoding="utf-8")
-    non_utf8 = tmp_path / "non-utf8.tsv"
-    non_utf8.write_bytes(b"ab\xff\tt\n")
-    listed = tmp_path / "list.ckpt"
-    listed.write_text("[1, 2]\n", encoding="utf-8")
-    unwritable = str(tmp_path / "no-such-dir" / "o.tsv")
-    for argv in (
-            ["predict", "--model", model, "--data", missing, "--out", out],
-            ["predict", "--model", str(tmp_path / "missing.ckpt"), "--data", dev, "--out", out],
-            ["evaluate", "--model", model, "--data", missing],
-            ["predict", "--model", model, "--data", str(bad), "--out", out],
-            ["predict", "--model", model, "--data", str(non_utf8), "--out", out],
-            ["analyze-harmony", "--pred", str(non_utf8)],
-            ["predict", "--model", str(listed), "--data", dev, "--out", out],
-            ["predict", "--model", model, "--data", dev, "--out", unwritable],
-            ["beam", "--model", model, "--data", dev, "--out", unwritable],
-            ["synth-data", "--size", "20", "--out-dir", str(bad / "sub")]):
-        assert cli.main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("morphogen: error: ") and err.count("\n") == 1, (argv, err)
-
-
 # One valid command line per subcommand and mode. "<name" is a workspace
 # file the command reads, ">name" a path it writes; the matrix below breaks one
 # of them at a time.
@@ -479,10 +453,14 @@ def _file_cases():
     for argv in _FILE_ARGV:
         name = " ".join(argv[:3] if argv[1] == "--mode" else argv[:1])
         for i, arg in enumerate(argv):
-            if arg.startswith(">"):
+            if argv[i - 1] == "--out-dir":     # created with its parents
                 failures = ("through-a-file",)
+            elif arg.startswith(">"):
+                failures = ("through-a-file", "missing-parent")
             elif arg == "<words.txt":    # any line is a word: no malformed wordlist
                 failures = ("missing", "invalid-utf8")
+            elif arg == "<model.ckpt":
+                failures = ("missing", "invalid-utf8", "malformed", "json-list")
             elif arg.startswith("<"):
                 failures = ("missing", "invalid-utf8", "malformed")
             else:
@@ -496,6 +474,7 @@ def test_cli_file_error_matrix_exits_two(workspace, tmp_path, capsys, argv, i, f
     (tmp_path / "invalid-utf8").write_bytes(b"ab\xff\tt\n")
     (tmp_path / "malformed").write_text("only-one-column\n", encoding="utf-8")
     (tmp_path / "regular").write_text("x\n", encoding="utf-8")
+    (tmp_path / "json-list").write_text("[1, 2]\n", encoding="utf-8")
 
     def fill(arg):
         if arg.startswith("<"):
@@ -503,7 +482,8 @@ def test_cli_file_error_matrix_exits_two(workspace, tmp_path, capsys, argv, i, f
         return str(tmp_path / arg[1:]) if arg.startswith(">") else arg
 
     args = [fill(arg) for arg in argv]
-    args[i] = str(tmp_path / ("regular/out" if failure == "through-a-file" else failure))
+    paths = {"through-a-file": "regular/out", "missing-parent": "missing-parent/out"}
+    args[i] = str(tmp_path / paths.get(failure, failure))
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("morphogen: error: ") and err.count("\n") == 1, err
@@ -524,6 +504,7 @@ def test_cli_unallocatable_size_exits_two(workspace, tmp_path, capsys, command, 
     assert cli.main([command, flag, HUGE, "--out", str(out)] + inputs) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("morphogen: error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
     assert captured.out == ""
     assert not list(tmp_path.iterdir())     # no checkpoint, LM or temporary file
 
