@@ -26,8 +26,7 @@ __all__ = [
     "softplus",
     "row",
     "masked_softmax",
-    "cross_entropy_logits",
-    "interpolated_cross_entropy",
+    "output_loss",
     "backward",
 ]
 
@@ -219,48 +218,40 @@ def masked_softmax(logits, masked_ids=()):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_logits(tape, logits, target, masked_ids=()):
-    """-log softmax(logits)[target] with masked ids excluded and renormalized.
+def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
+    """-log softmax(W @ h + b)[target]: a decoder step's output layer and loss
+    as one record, masked ids excluded and renormalized.
 
-    Fused so a decoder step adds a single record; the backward rule is the
-    usual (p - onehot), zero on masked entries.
+    Given LM log-probs log_lm aligned with the logits and a scalar Node lam,
+    the step distribution is p_model * p_lm**lam renormalized and lam gets a
+    gradient too. Without log_lm no lam * log_lm term is formed: at lam = 0 a
+    -inf LM log-prob would make it NaN. The logits' gradient is (p - onehot).
     """
-    lv = logits.value
+    Wv, hv, bv = W.value, h.value, b.value
+    if Wv.ndim != 2 or Wv.shape[1] != hv.shape[0] or Wv.shape[0] != bv.shape[0]:
+        raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
     if target in masked_ids:
-        raise MorphogenError(f"cross_entropy_logits: target {target} is masked")
-    p, m, Z = _softmax_lse(lv, masked_ids)
-    out = Node(np.array([np.log(Z) + m - lv[target]]))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            gl = g[0] * p
-            gl[target] -= g[0]
-            sweep.acc(logits, gl)
-        tape.append(out, backward_fn)
-    return out
-
-
-def interpolated_cross_entropy(tape, logits, target, log_lm, lam, masked_ids=()):
-    """-log of the per-step distribution p_model * p_lm**lam, renormalized.
-
-    log_lm is a constant array of language-model log probabilities aligned
-    with the logits; lam is a scalar Node so the interpolation weight itself
-    receives a gradient. Masked ids keep probability zero. This stays apart
-    from cross_entropy_logits: at lam = 0 a -inf LM log-prob would turn
-    lam * log_lm into NaN.
-    """
-    lv = logits.value
-    lamv = float(lam.value[0])
-    p, m, Z = _softmax_lse(lv + lamv * log_lm, masked_ids)  # combined distribution
-    out = Node(np.array([np.log(Z) + m - lv[target] - lamv * log_lm[target]]))
-    if tape is not None:
+        raise MorphogenError(f"output_loss: target {target} is masked")
+    lv = Wv @ hv + bv
+    if log_lm is None:
+        p, m, Z = _softmax_lse(lv, masked_ids)
+        loss = np.log(Z) + m - lv[target]
+    else:
+        lamv = float(lam.value[0])
+        p, m, Z = _softmax_lse(lv + lamv * log_lm, masked_ids)  # combined distribution
+        loss = np.log(Z) + m - lv[target] - lamv * log_lm[target]
         safe_log_lm = log_lm.copy()
-        if len(masked_ids):
-            safe_log_lm[list(masked_ids)] = 0.0
+        safe_log_lm[list(masked_ids)] = 0.0
+    out = Node(np.array([loss]))
+    if tape is not None:
         def backward_fn(sweep, g):
             gl = g[0] * p
             gl[target] -= g[0]
-            sweep.acc(logits, gl)
-            sweep.acc(lam, np.array([g[0] * (p @ safe_log_lm - log_lm[target])]))
+            if log_lm is not None:
+                sweep.acc(lam, np.array([g[0] * (p @ safe_log_lm - log_lm[target])]))
+            sweep.acc_outer(W, gl, hv)
+            sweep.acc(h, Wv.T @ gl)
+            sweep.acc(b, gl)
         tape.append(out, backward_fn)
     return out
 

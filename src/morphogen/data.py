@@ -24,7 +24,6 @@ __all__ = [
     "serialize_examples",
     "write_dataset",
     "build_vocab",
-    "group_tables",
     "split_tables",
     "tables_to_examples",
     "read_wordlist",
@@ -153,34 +152,22 @@ def build_vocab(examples):
     return CharVocab(chars)
 
 
-def group_tables(examples):
-    """Group examples into per-lemma tables, preserving first-seen order."""
-    tables = {}
-    for e in examples:
-        table = tables.setdefault(e.lemma, InflectionTable(e.lemma, {}))
-        if e.tag in table.forms and table.forms[e.tag] != e.inflected:
-            raise DataError(f"lemma {e.lemma!r} has conflicting forms for tag {e.tag!r}")
-        table.forms[e.tag] = e.inflected
-    return list(tables.values())
+SPLIT_RATIOS = (0.8, 0.1, 0.1)   # train, dev, test; train takes the rest after rounding
 
 
-def split_tables(tables, ratios=(0.8, 0.1, 0.1), seed=0):
+def split_tables(tables, seed=0):
     """Seeded shuffle and three-way split at whole-table granularity."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
     lemmas = [t.lemma for t in tables]
     if len(set(lemmas)) != len(lemmas):
         raise DataError("split_tables: duplicate lemmas across tables")
     shuffled = list(tables)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
-    n_dev = int(n * ratios[1])
-    n_test = int(n * ratios[2])
+    n_dev = int(n * SPLIT_RATIOS[1])
+    n_test = int(n * SPLIT_RATIOS[2])
     n_train = n - n_dev - n_test
-    for count, ratio, name in ((n_train, ratios[0], "train"),
-                               (n_dev, ratios[1], "dev"),
-                               (n_test, ratios[2], "test")):
-        if ratio > 0 and count == 0:
+    for count, name in ((n_train, "train"), (n_dev, "dev"), (n_test, "test")):
+        if count == 0:
             raise DataError(f"split_tables: {n} tables leave the {name} split empty")
     return DatasetSplit(train=shuffled[:n_train],
                         dev=shuffled[n_train:n_train + n_dev],

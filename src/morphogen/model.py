@@ -313,12 +313,9 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     for t, target in enumerate(targets):    # a step past EOS would feed no loss
         y_prev = BOS if t == 0 else targets[t - 1]
         state = _decoder_step(tape, params, source, state, y_prev, t)
-        logits = ad.affine(tape, params.out_W, state.h, params.out_b)
-        if lm_logprobs is None:
-            step_losses.append(ad.cross_entropy_logits(tape, logits, target, MASKED_OUTPUT_IDS))
-        else:
-            step_losses.append(ad.interpolated_cross_entropy(
-                tape, logits, target, lm_logprobs[t], lam, MASKED_OUTPUT_IDS))
+        step_losses.append(ad.output_loss(
+            tape, params.out_W, state.h, params.out_b, target, MASKED_OUTPUT_IDS,
+            None if lm_logprobs is None else lm_logprobs[t], lam))
     return ad.total(tape, step_losses)
 
 

@@ -48,6 +48,7 @@ FEATURE_NAMES = (
 
 AFFIX_MATCH_MIN = 2
 MAX_PAIRS_PER_GROUP = 50
+PRO_L2 = 1e-4
 
 
 def levenshtein(a, b):
@@ -146,7 +147,7 @@ def _sample_pairs(feats, quality, rng):
     return diffs
 
 
-def pro_train(groups, lm, iterations=100, seed=0, l2=1e-4):
+def pro_train(groups, lm, iterations=100, seed=0):
     """Fit reranker weights on beam groups with known gold forms."""
     if iterations < 1:
         raise TrainError(f"PRO iterations must be >= 1, got {iterations}")
@@ -161,8 +162,8 @@ def pro_train(groups, lm, iterations=100, seed=0, l2=1e-4):
 
     def objective(w):
         z = d @ w
-        loss = np.logaddexp(0.0, -z).sum() + 0.5 * l2 * (w @ w)
-        grad = -(d * expit(-z)[:, None]).sum(axis=0) + l2 * w
+        loss = np.logaddexp(0.0, -z).sum() + 0.5 * PRO_L2 * (w @ w)
+        grad = -(d * expit(-z)[:, None]).sum(axis=0) + PRO_L2 * w
         return loss, grad
 
     res = minimize(objective, np.zeros(len(FEATURE_NAMES)), jac=True,

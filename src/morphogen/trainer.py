@@ -48,6 +48,8 @@ class TrainConfig:
             raise TrainError("hidden and embed dimensions must be >= 1")
         if self.epochs < 1:
             raise TrainError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble_k < 1:
             raise TrainError(f"ensemble size must be >= 1, got {self.ensemble_k}")
         if not 0 <= self.l2 < math.inf:

@@ -254,23 +254,30 @@ def _manual_ce(logits, target, masked):
     return -np.log(p[target])
 
 
+def _ce(tape, logits, target, masked_ids=(), log_lm=None, lam=None):
+    """output_loss with W = I and b = 0, so the logits are exactly the Node given."""
+    n = logits.value.shape[0]
+    return ad.output_loss(tape, ad.constant(np.eye(n)), logits, ad.constant(np.zeros(n)),
+                          target, masked_ids, log_lm, lam)
+
+
 def test_cross_entropy_matches_manual_formula():
     logits = ad.Parameter("logits", [0.3, -1.2, 2.0, 0.0])
-    out = ad.cross_entropy_logits(None, logits, 2, masked_ids=(0,))
+    out = _ce(None, logits, 2, masked_ids=(0,))
     assert abs(out.value[0] - _manual_ce(logits.value, 2, (0,))) < 1e-12
 
 
 def test_cross_entropy_masked_target_rejected():
     logits = ad.Parameter("logits", [0.0, 1.0, 2.0])
     with pytest.raises(MorphogenError, match="masked"):
-        ad.cross_entropy_logits(None, logits, 1, masked_ids=(1,))
+        _ce(None, logits, 1, masked_ids=(1,))
 
 
 def test_cross_entropy_gradient_is_p_minus_onehot():
     logits = ad.Parameter("logits", [0.5, 1.5, -0.5, 0.0])
     masked = (0,)
     tape = ad.Tape()
-    loss = ad.cross_entropy_logits(tape, logits, 3, masked_ids=masked)
+    loss = _ce(tape, logits, 3, masked_ids=masked)
     assert len(tape) == 1  # fused: one record per decoder step
     g = ad.backward(tape, loss, [logits])[logits]
     p = ad.masked_softmax(logits.value, masked)
@@ -284,8 +291,8 @@ def test_interpolated_ce_with_zero_lambda_reduces_exactly():
     logits = ad.Parameter("logits", [0.4, -0.3, 1.1])
     log_lm = np.log([0.2, 0.5, 0.3])
     lam = ad.Parameter("lam", [0.0])
-    a = ad.interpolated_cross_entropy(None, logits, 2, log_lm, lam)
-    b = ad.cross_entropy_logits(None, logits, 2)
+    a = _ce(None, logits, 2, log_lm=log_lm, lam=lam)
+    b = _ce(None, logits, 2)
     assert a.value[0] == b.value[0]
 
 
@@ -294,7 +301,7 @@ def test_interpolated_ce_hand_value():
     logits = ad.Parameter("logits", [np.log(0.9), np.log(0.1)])
     log_lm = np.log([0.25, 0.75])
     lam = ad.Parameter("lam", [1.0])
-    out = ad.interpolated_cross_entropy(None, logits, 0, log_lm, lam)
+    out = _ce(None, logits, 0, log_lm=log_lm, lam=lam)
     joint = np.array([0.9 * 0.25, 0.1 * 0.75])
     want = -np.log(joint[0] / joint.sum())
     assert abs(out.value[0] - want) < 1e-12
@@ -306,7 +313,7 @@ def test_interpolated_ce_lambda_gradient_matches_finite_difference():
     lam = ad.Parameter("lam", [0.7])
 
     def loss_fn(tape):
-        return ad.interpolated_cross_entropy(tape, logits, 1, log_lm, lam)
+        return _ce(tape, logits, 1, log_lm=log_lm, lam=lam)
 
     assert gradient_check(loss_fn, [lam, logits]) < 1e-7
 
@@ -316,10 +323,29 @@ def test_interpolated_ce_masked_ids_stay_zero_in_gradient():
     log_lm = np.array([-np.inf, np.log(0.4), np.log(0.3), np.log(0.3)])
     lam = ad.Parameter("lam", [0.5])
     tape = ad.Tape()
-    loss = ad.interpolated_cross_entropy(tape, logits, 1, log_lm, lam, masked_ids=(0,))
+    loss = _ce(tape, logits, 1, masked_ids=(0,), log_lm=log_lm, lam=lam)
     assert np.isfinite(loss.value[0])
     g = ad.backward(tape, loss, [logits])[logits]
     assert g[0] == 0.0 and np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("interpolated", [False, True])
+def test_output_loss_gradients_are_one_record(interpolated):
+    rng = np.random.default_rng(3)
+    W = ad.Parameter("W", rng.normal(0.0, 0.5, (5, 3)))
+    h = ad.Parameter("h", rng.normal(0.0, 0.5, 3))
+    b = ad.Parameter("b", rng.normal(0.0, 0.5, 5))
+    lam = ad.Parameter("lam", [0.6])
+    log_lm = np.log(rng.dirichlet(np.ones(5))) if interpolated else None
+    params = [W, h, b] + ([lam] if interpolated else [])
+
+    def loss_fn(tape):
+        return ad.output_loss(tape, W, h, b, 2, (0,), log_lm, lam)
+
+    tape = ad.Tape()
+    loss_fn(tape)
+    assert len(tape) == 1
+    assert gradient_check(loss_fn, params) < 1e-7
 
 
 def _build_params(seed):

@@ -551,6 +551,22 @@ def test_cli_seed_env_invalid(tmp_path, monkeypatch, capsys):
     assert "MORPHOGEN_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")],
+                         ids=["flag", "env"])
+def test_cli_train_rejects_a_negative_seed(workspace, tmp_path, capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("MORPHOGEN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MORPHOGEN_SEED", env)
+    out = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", workspace["train.tsv"], "--tag", INESSIVE,
+                     "--hidden", "4", "--epochs", "1", "--out", str(out)] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "morphogen: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_cli_train_checks_out_before_training(workspace, tmp_path, capsys):
     missing_dir = str(tmp_path / "no-such-dir" / "m.ckpt")
     base = ["train", "--data", workspace["train.tsv"], "--tag", INESSIVE,

@@ -29,7 +29,7 @@ def test_config_validation():
     good.validate()
     cases = [dict(hidden=0), dict(embed_dim=0), dict(epochs=0), dict(ensemble_k=0),
              dict(l2=-1.0), dict(max_len_slack=-1),
-             dict(variant="transformer")]
+             dict(variant="transformer"), dict(seed=-1)]
     for kw in cases:
         from dataclasses import replace
         with pytest.raises(TrainError):

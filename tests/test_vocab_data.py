@@ -115,30 +115,16 @@ def test_build_vocab_deterministic_and_order_independent():
         d.build_vocab([])
 
 
-def test_group_tables_first_seen_order_and_merge():
-    examples = [d.Example("a", "t1", "x"), d.Example("b", "t1", "y"),
-                d.Example("a", "t2", "z")]
-    tables = d.group_tables(examples)
-    assert [t.lemma for t in tables] == ["a", "b"]
-    assert tables[0].forms == {"t1": "x", "t2": "z"}
-    # repeated identical rows collapse silently
-    assert d.group_tables(examples + [d.Example("a", "t1", "x")])[0].forms == tables[0].forms
-
-
-def test_group_tables_conflicting_forms_rejected():
-    with pytest.raises(DataError, match="conflicting"):
-        d.group_tables([d.Example("a", "t", "x"), d.Example("a", "t", "y")])
-
-
 def test_table_examples_round_trip():
     t = d.InflectionTable("go", {"past": "went", "gerund": "going"})
     exs = t.examples()
-    assert d.group_tables(exs) == [t]
+    assert exs == [d.Example("go", "past", "went"), d.Example("go", "gerund", "going")]
+    assert d.InflectionTable("go", {e.tag: e.inflected for e in exs}) == t
 
 
 def test_split_tables_sizes_and_disjointness():
     tables = [d.InflectionTable(f"l{i}", {"t": f"f{i}"}) for i in range(20)]
-    split = d.split_tables(tables, ratios=(0.8, 0.1, 0.1), seed=0)
+    split = d.split_tables(tables, seed=0)
     assert (len(split.train), len(split.dev), len(split.test)) == (16, 2, 2)
     lemmas = [t.lemma for part in (split.train, split.dev, split.test) for t in part]
     assert sorted(lemmas) == sorted(t.lemma for t in tables)
@@ -156,12 +142,10 @@ def test_split_tables_seed_determinism():
 
 def test_split_tables_validation_errors():
     tables = [d.InflectionTable(f"l{i}", {"t": "f"}) for i in range(20)]
-    with pytest.raises(DataError, match="sum to 1"):
-        d.split_tables(tables, ratios=(0.5, 0.2, 0.2))
     with pytest.raises(DataError, match="duplicate lemmas"):
         d.split_tables(tables + [d.InflectionTable("l0", {"t": "f"})])
     with pytest.raises(DataError, match="empty"):
-        d.split_tables(tables[:5], ratios=(0.9, 0.05, 0.05))
+        d.split_tables(tables[:5])   # 0.1 of 5 tables rounds to an empty dev split
 
 
 def test_tables_to_examples_flattens_in_order():
