@@ -26,6 +26,8 @@ __all__ = [
     "softplus",
     "row",
     "masked_softmax",
+    "step_loss",
+    "logit_grad",
     "output_loss",
     "backward",
 ]
@@ -113,6 +115,12 @@ class Sweep:
         pending = self._outer.setdefault(node, ([], []))
         pending[0].append(a)
         pending[1].append(b)
+
+    def acc_outers(self, node, rows_a, rows_b):
+        """acc_outer for each pair of rows_a and rows_b, in order."""
+        pending = self._outer.setdefault(node, ([], []))
+        pending[0].extend(rows_a)
+        pending[1].extend(rows_b)
 
     def finish(self):
         """Add the pending outer products to their Parameters."""
@@ -218,37 +226,49 @@ def masked_softmax(logits, masked_ids=()):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
-    """-log softmax(W @ h + b)[target]: a decoder step's output layer and loss
-    as one record, masked ids excluded and renormalized.
+def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):
+    """-log softmax(lv)[target] with masked ids excluded and renormalized.
 
-    Given LM log-probs log_lm aligned with the logits and a scalar Node lam,
-    the step distribution is p_model * p_lm**lam renormalized and lam gets a
-    gradient too. Without log_lm no lam * log_lm term is formed: at lam = 0 a
-    -inf LM log-prob would make it NaN. The logits' gradient is (p - onehot).
+    Given LM log-probs log_lm aligned with the logits lv and a float lam,
+    the distribution is p_model * p_lm**lam renormalized. Without log_lm no
+    lam * log_lm term is formed: at lam = 0 a -inf LM log-prob would make it
+    NaN. Returns (loss, p, dlam): p is the step distribution, so the logits'
+    gradient is (p - onehot), and dlam is the loss's derivative in lam
+    (None without log_lm).
     """
+    if target in masked_ids:
+        raise MorphogenError(f"output_loss: target {target} is masked")
+    if log_lm is None:
+        p, m, Z = _softmax_lse(lv, masked_ids)
+        return np.log(Z) + m - lv[target], p, None
+    p, m, Z = _softmax_lse(lv + lam * log_lm, masked_ids)  # combined distribution
+    safe_log_lm = log_lm.copy()
+    safe_log_lm[list(masked_ids)] = 0.0
+    return (np.log(Z) + m - lv[target] - lam * log_lm[target], p,
+            p @ safe_log_lm - log_lm[target])
+
+
+def logit_grad(g, p, target):
+    """The gradient g * (p - onehot(target)) of a step loss's logits."""
+    gl = g * p
+    gl[target] -= g
+    return gl
+
+
+def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
+    """step_loss of the logits W @ h + b: a decoder step's output layer and
+    loss as one record. lam is a scalar Node and gets a gradient too."""
     Wv, hv, bv = W.value, h.value, b.value
     if Wv.ndim != 2 or Wv.shape[1] != hv.shape[0] or Wv.shape[0] != bv.shape[0]:
         raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
-    if target in masked_ids:
-        raise MorphogenError(f"output_loss: target {target} is masked")
-    lv = Wv @ hv + bv
-    if log_lm is None:
-        p, m, Z = _softmax_lse(lv, masked_ids)
-        loss = np.log(Z) + m - lv[target]
-    else:
-        lamv = float(lam.value[0])
-        p, m, Z = _softmax_lse(lv + lamv * log_lm, masked_ids)  # combined distribution
-        loss = np.log(Z) + m - lv[target] - lamv * log_lm[target]
-        safe_log_lm = log_lm.copy()
-        safe_log_lm[list(masked_ids)] = 0.0
+    loss, p, dlam = step_loss(Wv @ hv + bv, target, masked_ids, log_lm,
+                              None if log_lm is None else float(lam.value[0]))
     out = Node(np.array([loss]))
     if tape is not None:
         def backward_fn(sweep, g):
-            gl = g[0] * p
-            gl[target] -= g[0]
+            gl = logit_grad(g[0], p, target)
             if log_lm is not None:
-                sweep.acc(lam, np.array([g[0] * (p @ safe_log_lm - log_lm[target])]))
+                sweep.acc(lam, np.array([g[0] * dlam]))
             sweep.acc_outer(W, gl, hv)
             sweep.acc(h, Wv.T @ gl)
             sweep.acc(b, gl)

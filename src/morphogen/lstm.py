@@ -3,7 +3,8 @@
 Single-layer, no peepholes, independent forget gate. Gate weights are stored
 fused as [4n x l] / [4n x n] blocks in (input, forget, output, candidate)
 order; the forget block of the bias starts at 1.0. A cell step is one tape
-record with a hand-written backward over the fused [4n] gate vector.
+record with a hand-written backward over the fused [4n] gate vector;
+run_cached and backward_cached do whole sequences untaped, BPTT by hand.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from scipy.special import expit
 from . import autodiff as ad
 from .errors import DimensionError
 
-__all__ = ["LSTMParams", "LSTMState", "lstm_step", "lstm_step_rows", "run_sequence",
-           "encode_bidirectional", "zero_state"]
+__all__ = ["LSTMParams", "LSTMState", "lstm_step", "lstm_step_rows", "run_cached",
+           "backward_cached", "run_sequence", "encode_bidirectional", "zero_state"]
 
 FORGET_BIAS = 1.0
 
@@ -104,6 +105,56 @@ def lstm_step_rows(params, X, H, C):
     """lstm_step untaped, on one state (X [l], H and C [n]) or on a batch of
     rows (X [B,l], H and C [B,n]) -> (H', C')."""
     return _cell(params, X, H, C)[:2]
+
+
+def run_cached(params, xs, h0=None):
+    """lstm_step untaped over the input vectors xs, from (h0, 0) or the zero
+    state -> (every step's h, a per-step cache for backward_cached)."""
+    h = np.zeros(params.hidden_size) if h0 is None else h0
+    c = np.zeros(params.hidden_size)
+    hs, cache = [], []
+    for x in xs:
+        h_next, c_next, sig, g, tc = _cell(params, x, h, c)
+        cache.append((x, h, c, sig, g, tc))
+        h, c = h_next, c_next
+        hs.append(h)
+    return hs, cache
+
+
+def backward_cached(sweep, params, cache, gh_out):
+    """Backpropagation through time over run_cached's steps, in the order of
+    lstm_step's backward over the same steps on a tape.
+
+    gh_out[t] is the gradient reaching h_t from outside the cell (None: none;
+    the last step needs one). Adds the weight and bias gradients into the
+    sweep; returns each step's input gradient and the gradient into h0.
+    """
+    n = params.hidden_size
+    W_x, W_h = params.W_x.value, params.W_h.value
+    xs, hs, cs, sig, g, tc = (np.array(col) for col in zip(*cache))    # [T, ...] each
+    # lstm_step's dz is [dc, dc, dh, dc] * A * D; A and D hold its
+    # elementwise products of forward values, for every step at once
+    A = np.concatenate((g, cs, tc, sig[:, :n]), axis=1)
+    D = np.concatenate((sig * (1.0 - sig), 1.0 - g * g), axis=1)
+    dtc, o, f = 1.0 - tc * tc, sig[:, 2 * n:], sig[:, n:2 * n]
+    dzs, dxs = [], [None] * len(cache)
+    gh_rec = gc = None
+    for t in range(len(cache) - 1, -1, -1):
+        gh = gh_out[t]
+        if gh_rec is not None:
+            gh = gh_rec if gh is None else gh_rec + gh
+        dc = gh * o[t] * dtc[t]
+        if gc is not None:
+            dc += gc
+        dz = np.concatenate((dc, dc, gh, dc)) * A[t] * D[t]
+        dzs.append(dz)
+        dxs[t] = W_x.T @ dz
+        gh_rec = W_h.T @ dz
+        gc = dc * f[t]
+    sweep.acc_outers(params.W_x, dzs, xs[::-1])
+    sweep.acc_outers(params.W_h, dzs, hs[::-1])
+    sweep.acc(params.b, sum(dzs[1:], dzs[0]))
+    return dxs, gh_rec
 
 
 def run_sequence(tape, params, xs):

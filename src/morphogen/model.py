@@ -302,10 +302,21 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
 
     lm_logprobs/lam switch each step to the interpolated loss: the step
     distribution becomes p_model * p_lm**lam renormalized, with lam a scalar
-    Node that also receives gradient.
+    Node that also receives gradient. Attention records one op per step and
+    layer; every other variant records the example as one op.
     """
     if not x_ids:
         raise DataError("forward_variant: empty input sequence")
+    V = len(params.vocab)
+    if not all(0 <= i < V for i in [*x_ids, *y_ids]):
+        raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "
+                             f"for a vocabulary of {V}")
+    loss_fn = _per_op_loss if params.wiring.attention else _sequence_loss
+    return loss_fn(tape, params, x_ids, y_ids, lm_logprobs, lam)
+
+
+def _per_op_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
+    """forward_variant op by op: a record per lookup, cell step, concat and loss."""
     source = _encode_source(tape, params, x_ids)
     targets = list(y_ids) + [EOS]
     state = _initial_state(params, source)
@@ -317,6 +328,71 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
             tape, params.out_W, state.h, params.out_b, target, MASKED_OUTPUT_IDS,
             None if lm_logprobs is None else lm_logprobs[t], lam))
     return ad.total(tape, step_losses)
+
+
+def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
+    """forward_variant without attention as one record: an untaped forward
+    over arrays and backpropagation through time by hand. Both repeat
+    _per_op_loss's arithmetic, the backward in its records' order (decoder
+    steps in reverse, e's transform, then the backward and the forward
+    encoder in reverse), so the loss and the gradients are the same bits."""
+    w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
+    x_ids, targets = list(x_ids), list(y_ids) + [EOS]
+    y_prevs = [BOS] + targets[:-1]
+    x_steps = [x_ids[t] if t < len(x_ids) else EPS for t in range(len(targets))]
+    if w.encoder:
+        xs = [E[i] for i in x_ids]
+        fwd_hs, fwd_cache = lstm.run_cached(params.enc_fwd, xs)
+        bwd_hs, bwd_cache = lstm.run_cached(params.enc_bwd, xs[::-1])
+        e_raw = np.concatenate((fwd_hs[-1], bwd_hs[-1]))     # [fwd h_T ; bwd h_1]
+        e = params.trans_W.value @ e_raw + params.trans_b.value
+    # decoder inputs in _decoder_step's column order: [e, y_prev, x_t]
+    inputs = [np.concatenate(([e] if w.e_per_step else []) + [E[y_prev]]
+                             + ([E[x_t]] if w.consumes_source else []))
+              for y_prev, x_t in zip(y_prevs, x_steps)]
+    hs, dec_cache = lstm.run_cached(params.dec, inputs, e if w.e_as_init else None)
+    W_out, b_out = params.out_W.value, params.out_b.value
+    lamv = None if lm_logprobs is None else float(lam.value[0])
+    steps = [ad.step_loss(W_out @ h + b_out, target, MASKED_OUTPUT_IDS,
+                          None if lm_logprobs is None else lm_logprobs[t], lamv)
+             for t, (h, target) in enumerate(zip(hs, targets))]
+    out = ad.Node(np.array([sum((s[0] for s in steps[1:]), steps[0][0])]))
+    if tape is None:
+        return out
+
+    def backward_fn(sweep, g):
+        rev = range(len(targets) - 1, -1, -1)
+        gls = [ad.logit_grad(g[0], steps[t][1], targets[t]) for t in rev]
+        if lm_logprobs is not None:
+            dlams = [g[0] * steps[t][2] for t in rev]
+            sweep.acc(lam, np.array([sum(dlams[1:], dlams[0])]))
+        sweep.acc_outers(params.out_W, gls, hs[::-1])
+        sweep.acc(params.out_b, sum(gls[1:], gls[0]))
+        dxs, gh0 = lstm.backward_cached(sweep, params.dec, dec_cache,
+                                        [W_out.T @ gl for gl in gls[::-1]])
+        gE = sweep.grad_buffer(params.embed)
+        ge = gh0 if w.e_as_init else None
+        for t in rev:
+            gx = dxs[t]
+            if w.e_per_step:
+                ge = gx[:n] if ge is None else ge + gx[:n]
+                gx = gx[n:]
+            if w.consumes_source:
+                gE[x_steps[t]] += gx[d:]
+            gE[y_prevs[t]] += gx[:d]
+        if not w.encoder:
+            return
+        sweep.acc_outers(params.trans_W, [ge], [e_raw])
+        sweep.acc(params.trans_b, ge)
+        g_raw = params.trans_W.value.T @ ge
+        last = [None] * (len(xs) - 1)
+        dx_bwd = lstm.backward_cached(sweep, params.enc_bwd, bwd_cache, last + [g_raw[n:]])[0]
+        dx_fwd = lstm.backward_cached(sweep, params.enc_fwd, fwd_cache, last + [g_raw[:n]])[0]
+        for j in range(len(xs) - 1, -1, -1):
+            gE[x_ids[j]] += dx_bwd[-1 - j] + dx_fwd[j]
+
+    tape.append(out, backward_fn)
+    return out
 
 
 class DecodeSession:
