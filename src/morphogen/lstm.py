@@ -107,13 +107,19 @@ def lstm_step_rows(params, X, H, C):
     return _cell(params, X, H, C)[:2]
 
 
-def run_cached(params, xs, h0=None):
+def run_cached(params, xs, h0=None, step_input=None):
     """lstm_step untaped over the input vectors xs, from (h0, 0) or the zero
-    state -> (every step's h, a per-step cache for backward_cached)."""
+    state -> (every step's h, a per-step cache for backward_cached).
+
+    step_input(x, h_prev), if given, builds each step's input from xs[t] and
+    the previous h: an input that depends on the state, like attention's.
+    """
     h = np.zeros(params.hidden_size) if h0 is None else h0
     c = np.zeros(params.hidden_size)
     hs, cache = [], []
     for x in xs:
+        if step_input is not None:
+            x = step_input(x, h)
         h_next, c_next, sig, g, tc = _cell(params, x, h, c)
         cache.append((x, h, c, sig, g, tc))
         h, c = h_next, c_next
@@ -121,13 +127,17 @@ def run_cached(params, xs, h0=None):
     return hs, cache
 
 
-def backward_cached(sweep, params, cache, gh_out):
+def backward_cached(sweep, params, cache, gh_out, step_grad=None):
     """Backpropagation through time over run_cached's steps, in the order of
     lstm_step's backward over the same steps on a tape.
 
     gh_out[t] is the gradient reaching h_t from outside the cell (None: none;
-    the last step needs one). Adds the weight and bias gradients into the
-    sweep; returns each step's input gradient and the gradient into h0.
+    the last step needs one). step_grad(t, dx), if given, takes step t's
+    input gradient and returns the gradient that the input sends on into
+    h_{t-1} (run_cached's step_input); it joins the recurrent gradient
+    before gh_out[t-1] does, as on a tape. Adds the weight and bias
+    gradients into the sweep; returns each step's input gradient and the
+    gradient into h0.
     """
     n = params.hidden_size
     W_x, W_h = params.W_x.value, params.W_h.value
@@ -150,6 +160,8 @@ def backward_cached(sweep, params, cache, gh_out):
         dzs.append(dz)
         dxs[t] = W_x.T @ dz
         gh_rec = W_h.T @ dz
+        if step_grad is not None:
+            gh_rec += step_grad(t, dxs[t])
         gc = dc * f[t]
     sweep.acc_outers(params.W_x, dzs, xs[::-1])
     sweep.acc_outers(params.W_h, dzs, hs[::-1])

@@ -209,55 +209,30 @@ def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
     return m
 
 
-def _attend(params, source, S):
+def attention_context(params, source, S):
     """Additive attention of a decoder state S [n], or of every row of S
-    [B, n], over the source's states: softmax(v . tanh(W_enc h_t + W_dec s))
-    weighting the h_t. Returns (context, weights, tanh activations)."""
+    [B, n], over an encoded source: softmax(v . tanh(W_enc h_t + W_dec s))
+    weighting the source's states h_t. Returns (context, weights, tanh
+    activations); training's backward reads the last two."""
+    if not params.wiring.attention:
+        raise MorphogenError(f"attention_context on variant {params.variant!r}")
     act = np.tanh(source.keys + (S @ params.attn_W_dec.value.T)[..., None, :])  # [(B,) T, n]
     weights = ad.masked_softmax(act @ params.attn_v.value)
     return weights @ source.H, weights, act
 
 
-def attention_context(tape, params, source, s_prev):
-    """The attention context of decoder state s_prev over an encoded source,
-    as one tape record whose backward reaches every position's state."""
-    if not params.wiring.attention:
-        raise MorphogenError(f"attention_context on variant {params.variant!r}")
-    W_enc, W_dec, v = params.attn_W_enc, params.attn_W_dec, params.attn_v
-    H, sv = source.H, s_prev.value
-    context, weights, act = _attend(params, source, sv)
-    out = ad.Node(context)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            gw = H @ g
-            gscores = weights * (gw - gw @ weights)
-            sweep.acc(v, act.T @ gscores)
-            gpre = gscores[:, None] * v.value * (1.0 - act * act)
-            gkey = gpre.sum(axis=0)
-            sweep.acc_outer(W_dec, gkey, sv)
-            sweep.acc(s_prev, W_dec.value.T @ gkey)
-            sweep.acc(W_enc, gpre.T @ H)
-            gH = weights[:, None] * g + gpre @ W_enc.value
-            for (f, b), gh in zip(source.positions, gH):
-                sweep.acc(f, gh[:params.hidden])
-                sweep.acc(b, gh[params.hidden:])
-        tape.append(out, backward_fn)
-    return out
-
-
 class _Source:
     """An encoded source: its ids, e (None without a transform) and, with
-    attention, the per-position (fwd h, bwd h) Node pairs, stacked into
-    H [T, 2n] together with their projections keys = W_enc h_t [T, n], which
-    do not depend on the decoder step."""
+    attention, both encoder passes' states at every position, H [T, 2n] with
+    rows [fwd h_t ; bwd h_t], together with their projections
+    keys = W_enc h_t [T, n], which do not depend on the decoder step."""
 
-    def __init__(self, params, x_ids, e=None, positions=None):
+    def __init__(self, params, x_ids, e=None, H=None):
         self.x_ids = x_ids
         self.e = e
-        self.positions = positions
-        if positions is not None:
-            self.H = np.array([np.concatenate((f.value, b.value)) for f, b in positions])
-            self.keys = self.H @ params.attn_W_enc.value.T
+        self.H = H
+        if H is not None:
+            self.keys = H @ params.attn_W_enc.value.T
 
 
 def _encode_source(tape, params, x_ids):
@@ -267,11 +242,13 @@ def _encode_source(tape, params, x_ids):
         return _Source(params, x_ids)
     xs = [ad.row(tape, params.embed, i) for i in x_ids]
     positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
-    e = None
+    e = H = None
     if w.trans:
         e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
         e = ad.affine(tape, params.trans_W, e_raw, params.trans_b)   # 2n -> n
-    return _Source(params, x_ids, e, positions if w.attention else None)
+    if w.attention:
+        H = np.array([np.concatenate((f.value, b.value)) for f, b in positions])
+    return _Source(params, x_ids, e, H)
 
 
 def _initial_state(params, source):
@@ -280,30 +257,13 @@ def _initial_state(params, source):
     return lstm.zero_state(params.hidden)
 
 
-def _decoder_step(tape, params, source, state, y_prev_id, t):
-    """Advance the decoder LSTM one step on [e|context, y_prev, x_t]."""
-    w = params.wiring
-    # y_prev is embedded first whatever its place in the input: the order of
-    # tape records fixes the order in which gradients accumulate.
-    parts = [ad.row(tape, params.embed, y_prev_id)]
-    if w.e_per_step:
-        parts.insert(0, source.e)
-    elif w.attention:
-        parts.insert(0, attention_context(tape, params, source, state.h))
-    if w.consumes_source:
-        x = source.x_ids
-        parts.append(ad.row(tape, params.embed, x[t] if t < len(x) else EPS))
-    inp = parts[0] if len(parts) == 1 else ad.concat(tape, parts)
-    return lstm.lstm_step(tape, params.dec, inp, state)
-
-
 def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
-    """Teacher-forced NLL of y_ids + EOS given x_ids under the model's wiring.
+    """Teacher-forced NLL of y_ids + EOS given x_ids under the model's wiring,
+    recorded as one op.
 
     lm_logprobs/lam switch each step to the interpolated loss: the step
     distribution becomes p_model * p_lm**lam renormalized, with lam a scalar
-    Node that also receives gradient. Attention records one op per step and
-    layer; every other variant records the example as one op.
+    Node that also receives gradient.
     """
     if not x_ids:
         raise DataError("forward_variant: empty input sequence")
@@ -311,31 +271,20 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     if not all(0 <= i < V for i in [*x_ids, *y_ids]):
         raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "
                              f"for a vocabulary of {V}")
-    loss_fn = _per_op_loss if params.wiring.attention else _sequence_loss
-    return loss_fn(tape, params, x_ids, y_ids, lm_logprobs, lam)
-
-
-def _per_op_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
-    """forward_variant op by op: a record per lookup, cell step, concat and loss."""
-    source = _encode_source(tape, params, x_ids)
-    targets = list(y_ids) + [EOS]
-    state = _initial_state(params, source)
-    step_losses = []
-    for t, target in enumerate(targets):    # a step past EOS would feed no loss
-        y_prev = BOS if t == 0 else targets[t - 1]
-        state = _decoder_step(tape, params, source, state, y_prev, t)
-        step_losses.append(ad.output_loss(
-            tape, params.out_W, state.h, params.out_b, target, MASKED_OUTPUT_IDS,
-            None if lm_logprobs is None else lm_logprobs[t], lam))
-    return ad.total(tape, step_losses)
+    return _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs, lam)
 
 
 def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
-    """forward_variant without attention as one record: an untaped forward
-    over arrays and backpropagation through time by hand. Both repeat
-    _per_op_loss's arithmetic, the backward in its records' order (decoder
-    steps in reverse, e's transform, then the backward and the forward
-    encoder in reverse), so the loss and the gradients are the same bits."""
+    """forward_variant as one record: an untaped forward over arrays and
+    backpropagation through time by hand.
+
+    Both repeat the arithmetic of recording the example op by op (a record
+    per lookup, cell step, concat, attention context and step loss), the
+    backward in those records' order: decoder steps in reverse, each with
+    its attention context's backward, then e's transform, then the backward
+    and the forward encoder in reverse. So the loss and the gradients are
+    the same bits.
+    """
     w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
     x_ids, targets = list(x_ids), list(y_ids) + [EOS]
     y_prevs = [BOS] + targets[:-1]
@@ -344,13 +293,23 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
         xs = [E[i] for i in x_ids]
         fwd_hs, fwd_cache = lstm.run_cached(params.enc_fwd, xs)
         bwd_hs, bwd_cache = lstm.run_cached(params.enc_bwd, xs[::-1])
+    if w.trans:
         e_raw = np.concatenate((fwd_hs[-1], bwd_hs[-1]))     # [fwd h_T ; bwd h_1]
         e = params.trans_W.value @ e_raw + params.trans_b.value
-    # decoder inputs in _decoder_step's column order: [e, y_prev, x_t]
+    step_input = None
+    if w.attention:
+        source = _Source(params, x_ids, H=np.concatenate((fwd_hs, bwd_hs[::-1]), axis=1))
+        attended = []    # each step's (weights, tanh activations)
+
+        def step_input(y_emb, s):
+            context, weights, act = attention_context(params, source, s)
+            attended.append((weights, act))
+            return np.concatenate((context, y_emb))
+    # decoder inputs in column order [e|context, y_prev, x_t]; the context joins in step_input
     inputs = [np.concatenate(([e] if w.e_per_step else []) + [E[y_prev]]
                              + ([E[x_t]] if w.consumes_source else []))
               for y_prev, x_t in zip(y_prevs, x_steps)]
-    hs, dec_cache = lstm.run_cached(params.dec, inputs, e if w.e_as_init else None)
+    hs, dec_cache = lstm.run_cached(params.dec, inputs, e if w.e_as_init else None, step_input)
     W_out, b_out = params.out_W.value, params.out_b.value
     lamv = None if lm_logprobs is None else float(lam.value[0])
     steps = [ad.step_loss(W_out @ h + b_out, target, MASKED_OUTPUT_IDS,
@@ -368,8 +327,25 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
             sweep.acc(lam, np.array([sum(dlams[1:], dlams[0])]))
         sweep.acc_outers(params.out_W, gls, hs[::-1])
         sweep.acc(params.out_b, sum(gls[1:], gls[0]))
+        step_grad = None
+        if w.attention:
+            H, W_enc, W_dec, v = source.H, params.attn_W_enc, params.attn_W_dec, params.attn_v
+            gHs = []
+
+            def step_grad(t, dx):    # the backward of step t's attention context
+                g = dx[:2 * n]
+                weights, act = attended[t]
+                gw = H @ g
+                gscores = weights * (gw - gw @ weights)
+                sweep.acc(v, act.T @ gscores)
+                gpre = gscores[:, None] * v.value * (1.0 - act * act)
+                gkey = gpre.sum(axis=0)
+                sweep.acc_outer(W_dec, gkey, dec_cache[t][1])    # h_{t-1}
+                sweep.acc(W_enc, gpre.T @ H)
+                gHs.append(weights[:, None] * g + gpre @ W_enc.value)
+                return W_dec.value.T @ gkey
         dxs, gh0 = lstm.backward_cached(sweep, params.dec, dec_cache,
-                                        [W_out.T @ gl for gl in gls[::-1]])
+                                        [W_out.T @ gl for gl in gls[::-1]], step_grad)
         gE = sweep.grad_buffer(params.embed)
         ge = gh0 if w.e_as_init else None
         for t in rev:
@@ -377,17 +353,24 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
             if w.e_per_step:
                 ge = gx[:n] if ge is None else ge + gx[:n]
                 gx = gx[n:]
+            elif w.attention:
+                gx = gx[2 * n:]
             if w.consumes_source:
                 gE[x_steps[t]] += gx[d:]
             gE[y_prevs[t]] += gx[:d]
         if not w.encoder:
             return
-        sweep.acc_outers(params.trans_W, [ge], [e_raw])
-        sweep.acc(params.trans_b, ge)
-        g_raw = params.trans_W.value.T @ ge
-        last = [None] * (len(xs) - 1)
-        dx_bwd = lstm.backward_cached(sweep, params.enc_bwd, bwd_cache, last + [g_raw[n:]])[0]
-        dx_fwd = lstm.backward_cached(sweep, params.enc_fwd, fwd_cache, last + [g_raw[:n]])[0]
+        if w.trans:
+            sweep.acc_outers(params.trans_W, [ge], [e_raw])
+            sweep.acc(params.trans_b, ge)
+            g_raw = params.trans_W.value.T @ ge
+            last = [None] * (len(xs) - 1)
+            gh_fwd, gh_bwd = last + [g_raw[:n]], last + [g_raw[n:]]
+        else:   # attention: every position's states, summed over the steps in reverse
+            gH = sum(gHs[1:], gHs[0])
+            gh_fwd, gh_bwd = gH[:, :n], gH[::-1, n:]
+        dx_bwd = lstm.backward_cached(sweep, params.enc_bwd, bwd_cache, gh_bwd)[0]
+        dx_fwd = lstm.backward_cached(sweep, params.enc_fwd, fwd_cache, gh_fwd)[0]
         for j in range(len(xs) - 1, -1, -1):
             gE[x_ids[j]] += dx_bwd[-1 - j] + dx_fwd[j]
 
@@ -415,7 +398,7 @@ class DecodeSession:
         return state.h.value, state.c.value
 
     def step(self, H, C, y_prev, t):
-        """One decoder step, as _decoder_step, the output affine and masked_softmax.
+        """One decoder step, its output affine and masked_softmax, as in training.
 
         One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
         B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).
@@ -426,13 +409,13 @@ class DecodeSession:
         one = H.ndim == 1
         if one and not 0 <= y_prev < len(E):
             raise DimensionError(f"y_prev id {y_prev} out of range for a vocabulary of {len(E)}")
-        # decoder input columns in _decoder_step's order: [e|context, y_prev, x_t]
+        # decoder input columns in training's order: [e|context, y_prev, x_t]
         parts = [E[y_prev]]
         if w.e_per_step:
             e = source.e.value
             parts.insert(0, e if one else e[None].repeat(len(H), axis=0))
         elif w.attention:
-            parts.insert(0, _attend(params, source, H)[0])
+            parts.insert(0, attention_context(params, source, H)[0])
         if w.consumes_source:
             x = source.x_ids
             x_t = E[x[t] if t < len(x) else EPS]

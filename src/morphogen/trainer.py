@@ -207,15 +207,18 @@ def train_interpolated(dataset, tag, lm, config, log=None):
     def lam_value():
         return float(np.logaddexp(0.0, lam_hat.value[0]))
 
-    def make_loss(tape, ex):
-        x_ids = vocab.encode(ex.lemma)
-        y_ids = vocab.encode(ex.inflected)
-        dists = [lm_next_dist(lm, vocab, y_ids[:t]) for t in range(len(y_ids) + 1)]
+    def lm_logprobs(word):
+        y_ids = vocab.encode(word)
         with np.errstate(divide="ignore"):
-            lm_logprobs = [np.log(d) for d in dists]
+            return [np.log(lm_next_dist(lm, vocab, y_ids[:t])) for t in range(len(y_ids) + 1)]
+
+    # the LM is fixed: each target's per-step log-probs are taken once per run
+    logprobs = {ex.inflected: lm_logprobs(ex.inflected) for ex in train}
+
+    def make_loss(tape, ex):
         lam = ad.softplus(tape, lam_hat)
-        return forward_variant(tape, model, x_ids, y_ids,
-                               lm_logprobs=lm_logprobs, lam=lam)
+        return forward_variant(tape, model, vocab.encode(ex.lemma), vocab.encode(ex.inflected),
+                               lm_logprobs=logprobs[ex.inflected], lam=lam)
 
     best_model, best_lam = _epoch_loop(
         config, train, make_loss, lambda ex: update,

@@ -7,11 +7,12 @@ from scipy.special import expit
 
 from morphogen import autodiff as ad
 from morphogen import lstm, search
+from morphogen import model as mod
 from morphogen.charlm import train_lm
 from morphogen.errors import DimensionError
 from morphogen.model import DecodeSession, forward_variant
 from morphogen.reranker import RerankGroup
-from morphogen.vocab import BOS, EOS
+from morphogen.vocab import BOS, EOS, EPS
 
 
 def randomize_params(model, seed, scale=0.5):
@@ -253,7 +254,7 @@ def models_equal(a, b):
 # --- composed references for the fused recurrent ops ----------------------
 # The cell and the attention context as chains of primitive tape ops, one
 # record per primitive: slower, but each piece is checked on its own, so
-# they serve as oracles for lstm.lstm_step and model.attention_context.
+# they serve as oracles for lstm.lstm_step and attention_record below.
 
 def reference_lstm_step(tape, params, x, prev):
     n = params.hidden_size
@@ -288,6 +289,83 @@ def reference_attention_context(tape, params, source, s_prev):
               for h in hidden_seq]
     weights = softmax_op(tape, ad.concat(tape, scores))
     return weighted_sum(tape, weights, hidden_seq)
+
+
+# --- the per-op training path ----------------------------------------------
+# forward_variant recorded op by op: a tape record per embedding lookup, cell
+# step, concat, attention context and step loss. model._sequence_loss records
+# an example as one op and must match this loss and every gradient bit for bit.
+
+def node_source(params, x_ids, positions):
+    """A model._Source over per-position (fwd h, bwd h) Node pairs, which it
+    keeps for attention_record's backward."""
+    source = mod._Source(params, list(x_ids),
+                         H=np.array([np.concatenate((f.value, b.value)) for f, b in positions]))
+    source.positions = positions
+    return source
+
+
+def attention_record(tape, params, source, s_prev):
+    """model.attention_context of a state Node s_prev as one tape record whose
+    backward reaches every position's state in source.positions."""
+    W_enc, W_dec, v = params.attn_W_enc, params.attn_W_dec, params.attn_v
+    H, sv = source.H, s_prev.value
+    context, weights, act = mod.attention_context(params, source, sv)
+    out = ad.Node(context)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            gw = H @ g
+            gscores = weights * (gw - gw @ weights)
+            sweep.acc(v, act.T @ gscores)
+            gpre = gscores[:, None] * v.value * (1.0 - act * act)
+            gkey = gpre.sum(axis=0)
+            sweep.acc_outer(W_dec, gkey, sv)
+            sweep.acc(s_prev, W_dec.value.T @ gkey)
+            sweep.acc(W_enc, gpre.T @ H)
+            gH = weights[:, None] * g + gpre @ W_enc.value
+            for (f, b), gh in zip(source.positions, gH):
+                sweep.acc(f, gh[:params.hidden])
+                sweep.acc(b, gh[params.hidden:])
+        tape.append(out, backward_fn)
+    return out
+
+
+def decoder_step(tape, params, source, state, y_prev_id, t):
+    """Advance the decoder LSTM one step on [e|context, y_prev, x_t]."""
+    w = params.wiring
+    # y_prev is embedded first whatever its place in the input: the order of
+    # tape records fixes the order in which gradients accumulate.
+    parts = [ad.row(tape, params.embed, y_prev_id)]
+    if w.e_per_step:
+        parts.insert(0, source.e)
+    elif w.attention:
+        parts.insert(0, attention_record(tape, params, source, state.h))
+    if w.consumes_source:
+        x = source.x_ids
+        parts.append(ad.row(tape, params.embed, x[t] if t < len(x) else EPS))
+    inp = parts[0] if len(parts) == 1 else ad.concat(tape, parts)
+    return lstm.lstm_step(tape, params.dec, inp, state)
+
+
+def per_op_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
+    """forward_variant op by op: a record per lookup, cell step, concat,
+    attention context and loss."""
+    if params.wiring.attention:
+        xs = [ad.row(tape, params.embed, i) for i in x_ids]
+        source = node_source(params, x_ids, lstm.encode_bidirectional(
+            tape, params.enc_fwd, params.enc_bwd, xs))
+    else:
+        source = mod._encode_source(tape, params, x_ids)
+    targets = list(y_ids) + [EOS]
+    state = mod._initial_state(params, source)
+    step_losses = []
+    for t, target in enumerate(targets):    # a step past EOS would feed no loss
+        y_prev = BOS if t == 0 else targets[t - 1]
+        state = decoder_step(tape, params, source, state, y_prev, t)
+        step_losses.append(ad.output_loss(
+            tape, params.out_W, state.h, params.out_b, target, mod.MASKED_OUTPUT_IDS,
+            None if lm_logprobs is None else lm_logprobs[t], lam))
+    return ad.total(tape, step_losses)
 
 
 # --- reference optimiser step ------------------------------------------------

@@ -7,7 +7,7 @@ helpers.py."""
 import numpy as np
 import pytest
 
-from helpers import randomize_params, reference_beam_decode
+from helpers import decoder_step, randomize_params, reference_beam_decode
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen import search as se
@@ -26,9 +26,8 @@ def _model(variant, seed=3, hidden=4):
 
 
 def _training_step(m, source, h, c, y_prev, t):
-    """The taped training path run untaped: _decoder_step, the output affine, masked_softmax."""
-    state = mod._decoder_step(None, m, source, LSTMState(ad.constant(h), ad.constant(c)),
-                              y_prev, t)
+    """The per-op training path run untaped: decoder_step, the output affine, masked_softmax."""
+    state = decoder_step(None, m, source, LSTMState(ad.constant(h), ad.constant(c)), y_prev, t)
     logits = ad.affine(None, m.out_W, state.h, m.out_b)
     dist = ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS)
     return state.h.value, state.c.value, dist

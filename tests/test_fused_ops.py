@@ -1,10 +1,12 @@
-"""The fused LSTM step and attention context against their composed
+"""The fused LSTM step and attention record against their composed
 references in helpers.py: values to 1e-12, gradients to 1e-10."""
 
 import numpy as np
 import pytest
 
-from helpers import dot, randomize_params, reference_attention_context, reference_lstm_step
+import helpers
+from helpers import (attention_record, dot, node_source, per_op_loss, randomize_params,
+                     reference_attention_context, reference_lstm_step)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -104,22 +106,22 @@ ATTENTION_SHAPES = [(1, 1), (1, 3), (4, 1), (5, 3)]
 def test_attention_context_matches_reference(length, hidden_size):
     m, positions, s_prev, weights, leaves = _attention_case(length, hidden_size, seed=length)
     values, grads = {}, {}
-    source = mod._Source(m, [], positions=positions)
-    for fn in (mod.attention_context, reference_attention_context):
+    source = node_source(m, [], positions)
+    for fn in (attention_record, reference_attention_context):
         tape = ad.Tape()
         ctx = fn(tape, m, source, s_prev)
         values[fn] = ctx.value
         grads[fn] = ad.backward(tape, dot(tape, ctx, weights), leaves)
-    _close(values[mod.attention_context], values[reference_attention_context], VALUE_TOL)
+    _close(values[attention_record], values[reference_attention_context], VALUE_TOL)
     for leaf in leaves:
-        _close(grads[mod.attention_context][leaf],
+        _close(grads[attention_record][leaf],
                grads[reference_attention_context][leaf], GRAD_TOL)
 
 
 def test_attention_context_is_one_record():
     m, positions, s_prev, _, _ = _attention_case(4, 2, seed=0)
     tape = ad.Tape()
-    mod.attention_context(tape, m, mod._Source(m, [], positions=positions), s_prev)
+    attention_record(tape, m, node_source(m, [], positions), s_prev)
     assert len(tape) == 1
 
 
@@ -129,15 +131,15 @@ def test_model_gradients_match_composed_model(monkeypatch, variant):
     m = randomize_params(mod.init_model(vocab, variant, hidden=3, embed_dim=2, seed=1), 2)
     x_ids, y_ids = vocab.encode("abba"), vocab.encode("bab")
 
-    def run():
+    def run(loss_fn):
         tape = ad.Tape()
-        loss = mod.forward_variant(tape, m, x_ids, y_ids)
+        loss = loss_fn(tape, m, x_ids, y_ids)
         return loss.value[0], ad.backward(tape, loss, m.parameters())
 
-    fused_loss, fused = run()
+    fused_loss, fused = run(mod.forward_variant)
     monkeypatch.setattr(lstm, "lstm_step", reference_lstm_step)
-    monkeypatch.setattr(mod, "attention_context", reference_attention_context)
-    ref_loss, ref = run()
+    monkeypatch.setattr(helpers, "attention_record", reference_attention_context)
+    ref_loss, ref = run(per_op_loss)
     assert abs(fused_loss - ref_loss) < VALUE_TOL
     for p in m.parameters():
         _close(fused[p], ref[p], GRAD_TOL)

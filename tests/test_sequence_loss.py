@@ -1,10 +1,10 @@
-"""forward_variant's one-record sequence path against its per-op path.
+"""forward_variant's one-record sequence path against the per-op path.
 
-Every variant without attention trains through model._sequence_loss: an
-untaped forward over arrays and a hand-written backward through time,
-recorded as one tape record. model._per_op_loss records the same loss op by
-op and is the oracle here: the loss and every gradient must match it bit for
-bit, with and without LM interpolation.
+Every variant trains through model._sequence_loss: an untaped forward over
+arrays and a hand-written backward through time, recorded as one tape
+record. helpers.per_op_loss records the same loss op by op and is the oracle
+here: the loss and every gradient must match it bit for bit, with and
+without LM interpolation.
 """
 
 import random
@@ -12,14 +12,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import randomize_params
+from helpers import per_op_loss, randomize_params
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen.errors import DataError, DimensionError, MorphogenError
 from morphogen.vocab import BOS, EOS, EPS, CharVocab
 
 VOCAB = CharVocab("abcd")
-SEQUENCE_VARIANTS = tuple(v for v in mod.VARIANTS if not mod.WIRINGS[v].attention)
 # (|x|, |y|, hidden, embed_dim) besides the random ones: the shortest source,
 # the empty target, hidden 1, and sources longer and shorter than targets
 EDGE_SHAPES = [(1, 0, 1, 1), (1, 0, 3, 2), (1, 4, 1, 2), (6, 1, 2, 3), (2, 7, 4, 1)]
@@ -62,12 +61,12 @@ def _run(loss_fn, m, x, y, lm, lambda_init):
 
 
 @pytest.mark.parametrize("interpolated", [False, True], ids=["plain", "lm"])
-@pytest.mark.parametrize("variant", SEQUENCE_VARIANTS)
+@pytest.mark.parametrize("variant", mod.VARIANTS)
 def test_sequence_loss_bit_equal_to_per_op_tape(variant, interpolated):
     for m, x, y, lm, lambda_init in _cases(variant, interpolated):
         case = (variant, m.hidden, m.embed_dim, x, y)
         loss, grads, records = _run(mod._sequence_loss, m, x, y, lm, lambda_init)
-        want_loss, want_grads, _ = _run(mod._per_op_loss, m, x, y, lm, lambda_init)
+        want_loss, want_grads, _ = _run(per_op_loss, m, x, y, lm, lambda_init)
         assert loss == want_loss, case
         assert grads.keys() == want_grads.keys()
         for name in grads:
@@ -78,11 +77,11 @@ def test_sequence_loss_bit_equal_to_per_op_tape(variant, interpolated):
 
 
 @pytest.mark.parametrize("variant", mod.VARIANTS)
-def test_forward_variant_records_one_op_unless_attention(variant):
+def test_forward_variant_records_one_op(variant):
     m = mod.init_model(VOCAB, variant, 3, 2)
     tape = ad.Tape()
     mod.forward_variant(tape, m, VOCAB.encode("abca"), VOCAB.encode("db"))
-    assert (len(tape) == 1) == (not m.wiring.attention)
+    assert len(tape) == 1
 
 
 @pytest.mark.parametrize("variant", mod.VARIANTS)

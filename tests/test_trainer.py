@@ -259,6 +259,29 @@ def test_interpolated_rejects_lm_chars_outside_vocab():
         tr.train_interpolated(ds, INESSIVE, lm, tr.TrainConfig(hidden=4, epochs=1))
 
 
+def test_interpolated_lm_lookups_do_not_grow_with_epochs(monkeypatch):
+    # the LM is fixed, so each target's log-probs are taken once per run
+    ds = _synth_split(20)
+    vocab = build_vocab(ds.train)
+    lm = train_lm(filter_wordlist(synth_wordlist(default_synth_spec(), 30, seed=6),
+                                  vocab), 4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lm_next_dist(*args)
+
+    monkeypatch.setattr(tr, "lm_next_dist", counted)
+    counts = []
+    for epochs in (1, 3):
+        calls.clear()
+        tr.train_interpolated(ds, INESSIVE, lm, tr.TrainConfig(hidden=3, epochs=epochs))
+        counts.append(len(calls))
+    train = [ex for ex in ds.train if ex.tag == INESSIVE]
+    assert counts[0] == counts[1] <= sum(len(ex.inflected) + 1 for ex in train)
+    assert counts[0] > 0
+
+
 def test_interpolated_loss_gradients():
     # the per-step interpolated objective must be differentiable in the
     # unconstrained weight and in a cross-section of model tensors
