@@ -1,12 +1,14 @@
 """Tape-based reverse-mode differentiation over double-precision numpy arrays.
 
-Every differentiable quantity is a Node wrapping an ndarray (vectors for
-activations, matrices for weights). Ops take the tape as their first
-argument; with tape=None they compute values only, which is what inference
-uses. backward() walks the tape once in reverse, so recording order is the
-topological order by construction. A record may have several outputs (an
-LSTM step yields h and c); it fires when any of them holds a gradient, and
-its backward function adds into its inputs through the Sweep it is given.
+Every differentiable quantity is a Node wrapping an ndarray. Training
+records each example as one op (model.forward_variant), after softplus of
+the LM weight when it learns one; an op takes the tape as its first argument
+and with tape=None computes values only. backward() walks the tape once in
+reverse, so recording order is the topological order by construction. A
+record may have several outputs; it fires when any of them holds a
+gradient, and its backward function adds into its inputs through the Sweep
+it is given. step_loss, logit_grad and masked_softmax are the array pieces
+of a decoder step's loss and distribution.
 """
 
 import numpy as np
@@ -19,16 +21,10 @@ __all__ = [
     "Parameter",
     "Tape",
     "Sweep",
-    "constant",
-    "affine",
-    "total",
-    "concat",
     "softplus",
-    "row",
     "masked_softmax",
     "step_loss",
     "logit_grad",
-    "output_loss",
     "backward",
 ]
 
@@ -128,55 +124,6 @@ class Sweep:
             self.acc(node, np.array(a).T @ np.array(b))
 
 
-def constant(value):
-    return Node(np.asarray(value, dtype=np.float64))
-
-
-def affine(tape, W, x, b):
-    """W @ x + b for a matrix W and vectors x, b."""
-    Wv, xv, bv = W.value, x.value, b.value
-    if Wv.ndim != 2 or Wv.shape[1] != xv.shape[0] or Wv.shape[0] != bv.shape[0]:
-        raise DimensionError(
-            f"affine: W{Wv.shape} incompatible with x{xv.shape} and b{bv.shape}"
-        )
-    out = Node(Wv @ xv + bv)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc_outer(W, g, xv)
-            sweep.acc(x, Wv.T @ g)
-            sweep.acc(b, g)
-        tape.append(out, backward_fn)
-    return out
-
-
-def total(tape, parts):
-    """Sum of same-shape Nodes, added left to right, as one record."""
-    value = parts[0].value
-    for part in parts[1:]:
-        if part.value.shape != value.shape:
-            raise DimensionError(f"total: shapes {value.shape} and {part.value.shape}")
-        value = value + part.value
-    out = Node(value)
-    if tape is not None:
-        def backward_fn(sweep, g):
-            for part in parts:
-                sweep.acc(part, g)
-        tape.append(out, backward_fn)
-    return out
-
-
-def concat(tape, parts):
-    values = [p.value for p in parts]
-    out = Node(np.concatenate(values))
-    if tape is not None:
-        offsets = np.cumsum([0] + [v.shape[0] for v in values])
-        def backward_fn(sweep, g):
-            for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                sweep.acc(part, g[lo:hi])
-        tape.append(out, backward_fn)
-    return out
-
-
 def softplus(tape, x):
     # log(1 + e^x), computed without overflow for large |x|
     xv = x.value
@@ -184,19 +131,6 @@ def softplus(tape, x):
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(x, g * expit(xv))
-        tape.append(out, backward_fn)
-    return out
-
-
-def row(tape, E, i):
-    """Row lookup into an embedding matrix; gradient is a one-row update."""
-    Ev = E.value
-    if not 0 <= i < Ev.shape[0]:
-        raise DimensionError(f"row: index {i} out of range for {Ev.shape}")
-    out = Node(Ev[i])
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.grad_buffer(E)[i] += g
         tape.append(out, backward_fn)
     return out
 
@@ -237,7 +171,7 @@ def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):
     (None without log_lm).
     """
     if target in masked_ids:
-        raise MorphogenError(f"output_loss: target {target} is masked")
+        raise MorphogenError(f"step_loss: target {target} is masked")
     if log_lm is None:
         p, m, Z = _softmax_lse(lv, masked_ids)
         return np.log(Z) + m - lv[target], p, None
@@ -253,27 +187,6 @@ def logit_grad(g, p, target):
     gl = g * p
     gl[target] -= g
     return gl
-
-
-def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
-    """step_loss of the logits W @ h + b: a decoder step's output layer and
-    loss as one record. lam is a scalar Node and gets a gradient too."""
-    Wv, hv, bv = W.value, h.value, b.value
-    if Wv.ndim != 2 or Wv.shape[1] != hv.shape[0] or Wv.shape[0] != bv.shape[0]:
-        raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
-    loss, p, dlam = step_loss(Wv @ hv + bv, target, masked_ids, log_lm,
-                              None if log_lm is None else float(lam.value[0]))
-    out = Node(np.array([loss]))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            gl = logit_grad(g[0], p, target)
-            if log_lm is not None:
-                sweep.acc(lam, np.array([g[0] * dlam]))
-            sweep.acc_outer(W, gl, hv)
-            sweep.acc(h, Wv.T @ gl)
-            sweep.acc(b, gl)
-        tape.append(out, backward_fn)
-    return out
 
 
 def backward(tape, loss, params=()):

@@ -222,39 +222,36 @@ def attention_context(params, source, S):
 
 
 class _Source:
-    """An encoded source: its ids, e (None without a transform) and, with
-    attention, both encoder passes' states at every position, H [T, 2n] with
-    rows [fwd h_t ; bwd h_t], together with their projections
-    keys = W_enc h_t [T, n], which do not depend on the decoder step."""
+    """An encoded source: its ids, e = W_trans e_raw + b_trans of the final
+    encoder states e_raw = [fwd h_T ; bwd h_1] (None without a transform)
+    and, with attention, both encoder passes' states at every position,
+    H [T, 2n] with rows [fwd h_t ; bwd h_t], together with their
+    projections keys = W_enc h_t [T, n], which do not depend on the decoder
+    step."""
 
-    def __init__(self, params, x_ids, e=None, H=None):
+    def __init__(self, params, x_ids, H=None):
         self.x_ids = x_ids
-        self.e = e
+        self.e = self.e_raw = None
         self.H = H
         if H is not None:
             self.keys = H @ params.attn_W_enc.value.T
 
 
-def _encode_source(tape, params, x_ids):
+def _encode_source(params, x_ids):
+    """The source encoding that training and decoding share -> (a _Source,
+    the encoder passes' run_cached caches; None without an encoder)."""
     x_ids = list(x_ids)
-    w = params.wiring
+    w, E = params.wiring, params.embed.value
     if not w.encoder:
-        return _Source(params, x_ids)
-    xs = [ad.row(tape, params.embed, i) for i in x_ids]
-    positions = lstm.encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
-    e = H = None
+        return _Source(params, x_ids), None
+    fwd_hs, bwd_hs, *caches = lstm.encode_bidirectional(params.enc_fwd, params.enc_bwd,
+                                                        [E[i] for i in x_ids])
+    source = _Source(params, x_ids, np.concatenate((fwd_hs, bwd_hs), axis=1)
+                     if w.attention else None)
     if w.trans:
-        e_raw = ad.concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
-        e = ad.affine(tape, params.trans_W, e_raw, params.trans_b)   # 2n -> n
-    if w.attention:
-        H = np.array([np.concatenate((f.value, b.value)) for f, b in positions])
-    return _Source(params, x_ids, e, H)
-
-
-def _initial_state(params, source):
-    if params.wiring.e_as_init:
-        return lstm.LSTMState(h=source.e, c=ad.constant(np.zeros(params.hidden)))
-    return lstm.zero_state(params.hidden)
+        source.e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]))     # [fwd h_T ; bwd h_1]
+        source.e = params.trans_W.value @ source.e_raw + params.trans_b.value   # 2n -> n
+    return source, caches
 
 
 def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
@@ -289,16 +286,10 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     x_ids, targets = list(x_ids), list(y_ids) + [EOS]
     y_prevs = [BOS] + targets[:-1]
     x_steps = [x_ids[t] if t < len(x_ids) else EPS for t in range(len(targets))]
-    if w.encoder:
-        xs = [E[i] for i in x_ids]
-        fwd_hs, fwd_cache = lstm.run_cached(params.enc_fwd, xs)
-        bwd_hs, bwd_cache = lstm.run_cached(params.enc_bwd, xs[::-1])
-    if w.trans:
-        e_raw = np.concatenate((fwd_hs[-1], bwd_hs[-1]))     # [fwd h_T ; bwd h_1]
-        e = params.trans_W.value @ e_raw + params.trans_b.value
+    source, caches = _encode_source(params, x_ids)
+    e = source.e
     step_input = None
     if w.attention:
-        source = _Source(params, x_ids, H=np.concatenate((fwd_hs, bwd_hs[::-1]), axis=1))
         attended = []    # each step's (weights, tanh activations)
 
         def step_input(y_emb, s):
@@ -361,17 +352,18 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
         if not w.encoder:
             return
         if w.trans:
-            sweep.acc_outers(params.trans_W, [ge], [e_raw])
+            sweep.acc_outers(params.trans_W, [ge], [source.e_raw])
             sweep.acc(params.trans_b, ge)
             g_raw = params.trans_W.value.T @ ge
-            last = [None] * (len(xs) - 1)
+            last = [None] * (len(x_ids) - 1)
             gh_fwd, gh_bwd = last + [g_raw[:n]], last + [g_raw[n:]]
         else:   # attention: every position's states, summed over the steps in reverse
             gH = sum(gHs[1:], gHs[0])
             gh_fwd, gh_bwd = gH[:, :n], gH[::-1, n:]
+        fwd_cache, bwd_cache = caches
         dx_bwd = lstm.backward_cached(sweep, params.enc_bwd, bwd_cache, gh_bwd)[0]
         dx_fwd = lstm.backward_cached(sweep, params.enc_fwd, fwd_cache, gh_fwd)[0]
-        for j in range(len(xs) - 1, -1, -1):
+        for j in range(len(x_ids) - 1, -1, -1):
             gE[x_ids[j]] += dx_bwd[-1 - j] + dx_fwd[j]
 
     tape.append(out, backward_fn)
@@ -390,12 +382,12 @@ class DecodeSession:
         if not all(0 <= i < V for i in x_ids):
             raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
         self.params = params
-        self._source = _encode_source(None, params, x_ids)
+        self._source = _encode_source(params, x_ids)[0]
 
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays."""
-        state = _initial_state(self.params, self._source)
-        return state.h.value, state.c.value
+        n = self.params.hidden
+        return self._source.e if self.params.wiring.e_as_init else np.zeros(n), np.zeros(n)
 
     def step(self, H, C, y_prev, t):
         """One decoder step, its output affine and masked_softmax, as in training.
@@ -412,7 +404,7 @@ class DecodeSession:
         # decoder input columns in training's order: [e|context, y_prev, x_t]
         parts = [E[y_prev]]
         if w.e_per_step:
-            e = source.e.value
+            e = source.e
             parts.insert(0, e if one else e[None].repeat(len(H), axis=0))
         elif w.attention:
             parts.insert(0, attention_context(params, source, H)[0])
@@ -421,7 +413,7 @@ class DecodeSession:
             x_t = E[x[t] if t < len(x) else EPS]
             parts.append(x_t if one else x_t[None].repeat(len(H), axis=0))
         X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        H, C = lstm.lstm_step_rows(params.dec, X, H, C)
+        H, C = lstm.lstm_step(params.dec, X, H, C)[:2]
         logits = H @ params.out_W.value.T + params.out_b.value
         return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
 

@@ -230,7 +230,10 @@ def read_nbest(path):
     with open_text(path, what="n-best file") as f:
         for lineno, (source, tag, candidate, logprob) in split_fields(f, (4,), path):
             try:
-                rows.append((source, tag, candidate, float(logprob)))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad log-probability {logprob!r}") from exc
+                value = float(logprob)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise DataError(f"{path}:{lineno}: bad log-probability {logprob!r}")
+            rows.append((source, tag, candidate, value))
     return rows

@@ -1,6 +1,7 @@
 """Shared fixtures-in-code for the test suite."""
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -71,9 +72,92 @@ def levenshtein_matrix_oracle(a, b):
 
 
 # --- primitive tape ops -------------------------------------------------------
-# Element-wise and reduction ops in the package's tape conventions (value and
-# backward for each); the composed references below are chains of them, and
-# test_autodiff checks each one on its own.
+# Ops in the package's tape conventions (value and backward for each); the
+# per-op training path and the composed references below are chains of them,
+# and test_autodiff checks each one on its own.
+
+def constant(value):
+    return ad.Node(np.asarray(value, dtype=np.float64))
+
+
+def affine(tape, W, x, b):
+    """W @ x + b for a matrix W and vectors x, b."""
+    Wv, xv, bv = W.value, x.value, b.value
+    if Wv.ndim != 2 or Wv.shape[1] != xv.shape[0] or Wv.shape[0] != bv.shape[0]:
+        raise DimensionError(
+            f"affine: W{Wv.shape} incompatible with x{xv.shape} and b{bv.shape}"
+        )
+    out = ad.Node(Wv @ xv + bv)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc_outer(W, g, xv)
+            sweep.acc(x, Wv.T @ g)
+            sweep.acc(b, g)
+        tape.append(out, backward_fn)
+    return out
+
+
+def total(tape, parts):
+    """Sum of same-shape Nodes, added left to right, as one record."""
+    value = parts[0].value
+    for part in parts[1:]:
+        if part.value.shape != value.shape:
+            raise DimensionError(f"total: shapes {value.shape} and {part.value.shape}")
+        value = value + part.value
+    out = ad.Node(value)
+    if tape is not None:
+        def backward_fn(sweep, g):
+            for part in parts:
+                sweep.acc(part, g)
+        tape.append(out, backward_fn)
+    return out
+
+
+def concat(tape, parts):
+    values = [p.value for p in parts]
+    out = ad.Node(np.concatenate(values))
+    if tape is not None:
+        offsets = np.cumsum([0] + [v.shape[0] for v in values])
+        def backward_fn(sweep, g):
+            for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+                sweep.acc(part, g[lo:hi])
+        tape.append(out, backward_fn)
+    return out
+
+
+def row(tape, E, i):
+    """Row lookup into an embedding matrix; gradient is a one-row update."""
+    Ev = E.value
+    if not 0 <= i < Ev.shape[0]:
+        raise DimensionError(f"row: index {i} out of range for {Ev.shape}")
+    out = ad.Node(Ev[i])
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.grad_buffer(E)[i] += g
+        tape.append(out, backward_fn)
+    return out
+
+
+def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
+    """ad.step_loss of the logits W @ h + b: a decoder step's output layer
+    and loss as one record. lam is a scalar Node and gets a gradient too."""
+    Wv, hv, bv = W.value, h.value, b.value
+    if Wv.ndim != 2 or Wv.shape[1] != hv.shape[0] or Wv.shape[0] != bv.shape[0]:
+        raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
+    loss, p, dlam = ad.step_loss(Wv @ hv + bv, target, masked_ids, log_lm,
+                                 None if log_lm is None else float(lam.value[0]))
+    out = ad.Node(np.array([loss]))
+    if tape is not None:
+        def backward_fn(sweep, g):
+            gl = ad.logit_grad(g[0], p, target)
+            if log_lm is not None:
+                sweep.acc(lam, np.array([g[0] * dlam]))
+            sweep.acc_outer(W, gl, hv)
+            sweep.acc(h, Wv.T @ gl)
+            sweep.acc(b, gl)
+        tape.append(out, backward_fn)
+    return out
+
 
 def matvec(tape, W, x):
     Wv, xv = W.value, x.value
@@ -251,25 +335,96 @@ def models_equal(a, b):
     return all(np.array_equal(p.value, bp[p.name]) for p in a.parameters())
 
 
+# --- the taped LSTM -------------------------------------------------------
+# lstm.lstm_step as one tape record over Node states, with a hand-written
+# backward on the fused [4n] gate vector, and the encoder built from it: the
+# per-op training path's recurrent ops.
+
+@dataclass
+class LSTMState:
+    h: ad.Node
+    c: ad.Node
+
+
+def zero_state(hidden_size):
+    return LSTMState(h=constant(np.zeros(hidden_size)), c=constant(np.zeros(hidden_size)))
+
+
+def taped_lstm_step(tape, params, x, prev):
+    """lstm.lstm_step on a state of Nodes, recorded as one op with outputs h and c."""
+    n = params.hidden_size
+    n3 = 3 * n
+    xv, hv, cv = x.value, prev.h.value, prev.c.value
+    if xv.shape[0] != params.input_size:
+        raise DimensionError(
+            f"lstm {params.name}: input {xv.shape} vs expected ({params.input_size},)")
+    h, c, sig, g, tc = lstm.lstm_step(params, xv, hv, cv)
+    h, c = ad.Node(h), ad.Node(c)
+    if tape is not None:
+        W_x, W_h, b = params.W_x, params.W_h, params.b
+        i, f, o = sig[:n], sig[n:2 * n], sig[2 * n:]
+
+        def backward_fn(sweep, gh, gc):
+            # dc sums both paths into c': directly, and through h' = o*tanh(c')
+            if gh is None:
+                dc, do = gc, np.zeros_like(gc)
+            else:
+                dc = gh * o * (1.0 - tc * tc)
+                if gc is not None:
+                    dc += gc
+                do = gh * tc
+            dz = np.concatenate((dc * g, dc * cv, do, dc * i))
+            dz[:n3] *= sig * (1.0 - sig)
+            dz[n3:] *= 1.0 - g * g
+            sweep.acc_outer(W_x, dz, xv)
+            sweep.acc(x, W_x.value.T @ dz)
+            sweep.acc(b, dz)
+            sweep.acc_outer(W_h, dz, hv)
+            sweep.acc(prev.h, W_h.value.T @ dz)
+            sweep.acc(prev.c, dc * f)
+        tape.append((h, c), backward_fn)
+    return LSTMState(h=h, c=c)
+
+
+def run_sequence(tape, params, xs):
+    """States for every step of xs, from the zero state."""
+    if not xs:
+        raise DimensionError(f"lstm {params.name}: empty input sequence")
+    state = zero_state(params.hidden_size)
+    states = []
+    for x in xs:
+        state = taped_lstm_step(tape, params, x, state)
+        states.append(state)
+    return states
+
+
+def taped_encode_bidirectional(tape, fwd, bwd, xs):
+    """Both passes' hidden states at every source position, as Node pairs:
+    positions[t] = (fwd h_t, bwd h_t); the final states are positions[-1][0]
+    and positions[0][1]."""
+    fwd_states = run_sequence(tape, fwd, xs)
+    bwd_states = run_sequence(tape, bwd, list(reversed(xs)))
+    return [(f.h, b.h) for f, b in zip(fwd_states, bwd_states[::-1])]
+
+
 # --- composed references for the fused recurrent ops ----------------------
 # The cell and the attention context as chains of primitive tape ops, one
 # record per primitive: slower, but each piece is checked on its own, so
-# they serve as oracles for lstm.lstm_step and attention_record below.
+# they serve as oracles for taped_lstm_step and attention_record below.
 
 def reference_lstm_step(tape, params, x, prev):
     n = params.hidden_size
     if x.value.shape[0] != params.input_size:
         raise DimensionError(
             f"lstm {params.name}: input {x.value.shape} vs expected ({params.input_size},)")
-    z = ad.total(tape, [ad.affine(tape, params.W_x, x, params.b),
-                        matvec(tape, params.W_h, prev.h)])
+    z = total(tape, [affine(tape, params.W_x, x, params.b), matvec(tape, params.W_h, prev.h)])
     i = sigmoid(tape, _block(tape, z, 0, n))
     f = sigmoid(tape, _block(tape, z, 1, n))
     o = sigmoid(tape, _block(tape, z, 2, n))
     g = tanh(tape, _block(tape, z, 3, n))
-    c = ad.total(tape, [mul(tape, f, prev.c), mul(tape, i, g)])
+    c = total(tape, [mul(tape, f, prev.c), mul(tape, i, g)])
     h = mul(tape, o, tanh(tape, c))
-    return lstm.LSTMState(h=h, c=c)
+    return LSTMState(h=h, c=c)
 
 
 def _block(tape, z, k, n):
@@ -282,19 +437,20 @@ def _block(tape, z, k, n):
 
 
 def reference_attention_context(tape, params, source, s_prev):
-    hidden_seq = [ad.concat(tape, pair) for pair in source.positions]
+    hidden_seq = [concat(tape, pair) for pair in source.positions]
     key = matvec(tape, params.attn_W_dec, s_prev)
     scores = [dot(tape, params.attn_v,
-                  tanh(tape, ad.total(tape, [matvec(tape, params.attn_W_enc, h), key])))
+                  tanh(tape, total(tape, [matvec(tape, params.attn_W_enc, h), key])))
               for h in hidden_seq]
-    weights = softmax_op(tape, ad.concat(tape, scores))
+    weights = softmax_op(tape, concat(tape, scores))
     return weighted_sum(tape, weights, hidden_seq)
 
 
 # --- the per-op training path ----------------------------------------------
 # forward_variant recorded op by op: a tape record per embedding lookup, cell
-# step, concat, attention context and step loss. model._sequence_loss records
-# an example as one op and must match this loss and every gradient bit for bit.
+# step, concat, e's transform, attention context and step loss.
+# model._sequence_loss records an example as one op and must match this loss
+# and every gradient bit for bit.
 
 def node_source(params, x_ids, positions):
     """A model._Source over per-position (fwd h, bwd h) Node pairs, which it
@@ -335,37 +491,51 @@ def decoder_step(tape, params, source, state, y_prev_id, t):
     w = params.wiring
     # y_prev is embedded first whatever its place in the input: the order of
     # tape records fixes the order in which gradients accumulate.
-    parts = [ad.row(tape, params.embed, y_prev_id)]
+    parts = [row(tape, params.embed, y_prev_id)]
     if w.e_per_step:
         parts.insert(0, source.e)
     elif w.attention:
         parts.insert(0, attention_record(tape, params, source, state.h))
     if w.consumes_source:
         x = source.x_ids
-        parts.append(ad.row(tape, params.embed, x[t] if t < len(x) else EPS))
-    inp = parts[0] if len(parts) == 1 else ad.concat(tape, parts)
-    return lstm.lstm_step(tape, params.dec, inp, state)
+        parts.append(row(tape, params.embed, x[t] if t < len(x) else EPS))
+    inp = parts[0] if len(parts) == 1 else concat(tape, parts)
+    return taped_lstm_step(tape, params.dec, inp, state)
+
+
+def node_encode(tape, params, x_ids):
+    """model._encode_source op by op; with a transform, source.e is a Node."""
+    x_ids = list(x_ids)
+    w = params.wiring
+    if not w.encoder:
+        return mod._Source(params, x_ids)
+    xs = [row(tape, params.embed, i) for i in x_ids]
+    positions = taped_encode_bidirectional(tape, params.enc_fwd, params.enc_bwd, xs)
+    if w.attention:
+        return node_source(params, x_ids, positions)
+    source = mod._Source(params, x_ids)
+    e_raw = concat(tape, [positions[-1][0], positions[0][1]])   # [fwd h_T ; bwd h_1]
+    source.e = affine(tape, params.trans_W, e_raw, params.trans_b)
+    return source
 
 
 def per_op_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     """forward_variant op by op: a record per lookup, cell step, concat,
     attention context and loss."""
-    if params.wiring.attention:
-        xs = [ad.row(tape, params.embed, i) for i in x_ids]
-        source = node_source(params, x_ids, lstm.encode_bidirectional(
-            tape, params.enc_fwd, params.enc_bwd, xs))
-    else:
-        source = mod._encode_source(tape, params, x_ids)
+    source = node_encode(tape, params, x_ids)
     targets = list(y_ids) + [EOS]
-    state = mod._initial_state(params, source)
+    if params.wiring.e_as_init:
+        state = LSTMState(h=source.e, c=constant(np.zeros(params.hidden)))
+    else:
+        state = zero_state(params.hidden)
     step_losses = []
     for t, target in enumerate(targets):    # a step past EOS would feed no loss
         y_prev = BOS if t == 0 else targets[t - 1]
         state = decoder_step(tape, params, source, state, y_prev, t)
-        step_losses.append(ad.output_loss(
+        step_losses.append(output_loss(
             tape, params.out_W, state.h, params.out_b, target, mod.MASKED_OUTPUT_IDS,
             None if lm_logprobs is None else lm_logprobs[t], lam))
-    return ad.total(tape, step_losses)
+    return total(tape, step_losses)
 
 
 # --- reference optimiser step ------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (dot, gradient_check, matvec, mul, pick, sigmoid, softmax, softmax_op, sub,
-                     tanh, usum, weighted_sum)
+from helpers import (affine, concat, constant, dot, gradient_check, matvec, mul, output_loss,
+                     pick, row, sigmoid, softmax, softmax_op, sub, tanh, total, usum,
+                     weighted_sum)
 from morphogen import autodiff as ad
 from morphogen.errors import DimensionError, MorphogenError
 
@@ -11,69 +12,69 @@ from morphogen.errors import DimensionError, MorphogenError
 def test_affine_identity():
     W = ad.Parameter("W", np.eye(3))
     b = ad.Parameter("b", np.zeros(3))
-    x = ad.constant([1.5, -2.0, 0.25])
-    out = ad.affine(None, W, x, b)
+    x = constant([1.5, -2.0, 0.25])
+    out = affine(None, W, x, b)
     assert np.array_equal(out.value, [1.5, -2.0, 0.25])
 
 
 def test_affine_hand_values():
     W = ad.Parameter("W", [[1.0, 2.0], [3.0, 4.0]])
     b = ad.Parameter("b", [0.0, 1.0])
-    x = ad.constant([1.0, 1.0])
-    out = ad.affine(None, W, x, b)
+    x = constant([1.0, 1.0])
+    out = affine(None, W, x, b)
     assert np.array_equal(out.value, [3.0, 8.0])
 
 
 def test_affine_shape_error_names_shapes():
     W = ad.Parameter("W", np.zeros((2, 3)))
     b = ad.Parameter("b", np.zeros(2))
-    x = ad.constant(np.zeros(4))
+    x = constant(np.zeros(4))
     with pytest.raises(DimensionError, match=r"affine.*\(2, 3\).*\(4,\)"):
-        ad.affine(None, W, x, b)
+        affine(None, W, x, b)
 
 
 def test_matvec_value_and_error():
     W = ad.Parameter("W", [[1.0, 0.0], [0.0, -2.0]])
-    out = matvec(None, W, ad.constant([3.0, 4.0]))
+    out = matvec(None, W, constant([3.0, 4.0]))
     assert np.array_equal(out.value, [3.0, -8.0])
     with pytest.raises(DimensionError, match="matvec"):
-        matvec(None, W, ad.constant([1.0, 2.0, 3.0]))
+        matvec(None, W, constant([1.0, 2.0, 3.0]))
 
 
 def test_elementwise_ops_values():
-    a = ad.constant([1.0, 2.0])
-    b = ad.constant([3.0, 5.0])
-    assert np.array_equal(ad.total(None, [a, b]).value, [4.0, 7.0])
+    a = constant([1.0, 2.0])
+    b = constant([3.0, 5.0])
+    assert np.array_equal(total(None, [a, b]).value, [4.0, 7.0])
     assert np.array_equal(sub(None, a, b).value, [-2.0, -3.0])
     assert np.array_equal(mul(None, a, b).value, [3.0, 10.0])
 
 
 def test_elementwise_shape_mismatch_error():
     with pytest.raises(DimensionError, match=r"total: shapes \(3,\) and \(2,\)"):
-        ad.total(None, [ad.constant([1.0, 2.0, 3.0]), ad.constant([1.0, 2.0])])
+        total(None, [constant([1.0, 2.0, 3.0]), constant([1.0, 2.0])])
 
 
 def test_concat_values_and_gradient_slices():
     a = ad.Parameter("a", [1.0, 2.0])
     b = ad.Parameter("b", [3.0])
     tape = ad.Tape()
-    cat = ad.concat(tape, [a, b])
+    cat = concat(tape, [a, b])
     assert np.array_equal(cat.value, [1.0, 2.0, 3.0])
-    loss = dot(tape, cat, ad.constant([10.0, 20.0, 30.0]))
+    loss = dot(tape, cat, constant([10.0, 20.0, 30.0]))
     grads = ad.backward(tape, loss, [a, b])
     assert np.array_equal(grads[a], [10.0, 20.0])
     assert np.array_equal(grads[b], [30.0])
 
 
 def test_scalar_nonlinearities_at_zero():
-    z = ad.constant([0.0])
+    z = constant([0.0])
     assert sigmoid(None, z).value[0] == 0.5
     assert tanh(None, z).value[0] == 0.0
     assert ad.softplus(None, z).value[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_nonlinearities_stable_on_tails():
-    big = ad.constant([1000.0, -1000.0])
+    big = constant([1000.0, -1000.0])
     s = sigmoid(None, big).value
     assert np.array_equal(s, [1.0, 0.0])
     sp = ad.softplus(None, big).value
@@ -84,7 +85,7 @@ def test_nonlinearities_stable_on_tails():
 def test_row_lookup_and_gradient():
     E = ad.Parameter("E", np.arange(12.0).reshape(4, 3))
     tape = ad.Tape()
-    r = ad.row(tape, E, 2)
+    r = row(tape, E, 2)
     assert np.array_equal(r.value, [6.0, 7.0, 8.0])
     loss = usum(tape, r)
     grads = ad.backward(tape, loss, [E])
@@ -96,20 +97,20 @@ def test_row_lookup_and_gradient():
 def test_row_out_of_range():
     E = ad.Parameter("E", np.zeros((4, 3)))
     with pytest.raises(DimensionError, match="row"):
-        ad.row(None, E, 4)
+        row(None, E, 4)
     with pytest.raises(DimensionError, match="row"):
-        ad.row(None, E, -1)
+        row(None, E, -1)
 
 
 def test_pick_usum_dot_values():
-    x = ad.constant([5.0, 7.0, 9.0])
+    x = constant([5.0, 7.0, 9.0])
     assert pick(None, x, 1).value.shape == (1,)
     assert pick(None, x, 1).value[0] == 7.0
     assert usum(None, x).value[0] == 21.0
-    y = ad.constant([1.0, 0.0, 2.0])
+    y = constant([1.0, 0.0, 2.0])
     assert dot(None, x, y).value[0] == 23.0
     with pytest.raises(DimensionError, match="dot"):
-        dot(None, x, ad.constant([1.0]))
+        dot(None, x, constant([1.0]))
 
 
 def test_softmax_uniform():
@@ -157,7 +158,7 @@ def test_masked_softmax_zeroes_and_renormalizes():
 
 def test_backward_linear_gradient_is_input():
     w = ad.Parameter("w", [1.0, -1.0, 2.0])
-    x = ad.constant([4.0, 5.0, 6.0])
+    x = constant([4.0, 5.0, 6.0])
     tape = ad.Tape()
     loss = dot(tape, w, x)
     grads = ad.backward(tape, loss, [w])
@@ -187,11 +188,11 @@ def test_backward_clears_all_gradients():
     # including constants and parameters outside the requested set
     E = ad.Parameter("E", np.arange(6.0).reshape(3, 2))
     w = ad.Parameter("w", [1.0, 2.0])
-    c = ad.constant([3.0, 4.0])
+    c = constant([3.0, 4.0])
 
     def run():
         tape = ad.Tape()
-        loss = dot(tape, ad.total(tape, [ad.row(tape, E, 1), c]), w)
+        loss = dot(tape, total(tape, [row(tape, E, 1), c]), w)
         return ad.backward(tape, loss, [E])
 
     first = run()[E].copy()
@@ -224,7 +225,7 @@ def test_nested_sweep_leaves_outer_sweep_clean():
         outer = ad.Tape()
         inner_grads = []
         n = _nested_sweep(outer, z, u, inner_grads)  # recorded first: fires after w's record
-        loss = ad.total(outer, [usum(outer, w), n])
+        loss = total(outer, [usum(outer, w), n])
         grads = ad.backward(outer, loss, [w, z])
         return grads[w], grads[z], inner_grads
 
@@ -241,7 +242,7 @@ def test_nested_sweep_sharing_a_parameter_keeps_the_outer_gradient():
     outer = ad.Tape()
     inner_grads = []
     parts = [usum(outer, w), _nested_sweep(outer, z, w, inner_grads), usum(outer, w)]
-    loss = usum(outer, ad.concat(outer, parts))
+    loss = usum(outer, concat(outer, parts))
     grads = ad.backward(outer, loss, [w, z])
     assert grads[w] == [2.0] and grads[z] == [1.0] and inner_grads == [[6.0]]
 
@@ -257,7 +258,7 @@ def _manual_ce(logits, target, masked):
 def _ce(tape, logits, target, masked_ids=(), log_lm=None, lam=None):
     """output_loss with W = I and b = 0, so the logits are exactly the Node given."""
     n = logits.value.shape[0]
-    return ad.output_loss(tape, ad.constant(np.eye(n)), logits, ad.constant(np.zeros(n)),
+    return output_loss(tape, constant(np.eye(n)), logits, constant(np.zeros(n)),
                           target, masked_ids, log_lm, lam)
 
 
@@ -340,7 +341,7 @@ def test_output_loss_gradients_are_one_record(interpolated):
     params = [W, h, b] + ([lam] if interpolated else [])
 
     def loss_fn(tape):
-        return ad.output_loss(tape, W, h, b, 2, (0,), log_lm, lam)
+        return output_loss(tape, W, h, b, 2, (0,), log_lm, lam)
 
     tape = ad.Tape()
     loss_fn(tape)
@@ -360,18 +361,18 @@ def _build_params(seed):
 
 
 def _composed_loss(p, tape):
-    x = ad.row(tape, p["E"], 2)
-    h = tanh(tape, ad.affine(tape, p["W"], x, p["b"]))
+    x = row(tape, p["E"], 2)
+    h = tanh(tape, affine(tape, p["W"], x, p["b"]))
     s = sigmoid(tape, matvec(tape, p["W"], x))
     sp = ad.softplus(tape, sub(tape, s, p["v"]))
-    scores = ad.concat(tape, [
+    scores = concat(tape, [
         dot(tape, h, p["v"]),
         dot(tape, s, p["v"]),
         dot(tape, sp, p["v"]),
     ])
     weights = softmax_op(tape, scores)
     ctx = weighted_sum(tape, weights, [h, s, sp])
-    return ad.total(tape, [dot(tape, ctx, p["v"]),
+    return total(tape, [dot(tape, ctx, p["v"]),
                            mul(tape, pick(tape, ctx, 1), p["a"])])
 
 
@@ -399,15 +400,15 @@ def test_tape_determinism_bit_identical():
 
 
 def test_weighted_sum_shape_error():
-    w = ad.constant([0.5, 0.5])
-    vecs = [ad.constant([1.0, 2.0])]
+    w = constant([0.5, 0.5])
+    vecs = [constant([1.0, 2.0])]
     with pytest.raises(DimensionError, match="weighted_sum"):
         weighted_sum(None, w, vecs)
 
 
 def test_softmax_op_gradient():
     x = ad.Parameter("x", [0.3, -0.7, 1.2])
-    v = ad.constant([1.0, 2.0, 3.0])
+    v = constant([1.0, 2.0, 3.0])
 
     def loss_fn(tape):
         return dot(tape, softmax_op(tape, x), v)

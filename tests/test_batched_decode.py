@@ -7,13 +7,13 @@ helpers.py."""
 import numpy as np
 import pytest
 
-from helpers import decoder_step, randomize_params, reference_beam_decode
+from helpers import (LSTMState, affine, constant, decoder_step, node_encode, randomize_params,
+                     reference_beam_decode)
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import EOW, WittenBellLM, train_lm
 from morphogen.errors import SearchError
-from morphogen.lstm import LSTMState
 from morphogen.model import VARIANTS, DecodeSession, init_model
 from morphogen.vocab import EOS, UNK, CharVocab
 
@@ -27,8 +27,8 @@ def _model(variant, seed=3, hidden=4):
 
 def _training_step(m, source, h, c, y_prev, t):
     """The per-op training path run untaped: decoder_step, the output affine, masked_softmax."""
-    state = decoder_step(None, m, source, LSTMState(ad.constant(h), ad.constant(c)), y_prev, t)
-    logits = ad.affine(None, m.out_W, state.h, m.out_b)
+    state = decoder_step(None, m, source, LSTMState(constant(h), constant(c)), y_prev, t)
+    logits = affine(None, m.out_W, state.h, m.out_b)
     dist = ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS)
     return state.h.value, state.c.value, dist
 
@@ -40,7 +40,7 @@ def test_step_many_rows_equal_step(variant, B):
     m = _model(variant)
     x = VOCAB.encode("abca")
     sess = DecodeSession(m, x)
-    source = mod._encode_source(None, m, x)
+    source = node_encode(None, m, x)
     rng = np.random.default_rng(B)
     n = m.hidden
     for t in (0, 2, 6):   # t = 6 is past the source end: x_t is EPS

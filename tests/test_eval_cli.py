@@ -461,6 +461,8 @@ def _file_cases():
                 failures = ("missing", "invalid-utf8")
             elif arg == "<model.ckpt":
                 failures = ("missing", "invalid-utf8", "malformed", "json-list")
+            elif arg == "<beams.tsv":
+                failures = ("missing", "invalid-utf8", "malformed", "nan-logprob", "inf-logprob")
             elif arg.startswith("<"):
                 failures = ("missing", "invalid-utf8", "malformed")
             else:
@@ -475,6 +477,11 @@ def test_cli_file_error_matrix_exits_two(workspace, tmp_path, capsys, argv, i, f
     (tmp_path / "malformed").write_text("only-one-column\n", encoding="utf-8")
     (tmp_path / "regular").write_text("x\n", encoding="utf-8")
     (tmp_path / "json-list").write_text("[1, 2]\n", encoding="utf-8")
+    beams = open(workspace["beams.tsv"], encoding="utf-8").read().splitlines()
+    for value in ("nan", "inf"):     # a non-finite log-prob on the first n-best row
+        first = "\t".join(beams[0].split("\t")[:3] + [value])
+        (tmp_path / f"{value}-logprob").write_text("\n".join([first] + beams[1:]) + "\n",
+                                                  encoding="utf-8")
 
     def fill(arg):
         if arg.startswith("<"):

@@ -1,12 +1,13 @@
-"""The fused LSTM step and attention record against their composed
+"""The one-record LSTM step and attention record against their composed
 references in helpers.py: values to 1e-12, gradients to 1e-10."""
 
 import numpy as np
 import pytest
 
 import helpers
-from helpers import (attention_record, dot, node_source, per_op_loss, randomize_params,
-                     reference_attention_context, reference_lstm_step)
+from helpers import (LSTMState, attention_record, constant, dot, node_source, per_op_loss,
+                     randomize_params, reference_attention_context, reference_lstm_step,
+                     taped_lstm_step, total)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -31,8 +32,8 @@ def _cell_case(input_size, hidden_size, seed):
     params = lstm.LSTMParams("cell", leaf("cell.W_x", (4 * n, l)),
                              leaf("cell.W_h", (4 * n, n)), leaf("cell.b", (4 * n,)))
     x = leaf("x", (l,), 1.5)
-    prev = lstm.LSTMState(h=leaf("h0", (n,)), c=leaf("c0", (n,), 1.5))
-    weights = (ad.constant(rng.normal(size=n)), ad.constant(rng.normal(size=n)))
+    prev = LSTMState(h=leaf("h0", (n,)), c=leaf("c0", (n,), 1.5))
+    weights = (constant(rng.normal(size=n)), constant(rng.normal(size=n)))
     leaves = params.parameters() + [x, prev.h, prev.c]
     return params, x, prev, weights, leaves
 
@@ -45,7 +46,7 @@ def _cell_loss(tape, step, params, x, prev, weights, consume):
         terms.append(dot(tape, state.h, weights[0]))
     if consume in ("both", "c"):
         terms.append(dot(tape, state.c, weights[1]))
-    return terms[0] if len(terms) == 1 else ad.total(tape, terms)
+    return terms[0] if len(terms) == 1 else total(tape, terms)
 
 
 CELL_SHAPES = [(1, 1), (3, 1), (1, 4), (5, 3)]
@@ -56,7 +57,7 @@ def test_lstm_step_values_match_reference(input_size, hidden_size):
     params, x, prev, _, _ = _cell_case(input_size, hidden_size, seed=input_size)
     fused, ref = prev, prev
     for _ in range(3):
-        fused = lstm.lstm_step(None, params, x, fused)
+        fused = taped_lstm_step(None, params, x, fused)
         ref = reference_lstm_step(None, params, x, ref)
         _close(fused.h.value, ref.h.value, VALUE_TOL)
         _close(fused.c.value, ref.c.value, VALUE_TOL)
@@ -67,7 +68,7 @@ def test_lstm_step_values_match_reference(input_size, hidden_size):
 def test_lstm_step_gradients_match_reference(input_size, hidden_size, consume):
     params, x, prev, weights, leaves = _cell_case(input_size, hidden_size, seed=hidden_size)
     grads = []
-    for step in (lstm.lstm_step, reference_lstm_step, lstm.lstm_step):
+    for step in (taped_lstm_step, reference_lstm_step, taped_lstm_step):
         tape = ad.Tape()
         loss = _cell_loss(tape, step, params, x, prev, weights, consume)
         grads.append(ad.backward(tape, loss, leaves))
@@ -80,9 +81,9 @@ def test_lstm_step_gradients_match_reference(input_size, hidden_size, consume):
 def test_lstm_step_is_one_record():
     params, x, prev, _, _ = _cell_case(2, 3, seed=0)
     tape = ad.Tape()
-    state = lstm.lstm_step(tape, params, x, prev)
+    state = taped_lstm_step(tape, params, x, prev)
     assert len(tape) == 1
-    lstm.lstm_step(tape, params, x, state)
+    taped_lstm_step(tape, params, x, state)
     assert len(tape) == 2
 
 
@@ -94,7 +95,7 @@ def _attention_case(length, hidden_size, seed):
                   ad.Parameter(f"b{t}", rng.normal(size=hidden_size)))
                  for t in range(length)]
     s_prev = ad.Parameter("s", rng.normal(size=hidden_size))
-    weights = ad.constant(rng.normal(size=2 * hidden_size))
+    weights = constant(rng.normal(size=2 * hidden_size))
     leaves = [m.attn_W_enc, m.attn_W_dec, m.attn_v, s_prev] + [h for p in positions for h in p]
     return m, positions, s_prev, weights, leaves
 
@@ -137,7 +138,7 @@ def test_model_gradients_match_composed_model(monkeypatch, variant):
         return loss.value[0], ad.backward(tape, loss, m.parameters())
 
     fused_loss, fused = run(mod.forward_variant)
-    monkeypatch.setattr(lstm, "lstm_step", reference_lstm_step)
+    monkeypatch.setattr(helpers, "taped_lstm_step", reference_lstm_step)
     monkeypatch.setattr(helpers, "attention_record", reference_attention_context)
     ref_loss, ref = run(per_op_loss)
     assert abs(fused_loss - ref_loss) < VALUE_TOL

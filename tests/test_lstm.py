@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import gradient_check, usum
+from helpers import (concat, constant, gradient_check, run_sequence, taped_encode_bidirectional,
+                     taped_lstm_step, usum, zero_state)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -39,50 +40,54 @@ def test_scalar_cell_hand_computed():
     # all four preactivations are 1, so c' = sigmoid(1)*tanh(1) and
     # h' = sigmoid(1)*tanh(c')
     p = _const_params("cell", 1, 1, 1.0)
-    state = lstm.lstm_step(None, p, ad.constant([1.0]), lstm.zero_state(1))
-    assert abs(state.c.value[0] - 0.5567699411459397) < 1e-12
-    assert abs(state.h.value[0] - 0.36960635293570576) < 1e-12
+    h, c = lstm.lstm_step(p, np.array([1.0]), np.zeros(1), np.zeros(1))[:2]
+    assert abs(c[0] - 0.5567699411459397) < 1e-12
+    assert abs(h[0] - 0.36960635293570576) < 1e-12
 
 
 def test_zero_weights_give_zero_hidden_state():
     p = _const_params("cell", 2, 3, 0.0)
-    state = lstm.lstm_step(None, p, ad.constant([5.0, -5.0]), lstm.zero_state(3))
-    assert np.array_equal(state.h.value, np.zeros(3))
-    assert np.array_equal(state.c.value, np.zeros(3))
+    h, c = lstm.lstm_step(p, np.array([5.0, -5.0]), np.zeros(3), np.zeros(3))[:2]
+    assert np.array_equal(h, np.zeros(3))
+    assert np.array_equal(c, np.zeros(3))
 
 
 def test_hidden_state_bounded_below_one():
     p = _random_params("cell", 4, 6, seed=0)
     rng = np.random.default_rng(1)
-    state = lstm.zero_state(6)
+    h = c = np.zeros(6)
     for _ in range(20):
-        x = ad.constant(rng.normal(0.0, 3.0, 4))
-        state = lstm.lstm_step(None, p, x, state)
-        assert np.all(np.abs(state.h.value) < 1.0)
+        h, c = lstm.lstm_step(p, rng.normal(0.0, 3.0, 4), h, c)[:2]
+        assert np.all(np.abs(h) < 1.0)
 
 
 def test_run_sequence_matches_manual_fold():
+    # run_cached and the taped oracle both fold the cell from the zero state
     p = _random_params("cell", 3, 4, seed=2)
-    xs = [ad.constant(v) for v in np.random.default_rng(3).normal(size=(5, 3))]
-    states = lstm.run_sequence(None, p, xs)
-    assert len(states) == 5
-    manual = lstm.zero_state(4)
-    for x, got in zip(xs, states):
-        manual = lstm.lstm_step(None, p, x, manual)
-        assert np.array_equal(manual.h.value, got.h.value)
-        assert np.array_equal(manual.c.value, got.c.value)
+    vs = list(np.random.default_rng(3).normal(size=(5, 3)))
+    states = run_sequence(None, p, [constant(v) for v in vs])
+    hs, cache = lstm.run_cached(p, vs)
+    assert len(states) == len(hs) == len(cache) == 5
+    h = c = np.zeros(4)
+    for x, got, got_h, step in zip(vs, states, hs, cache):
+        # each cache entry keeps the state its step started from
+        assert np.array_equal(step[1], h) and np.array_equal(step[2], c)
+        h, c = lstm.lstm_step(p, x, h, c)[:2]
+        assert np.array_equal(h, got.h.value)
+        assert np.array_equal(c, got.c.value)
+        assert np.array_equal(h, got_h)
 
 
 def test_run_sequence_rejects_empty_input():
     p = _const_params("cell", 2, 2, 0.1)
     with pytest.raises(DimensionError, match="empty"):
-        lstm.run_sequence(None, p, [])
+        run_sequence(None, p, [])
 
 
 def test_step_rejects_wrong_input_size():
     p = _const_params("enc", 3, 2, 0.1)
     with pytest.raises(DimensionError, match="enc"):
-        lstm.lstm_step(None, p, ad.constant([1.0, 2.0]), lstm.zero_state(2))
+        taped_lstm_step(None, p, constant([1.0, 2.0]), zero_state(2))
 
 
 def test_init_shapes_scale_and_forget_bias():
@@ -117,53 +122,57 @@ def test_params_shape_validation():
 def test_bidirectional_shapes_and_pairing():
     fwd = _random_params("enc.fwd", 3, 4, seed=4)
     bwd = _random_params("enc.bwd", 3, 4, seed=5)
-    xs = [ad.constant(v) for v in np.random.default_rng(6).normal(size=(5, 3))]
-    positions = lstm.encode_bidirectional(None, fwd, bwd, xs)
-    assert len(positions) == 5
-    fwd_states = lstm.run_sequence(None, fwd, xs)
-    bwd_states = lstm.run_sequence(None, bwd, list(reversed(xs)))
+    xs = list(np.random.default_rng(6).normal(size=(5, 3)))
+    fwd_hs, bwd_hs, fwd_cache, bwd_cache = lstm.encode_bidirectional(fwd, bwd, xs)
+    assert len(fwd_hs) == len(bwd_hs) == len(fwd_cache) == len(bwd_cache) == 5
+    nodes = [constant(x) for x in xs]
+    fwd_states = run_sequence(None, fwd, nodes)
+    bwd_states = run_sequence(None, bwd, nodes[::-1])
     # the final states that model._encode_source joins into e_raw
-    assert np.array_equal(positions[-1][0].value, fwd_states[-1].h.value)
-    assert np.array_equal(positions[0][1].value, bwd_states[-1].h.value)
+    assert np.array_equal(fwd_hs[-1], fwd_states[-1].h.value)
+    assert np.array_equal(bwd_hs[0], bwd_states[-1].h.value)
+    positions = taped_encode_bidirectional(None, fwd, bwd, nodes)
     for t in range(5):
-        assert np.array_equal(positions[t][0].value, fwd_states[t].h.value)
-        assert np.array_equal(positions[t][1].value, bwd_states[4 - t].h.value)
+        assert np.array_equal(fwd_hs[t], fwd_states[t].h.value)
+        assert np.array_equal(bwd_hs[t], bwd_states[4 - t].h.value)
+        assert np.array_equal(fwd_hs[t], positions[t][0].value)
+        assert np.array_equal(bwd_hs[t], positions[t][1].value)
 
 
 def test_bidirectional_length_one_halves():
     fwd = _random_params("enc.fwd", 2, 3, seed=7)
     bwd = _random_params("enc.bwd", 2, 3, seed=8)
-    x = ad.constant([0.4, -1.1])
-    positions = lstm.encode_bidirectional(None, fwd, bwd, [x])
-    sf = lstm.lstm_step(None, fwd, x, lstm.zero_state(3))
-    sb = lstm.lstm_step(None, bwd, x, lstm.zero_state(3))
-    assert len(positions) == 1
-    assert np.array_equal(positions[0][0].value, sf.h.value)
-    assert np.array_equal(positions[0][1].value, sb.h.value)
+    x = np.array([0.4, -1.1])
+    fwd_hs, bwd_hs = lstm.encode_bidirectional(fwd, bwd, [x])[:2]
+    hf = lstm.lstm_step(fwd, x, np.zeros(3), np.zeros(3))[0]
+    hb = lstm.lstm_step(bwd, x, np.zeros(3), np.zeros(3))[0]
+    assert len(fwd_hs) == len(bwd_hs) == 1
+    assert np.array_equal(fwd_hs[0], hf)
+    assert np.array_equal(bwd_hs[0], hb)
 
 
 def test_bidirectional_reversal_swaps_halves_with_shared_params():
     p = _random_params("enc", 2, 3, seed=9)
-    xs = [ad.constant(v) for v in np.random.default_rng(10).normal(size=(4, 2))]
-    fwd = lstm.encode_bidirectional(None, p, p, xs)
-    rev = lstm.encode_bidirectional(None, p, p, list(reversed(xs)))
+    xs = list(np.random.default_rng(10).normal(size=(4, 2)))
+    fwd = lstm.encode_bidirectional(p, p, xs)
+    rev = lstm.encode_bidirectional(p, p, xs[::-1])
     # e_raw = [fwd h_T ; bwd h_1]: reversing the input swaps its halves
-    assert np.array_equal(fwd[-1][0].value, rev[0][1].value)
-    assert np.array_equal(fwd[0][1].value, rev[-1][0].value)
+    assert np.array_equal(fwd[0][-1], rev[1][0])
+    assert np.array_equal(fwd[1][0], rev[0][-1])
 
 
 def test_bidirectional_rejects_empty_input():
     p = _const_params("enc", 2, 2, 0.1)
     with pytest.raises(DimensionError, match="empty"):
-        lstm.encode_bidirectional(None, p, p, [])
+        lstm.encode_bidirectional(p, p, [])
 
 
 def test_gradient_check_through_sequence():
     p = _random_params("cell", 2, 3, seed=11)
-    xs = [ad.constant(v) for v in np.random.default_rng(12).normal(size=(3, 2))]
+    xs = [constant(v) for v in np.random.default_rng(12).normal(size=(3, 2))]
 
     def loss_fn(tape):
-        states = lstm.run_sequence(tape, p, xs)
-        return usum(tape, ad.concat(tape, [states[-1].h, states[-1].c]))
+        states = run_sequence(tape, p, xs)
+        return usum(tape, concat(tape, [states[-1].h, states[-1].c]))
 
     assert gradient_check(loss_fn, p.parameters()) < 1e-4

@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_model_gradients, models_equal, randomize_params
+from helpers import check_model_gradients, models_equal, randomize_params, row, run_sequence
 from morphogen import autodiff as ad
-from morphogen import lstm
 from morphogen import model as mod
 from morphogen.errors import (CheckpointError, DataError, DimensionError,
                               MorphogenError)
@@ -65,15 +64,15 @@ def test_encoding_is_the_transformed_final_states():
     x = VOCAB.encode("abba")
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
-        source = mod._encode_source(None, m, x)
+        source = mod._encode_source(m, x)[0]
         if not m.wiring.trans:
             assert source.e is None
             continue
-        xs = [ad.row(None, m.embed, i) for i in x]
-        h_fwd = lstm.run_sequence(None, m.enc_fwd, xs)[-1].h.value
-        h_bwd = lstm.run_sequence(None, m.enc_bwd, xs[::-1])[-1].h.value
+        xs = [row(None, m.embed, i) for i in x]
+        h_fwd = run_sequence(None, m.enc_fwd, xs)[-1].h.value
+        h_bwd = run_sequence(None, m.enc_bwd, xs[::-1])[-1].h.value
         want = m.trans_W.value @ np.concatenate([h_fwd, h_bwd]) + m.trans_b.value
-        assert np.array_equal(source.e.value, want)
+        assert np.array_equal(source.e, want)
 
 
 def test_step_distribution_masks_and_normalizes():
@@ -170,7 +169,7 @@ def test_attention_uniform_scores_average_states():
 def test_attention_context_rejects_other_variants():
     m = _model("full")
     with pytest.raises(MorphogenError, match="attention"):
-        mod.attention_context(m, mod._encode_source(None, m, [4]), np.zeros(5))
+        mod.attention_context(m, mod._encode_source(m, [4])[0], np.zeros(5))
 
 
 def test_decoder_step_rejects_out_of_range_ids():

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import per_op_loss, randomize_params
+from helpers import constant, per_op_loss, randomize_params
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen.errors import DataError, DimensionError, MorphogenError
@@ -72,7 +72,7 @@ def test_sequence_loss_bit_equal_to_per_op_tape(variant, interpolated):
         for name in grads:
             assert grads[name] == want_grads[name], (case, name)
         assert records == 1 + interpolated, case    # softplus of lambda when interpolated
-        lam = None if lm is None else ad.softplus(None, ad.constant([lambda_init]))
+        lam = None if lm is None else ad.softplus(None, constant([lambda_init]))
         assert mod.forward_variant(None, m, x, y, lm, lam).value.tobytes() == loss, case
 
 
