@@ -1,27 +1,20 @@
-"""Tape-based reverse-mode differentiation over double-precision numpy arrays.
+"""Reverse-mode differentiation by backward closures over float64 arrays.
 
-Every differentiable quantity is a Node wrapping an ndarray. Training
-records each example as one op (model.forward_variant), after softplus of
-the LM weight when it learns one; an op takes the tape as its first argument
-and with tape=None computes values only. backward() walks the tape once in
-reverse, so recording order is the topological order by construction. A
-record may have several outputs; it fires when any of them holds a
-gradient, and its backward function adds into its inputs through the Sweep
-it is given. step_loss, logit_grad and masked_softmax are the array pieces
-of a decoder step's loss and distribution.
+A tape is a plain list: a function given one appends backward_fn(sweep) to
+it (training appends one per example, model.forward_variant), and given
+None computes values only. backward() calls the closures last-first; each
+adds into the caller's gradient buffers through the Sweep it is given.
+step_loss, logit_grad and masked_softmax are the array pieces of a decoder
+step's loss and distribution.
 """
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import DimensionError, MorphogenError
+from .errors import MorphogenError
 
 __all__ = [
-    "Node",
     "Parameter",
-    "Tape",
     "Sweep",
-    "softplus",
     "masked_softmax",
     "step_loss",
     "logit_grad",
@@ -29,55 +22,22 @@ __all__ = [
 ]
 
 
-class Node:
-    """A value in the computation graph; its gradient lives in the Sweep."""
+class Parameter:
+    """A named tensor owned by a model; its gradient lives in a Sweep's buffers."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class Parameter(Node):
-    """A named leaf tensor owned by a model; persists across tapes."""
-
-    __slots__ = ("name",)
+    __slots__ = ("value", "name")
 
     def __init__(self, name, value):
-        super().__init__(np.asarray(value, dtype=np.float64))
+        self.value = np.asarray(value, dtype=np.float64)
         self.name = name
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-class Tape:
-    """Ordered record of primitive ops; operands always precede consumers.
-
-    A record holds the op's output nodes and its backward function, called
-    as backward_fn(sweep, *grads) with one gradient per output (None for an
-    output that received none).
-    """
-
-    def __init__(self):
-        self._records = []
-
-    def append(self, outputs, backward_fn):
-        """Record an op; outputs is its Node, or a tuple of Nodes."""
-        if isinstance(outputs, Node):
-            outputs = (outputs,)
-        self._records.append((outputs, backward_fn))
-
-    def __len__(self):
-        return len(self._records)
-
-
 class Sweep:
-    """Gradient accumulation for one backward() call.
-
-    grads maps each node reached so far to its gradient. It belongs to the
-    call, so nested sweeps keep apart and nothing needs clearing afterwards.
-    """
+    """Gradient accumulation for one backward() call into grads, the
+    caller's {Parameter: zeroed buffer} (views into one flat vector, say)."""
 
     __slots__ = ("grads", "_outer")
 
@@ -85,54 +45,35 @@ class Sweep:
         self.grads = grads
         self._outer = {}   # Parameter -> ([a, ...], [b, ...]) pending outer products
 
-    def acc(self, node, g):
-        """Add g to node's gradient."""
-        buf = self.grads.get(node)
-        if buf is None:
-            self.grads[node] = np.array(g)
-        else:
-            buf += g
+    def acc(self, param, g):
+        """Add g to param's gradient."""
+        self.grads[param] += g
 
-    def grad_buffer(self, node):
-        """node's gradient, zero-initialised, for indexed accumulation."""
-        buf = self.grads.get(node)
-        if buf is None:
-            buf = self.grads[node] = np.zeros_like(node.value)
-        return buf
+    def grad_buffer(self, param):
+        """param's gradient buffer, for indexed accumulation."""
+        return self.grads[param]
 
-    def acc_outer(self, node, a, b):
-        """Add the outer product of vectors a and b to a Parameter's gradient.
+    def acc_outer(self, param, a, b):
+        """Add the outer product of vectors a and b to param's gradient.
 
-        Nothing reads a Parameter's gradient before the sweep ends, so the
-        pairs are kept and summed by one matrix product in finish(); a weight
-        used at every step then costs one product per sweep instead of one
-        per step.
+        Nothing reads a gradient before the sweep ends, so the pairs are kept
+        and summed by one matrix product in finish(); a weight used at every
+        step then costs one product per sweep instead of one per step.
         """
-        pending = self._outer.setdefault(node, ([], []))
+        pending = self._outer.setdefault(param, ([], []))
         pending[0].append(a)
         pending[1].append(b)
 
-    def acc_outers(self, node, rows_a, rows_b):
+    def acc_outers(self, param, rows_a, rows_b):
         """acc_outer for each pair of rows_a and rows_b, in order."""
-        pending = self._outer.setdefault(node, ([], []))
+        pending = self._outer.setdefault(param, ([], []))
         pending[0].extend(rows_a)
         pending[1].extend(rows_b)
 
     def finish(self):
-        """Add the pending outer products to their Parameters."""
-        for node, (a, b) in self._outer.items():
-            self.acc(node, np.array(a).T @ np.array(b))
-
-
-def softplus(tape, x):
-    # log(1 + e^x), computed without overflow for large |x|
-    xv = x.value
-    out = Node(np.logaddexp(0.0, xv))
-    if tape is not None:
-        def backward_fn(sweep, g):
-            sweep.acc(x, g * expit(xv))
-        tape.append(out, backward_fn)
-    return out
+        """Add the pending outer products, after every direct add."""
+        for param, (a, b) in self._outer.items():
+            self.acc(param, np.array(a).T @ np.array(b))
 
 
 def _softmax_lse(z, masked_ids=()):
@@ -189,29 +130,14 @@ def logit_grad(g, p, target):
     return gl
 
 
-def backward(tape, loss, params=()):
-    """Reverse sweep from a scalar loss; returns {parameter: gradient}.
+def backward(tape, grads):
+    """Call the tape's closures last-first; returns grads.
 
-    params lists the parameters to return gradients for; each gets a new zero
-    array to accumulate into, so unreached ones come back as zeros. Given a
-    {parameter: zeroed buffer} dict instead, the sweep accumulates into those
-    buffers (views into one flat gradient vector, say) and returns the dict.
-    Every other gradient stays in this call's Sweep, so tapes and nested
-    sweeps stay independent. A record fires when any of its outputs holds a
-    gradient.
+    grads maps every Parameter the closures reach to a zeroed buffer of its
+    shape, which the sweep adds into; its outer products are added last.
     """
-    if loss.value.size != 1:
-        raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
-    out = params if isinstance(params, dict) else \
-        {p: np.zeros_like(p.value) for p in params}
-    grads = {**out, loss: np.ones(1)}
     sweep = Sweep(grads)
-    for outputs, backward_fn in reversed(tape._records):
-        if len(outputs) == 1:       # most records; spares building a list
-            g = grads.get(outputs[0])
-            if g is not None:
-                backward_fn(sweep, g)
-        elif any(node in grads for node in outputs):
-            backward_fn(sweep, *[grads.get(node) for node in outputs])
+    for backward_fn in reversed(tape):
+        backward_fn(sweep)
     sweep.finish()
-    return out
+    return grads

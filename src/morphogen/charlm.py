@@ -15,7 +15,6 @@ import warnings
 
 from .data import open_text
 from .errors import DataError
-from .vocab import CharVocab
 
 __all__ = [
     "BOW",

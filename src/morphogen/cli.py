@@ -117,9 +117,13 @@ def _cmd_train(args):
         if not args.out_dir:
             raise _Usage("--out-dir is required for mode joint")
         _make_dir(args.out_dir)
+        paths = {tag: os.path.join(args.out_dir, f"{tag}.ckpt")
+                 for tag in sorted({ex.tag for ex in train_examples})}
+        for path in paths.values():
+            _check_writable(path)
         models = trainer.train_joint(dataset, config, log=print)
         for tag, model in sorted(models.items()):
-            save_model(model, os.path.join(args.out_dir, f"{tag}.ckpt"))
+            save_model(model, paths[tag])
         return 0
     if not args.out:
         raise _Usage(f"--out is required for mode {args.mode}")

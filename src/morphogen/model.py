@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from . import lstm
@@ -35,6 +36,7 @@ __all__ = [
     "ModelParams",
     "init_model",
     "attention_context",
+    "interpolation_weight",
     "forward_variant",
     "DecodeSession",
     "save_model",
@@ -254,13 +256,18 @@ def _encode_source(params, x_ids):
     return source, caches
 
 
-def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
-    """Teacher-forced NLL of y_ids + EOS given x_ids under the model's wiring,
-    recorded as one op.
+def interpolation_weight(lam_hat):
+    """The LM weight softplus(lam_hat) = log(1 + e^lam_hat) as a float."""
+    return float(np.logaddexp(0.0, lam_hat.value)[0])
 
-    lm_logprobs/lam switch each step to the interpolated loss: the step
-    distribution becomes p_model * p_lm**lam renormalized, with lam a scalar
-    Node that also receives gradient.
+
+def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
+    """Teacher-forced NLL of y_ids + EOS given x_ids under the model's wiring,
+    as a float; given a tape (a list), appends the example's backward closure.
+
+    lm_logprobs/lam_hat switch each step to the interpolated loss: the step
+    distribution becomes p_model * p_lm**lam renormalized, with lam =
+    interpolation_weight(lam_hat), and lam_hat also receives gradient.
     """
     if not x_ids:
         raise DataError("forward_variant: empty input sequence")
@@ -268,19 +275,19 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
     if not all(0 <= i < V for i in [*x_ids, *y_ids]):
         raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "
                              f"for a vocabulary of {V}")
-    return _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs, lam)
+    return _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs, lam_hat)
 
 
-def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
-    """forward_variant as one record: an untaped forward over arrays and
+def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
+    """forward_variant as one closure: an untaped forward over arrays and
     backpropagation through time by hand.
 
-    Both repeat the arithmetic of recording the example op by op (a record
-    per lookup, cell step, concat, attention context and step loss), the
-    backward in those records' order: decoder steps in reverse, each with
-    its attention context's backward, then e's transform, then the backward
-    and the forward encoder in reverse. So the loss and the gradients are
-    the same bits.
+    Both repeat the arithmetic of recording the example op by op (softplus
+    of lam_hat, then a record per lookup, cell step, concat, attention
+    context and step loss), the backward in those records' order: decoder
+    steps in reverse, each with its attention context's backward, then e's
+    transform, the backward and the forward encoder, lam_hat. So the loss
+    and the gradients are the same bits.
     """
     w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
     x_ids, targets = list(x_ids), list(y_ids) + [EOS]
@@ -302,20 +309,20 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
               for y_prev, x_t in zip(y_prevs, x_steps)]
     hs, dec_cache = lstm.run_cached(params.dec, inputs, e if w.e_as_init else None, step_input)
     W_out, b_out = params.out_W.value, params.out_b.value
-    lamv = None if lm_logprobs is None else float(lam.value[0])
+    lam = None if lm_logprobs is None else interpolation_weight(lam_hat)
     steps = [ad.step_loss(W_out @ h + b_out, target, MASKED_OUTPUT_IDS,
-                          None if lm_logprobs is None else lm_logprobs[t], lamv)
+                          None if lm_logprobs is None else lm_logprobs[t], lam)
              for t, (h, target) in enumerate(zip(hs, targets))]
-    out = ad.Node(np.array([sum((s[0] for s in steps[1:]), steps[0][0])]))
+    loss = float(sum((s[0] for s in steps[1:]), steps[0][0]))
     if tape is None:
-        return out
+        return loss
 
-    def backward_fn(sweep, g):
+    def backward_fn(sweep):
         rev = range(len(targets) - 1, -1, -1)
-        gls = [ad.logit_grad(g[0], steps[t][1], targets[t]) for t in rev]
-        if lm_logprobs is not None:
-            dlams = [g[0] * steps[t][2] for t in rev]
-            sweep.acc(lam, np.array([sum(dlams[1:], dlams[0])]))
+        gls = [ad.logit_grad(1.0, steps[t][1], targets[t]) for t in rev]
+        if lm_logprobs is not None:   # d/dlam_hat = d/dlam * softplus'(lam_hat)
+            dlams = [steps[t][2] for t in rev]
+            sweep.acc(lam_hat, sum(dlams[1:], dlams[0]) * expit(lam_hat.value))
         sweep.acc_outers(params.out_W, gls, hs[::-1])
         sweep.acc(params.out_b, sum(gls[1:], gls[0]))
         step_grad = None
@@ -366,8 +373,8 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam=None):
         for j in range(len(x_ids) - 1, -1, -1):
             gE[x_ids[j]] += dx_bwd[-1 - j] + dx_fwd[j]
 
-    tape.append(out, backward_fn)
-    return out
+    tape.append(backward_fn)
+    return loss
 
 
 class DecodeSession:

@@ -5,6 +5,9 @@ All modes run batch-size-1 AdaDelta over shuffled epochs (at most
 config.epochs passes) and return the epoch snapshot with the best dev-set
 exact-match accuracy, earliest epoch on ties. Every source of randomness is
 seeded, so a fixed config gives bit-identical parameters.
+
+Per example, autodiff.backward runs forward_variant's one backward closure
+into the gradient views of the blocks that adadelta_step then updates.
 """
 
 import math
@@ -17,7 +20,8 @@ from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
 from .evaluate import predict_one
-from .model import DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model
+from .model import (DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model,
+                    interpolation_weight)
 from .optim import Block, adadelta_step
 from .search import lm_next_dist
 
@@ -89,17 +93,16 @@ def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapsho
         order_rng.shuffle(batch)
         total = 0.0
         for ex in batch:
-            tape = ad.Tape()
+            tape = []
             loss = make_loss(tape, ex)
-            value = float(loss.value[0])
-            if not math.isfinite(value):
-                raise TrainError(f"epoch {epoch}: non-finite loss {value!r} on lemma "
+            if not math.isfinite(loss):
+                raise TrainError(f"epoch {epoch}: non-finite loss {loss!r} on lemma "
                                  f"{ex.lemma!r} ({ex.tag}) with target {ex.inflected!r}")
-            total += value
+            total += loss
             blocks, grads = update_for(ex)
             for b in blocks:
                 b.grad.fill(0.0)
-            ad.backward(tape, loss, grads)
+            ad.backward(tape, grads)
             adadelta_step(blocks, l2=config.l2)
         acc = eval_dev()
         if log is not None:
@@ -204,9 +207,6 @@ def train_interpolated(dataset, tag, lm, config, log=None):
     lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
     update = _update([model.block(), Block(lam_hat.value, [lam_hat])])
 
-    def lam_value():
-        return float(np.logaddexp(0.0, lam_hat.value[0]))
-
     def lm_logprobs(word):
         y_ids = vocab.encode(word)
         with np.errstate(divide="ignore"):
@@ -216,15 +216,14 @@ def train_interpolated(dataset, tag, lm, config, log=None):
     logprobs = {ex.inflected: lm_logprobs(ex.inflected) for ex in train}
 
     def make_loss(tape, ex):
-        lam = ad.softplus(tape, lam_hat)
         return forward_variant(tape, model, vocab.encode(ex.lemma), vocab.encode(ex.inflected),
-                               lm_logprobs=logprobs[ex.inflected], lam=lam)
+                               lm_logprobs=logprobs[ex.inflected], lam_hat=lam_hat)
 
     best_model, best_lam = _epoch_loop(
         config, train, make_loss, lambda ex: update,
         lambda: exact_match_accuracy([model], dev, config.max_len_slack,
-                                     lm=lm, lam=lam_value()),
-        lambda: (model.copy(), lam_value()), log)
+                                     lm=lm, lam=interpolation_weight(lam_hat)),
+        lambda: (model.copy(), interpolation_weight(lam_hat)), log)
     best_model.lm_lambda = best_lam
     return best_model, best_lam
 

@@ -71,13 +71,112 @@ def levenshtein_matrix_oracle(a, b):
     return int(m[len(a), len(b)])
 
 
+# --- the graph tape ------------------------------------------------------------
+# General reverse mode over Nodes: records with one or several outputs, each
+# fired when any of its outputs holds a gradient, swept from a scalar loss
+# seeded with gradient 1. The product's tape is a list of closures that add
+# into Parameters only (autodiff.backward); the per-op oracle below needs
+# gradients on intermediate values too.
+
+class Node:
+    """A value in the computation graph; its gradient lives in the sweep."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Tape:
+    """Ordered record of ops; operands always precede consumers.
+
+    A record holds the op's output nodes and its backward function, called
+    as backward_fn(sweep, *grads) with one gradient per output (None for an
+    output that received none).
+    """
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, outputs, backward_fn):
+        """Record an op; outputs is its Node, or a tuple of Nodes."""
+        if isinstance(outputs, Node):
+            outputs = (outputs,)
+        self.records.append((outputs, backward_fn))
+
+    def __len__(self):
+        return len(self.records)
+
+
+class GraphSweep(ad.Sweep):
+    """An autodiff.Sweep that gives a buffer to every node it reaches."""
+
+    __slots__ = ()
+
+    def acc(self, node, g):
+        buf = self.grads.get(node)
+        if buf is None:
+            self.grads[node] = np.array(g)
+        else:
+            buf += g
+
+    def grad_buffer(self, node):
+        buf = self.grads.get(node)
+        if buf is None:
+            buf = self.grads[node] = np.zeros_like(node.value)
+        return buf
+
+
+def backward(tape, loss, params=()):
+    """Reverse sweep of a Tape from a scalar loss Node; returns {parameter:
+    gradient}.
+
+    params lists the parameters to return gradients for; each gets a new zero
+    array to accumulate into, so unreached ones come back as zeros. Every
+    other gradient stays in this call's sweep, so tapes and nested sweeps
+    stay independent.
+    """
+    if loss.value.size != 1:
+        raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
+    out = {p: np.zeros_like(p.value) for p in params}
+    grads = {**out, loss: np.ones(1)}
+    sweep = GraphSweep(grads)
+    for outputs, backward_fn in reversed(tape.records):
+        if any(node in grads for node in outputs):
+            backward_fn(sweep, *[grads.get(node) for node in outputs])
+    sweep.finish()
+    return out
+
+
+def forward_record(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
+    """model.forward_variant as a Tape record with a loss Node, for gradient
+    checks; the loss must be the root the sweep starts from."""
+    closures = None if tape is None else []
+    loss = Node(np.array([forward_variant(closures, params, x_ids, y_ids, lm_logprobs,
+                                          lam_hat)]))
+    if tape is not None:
+        tape.append(loss, lambda sweep, g: closures[0](sweep))
+    return loss
+
+
 # --- primitive tape ops -------------------------------------------------------
-# Ops in the package's tape conventions (value and backward for each); the
+# Ops in the graph tape's conventions (value and backward for each); the
 # per-op training path and the composed references below are chains of them,
 # and test_autodiff checks each one on its own.
 
 def constant(value):
-    return ad.Node(np.asarray(value, dtype=np.float64))
+    return Node(np.asarray(value, dtype=np.float64))
+
+
+def softplus(tape, x):
+    # log(1 + e^x), computed without overflow for large |x|
+    xv = x.value
+    out = Node(np.logaddexp(0.0, xv))
+    if tape is not None:
+        def backward_fn(sweep, g):
+            sweep.acc(x, g * expit(xv))
+        tape.append(out, backward_fn)
+    return out
 
 
 def affine(tape, W, x, b):
@@ -87,7 +186,7 @@ def affine(tape, W, x, b):
         raise DimensionError(
             f"affine: W{Wv.shape} incompatible with x{xv.shape} and b{bv.shape}"
         )
-    out = ad.Node(Wv @ xv + bv)
+    out = Node(Wv @ xv + bv)
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc_outer(W, g, xv)
@@ -104,7 +203,7 @@ def total(tape, parts):
         if part.value.shape != value.shape:
             raise DimensionError(f"total: shapes {value.shape} and {part.value.shape}")
         value = value + part.value
-    out = ad.Node(value)
+    out = Node(value)
     if tape is not None:
         def backward_fn(sweep, g):
             for part in parts:
@@ -115,7 +214,7 @@ def total(tape, parts):
 
 def concat(tape, parts):
     values = [p.value for p in parts]
-    out = ad.Node(np.concatenate(values))
+    out = Node(np.concatenate(values))
     if tape is not None:
         offsets = np.cumsum([0] + [v.shape[0] for v in values])
         def backward_fn(sweep, g):
@@ -130,7 +229,7 @@ def row(tape, E, i):
     Ev = E.value
     if not 0 <= i < Ev.shape[0]:
         raise DimensionError(f"row: index {i} out of range for {Ev.shape}")
-    out = ad.Node(Ev[i])
+    out = Node(Ev[i])
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.grad_buffer(E)[i] += g
@@ -146,7 +245,7 @@ def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
         raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
     loss, p, dlam = ad.step_loss(Wv @ hv + bv, target, masked_ids, log_lm,
                                  None if log_lm is None else float(lam.value[0]))
-    out = ad.Node(np.array([loss]))
+    out = Node(np.array([loss]))
     if tape is not None:
         def backward_fn(sweep, g):
             gl = ad.logit_grad(g[0], p, target)
@@ -163,7 +262,7 @@ def matvec(tape, W, x):
     Wv, xv = W.value, x.value
     if Wv.ndim != 2 or Wv.shape[1] != xv.shape[0]:
         raise DimensionError(f"matvec: W{Wv.shape} incompatible with x{xv.shape}")
-    out = ad.Node(Wv @ xv)
+    out = Node(Wv @ xv)
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc_outer(W, g, xv)
@@ -179,7 +278,7 @@ def _same_shape(name, a, b):
 
 def sub(tape, a, b):
     _same_shape("sub", a, b)
-    out = ad.Node(a.value - b.value)
+    out = Node(a.value - b.value)
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(a, g)
@@ -191,7 +290,7 @@ def sub(tape, a, b):
 def mul(tape, a, b):
     _same_shape("mul", a, b)
     av, bv = a.value, b.value
-    out = ad.Node(av * bv)
+    out = Node(av * bv)
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(a, g * bv)
@@ -201,7 +300,7 @@ def mul(tape, a, b):
 
 
 def sigmoid(tape, x):
-    out = ad.Node(expit(x.value))
+    out = Node(expit(x.value))
     if tape is not None:
         ov = out.value
         def backward_fn(sweep, g):
@@ -211,7 +310,7 @@ def sigmoid(tape, x):
 
 
 def tanh(tape, x):
-    out = ad.Node(np.tanh(x.value))
+    out = Node(np.tanh(x.value))
     if tape is not None:
         ov = out.value
         def backward_fn(sweep, g):
@@ -221,7 +320,7 @@ def tanh(tape, x):
 
 
 def pick(tape, x, i):
-    out = ad.Node(x.value[i:i + 1])
+    out = Node(x.value[i:i + 1])
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.grad_buffer(x)[i] += g[0]
@@ -230,7 +329,7 @@ def pick(tape, x, i):
 
 
 def usum(tape, x):
-    out = ad.Node(np.array([x.value.sum()]))
+    out = Node(np.array([x.value.sum()]))
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(x, np.full_like(x.value, g[0]))
@@ -242,7 +341,7 @@ def dot(tape, a, b):
     if a.value.shape != b.value.shape:
         raise DimensionError(f"dot: shapes {a.value.shape} and {b.value.shape}")
     av, bv = a.value, b.value
-    out = ad.Node(np.array([av @ bv]))
+    out = Node(np.array([av @ bv]))
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(a, g[0] * bv)
@@ -262,7 +361,7 @@ def softmax(v):
 def softmax_op(tape, x):
     """Differentiable softmax (used for attention weights)."""
     p = softmax(x.value)
-    out = ad.Node(p)
+    out = Node(p)
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(x, p * (g - g @ p))
@@ -276,7 +375,7 @@ def weighted_sum(tape, weights, vectors):
     if wv.shape[0] != len(vectors):
         raise DimensionError(f"weighted_sum: {wv.shape[0]} weights, {len(vectors)} vectors")
     vals = [v.value for v in vectors]
-    out = ad.Node(sum(w * v for w, v in zip(wv, vals)))
+    out = Node(sum(w * v for w, v in zip(wv, vals)))
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.acc(weights, np.array([g @ v for v in vals]))
@@ -296,8 +395,8 @@ def gradient_check(loss_fn, params, h=1e-4):
     2 * #components value-only evaluations of the central differences.
     """
     params = list(params)
-    tape = ad.Tape()
-    analytic = ad.backward(tape, loss_fn(tape), params)
+    tape = Tape()
+    analytic = backward(tape, loss_fn(tape), params)
 
     def value():
         return float(loss_fn(None).value[0])
@@ -322,7 +421,7 @@ def gradient_check(loss_fn, params, h=1e-4):
 def check_model_gradients(params, x_ids, y_ids, h=1e-4):
     """Finite-difference verification of the full training gradient."""
     def loss_fn(tape):
-        return forward_variant(tape, params, x_ids, y_ids)
+        return forward_record(tape, params, x_ids, y_ids)
     return gradient_check(loss_fn, params.parameters(), h=h)
 
 
@@ -342,8 +441,8 @@ def models_equal(a, b):
 
 @dataclass
 class LSTMState:
-    h: ad.Node
-    c: ad.Node
+    h: Node
+    c: Node
 
 
 def zero_state(hidden_size):
@@ -359,7 +458,7 @@ def taped_lstm_step(tape, params, x, prev):
         raise DimensionError(
             f"lstm {params.name}: input {xv.shape} vs expected ({params.input_size},)")
     h, c, sig, g, tc = lstm.lstm_step(params, xv, hv, cv)
-    h, c = ad.Node(h), ad.Node(c)
+    h, c = Node(h), Node(c)
     if tape is not None:
         W_x, W_h, b = params.W_x, params.W_h, params.b
         i, f, o = sig[:n], sig[n:2 * n], sig[2 * n:]
@@ -428,7 +527,7 @@ def reference_lstm_step(tape, params, x, prev):
 
 
 def _block(tape, z, k, n):
-    out = ad.Node(z.value[k * n:(k + 1) * n])
+    out = Node(z.value[k * n:(k + 1) * n])
     if tape is not None:
         def backward_fn(sweep, g):
             sweep.grad_buffer(z)[k * n:(k + 1) * n] += g
@@ -467,7 +566,7 @@ def attention_record(tape, params, source, s_prev):
     W_enc, W_dec, v = params.attn_W_enc, params.attn_W_dec, params.attn_v
     H, sv = source.H, s_prev.value
     context, weights, act = mod.attention_context(params, source, sv)
-    out = ad.Node(context)
+    out = Node(context)
     if tape is not None:
         def backward_fn(sweep, g):
             gw = H @ g

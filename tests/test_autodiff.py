@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (affine, concat, constant, dot, gradient_check, matvec, mul, output_loss,
-                     pick, row, sigmoid, softmax, softmax_op, sub, tanh, total, usum,
-                     weighted_sum)
+from helpers import (Node, Tape, affine, backward, concat, constant, dot, gradient_check,
+                     matvec, mul, output_loss, pick, row, sigmoid, softmax, softmax_op,
+                     softplus, sub, tanh, total, usum, weighted_sum)
 from morphogen import autodiff as ad
+from morphogen import model as mod
 from morphogen.errors import DimensionError, MorphogenError
+from morphogen.optim import Block
+from morphogen.vocab import CharVocab
 
 
 def test_affine_identity():
@@ -57,11 +60,11 @@ def test_elementwise_shape_mismatch_error():
 def test_concat_values_and_gradient_slices():
     a = ad.Parameter("a", [1.0, 2.0])
     b = ad.Parameter("b", [3.0])
-    tape = ad.Tape()
+    tape = Tape()
     cat = concat(tape, [a, b])
     assert np.array_equal(cat.value, [1.0, 2.0, 3.0])
     loss = dot(tape, cat, constant([10.0, 20.0, 30.0]))
-    grads = ad.backward(tape, loss, [a, b])
+    grads = backward(tape, loss, [a, b])
     assert np.array_equal(grads[a], [10.0, 20.0])
     assert np.array_equal(grads[b], [30.0])
 
@@ -70,25 +73,25 @@ def test_scalar_nonlinearities_at_zero():
     z = constant([0.0])
     assert sigmoid(None, z).value[0] == 0.5
     assert tanh(None, z).value[0] == 0.0
-    assert ad.softplus(None, z).value[0] == pytest.approx(np.log(2.0), abs=1e-15)
+    assert softplus(None, z).value[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_nonlinearities_stable_on_tails():
     big = constant([1000.0, -1000.0])
     s = sigmoid(None, big).value
     assert np.array_equal(s, [1.0, 0.0])
-    sp = ad.softplus(None, big).value
+    sp = softplus(None, big).value
     assert sp[0] == 1000.0 and sp[1] == 0.0
     assert np.all(np.isfinite(sp))
 
 
 def test_row_lookup_and_gradient():
     E = ad.Parameter("E", np.arange(12.0).reshape(4, 3))
-    tape = ad.Tape()
+    tape = Tape()
     r = row(tape, E, 2)
     assert np.array_equal(r.value, [6.0, 7.0, 8.0])
     loss = usum(tape, r)
-    grads = ad.backward(tape, loss, [E])
+    grads = backward(tape, loss, [E])
     want = np.zeros((4, 3))
     want[2] = 1.0
     assert np.array_equal(grads[E], want)
@@ -159,28 +162,28 @@ def test_masked_softmax_zeroes_and_renormalizes():
 def test_backward_linear_gradient_is_input():
     w = ad.Parameter("w", [1.0, -1.0, 2.0])
     x = constant([4.0, 5.0, 6.0])
-    tape = ad.Tape()
+    tape = Tape()
     loss = dot(tape, w, x)
-    grads = ad.backward(tape, loss, [w])
+    grads = backward(tape, loss, [w])
     assert np.array_equal(grads[w], x.value)
 
 
 def test_backward_unreached_parameter_gets_zeros():
     w = ad.Parameter("w", [1.0])
     other = ad.Parameter("other", np.ones((2, 2)))
-    tape = ad.Tape()
+    tape = Tape()
     loss = usum(tape, w)
-    grads = ad.backward(tape, loss, [w, other])
+    grads = backward(tape, loss, [w, other])
     assert np.array_equal(grads[other], np.zeros((2, 2)))
     assert np.array_equal(grads[w], [1.0])
 
 
 def test_backward_rejects_nonscalar_loss():
     x = ad.Parameter("x", [1.0, 2.0])
-    tape = ad.Tape()
+    tape = Tape()
     out = tanh(tape, x)
     with pytest.raises(DimensionError, match="backward"):
-        ad.backward(tape, out, [x])
+        backward(tape, out, [x])
 
 
 def test_backward_clears_all_gradients():
@@ -191,9 +194,9 @@ def test_backward_clears_all_gradients():
     c = constant([3.0, 4.0])
 
     def run():
-        tape = ad.Tape()
+        tape = Tape()
         loss = dot(tape, total(tape, [row(tape, E, 1), c]), w)
-        return ad.backward(tape, loss, [E])
+        return backward(tape, loss, [E])
 
     first = run()[E].copy()
     second = run()[E]
@@ -203,11 +206,11 @@ def test_backward_clears_all_gradients():
 def _nested_sweep(outer, x, inner_param, inner_grads):
     """A record passing its gradient through to x, whose backward first sweeps
     a tape of its own: mul(inner_param, inner_param)."""
-    out = ad.Node(x.value.copy())
+    out = Node(x.value.copy())
 
     def backward_fn(sweep, g):
-        inner = ad.Tape()
-        inner_grads.append(ad.backward(inner, mul(inner, inner_param, inner_param),
+        inner = Tape()
+        inner_grads.append(backward(inner, mul(inner, inner_param, inner_param),
                                        [inner_param])[inner_param])
         sweep.acc(x, g)
     outer.append(out, backward_fn)
@@ -222,16 +225,16 @@ def test_nested_sweep_leaves_outer_sweep_clean():
     z = ad.Parameter("z", [5.0])
 
     def run():
-        outer = ad.Tape()
+        outer = Tape()
         inner_grads = []
         n = _nested_sweep(outer, z, u, inner_grads)  # recorded first: fires after w's record
         loss = total(outer, [usum(outer, w), n])
-        grads = ad.backward(outer, loss, [w, z])
+        grads = backward(outer, loss, [w, z])
         return grads[w], grads[z], inner_grads
 
     assert run() == run() == ([1.0], [1.0], [[6.0]])
-    tape = ad.Tape()
-    assert ad.backward(tape, mul(tape, w, w), [w])[w] == [4.0]
+    tape = Tape()
+    assert backward(tape, mul(tape, w, w), [w])[w] == [4.0]
 
 
 def test_nested_sweep_sharing_a_parameter_keeps_the_outer_gradient():
@@ -239,11 +242,11 @@ def test_nested_sweep_sharing_a_parameter_keeps_the_outer_gradient():
     # d/dw of usum(w) + nested(z) + usum(w) is 2, as when nothing is nested
     w = ad.Parameter("w", [3.0])
     z = ad.Parameter("z", [5.0])
-    outer = ad.Tape()
+    outer = Tape()
     inner_grads = []
     parts = [usum(outer, w), _nested_sweep(outer, z, w, inner_grads), usum(outer, w)]
     loss = usum(outer, concat(outer, parts))
-    grads = ad.backward(outer, loss, [w, z])
+    grads = backward(outer, loss, [w, z])
     assert grads[w] == [2.0] and grads[z] == [1.0] and inner_grads == [[6.0]]
 
 
@@ -277,10 +280,10 @@ def test_cross_entropy_masked_target_rejected():
 def test_cross_entropy_gradient_is_p_minus_onehot():
     logits = ad.Parameter("logits", [0.5, 1.5, -0.5, 0.0])
     masked = (0,)
-    tape = ad.Tape()
+    tape = Tape()
     loss = _ce(tape, logits, 3, masked_ids=masked)
     assert len(tape) == 1  # fused: one record per decoder step
-    g = ad.backward(tape, loss, [logits])[logits]
+    g = backward(tape, loss, [logits])[logits]
     p = ad.masked_softmax(logits.value, masked)
     want = p.copy()
     want[3] -= 1.0
@@ -323,10 +326,10 @@ def test_interpolated_ce_masked_ids_stay_zero_in_gradient():
     logits = ad.Parameter("logits", [0.2, 0.9, -0.4, 0.1])
     log_lm = np.array([-np.inf, np.log(0.4), np.log(0.3), np.log(0.3)])
     lam = ad.Parameter("lam", [0.5])
-    tape = ad.Tape()
+    tape = Tape()
     loss = _ce(tape, logits, 1, masked_ids=(0,), log_lm=log_lm, lam=lam)
     assert np.isfinite(loss.value[0])
-    g = ad.backward(tape, loss, [logits])[logits]
+    g = backward(tape, loss, [logits])[logits]
     assert g[0] == 0.0 and np.all(np.isfinite(g))
 
 
@@ -343,7 +346,7 @@ def test_output_loss_gradients_are_one_record(interpolated):
     def loss_fn(tape):
         return output_loss(tape, W, h, b, 2, (0,), log_lm, lam)
 
-    tape = ad.Tape()
+    tape = Tape()
     loss_fn(tape)
     assert len(tape) == 1
     assert gradient_check(loss_fn, params) < 1e-7
@@ -364,7 +367,7 @@ def _composed_loss(p, tape):
     x = row(tape, p["E"], 2)
     h = tanh(tape, affine(tape, p["W"], x, p["b"]))
     s = sigmoid(tape, matvec(tape, p["W"], x))
-    sp = ad.softplus(tape, sub(tape, s, p["v"]))
+    sp = softplus(tape, sub(tape, s, p["v"]))
     scores = concat(tape, [
         dot(tape, h, p["v"]),
         dot(tape, s, p["v"]),
@@ -387,9 +390,9 @@ def test_tape_determinism_bit_identical():
     q = _build_params(7)
 
     def run(params):
-        tape = ad.Tape()
+        tape = Tape()
         loss = _composed_loss(params, tape)
-        grads = ad.backward(tape, loss, params.values())
+        grads = backward(tape, loss, params.values())
         return loss.value.copy(), {k: grads[v].copy() for k, v in params.items()}
 
     loss1, g1 = run(p)
@@ -414,3 +417,79 @@ def test_softmax_op_gradient():
         return dot(tape, softmax_op(tape, x), v)
 
     assert gradient_check(loss_fn, [x]) < 1e-7
+
+
+# --- autodiff.backward: the product's tape of closures ---------------------
+
+def _block(*shapes):
+    """Parameters laid out back to back in one vector, as one optim.Block."""
+    theta = np.zeros(sum(int(np.prod(s)) for s in shapes))
+    params, offset = [], 0
+    for k, shape in enumerate(shapes):
+        size = int(np.prod(shape))
+        params.append(ad.Parameter(f"p{k}", theta[offset:offset + size].reshape(shape)))
+        offset += size
+    return params, Block(theta, params)
+
+
+def test_backward_runs_closures_last_first_into_the_given_buffers():
+    (w, E), block = _block((2, 3), (4, 2))
+    grads = dict(zip(block.parts, block.part_grads))
+    order = []
+
+    def first(sweep):
+        order.append("first")
+        sweep.acc(w, np.ones((2, 3)))
+
+    def second(sweep):
+        order.append("second")
+        sweep.grad_buffer(E)[1] += [2.0, 3.0]
+        sweep.acc_outers(w, [np.array([1.0, 0.0])], [np.array([4.0, 5.0, 6.0])])
+
+    assert ad.backward([first, second], grads) is grads
+    assert order == ["second", "first"]
+    want_w = np.ones((2, 3))
+    want_w[0] += [4.0, 5.0, 6.0]
+    want_E = np.zeros((4, 2))
+    want_E[1] = [2.0, 3.0]
+    assert np.array_equal(block.grad, np.concatenate((want_w.ravel(), want_E.ravel())))
+    assert np.array_equal(w.value, np.zeros((2, 3)))    # values untouched
+
+
+def test_backward_adds_queued_outer_products_after_direct_adds():
+    # 1e16 + 1 rounds back to 1e16, so the order of the three adds shows:
+    # direct adds first (1e16, then 1), the queued -1e16 last, gives 0
+    (w,), block = _block((1, 1))
+
+    def direct(sweep):
+        sweep.acc(w, [[1.0]])
+
+    def queued_then_direct(sweep):
+        sweep.acc_outer(w, np.array([-1e16]), np.array([1.0]))
+        sweep.acc(w, [[1e16]])
+
+    ad.backward([direct, queued_then_direct], {w: block.part_grads[0]})
+    assert block.grad[0] == 0.0
+
+
+def test_backward_sums_queued_rows_as_one_product_in_queue_order():
+    rng = np.random.default_rng(5)
+    (w,), block = _block((3, 4))
+    rows_a, rows_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+    tape = [lambda sweep: sweep.acc_outers(w, rows_a[3:], rows_b[3:]),
+            lambda sweep: sweep.acc_outers(w, rows_a[:3], rows_b[:3])]
+    grads = ad.backward(tape, {w: np.zeros((3, 4))})
+    # the later closure fires, and queues its rows, first: rows 0..4 in order
+    assert np.array_equal(grads[w], rows_a.T @ rows_b)
+
+
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_forward_variant_value_only_equals_the_taped_loss(variant):
+    vocab = CharVocab("abc")
+    m = mod.init_model(vocab, variant, hidden=3, embed_dim=2, seed=1)
+    x, y = vocab.encode("abca"), vocab.encode("cb")
+    tape = []
+    taped = mod.forward_variant(tape, m, x, y)
+    untaped = mod.forward_variant(None, m, x, y)
+    assert type(taped) is float and type(untaped) is float
+    assert taped == untaped and len(tape) == 1

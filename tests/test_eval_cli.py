@@ -222,6 +222,21 @@ def test_cli_joint_writes_one_checkpoint_per_tag(workspace):
         assert os.path.exists(os.path.join(workspace["joint"], f"{tag}.ckpt"))
 
 
+def test_cli_joint_checks_every_checkpoint_path_before_training(workspace, tmp_path, capsys):
+    # a directory where one tag's checkpoint goes stops the run before any epoch
+    out_dir = tmp_path / "joint"
+    (out_dir / f"{INESSIVE}.ckpt").mkdir(parents=True)
+    rc = cli.main(["train", "--mode", "joint", "--data", workspace["train.tsv"],
+                   "--out-dir", str(out_dir), "--hidden", "2", "--epochs", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("morphogen: error: cannot write") and INESSIVE in lines[0]
+    assert [p.name for p in out_dir.iterdir()] == [f"{INESSIVE}.ckpt"]
+
+
 def test_cli_lm_is_loadable_and_filtered(workspace):
     lm = load_lm(workspace["lm.txt"])
     assert lm.order == 4

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import (LSTMState, attention_record, constant, dot, node_source, per_op_loss,
-                     randomize_params, reference_attention_context, reference_lstm_step,
-                     taped_lstm_step, total)
+from helpers import (LSTMState, Tape, attention_record, backward, constant, dot,
+                     forward_record, node_source, per_op_loss, randomize_params,
+                     reference_attention_context, reference_lstm_step, taped_lstm_step, total)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -69,9 +69,9 @@ def test_lstm_step_gradients_match_reference(input_size, hidden_size, consume):
     params, x, prev, weights, leaves = _cell_case(input_size, hidden_size, seed=hidden_size)
     grads = []
     for step in (taped_lstm_step, reference_lstm_step, taped_lstm_step):
-        tape = ad.Tape()
+        tape = Tape()
         loss = _cell_loss(tape, step, params, x, prev, weights, consume)
-        grads.append(ad.backward(tape, loss, leaves))
+        grads.append(backward(tape, loss, leaves))
     fused, ref, again = grads       # a second sweep over a fresh tape repeats the first
     for leaf in leaves:
         _close(fused[leaf], ref[leaf], GRAD_TOL)
@@ -80,7 +80,7 @@ def test_lstm_step_gradients_match_reference(input_size, hidden_size, consume):
 
 def test_lstm_step_is_one_record():
     params, x, prev, _, _ = _cell_case(2, 3, seed=0)
-    tape = ad.Tape()
+    tape = Tape()
     state = taped_lstm_step(tape, params, x, prev)
     assert len(tape) == 1
     taped_lstm_step(tape, params, x, state)
@@ -109,10 +109,10 @@ def test_attention_context_matches_reference(length, hidden_size):
     values, grads = {}, {}
     source = node_source(m, [], positions)
     for fn in (attention_record, reference_attention_context):
-        tape = ad.Tape()
+        tape = Tape()
         ctx = fn(tape, m, source, s_prev)
         values[fn] = ctx.value
-        grads[fn] = ad.backward(tape, dot(tape, ctx, weights), leaves)
+        grads[fn] = backward(tape, dot(tape, ctx, weights), leaves)
     _close(values[attention_record], values[reference_attention_context], VALUE_TOL)
     for leaf in leaves:
         _close(grads[attention_record][leaf],
@@ -121,7 +121,7 @@ def test_attention_context_matches_reference(length, hidden_size):
 
 def test_attention_context_is_one_record():
     m, positions, s_prev, _, _ = _attention_case(4, 2, seed=0)
-    tape = ad.Tape()
+    tape = Tape()
     attention_record(tape, m, node_source(m, [], positions), s_prev)
     assert len(tape) == 1
 
@@ -133,11 +133,11 @@ def test_model_gradients_match_composed_model(monkeypatch, variant):
     x_ids, y_ids = vocab.encode("abba"), vocab.encode("bab")
 
     def run(loss_fn):
-        tape = ad.Tape()
+        tape = Tape()
         loss = loss_fn(tape, m, x_ids, y_ids)
-        return loss.value[0], ad.backward(tape, loss, m.parameters())
+        return loss.value[0], backward(tape, loss, m.parameters())
 
-    fused_loss, fused = run(mod.forward_variant)
+    fused_loss, fused = run(forward_record)
     monkeypatch.setattr(helpers, "taped_lstm_step", reference_lstm_step)
     monkeypatch.setattr(helpers, "attention_record", reference_attention_context)
     ref_loss, ref = run(per_op_loss)

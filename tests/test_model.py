@@ -103,14 +103,14 @@ def test_forward_rejects_empty_source():
 def test_forward_accepts_empty_target():
     m = randomize_params(_model(), 4)
     loss = mod.forward_variant(None, m, VOCAB.encode("ab"), [])
-    assert loss.value.shape == (1,) and loss.value[0] > 0.0
+    assert isinstance(loss, float) and loss > 0.0
 
 
 def test_loss_nonnegative_all_variants():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
         x, y = VOCAB.encode("aba"), VOCAB.encode("bb")
-        assert mod.forward_variant(None, m, x, y).value[0] > 0.0
+        assert mod.forward_variant(None, m, x, y) > 0.0
 
 
 def test_training_loss_matches_inference_distributions():
@@ -127,7 +127,7 @@ def test_training_loss_matches_inference_distributions():
             y_prev = BOS if t == 0 else targets[t - 1]
             h, c, dist = sess.step(h, c, y_prev, t)
             total -= np.log(dist[target])
-        loss = mod.forward_variant(None, m, x, y).value[0]
+        loss = mod.forward_variant(None, m, x, y)
         assert abs(loss - total) < 1e-9, variant
 
 
@@ -136,7 +136,7 @@ def test_loss_invariant_under_character_relabeling():
     # softmax rows must leave the loss unchanged
     m = randomize_params(_model("full"), 4)
     x, y = VOCAB.encode("aab"), VOCAB.encode("b")
-    base = mod.forward_variant(None, m, x, y).value[0]
+    base = mod.forward_variant(None, m, x, y)
     swapped = m.copy()
     ia, ib = VOCAB.id_of("a"), VOCAB.id_of("b")
     perm = list(range(len(VOCAB)))
@@ -146,7 +146,7 @@ def test_loss_invariant_under_character_relabeling():
     swapped.out_b.value[...] = swapped.out_b.value[perm]
     x2 = [perm[i] for i in x]
     y2 = [perm[i] for i in y]
-    other = mod.forward_variant(None, swapped, x2, y2).value[0]
+    other = mod.forward_variant(None, swapped, x2, y2)
     assert abs(base - other) < 1e-9
 
 
@@ -419,7 +419,7 @@ def test_init_checkpoint_and_tape_pinned(tmp_path, variant):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_digest
     lengths = []
     for x, y in (("abab", "ba"), ("a", "bab")):
-        tape = ad.Tape()
+        tape = []
         mod.forward_variant(tape, m, VOCAB.encode(x), VOCAB.encode(y))
         lengths.append(len(tape))
     assert tuple(lengths) == tape_lengths
@@ -447,10 +447,10 @@ def test_loss_and_gradients_pinned_on_sources_longer_than_targets(variant):
     m = _model(variant, hidden=5, embed_dim=4, seed=0, vocab=vocab)
     digests = []
     for x, y in (("abcdefg", "ab"), ("gfedcba", "")):
-        tape = ad.Tape()
+        tape = []
         loss = mod.forward_variant(tape, m, vocab.encode(x), vocab.encode(y))
-        grads = ad.backward(tape, loss, m.parameters())
-        h = hashlib.sha256(loss.value.tobytes())
+        grads = ad.backward(tape, {p: np.zeros_like(p.value) for p in m.parameters()})
+        h = hashlib.sha256(np.float64(loss).tobytes())
         for p in m.parameters():
             h.update(p.name.encode())
             h.update(grads[p].tobytes())
