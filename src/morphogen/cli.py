@@ -176,6 +176,7 @@ def _decode_kwargs(args, models):
 
 
 def _cmd_predict(args):
+    _check_writable(args.out)
     models = [load_model(p) for p in args.model]
     lm, lam = _decode_kwargs(args, models)
     lines = []
@@ -188,6 +189,7 @@ def _cmd_predict(args):
 
 
 def _cmd_beam(args):
+    _check_writable(args.out)
     models = [load_model(p) for p in args.model]
     lm, lam = _decode_kwargs(args, models)
     vocab = models[0].vocab
@@ -218,6 +220,8 @@ def _cmd_rerank_train(args):
 
 
 def _cmd_evaluate(args):
+    if args.pred_out:
+        _check_writable(args.pred_out)
     examples = data.parse_dataset(args.data)
     tags = sorted({ex.tag for ex in examples})
     models_by_tag = _models_by_tag(args, tags)

@@ -230,6 +230,20 @@ class SynthSpec:
                     raise DataError(f"synth spec: suffix {suffix!r} uses characters "
                                     "outside the alphabet")
 
+    def stem_count(self):
+        """How many distinct stems synth_language can draw. A stem of length
+        L has ceil(L/2) consonant slots and floor(L/2) vowel slots, filled
+        from back+neutral (X) or front+neutral (Y) vowels; neutral-only
+        stems lie in both, so a length has |C|^ceil(L/2) * (|X|^k + |Y|^k -
+        |X & Y|^k) of them, k = floor(L/2)."""
+        C = len(set(self.consonants))
+        X = set(self.back_vowels + self.neutral_vowels)
+        Y = set(self.front_vowels + self.neutral_vowels)
+        lo, hi = self.stem_len
+        return sum(C ** ((L + 1) // 2) * (len(X) ** (L // 2) + len(Y) ** (L // 2)
+                                          - len(X & Y) ** (L // 2))
+                   for L in range(lo, hi + 1))
+
 
 def default_synth_spec():
     """12-character alphabet, 4 locative-style cases."""
@@ -252,12 +266,17 @@ def apply_harmony_rule(spec, stem, tag):
 def synth_language(spec, size, seed=0):
     """`size` tables: unique stems, each inflected for every tag in the spec."""
     spec.validate()
+    if size < 1:
+        raise DataError(f"synth_language: size must be >= 1, got {size}")
+    if size > spec.stem_count():
+        raise DataError(f"synth_language: size {size} is more than the "
+                        f"{spec.stem_count()} distinct stems the spec can draw")
     rng = random.Random(seed)
     stems = set()
     tables = []
-    vowel_classes = (spec.back_vowels + spec.neutral_vowels,
-                     spec.front_vowels + spec.neutral_vowels,
-                     spec.neutral_vowels)
+    vowel_classes = tuple(v for v in (spec.back_vowels + spec.neutral_vowels,
+                                      spec.front_vowels + spec.neutral_vowels,
+                                      spec.neutral_vowels) if v)
     attempts = 0
     while len(stems) < size:
         attempts += 1

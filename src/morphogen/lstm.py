@@ -5,6 +5,11 @@ fused as [4n x l] / [4n x n] blocks in (input, forget, output, candidate)
 order; the forget block of the bias starts at 1.0. lstm_step is the cell on
 arrays, for one state or a batch of rows; run_cached runs it over a sequence
 and keeps what backward_cached, backpropagation through time by hand, reads.
+
+A stack of K cells of one shape (decoding an ensemble) holds each tensor
+with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
+steps rows [K,B,·]: one np.matmul per weight for all members, each member's
+slice computed by the same BLAS call as that member alone.
 """
 
 import numpy as np
@@ -18,18 +23,21 @@ FORGET_BIAS = 1.0
 
 
 class LSTMParams:
-    """Fused gate weights for one direction: W_x[4n,l], W_h[4n,n], b[4n]."""
+    """Fused gate weights for one direction: W_x[4n,l], W_h[4n,n], b[4n]
+    (a stack of K: W_x[K,4n,l], W_h[K,4n,n], b[K,1,4n])."""
 
     def __init__(self, name, W_x, W_h, b):
         self.name = name
         self.W_x = W_x
         self.W_h = W_h
         self.b = b
-        self.hidden_size = W_h.value.shape[1]
-        self.input_size = W_x.value.shape[1]
-        if W_x.value.shape != (4 * self.hidden_size, self.input_size):
+        self.hidden_size = W_h.value.shape[-1]
+        self.input_size = W_x.value.shape[-1]
+        lead = W_h.value.shape[:-2]
+        gates = 4 * self.hidden_size
+        if W_x.value.shape != (*lead, gates, self.input_size):
             raise DimensionError(f"lstm {name}: W_x has shape {W_x.value.shape}")
-        if b.value.shape != (4 * self.hidden_size,):
+        if b.value.shape != ((*lead, 1, gates) if lead else (gates,)):
             raise DimensionError(f"lstm {name}: b has shape {b.value.shape}")
 
     def parameters(self):
@@ -38,12 +46,13 @@ class LSTMParams:
 
 def lstm_step(params, X, H, C):
     """One cell update, i,f,o = sigmoid, g = tanh, c' = f*c + i*g,
-    h' = o*tanh(c'), on one state (X [l], H and C [n]) or on a batch of rows
-    (X [B,l], H and C [B,n]) -> (H', C', sigmoid(z) over the i/f/o slice,
-    the candidate g, tanh(C')); backward_cached reads the last three."""
+    h' = o*tanh(c'), on one state (X [l], H and C [n]), on a batch of rows
+    (X [B,l], H and C [B,n]) or, for a stack, on rows [K,B,·] -> (H', C',
+    sigmoid(z) over the i/f/o slice, the candidate g, tanh(C'));
+    backward_cached reads the last three."""
     n = params.hidden_size
     n3 = 3 * n
-    z = (X @ params.W_x.value.T + params.b.value) + H @ params.W_h.value.T
+    z = (X @ params.W_x.value.mT + params.b.value) + H @ params.W_h.value.mT
     sig = expit(z[..., :n3])
     g = np.tanh(z[..., n3:])
     C = sig[..., n:2 * n] * C + sig[..., :n] * g
@@ -52,14 +61,15 @@ def lstm_step(params, X, H, C):
 
 
 def run_cached(params, xs, h0=None, step_input=None):
-    """lstm_step over the input vectors xs, from (h0, 0) or the zero
-    state -> (every step's h, a per-step cache for backward_cached).
+    """lstm_step over the inputs xs, from (h0, 0) or the zero state, shaped
+    like the inputs' rows -> (every step's h, a per-step cache for
+    backward_cached).
 
     step_input(x, h_prev), if given, builds each step's input from xs[t] and
     the previous h: an input that depends on the state, like attention's.
     """
-    h = np.zeros(params.hidden_size) if h0 is None else h0
-    c = np.zeros(params.hidden_size)
+    h = np.zeros(xs[0].shape[:-1] + (params.hidden_size,)) if h0 is None else h0
+    c = np.zeros(h.shape)
     hs, cache = [], []
     for x in xs:
         if step_input is not None:
@@ -115,10 +125,10 @@ def backward_cached(sweep, params, cache, gh_out, step_grad=None):
 
 
 def encode_bidirectional(fwd, bwd, xs):
-    """Both passes over the input vectors xs -> (the forward pass's h at
-    every position, the backward pass's h at every position, the forward
-    pass's run_cached cache, the backward pass's, which runs over xs
-    reversed)."""
+    """Both passes over the inputs xs (vectors [l], or rows [K,1,l] for a
+    stack) -> (the forward pass's h at every position, the backward pass's h
+    at every position, the forward pass's run_cached cache, the backward
+    pass's, which runs over xs reversed)."""
     if not xs:
         raise DimensionError(f"lstm {fwd.name}: empty input sequence")
     fwd_hs, fwd_cache = run_cached(fwd, xs)

@@ -156,9 +156,9 @@ class ModelParams:
         return m
 
 
-def _build(m, fill):
-    """Create every tensor of m in parameters() order, then pack them into
-    m.theta and make each tensor a view into it.
+def _build(m, fill, pack=True):
+    """Create every tensor of m in parameters() order, then (with pack) pack
+    them into m.theta and make each tensor a view into it.
 
     fill(name, shape, kind) supplies the values; kind is "weight", "bias" or
     "gates" (an LSTM bias).
@@ -184,6 +184,8 @@ def _build(m, fill):
         m.attn_v = param("attn.v", (n,))
     m.dec = cell("dec", m.decoder_input_size())
     m.out_W, m.out_b = param("softmax.W", (V, n)), param("softmax.b", (V,), "bias")
+    if not pack:
+        return
     params = m.parameters()
     m.theta = np.concatenate([p.value.reshape(-1) for p in params])
     offset = 0
@@ -191,6 +193,24 @@ def _build(m, fill):
         size = p.value.size
         p.value = m.theta[offset:offset + size].reshape(p.value.shape)
         offset += size
+
+
+def _stack(models):
+    """Models of one vocabulary and (variant, hidden, embed_dim) as one
+    model of K members: each tensor gains a leading member axis, a matrix as
+    [K, r, c] and a vector as [K, 1, c], which broadcasts over a step's rows
+    [K, B, c]. Stacked from the members' tensors on every call, since
+    training updates them in place; a stack has no theta."""
+    first = models[0]
+    config = (first.variant, first.hidden, first.embed_dim)
+    for m in models[1:]:
+        if m.vocab != first.vocab or (m.variant, m.hidden, m.embed_dim) != config:
+            raise MorphogenError("a stack needs one vocabulary, variant, hidden and embed size")
+    values = {ps[0].name: np.array([p.value if p.value.ndim == 2 else p.value[None] for p in ps])
+              for ps in zip(*(m.parameters() for m in models))}
+    stack = ModelParams(first.vocab, *config)
+    _build(stack, lambda name, shape, kind: values[name], pack=False)
+    return stack
 
 
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
@@ -212,14 +232,16 @@ def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
 
 
 def attention_context(params, source, S):
-    """Additive attention of a decoder state S [n], or of every row of S
-    [B, n], over an encoded source: softmax(v . tanh(W_enc h_t + W_dec s))
-    weighting the source's states h_t. Returns (context, weights, tanh
-    activations); training's backward reads the last two."""
+    """Additive attention of a decoder state S [n], of every row of S
+    [B, n] or of a stack's rows [K, B, n] over an encoded source:
+    softmax(v . tanh(W_enc h_t + W_dec s)) weighting the source's states
+    h_t. Returns (context, weights, tanh activations); training's backward
+    reads the last two."""
     if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
-    act = np.tanh(source.keys + (S @ params.attn_W_dec.value.T)[..., None, :])  # [(B,) T, n]
-    weights = ad.masked_softmax(act @ params.attn_v.value)
+    act = np.tanh(source.keys + (S @ params.attn_W_dec.value.mT)[..., None, :])  # [(K, B,) T, n]
+    # v as a column: the product act @ v, and a stack's v [K, 1, n] broadcasts over rows
+    weights = ad.masked_softmax((act @ params.attn_v.value[..., None])[..., 0])
     return weights @ source.H, weights, act
 
 
@@ -229,30 +251,42 @@ class _Source:
     and, with attention, both encoder passes' states at every position,
     H [T, 2n] with rows [fwd h_t ; bwd h_t], together with their
     projections keys = W_enc h_t [T, n], which do not depend on the decoder
-    step."""
+    step. A stack's has a leading member axis: e [K, n], e_raw [K, 2n],
+    H [K, T, 2n] and keys [K, 1, T, n], which broadcasts over rows."""
 
     def __init__(self, params, x_ids, H=None):
         self.x_ids = x_ids
         self.e = self.e_raw = None
         self.H = H
         if H is not None:
-            self.keys = H @ params.attn_W_enc.value.T
+            self.keys = H @ params.attn_W_enc.value.mT
+            if H.ndim == 3:
+                self.keys = self.keys[:, None]
 
 
 def _encode_source(params, x_ids):
     """The source encoding that training and decoding share -> (a _Source,
-    the encoder passes' run_cached caches; None without an encoder)."""
+    the encoder passes' run_cached caches; None without an encoder). A
+    stack runs its encoder once for all members, on rows of one."""
     x_ids = list(x_ids)
     w, E = params.wiring, params.embed.value
     if not w.encoder:
         return _Source(params, x_ids), None
-    fwd_hs, bwd_hs, *caches = lstm.encode_bidirectional(params.enc_fwd, params.enc_bwd,
-                                                        [E[i] for i in x_ids])
-    source = _Source(params, x_ids, np.concatenate((fwd_hs, bwd_hs), axis=1)
-                     if w.attention else None)
+    stacked = E.ndim == 3
+    fwd_hs, bwd_hs, *caches = lstm.encode_bidirectional(
+        params.enc_fwd, params.enc_bwd,
+        [E[:, i, None] for i in x_ids] if stacked else [E[i] for i in x_ids])
+    H = None
+    if w.attention:
+        H = np.concatenate((fwd_hs, bwd_hs), axis=-1)    # [T, 2n]; a stack's [T, K, 1, 2n]
+        if stacked:
+            H = np.ascontiguousarray(H[:, :, 0].swapaxes(0, 1))
+    source = _Source(params, x_ids, H)
     if w.trans:
-        source.e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]))     # [fwd h_T ; bwd h_1]
-        source.e = params.trans_W.value @ source.e_raw + params.trans_b.value   # 2n -> n
+        source.e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)     # [fwd h_T ; bwd h_1]
+        source.e = source.e_raw @ params.trans_W.value.mT + params.trans_b.value   # 2n -> n
+        if stacked:     # one row per member -> [K, ·]
+            source.e_raw, source.e = source.e_raw[:, 0], source.e[:, 0]
     return source, caches
 
 
@@ -380,49 +414,69 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
-    Runs the encoder once; step advances the decoder untaped, on one state or
-    on a batch of state rows.
+    Built over one model, or over a list of K models of one vocabulary and
+    (variant, hidden, embed_dim) that step as one stack. Runs the encoder
+    once; step advances the decoder untaped, on one state or on a batch of
+    state rows, for a stack on every member at once.
     """
 
     def __init__(self, params, x_ids):
+        if not isinstance(params, ModelParams):
+            params = _stack(params)
         V = len(params.vocab)
         if not all(0 <= i < V for i in x_ids):
             raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
         self.params = params
+        self.stacked = params.embed.value.ndim == 3
         self._source = _encode_source(params, x_ids)[0]
 
     def initial_state(self):
-        """The decoder's (h, c) before the first step, as [n] arrays."""
-        n = self.params.hidden
-        return self._source.e if self.params.wiring.e_as_init else np.zeros(n), np.zeros(n)
+        """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
+        for a stack: one state per member)."""
+        zeros = np.zeros((*self.params.embed.value.shape[:-2], self.params.hidden))
+        return self._source.e if self.params.wiring.e_as_init else zeros, zeros.copy()
 
     def step(self, H, C, y_prev, t):
         """One decoder step, its output affine and masked_softmax, as in training.
 
         One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
         B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).
+        A stack takes and returns the same with a leading member axis K:
+        [K,n] and [K,V] for one state per member, [K,B,n] and [K,B,V] for rows.
         Row ids are not range-checked: only the search makes them.
         """
-        params, source = self.params, self._source
+        params, source, stacked = self.params, self._source, self.stacked
         w, E = params.wiring, params.embed.value
         one = H.ndim == 1
-        if one and not 0 <= y_prev < len(E):
-            raise DimensionError(f"y_prev id {y_prev} out of range for a vocabulary of {len(E)}")
+        squeeze = stacked and H.ndim == 2
+        if (one or squeeze) and not 0 <= y_prev < E.shape[-2]:
+            raise DimensionError(f"y_prev id {y_prev} out of range "
+                                 f"for a vocabulary of {E.shape[-2]}")
+        if squeeze:     # one state per member, stepped as rows of one
+            H, C, y_prev = H[:, None], C[:, None], [y_prev]
         # decoder input columns in training's order: [e|context, y_prev, x_t]
-        parts = [E[y_prev]]
+        parts = [E[:, y_prev] if stacked else E[y_prev]]
         if w.e_per_step:
-            e = source.e
-            parts.insert(0, e if one else e[None].repeat(len(H), axis=0))
+            parts.insert(0, source.e if one else _rows(source.e, len(y_prev)))
         elif w.attention:
             parts.insert(0, attention_context(params, source, H)[0])
         if w.consumes_source:
             x = source.x_ids
-            x_t = E[x[t] if t < len(x) else EPS]
-            parts.append(x_t if one else x_t[None].repeat(len(H), axis=0))
+            x_t = x[t] if t < len(x) else EPS
+            x_t = E[:, x_t] if stacked else E[x_t]
+            parts.append(x_t if one else _rows(x_t, len(y_prev)))
         X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         H, C = lstm.lstm_step(params.dec, X, H, C)[:2]
-        logits = H @ params.out_W.value.T + params.out_b.value
-        return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
+        logits = H @ params.out_W.value.mT + params.out_b.value
+        dist = ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
+        if squeeze:
+            return H[:, 0], C[:, 0], dist[:, 0]
+        return H, C, dist
+
+
+def _rows(v, B):
+    """A per-source vector [m] (a stack's [K, m]) repeated as B rows."""
+    return v[..., None, :].repeat(B, axis=-2)
 
 
 # --- persistence -----------------------------------------------------------

@@ -6,10 +6,14 @@ as p_model(i) * p_lm(i)**lambda, renormalized each step. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
-Greedy search steps one state per member, beam search all live hypotheses
-of a member as the rows of one DecodeSession.step call; both go through
-_next_dist, and the combiners below work row by row on [B, V] arrays as well
-as on single distributions.
+Members that share (variant, hidden, embed_dim) step as one stack: one
+DecodeSession over all of them, so each decoder step is one
+DecodeSession.step call and one lstm_step for the group, with a leading
+member axis K on its states and distributions. A group of one member steps
+unstacked, so a single model decodes as it would alone. Greedy search steps
+one state per member, beam search all live hypotheses as the rows [B, ·] of
+each step call; both go through _next_dist, and the combiners below work row
+by row on [B, V] arrays as well as on single distributions.
 """
 
 from dataclasses import dataclass
@@ -48,14 +52,15 @@ class DecodeResult:
 def ensemble_next_dist(dists):
     """Product of experts: geometric mean of the member distributions.
 
-    Each member gives one distribution [V], or one per row [B, V].
+    Each member gives one distribution [V], or one per row [B, V]; dists is
+    a sequence of them, or one array [K, ...] of the K members' in order.
     """
     k = len(dists)
     if k == 0:
         raise SearchError("ensemble_next_dist needs at least one distribution")
     if k == 1:
         return np.array(dists[0], dtype=np.float64)
-    stacked = np.stack([np.asarray(d, dtype=np.float64) for d in dists])
+    stacked = np.asarray(dists, dtype=np.float64)
     combined = np.exp(np.log(np.maximum(stacked, 1e-300)).mean(axis=0))
     combined[np.any(stacked == 0.0, axis=0)] = 0.0
     z = combined.sum(axis=-1, keepdims=True)
@@ -118,17 +123,42 @@ def _check_models(models):
     return vocab
 
 
-def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
-    """Step every member, combine them and interpolate the LM vector, if any.
+def _sessions(models, x_ids):
+    """One DecodeSession per group of members that share (variant, hidden,
+    embed_dim), over the model itself for a group of one and over the group
+    as one stack otherwise -> (the sessions, None for one session or else
+    the permutation that puts the sessions' concatenated member rows back
+    in member order)."""
+    if len(models) == 1:
+        return [DecodeSession(models[0], x_ids)], None
+    groups = {}
+    for j, m in enumerate(models):
+        groups.setdefault((m.variant, m.hidden, m.embed_dim), []).append(j)
+    groups = list(groups.values())
+    sessions = [DecodeSession(models[g[0]] if len(g) == 1 else [models[j] for j in g], x_ids)
+                for g in groups]
+    return sessions, None if len(groups) == 1 else np.argsort([j for g in groups for j in g])
 
-    states holds one (h, c) per member, as one state or as B rows; returns
-    the stepped states and the combined distribution [V] or [B, V].
+
+def _next_dist(sessions, order, states, y_prev, t, lm_dist, lam):
+    """Step every session, combine the members and interpolate the LM vector,
+    if any.
+
+    states holds one (h, c) per session, as one state or as B rows, with a
+    leading member axis for a stack; returns the stepped states and the
+    combined distribution [V] or [B, V].
     """
     stepped, dists = [], []
     for sess, (H, C) in zip(sessions, states):
         H, C, dist = sess.step(H, C, y_prev, t)
         stepped.append((H, C))
         dists.append(dist)
+    # the members' distributions in member order; a stack's [K, ...] array as it is
+    if order is not None:
+        dists = np.concatenate([d if s.stacked else d[None]
+                                for s, d in zip(sessions, dists)])[order]
+    elif sessions[0].stacked:
+        dists = dists[0]
     dist = ensemble_next_dist(dists)
     if lm_dist is not None:
         dist = interpolated_next_dist(dist, lm_dist, lam)
@@ -140,12 +170,13 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     if max_len < 1:
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
-    sessions = [DecodeSession(m, x_ids) for m in models]
+    sessions, order = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
-        states, dist = _next_dist(sessions, states, ids[-1] if ids else BOS, t, lm_dist, lam)
+        states, dist = _next_dist(sessions, order, states, ids[-1] if ids else BOS, t,
+                                  lm_dist, lam)
         choice = int(np.argmax(dist))
         logprob += float(np.log(dist[choice]))
         if choice == EOS:
@@ -159,23 +190,25 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
 def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     """Up to `width` results sorted by log-prob, ties by output ids.
 
-    The live hypotheses are rows of one [B, n] state batch per member; after
-    each step the rows of the survivors' parents are gathered in their order.
+    The live hypotheses are rows of one [B, n] state batch per session
+    ([K, B, n] for a stack); after each step the rows of the survivors'
+    parents are gathered in their order, once per session.
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
     if max_len < 1:
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
-    sessions = [DecodeSession(m, x_ids) for m in models]
-    states = [(h[None], c[None]) for h, c in (s.initial_state() for s in sessions)]
+    sessions, order = _sessions(models, x_ids)
+    states = [(h[..., None, :], c[..., None, :])
+              for h, c in (s.initial_state() for s in sessions)]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
         lm_dist = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
-        stepped, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        stepped, dist = _next_dist(sessions, order, states, y_prev, t, lm_dist, lam)
         with np.errstate(divide="ignore"):
             scores = np.array(live_lp)[:, None] + np.log(dist)
         # EOS expansions compete with content expansions for the width slots;
@@ -191,7 +224,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
                 live_lp.append(lp)
         if not rows:
             break
-        states = [(H[rows], C[rows]) for H, C in stepped]
+        states = [(np.take(H, rows, axis=-2), np.take(C, rows, axis=-2)) for H, C in stepped]
     pool += [DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]
     pool.sort(key=lambda r: (-r.logprob, r.ids))
     return pool[:width]

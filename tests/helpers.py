@@ -693,3 +693,68 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     pool += [search.DecodeResult(ids, lp, truncated=True) for ids, lp, _ in live]
     pool.sort(key=lambda r: (-r.logprob, r.ids))
     return pool[:width]
+
+
+# --- per-member search --------------------------------------------------------
+# greedy_decode and beam_decode with one DecodeSession per member, each member
+# stepped on its own and the members' distributions combined as a list: the
+# oracle that search's stacked sessions must equal bit for bit.
+
+def _per_member_next_dist(sessions, states, y_prev, t, lm_dist, lam):
+    stepped, dists = [], []
+    for sess, (H, C) in zip(sessions, states):
+        H, C, dist = sess.step(H, C, y_prev, t)
+        stepped.append((H, C))
+        dists.append(dist)
+    dist = search.ensemble_next_dist(dists)
+    if lm_dist is not None:
+        dist = search.interpolated_next_dist(dist, lm_dist, lam)
+    return stepped, dist
+
+
+def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
+    vocab = models[0].vocab
+    sessions = [DecodeSession(m, x_ids) for m in models]
+    states = [s.initial_state() for s in sessions]
+    ids, logprob = (), 0.0
+    for t in range(max_len + 1):
+        lm_dist = search.lm_next_dist(lm, vocab, ids) if lm is not None else None
+        states, dist = _per_member_next_dist(sessions, states, ids[-1] if ids else BOS, t,
+                                             lm_dist, lam)
+        choice = int(np.argmax(dist))
+        logprob += float(np.log(dist[choice]))
+        if choice == EOS:
+            return search.DecodeResult(ids, logprob, truncated=False)
+        ids += (choice,)
+        if len(ids) == max_len:
+            return search.DecodeResult(ids, logprob, truncated=True)
+
+
+def per_member_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
+    vocab = models[0].vocab
+    sessions = [DecodeSession(m, x_ids) for m in models]
+    states = [(h[None], c[None]) for h, c in (s.initial_state() for s in sessions)]
+    live_ids, live_lp = [()], [0.0]
+    pool = []
+    for t in range(max_len):
+        y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
+        lm_dist = np.array([search.lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
+            if lm is not None else None
+        stepped, dist = _per_member_next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        with np.errstate(divide="ignore"):
+            scores = np.array(live_lp)[:, None] + np.log(dist)
+        best = search._best(scores.ravel(), live_ids, width)
+        rows, live_ids, live_lp = [], [], []
+        for ids, lp, row in best:
+            if ids[-1] == EOS:
+                pool.append(search.DecodeResult(ids[:-1], lp, truncated=False))
+            else:
+                rows.append(row)
+                live_ids.append(ids)
+                live_lp.append(lp)
+        if not rows:
+            break
+        states = [(H[rows], C[rows]) for H, C in stepped]
+    pool += [search.DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]
+    pool.sort(key=lambda r: (-r.logprob, r.ids))
+    return pool[:width]

@@ -69,6 +69,7 @@ def test_row_wise_combiners_equal_one_dimensional():
     members[1][3, 4] = 0.0      # a zero in one member's row only
     lm = _rows(rng, 5, 7, zero=(0,))
     ens = se.ensemble_next_dist(members)
+    assert np.array_equal(se.ensemble_next_dist(np.array(members)), ens)   # one [K, B, V] array
     for r in range(5):
         assert np.array_equal(ens[r], se.ensemble_next_dist([d[r] for d in members]))
         for lam in (0.0, 0.5, 1.0, 2.5):

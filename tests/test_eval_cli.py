@@ -4,6 +4,7 @@ import pytest
 from helpers import models_equal
 from morphogen import cli
 from morphogen import evaluate as ev
+from morphogen import search as se
 from morphogen import trainer
 from morphogen.charlm import load_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
@@ -601,6 +602,28 @@ def test_cli_train_checks_out_before_training(workspace, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", extra       # no epoch line: nothing was trained
         assert captured.err.startswith("morphogen: error: cannot write ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("predict", "--out"), ("beam", "--out"),
+                                           ("evaluate", "--pred-out")])
+def test_cli_decode_checks_its_output_path_before_decoding(workspace, tmp_path, capsys,
+                                                           monkeypatch, command, flag):
+    real_session, decoded = se.DecodeSession, []
+
+    def spy(*args):
+        decoded.append(args)
+        return real_session(*args)
+
+    monkeypatch.setattr(se, "DecodeSession", spy)
+    base = [command, "--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"]]
+    for out in (str(tmp_path), str(tmp_path / "no-such-dir" / "out.tsv")):
+        assert cli.main(base + [flag, out]) == 2, out
+        captured = capsys.readouterr()
+        assert decoded == [], out
+        assert captured.out == "", out      # no report line
+        assert captured.err.startswith(f"morphogen: error: cannot write {out}")
         assert captured.err.count("\n") == 1
     assert not (tmp_path / "no-such-dir").exists()
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -225,6 +226,44 @@ def test_synth_language_alternating_cv_shape():
                 assert ch in spec.consonants
             else:
                 assert ch in vowels
+
+
+def _tiny_spec(neutral="e"):
+    return d.SynthSpec(consonants="kt", back_vowels="a", front_vowels="ä",
+                       neutral_vowels=neutral, stem_len=(1, 4),
+                       suffixes={"case=inessive": ("tä", "ta")})
+
+
+def _every_stem(spec):
+    """Every stem the drawing rule can make, by enumeration."""
+    stems = set()
+    for vowels in (spec.back_vowels + spec.neutral_vowels,
+                   spec.front_vowels + spec.neutral_vowels, spec.neutral_vowels):
+        for length in range(spec.stem_len[0], spec.stem_len[1] + 1):
+            slots = [spec.consonants if i % 2 == 0 else vowels for i in range(length)]
+            stems |= {"".join(p) for p in itertools.product(*slots)}
+    return stems
+
+
+@pytest.mark.parametrize("neutral", ("e", "", "ei"))
+def test_synth_stem_count_matches_enumeration(neutral):
+    spec = _tiny_spec(neutral)
+    assert spec.stem_count() == len(_every_stem(spec))
+    count = spec.stem_count()
+    tables = d.synth_language(spec, count, seed=0)
+    assert {t.lemma for t in tables} == _every_stem(spec)
+    with pytest.raises(DataError, match=rf"size {count + 1} .* {count} distinct stems"):
+        d.synth_language(spec, count + 1, seed=0)
+
+
+def test_synth_stem_count_of_the_default_spec():
+    assert d.default_synth_spec().stem_count() == 141475
+
+
+@pytest.mark.parametrize("size", (0, -4))
+def test_synth_language_rejects_a_size_below_one(size):
+    with pytest.raises(DataError, match=rf"size must be >= 1, got {size}"):
+        d.synth_language(_tiny_spec(), size, seed=0)
 
 
 def test_synth_wordlist_unique_and_deterministic():
