@@ -268,9 +268,10 @@ def synth_language(spec, size, seed=0):
     spec.validate()
     if size < 1:
         raise DataError(f"synth_language: size must be >= 1, got {size}")
-    if size > spec.stem_count():
+    stem_count = spec.stem_count()
+    if size > stem_count:
         raise DataError(f"synth_language: size {size} is more than the "
-                        f"{spec.stem_count()} distinct stems the spec can draw")
+                        f"{stem_count} distinct stems the spec can draw")
     rng = random.Random(seed)
     stems = set()
     tables = []
@@ -296,8 +297,6 @@ def synth_language(spec, size, seed=0):
 
 def synth_wordlist(spec, size, seed=0):
     """Unlabeled inflected forms from fresh stems (for language-model training)."""
-    if size < 1:
-        raise DataError(f"word list size must be >= 1, got {size}")
     seen = dict.fromkeys(ex.inflected
                          for t in synth_language(spec, size, seed=seed)
                          for ex in t.examples())

@@ -39,6 +39,8 @@ class LSTMParams:
             raise DimensionError(f"lstm {name}: W_x has shape {W_x.value.shape}")
         if b.value.shape != ((*lead, 1, gates) if lead else (gates,)):
             raise DimensionError(f"lstm {name}: b has shape {b.value.shape}")
+        # a zero state: [n], or [K, 1, n] for a stack, which broadcasts over rows
+        self.state_shape = (*lead, 1, self.hidden_size) if lead else self.hidden_size
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
@@ -61,15 +63,15 @@ def lstm_step(params, X, H, C):
 
 
 def run_cached(params, xs, h0=None, step_input=None):
-    """lstm_step over the inputs xs, from (h0, 0) or the zero state, shaped
-    like the inputs' rows -> (every step's h, a per-step cache for
+    """lstm_step over the input vectors xs (a stack's rows [K,B,l]), from
+    (h0, 0) or the zero state -> (every step's h, a per-step cache for
     backward_cached).
 
     step_input(x, h_prev), if given, builds each step's input from xs[t] and
     the previous h: an input that depends on the state, like attention's.
     """
-    h = np.zeros(xs[0].shape[:-1] + (params.hidden_size,)) if h0 is None else h0
-    c = np.zeros(h.shape)
+    h = np.zeros(params.state_shape) if h0 is None else h0
+    c = np.zeros(params.state_shape)
     hs, cache = [], []
     for x in xs:
         if step_input is not None:

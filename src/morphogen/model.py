@@ -417,7 +417,7 @@ class DecodeSession:
     Built over one model, or over a list of K models of one vocabulary and
     (variant, hidden, embed_dim) that step as one stack. Runs the encoder
     once; step advances the decoder untaped, on one state or on a batch of
-    state rows, for a stack on every member at once.
+    state rows; a stack steps rows, on every member at once.
     """
 
     def __init__(self, params, x_ids):
@@ -433,29 +433,33 @@ class DecodeSession:
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
         for a stack: one state per member)."""
-        zeros = np.zeros((*self.params.embed.value.shape[:-2], self.params.hidden))
-        return self._source.e if self.params.wiring.e_as_init else zeros, zeros.copy()
+        n = self.params.hidden
+        if self.stacked:
+            n = (len(self.params.embed.value), n)
+        return self._source.e if self.params.wiring.e_as_init else np.zeros(n), np.zeros(n)
 
     def step(self, H, C, y_prev, t):
         """One decoder step, its output affine and masked_softmax, as in training.
 
         One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
         B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).
-        A stack takes and returns the same with a leading member axis K:
-        [K,n] and [K,V] for one state per member, [K,B,n] and [K,B,V] for rows.
+        A stack steps rows only, with a leading member axis K: H, C [K,B,n]
+        and y_prev [B] -> (H', C', dist [K,B,V]).
         Row ids are not range-checked: only the search makes them.
         """
-        params, source, stacked = self.params, self._source, self.stacked
+        params, source = self.params, self._source
         w, E = params.wiring, params.embed.value
         one = H.ndim == 1
-        squeeze = stacked and H.ndim == 2
-        if (one or squeeze) and not 0 <= y_prev < E.shape[-2]:
-            raise DimensionError(f"y_prev id {y_prev} out of range "
-                                 f"for a vocabulary of {E.shape[-2]}")
-        if squeeze:     # one state per member, stepped as rows of one
-            H, C, y_prev = H[:, None], C[:, None], [y_prev]
-        # decoder input columns in training's order: [e|context, y_prev, x_t]
-        parts = [E[:, y_prev] if stacked else E[y_prev]]
+        if one:
+            if not 0 <= y_prev < len(E):
+                raise DimensionError(f"y_prev id {y_prev} out of range "
+                                     f"for a vocabulary of {len(E)}")
+        elif H.ndim != E.ndim:
+            raise DimensionError(f"decoder states of shape {H.shape} for embeddings of "
+                                 f"shape {E.shape}: a stack steps rows [K, B, n]")
+        # decoder input columns in training's order: [e|context, y_prev, x_t];
+        # row ids index the vocabulary axis, a stack's second
+        parts = [E[y_prev] if one else E.take(y_prev, axis=-2)]
         if w.e_per_step:
             parts.insert(0, source.e if one else _rows(source.e, len(y_prev)))
         elif w.attention:
@@ -463,15 +467,11 @@ class DecodeSession:
         if w.consumes_source:
             x = source.x_ids
             x_t = x[t] if t < len(x) else EPS
-            x_t = E[:, x_t] if stacked else E[x_t]
-            parts.append(x_t if one else _rows(x_t, len(y_prev)))
+            parts.append(E[x_t] if one else _rows(E[..., x_t, :], len(y_prev)))
         X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         H, C = lstm.lstm_step(params.dec, X, H, C)[:2]
         logits = H @ params.out_W.value.mT + params.out_b.value
-        dist = ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
-        if squeeze:
-            return H[:, 0], C[:, 0], dist[:, 0]
-        return H, C, dist
+        return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
 
 
 def _rows(v, B):

@@ -6,17 +6,19 @@ as p_model(i) * p_lm(i)**lambda, renormalized each step. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
-Members that share (variant, hidden, embed_dim) step as one stack: one
-DecodeSession over all of them, so each decoder step is one
-DecodeSession.step call and one lstm_step for the group, with a leading
-member axis K on its states and distributions. A group of one member steps
+Adjacent members that share (variant, hidden, embed_dim) step as one stack:
+one DecodeSession over all of them, so each decoder step is one
+DecodeSession.step call and one lstm_step for the run, with a leading
+member axis K on its states and distributions. A run of one member steps
 unstacked, so a single model decodes as it would alone. Greedy search steps
-one state per member, beam search all live hypotheses as the rows [B, ·] of
-each step call; both go through _next_dist, and the combiners below work row
-by row on [B, V] arrays as well as on single distributions.
+one state for a single model and one row per member for an ensemble, beam
+search all live hypotheses as the rows [B, ·] of each step call; both go
+through _next_dist, and the combiners below work row by row on [B, V] arrays
+as well as on single distributions.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -124,23 +126,15 @@ def _check_models(models):
 
 
 def _sessions(models, x_ids):
-    """One DecodeSession per group of members that share (variant, hidden,
-    embed_dim), over the model itself for a group of one and over the group
-    as one stack otherwise -> (the sessions, None for one session or else
-    the permutation that puts the sessions' concatenated member rows back
-    in member order)."""
-    if len(models) == 1:
-        return [DecodeSession(models[0], x_ids)], None
-    groups = {}
-    for j, m in enumerate(models):
-        groups.setdefault((m.variant, m.hidden, m.embed_dim), []).append(j)
-    groups = list(groups.values())
-    sessions = [DecodeSession(models[g[0]] if len(g) == 1 else [models[j] for j in g], x_ids)
-                for g in groups]
-    return sessions, None if len(groups) == 1 else np.argsort([j for g in groups for j in g])
+    """One DecodeSession per run of adjacent members that share (variant,
+    hidden, embed_dim): over the model itself for a run of one, over the run
+    as one stack otherwise. The sessions' members are in member order."""
+    runs = [list(run) for _, run in groupby(models, key=lambda m: (m.variant, m.hidden,
+                                                                    m.embed_dim))]
+    return [DecodeSession(run[0] if len(run) == 1 else run, x_ids) for run in runs]
 
 
-def _next_dist(sessions, order, states, y_prev, t, lm_dist, lam):
+def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
     """Step every session, combine the members and interpolate the LM vector,
     if any.
 
@@ -153,10 +147,9 @@ def _next_dist(sessions, order, states, y_prev, t, lm_dist, lam):
         H, C, dist = sess.step(H, C, y_prev, t)
         stepped.append((H, C))
         dists.append(dist)
-    # the members' distributions in member order; a stack's [K, ...] array as it is
-    if order is not None:
-        dists = np.concatenate([d if s.stacked else d[None]
-                                for s, d in zip(sessions, dists)])[order]
+    # the members' distributions, in member order, as one [K, ...] array
+    if len(sessions) > 1:
+        dists = np.concatenate([d if s.stacked else d[None] for s, d in zip(sessions, dists)])
     elif sessions[0].stacked:
         dists = dists[0]
     dist = ensemble_next_dist(dists)
@@ -170,13 +163,20 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     if max_len < 1:
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
-    sessions, order = _sessions(models, x_ids)
+    sessions = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
+    # an ensemble steps each member's state as a row of one, as a stack needs
+    rows = len(models) > 1
+    if rows:
+        states = [(h[..., None, :], c[..., None, :]) for h, c in states]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
-        states, dist = _next_dist(sessions, order, states, ids[-1] if ids else BOS, t,
+        y_prev = ids[-1] if ids else BOS
+        states, dist = _next_dist(sessions, states, [y_prev] if rows else y_prev, t,
                                   lm_dist, lam)
+        if rows:
+            dist = dist[0]
         choice = int(np.argmax(dist))
         logprob += float(np.log(dist[choice]))
         if choice == EOS:
@@ -199,7 +199,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     if max_len < 1:
         raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = _check_models(models)
-    sessions, order = _sessions(models, x_ids)
+    sessions = _sessions(models, x_ids)
     states = [(h[..., None, :], c[..., None, :])
               for h, c in (s.initial_state() for s in sessions)]
     live_ids, live_lp = [()], [0.0]
@@ -208,7 +208,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
         lm_dist = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
-        stepped, dist = _next_dist(sessions, order, states, y_prev, t, lm_dist, lam)
+        stepped, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
         with np.errstate(divide="ignore"):
             scores = np.array(live_lp)[:, None] + np.log(dist)
         # EOS expansions compete with content expansions for the width slots;

@@ -1,10 +1,10 @@
-"""Ensemble members that share (variant, hidden, embed_dim) step as one stack.
+"""Adjacent ensemble members that share (variant, hidden, embed_dim) step as one stack.
 
 greedy_decode and beam_decode must give the per-member search's results
 (helpers.per_member_greedy_decode / per_member_beam_decode) bit for bit:
 the same ids, truncation flags and log-prob bytes, for every variant,
 homogeneous and mixed ensembles, with and without the LM. DecodeSession keeps
-a single model's shapes and gives a stack's with a leading member axis."""
+a single model's shapes and steps a stack's rows with a leading member axis."""
 
 import struct
 
@@ -15,7 +15,7 @@ from helpers import per_member_beam_decode, per_member_greedy_decode, randomize_
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import train_lm
-from morphogen.errors import MorphogenError
+from morphogen.errors import DimensionError, MorphogenError
 from morphogen.model import VARIANTS, DecodeSession, init_model
 from morphogen.vocab import CharVocab
 
@@ -52,18 +52,20 @@ def _assert_same_as_per_member(models, lm=None, lam=1.0):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_homogeneous_stack_equals_per_member_search(variant, k, with_lm):
     models = [_model(variant, seed) for seed in range(k)]
-    sessions, order = se._sessions(models, VOCAB.encode("ab"))
-    assert len(sessions) == 1 and sessions[0].stacked and order is None
+    sessions = se._sessions(models, VOCAB.encode("ab"))
+    assert len(sessions) == 1 and sessions[0].stacked
     _assert_same_as_per_member(models, LM if with_lm else None, lam=0.7)
 
 
 MIXED = {
-    # a stack of two around a member of another variant: member order is not group order
+    # two members of one configuration around a member of another: three sessions
     "full-attention-full": [("full", 1, 4), ("attention", 2, 4), ("full", 3, 4)],
     "hidden-sizes": [("full", 1, 4), ("full", 2, 5), ("full", 3, 4)],
     "all-variants": [(v, s, 4) for s, v in enumerate(VARIANTS)],
-    "two-stacks": [("attention", 1, 3), ("no-encoder", 2, 4), ("no-encoder", 3, 4),
-                   ("attention", 4, 3)],
+    "two-stacks": [("attention", 1, 3), ("attention", 4, 3), ("no-encoder", 2, 4),
+                   ("no-encoder", 3, 4)],
+    "stack-between-singles": [("attention", 1, 3), ("no-encoder", 2, 4), ("no-encoder", 3, 4),
+                              ("attention", 4, 3)],
     "one-model-per-variant-pair": [("full", 1, 4), ("attention", 2, 4)],
 }
 
@@ -75,14 +77,15 @@ def test_mixed_ensemble_equals_per_member_search(name, with_lm):
     _assert_same_as_per_member(models, LM if with_lm else None)
 
 
-def test_sessions_group_members_by_configuration():
-    models = [_model(v, seed, hidden=n) for v, seed, n in MIXED["two-stacks"]]
-    sessions, order = se._sessions(models, VOCAB.encode("ab"))
-    assert [s.stacked for s in sessions] == [True, True]
-    # the groups' rows are members (0, 3) then (1, 2)
-    assert list(np.array([0, 3, 1, 2])[order]) == [0, 1, 2, 3]
-    single, order = se._sessions(models[:1], VOCAB.encode("ab"))
-    assert not single[0].stacked and order is None
+@pytest.mark.parametrize("name, stacked", [("two-stacks", [True, True]),
+                                           ("stack-between-singles", [False, True, False]),
+                                           ("full-attention-full", [False, False, False])])
+def test_sessions_stack_runs_of_adjacent_members(name, stacked):
+    models = [_model(v, seed, hidden=n) for v, seed, n in MIXED[name]]
+    sessions = se._sessions(models, VOCAB.encode("ab"))
+    assert [s.stacked for s in sessions] == stacked
+    single = se._sessions(models[:1], VOCAB.encode("ab"))
+    assert len(single) == 1 and not single[0].stacked
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -114,13 +117,6 @@ def test_stack_step_is_each_members_step(variant):
             assert np.array_equal(got, want)
     rng = np.random.default_rng(0)
     for t in (0, 3, 6):    # t = 6 is past the source end: x_t is EPS
-        # one state per member
-        H, C = rng.normal(size=(3, n)), rng.normal(size=(3, n))
-        out = stack.step(H, C, 2, t)
-        assert [a.shape for a in out] == [(3, n), (3, n), (3, V)]
-        for k, sess in enumerate(alone):
-            for got, want in zip(out, sess.step(H[k], C[k], 2, t)):
-                assert np.array_equal(got[k], want)
         # B rows per member
         for B in (1, 8):
             H, C = rng.normal(size=(3, B, n)), rng.normal(size=(3, B, n))
@@ -130,6 +126,18 @@ def test_stack_step_is_each_members_step(variant):
             for k, sess in enumerate(alone):
                 for got, want in zip(out, sess.step(H[k], C[k], y, t)):
                     assert np.array_equal(got[k], want)
+                if B == 1:     # greedy's row of one equals the member's one state
+                    for got, want in zip(out, sess.step(H[k, 0], C[k, 0], int(y[0]), t)):
+                        assert np.array_equal(got[k, 0], want)
+
+
+def test_stack_steps_rows_only():
+    stack = DecodeSession([_model("full", seed) for seed in (1, 2)], VOCAB.encode("ab"))
+    H, C = stack.initial_state()
+    with pytest.raises(DimensionError, match="rows"):
+        stack.step(H, C, 2, 0)
+    H, C, dist = stack.step(H[:, None], C[:, None], [2], 0)
+    assert dist.shape == (2, 1, len(VOCAB))
 
 
 def test_stack_reads_the_members_current_values():
