@@ -83,17 +83,22 @@ def _read_columns(path, widths):
 
 
 def _models_by_tag(args, tags):
-    """--model PATH or TAG=PATH (repeatable), or --models-dir with <tag>.ckpt."""
+    """--model PATH or TAG=PATH (repeatable), or --models-dir with <tag>.ckpt.
+
+    An entry is TAG=PATH when it starts with "<tag>=" for a tag of the data,
+    the longest such tag, since tags may contain "="; any other entry is a
+    path.
+    """
     if args.models_dir:
         return {tag: [load_model(os.path.join(args.models_dir, f"{tag}.ckpt"))]
                 for tag in tags}
     tagged, shared = {}, []
     for entry in args.model or ():
-        if "=" in entry:
-            tag, _, path = entry.partition("=")
-            tagged.setdefault(tag, []).append(load_model(path))
-        else:
+        tag = max((t for t in tags if entry.startswith(f"{t}=")), key=len, default=None)
+        if tag is None:
             shared.append(load_model(entry))
+        else:
+            tagged.setdefault(tag, []).append(load_model(entry[len(tag) + 1:]))
     if shared and tagged:
         raise _Usage("mix of TAG=PATH and plain --model entries")
     if shared:
@@ -164,24 +169,17 @@ def _check_decode_flags(args):
         raise MorphogenError(f"interpolation weight must be a finite number >= 0, got {lam}")
 
 
-def _decode_kwargs(args, models):
-    lm = charlm.load_lm(args.lm) if args.lm else None
-    lam = 1.0
-    if lm is not None:
-        if args.interp_lambda is not None:
-            lam = args.interp_lambda
-        elif models and models[0].lm_lambda is not None:
-            lam = models[0].lm_lambda
-    return lm, lam
+def _load_lm(args):
+    return charlm.load_lm(args.lm) if args.lm else None
 
 
 def _cmd_predict(args):
     _check_writable(args.out)
     models = [load_model(p) for p in args.model]
-    lm, lam = _decode_kwargs(args, models)
+    lm = _load_lm(args)
     lines = []
     for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
-        pred = evaluate.predict_one(models, lemma, lm=lm, lam=lam,
+        pred = evaluate.predict_one(models, lemma, lm=lm, lam=args.interp_lambda,
                                     max_len_slack=args.max_len_slack)
         lines.append(f"{lemma}\t{tag}\t{pred}")
     _write_lines(args.out, lines)
@@ -191,13 +189,14 @@ def _cmd_predict(args):
 def _cmd_beam(args):
     _check_writable(args.out)
     models = [load_model(p) for p in args.model]
-    lm, lam = _decode_kwargs(args, models)
+    lm = _load_lm(args)
     vocab = models[0].vocab
     rows = []
     for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
         x_ids = vocab.encode(lemma)
         results = search.beam_decode(models, x_ids, args.beam_width,
-                                     len(x_ids) + args.max_len_slack, lm=lm, lam=lam)
+                                     len(x_ids) + args.max_len_slack,
+                                     lm=lm, lam=args.interp_lambda)
         rows.extend((lemma, tag, r.text(vocab), r.logprob) for r in results)
     search.write_nbest(args.out, rows)
     return 0
@@ -225,13 +224,13 @@ def _cmd_evaluate(args):
     examples = data.parse_dataset(args.data)
     tags = sorted({ex.tag for ex in examples})
     models_by_tag = _models_by_tag(args, tags)
-    any_models = next(iter(models_by_tag.values()))
-    lm, lam = _decode_kwargs(args, any_models)
+    lm = _load_lm(args)
     rerank_model = reranker.load_weights(args.rerank) if args.rerank else None
     report = evaluate.evaluate_accuracy(
         models_by_tag, examples,
         beam_width=args.beam_width if args.beam or args.rerank else None,
-        lm=lm, lam=lam, rerank_model=rerank_model, max_len_slack=args.max_len_slack)
+        lm=lm, lam=args.interp_lambda, rerank_model=rerank_model,
+        max_len_slack=args.max_len_slack)
     for tag in sorted(report.per_tag):
         print(f"tag\t{tag}\t{report.per_tag[tag]!r}\t{report.counts[tag]}")
     print(f"macro\t{report.macro!r}")
@@ -380,14 +379,16 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="exact-match accuracy of trained models")
     p.add_argument("--model", action="append", default=None,
-                   help="PATH for all tags, or TAG=PATH; repeatable")
+                   help="PATH for all tags, or TAG=PATH for a tag of the data "
+                        "(tags may contain '='); repeatable")
     p.add_argument("--models-dir", default=None, help="directory of <tag>.ckpt files")
     p.add_argument("--data", required=True)
     p.add_argument("--beam", action="store_true", help="beam decode instead of greedy")
     p.add_argument("--beam-width", type=int, default=20)
     p.add_argument("--rerank", default=None, help="reranker weights file (implies beam)")
     p.add_argument("--lm", default=None)
-    p.add_argument("--interp-lambda", type=float, default=None)
+    p.add_argument("--interp-lambda", type=float, default=None,
+                   help="override every tag's learned interpolation weight")
     p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
     p.add_argument("--by-length", action="store_true")
     p.add_argument("--harmony", action="store_true")

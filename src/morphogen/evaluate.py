@@ -36,9 +36,10 @@ def _as_ensemble(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def predict_one(models, lemma, *, beam_width=None, lm=None, lam=1.0,
+def predict_one(models, lemma, *, beam_width=None, lm=None, lam=None,
                 rerank_model=None, max_len_slack=10):
-    """Decode one lemma: greedy, beam top-1, or beam + reranker."""
+    """Decode one lemma: greedy, beam top-1, or beam + reranker. The LM
+    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
     vocab = models[0].vocab
     x_ids = vocab.encode(lemma)
     max_len = len(x_ids) + max_len_slack
@@ -57,11 +58,13 @@ def predict_one(models, lemma, *, beam_width=None, lm=None, lam=1.0,
 
 
 def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
-                      lam=1.0, rerank_model=None, max_len_slack=10):
+                      lam=None, rerank_model=None, max_len_slack=10):
     """Per-tag and macro exact-match accuracy over labelled examples.
 
     models_by_tag maps each tag to a model or ensemble list. Decoding is
     greedy unless beam_width is given; a reranker needs beam_width and an LM.
+    Without lam, each tag decodes with its first member's learned lm_lambda,
+    else 1.0.
     """
     if not examples:
         raise DataError("evaluate_accuracy: no examples given")

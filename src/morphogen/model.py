@@ -119,15 +119,9 @@ class ModelParams:
         self.lm_lambda = None   # set by interpolated training
 
     def decoder_input_size(self):
+        """The width of a decoder input [e|context, y_prev, x_t]."""
         w, n, d = self.wiring, self.hidden, self.embed_dim
-        size = d                      # y_prev
-        if w.e_per_step:
-            size += n
-        if w.attention:
-            size += 2 * n
-        if w.consumes_source:
-            size += d
-        return size
+        return n * w.e_per_step + 2 * n * w.attention + d + d * w.consumes_source
 
     def parameters(self, attrs=_PARAM_ATTRS):
         out = []
@@ -196,19 +190,16 @@ def _build(m, fill, pack=True):
 
 
 def _stack(models):
-    """Models of one vocabulary and (variant, hidden, embed_dim) as one
-    model of K members: each tensor gains a leading member axis, a matrix as
-    [K, r, c] and a vector as [K, 1, c], which broadcasts over a step's rows
-    [K, B, c]. Stacked from the members' tensors on every call, since
-    training updates them in place; a stack has no theta."""
+    """Models of one vocabulary and (variant, hidden, embed_dim), which the
+    caller checks, as one model of K members: each tensor gains a leading
+    member axis, a matrix as [K, r, c] and a vector as [K, 1, c], which
+    broadcasts over a step's rows [K, B, c]. Stacked from the members'
+    tensors on every call, since training updates them in place; a stack
+    has no theta."""
     first = models[0]
-    config = (first.variant, first.hidden, first.embed_dim)
-    for m in models[1:]:
-        if m.vocab != first.vocab or (m.variant, m.hidden, m.embed_dim) != config:
-            raise MorphogenError("a stack needs one vocabulary, variant, hidden and embed size")
     values = {ps[0].name: np.array([p.value if p.value.ndim == 2 else p.value[None] for p in ps])
               for ps in zip(*(m.parameters() for m in models))}
-    stack = ModelParams(first.vocab, *config)
+    stack = ModelParams(first.vocab, first.variant, first.hidden, first.embed_dim)
     _build(stack, lambda name, shape, kind: values[name], pack=False)
     return stack
 
@@ -309,20 +300,12 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
     if not all(0 <= i < V for i in [*x_ids, *y_ids]):
         raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "
                              f"for a vocabulary of {V}")
-    return _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs, lam_hat)
-
-
-def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
-    """forward_variant as one closure: an untaped forward over arrays and
-    backpropagation through time by hand.
-
-    Both repeat the arithmetic of recording the example op by op (softplus
-    of lam_hat, then a record per lookup, cell step, concat, attention
-    context and step loss), the backward in those records' order: decoder
-    steps in reverse, each with its attention context's backward, then e's
-    transform, the backward and the forward encoder, lam_hat. So the loss
-    and the gradients are the same bits.
-    """
+    # An untaped forward over arrays and backpropagation through time by hand,
+    # in the arithmetic order of recording the example op by op (softplus of
+    # lam_hat, then a record per lookup, cell step, concat, attention context
+    # and step loss; backward: decoder steps in reverse, each with its attention
+    # context's backward, e's transform, the backward and the forward encoder,
+    # lam_hat), so the loss and the gradients are the per-op recording's bits.
     w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
     x_ids, targets = list(x_ids), list(y_ids) + [EOS]
     y_prevs = [BOS] + targets[:-1]
@@ -414,15 +397,12 @@ def _sequence_loss(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
-    Built over one model, or over a list of K models of one vocabulary and
-    (variant, hidden, embed_dim) that step as one stack. Runs the encoder
-    once; step advances the decoder untaped, on one state or on a batch of
-    state rows; a stack steps rows, on every member at once.
+    Built over one model, or over a stack of K models (_stack). Runs the
+    encoder once; step advances the decoder untaped, on one state or on a
+    batch of state rows; a stack steps rows, on every member at once.
     """
 
     def __init__(self, params, x_ids):
-        if not isinstance(params, ModelParams):
-            params = _stack(params)
         V = len(params.vocab)
         if not all(0 <= i < V for i in x_ids):
             raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
@@ -433,10 +413,9 @@ class DecodeSession:
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
         for a stack: one state per member)."""
-        n = self.params.hidden
-        if self.stacked:
-            n = (len(self.params.embed.value), n)
-        return self._source.e if self.params.wiring.e_as_init else np.zeros(n), np.zeros(n)
+        p = self.params
+        n = (len(p.embed.value), p.hidden) if self.stacked else p.hidden
+        return self._source.e if p.wiring.e_as_init else np.zeros(n), np.zeros(n)
 
     def step(self, H, C, y_prev, t):
         """One decoder step, its output affine and masked_softmax, as in training.

@@ -135,16 +135,19 @@ def _group_features(group, lm):
     return feats, quality
 
 
+def _gap_pairs(quality):
+    """(better, worse) for every candidate pair i < j whose quality differs
+    by at least 1, in (i, j) order."""
+    return [(i, j) if quality[i] > quality[j] else (j, i)
+            for i in range(len(quality)) for j in range(i + 1, len(quality))
+            if abs(quality[i] - quality[j]) >= 1]
+
+
 def _sample_pairs(feats, quality, rng):
-    pairs = [(i, j) for i in range(len(quality)) for j in range(i + 1, len(quality))
-             if abs(quality[i] - quality[j]) >= 1]
+    pairs = _gap_pairs(quality)
     if len(pairs) > MAX_PAIRS_PER_GROUP:
         pairs = rng.sample(pairs, MAX_PAIRS_PER_GROUP)
-    diffs = []
-    for i, j in pairs:
-        better, worse = (i, j) if quality[i] > quality[j] else (j, i)
-        diffs.append(feats[better] - feats[worse])
-    return diffs
+    return [feats[better] - feats[worse] for better, worse in pairs]
 
 
 def pro_train(groups, lm, iterations=100, seed=0):
@@ -179,13 +182,9 @@ def pairwise_accuracy(model, groups, lm):
     for group in groups:
         feats, quality = _group_features(group, lm)
         scores = [model.score(f) for f in feats]
-        for i in range(len(quality)):
-            for j in range(i + 1, len(quality)):
-                if abs(quality[i] - quality[j]) < 1:
-                    continue
-                total += 1
-                better, worse = (i, j) if quality[i] > quality[j] else (j, i)
-                correct += scores[better] > scores[worse]
+        pairs = _gap_pairs(quality)
+        total += len(pairs)
+        correct += sum(scores[better] > scores[worse] for better, worse in pairs)
     if total == 0:
         raise DataError("no scorable pairs in the given groups")
     return correct / total

@@ -25,7 +25,7 @@ import numpy as np
 from .charlm import BOW, EOW
 from .data import open_text, split_fields
 from .errors import DataError, SearchError
-from .model import DecodeSession
+from .model import DecodeSession, _stack
 from .vocab import BOS, EOS, N_SPECIAL, UNK
 
 __all__ = [
@@ -115,14 +115,19 @@ def lm_next_dist(lm, vocab, prefix_ids):
     return dist
 
 
-def _check_models(models):
+def _check_models(models, max_len, lam):
+    """Check a search's models and max_len -> (their vocabulary, the LM weight:
+    lam, else the first member's learned lm_lambda, else 1.0)."""
     if not models:
         raise SearchError("decoding needs at least one model")
+    if max_len < 1:
+        raise SearchError(f"max_len must be >= 1, got {max_len}")
     vocab = models[0].vocab
-    for m in models[1:]:
-        if m.vocab != vocab:
-            raise SearchError("ensemble members must share one vocabulary")
-    return vocab
+    if any(m.vocab != vocab for m in models[1:]):
+        raise SearchError("ensemble members must share one vocabulary")
+    if lam is None:
+        lam = 1.0 if models[0].lm_lambda is None else models[0].lm_lambda
+    return vocab, lam
 
 
 def _sessions(models, x_ids):
@@ -131,7 +136,7 @@ def _sessions(models, x_ids):
     as one stack otherwise. The sessions' members are in member order."""
     runs = [list(run) for _, run in groupby(models, key=lambda m: (m.variant, m.hidden,
                                                                     m.embed_dim))]
-    return [DecodeSession(run[0] if len(run) == 1 else run, x_ids) for run in runs]
+    return [DecodeSession(run[0] if len(run) == 1 else _stack(run), x_ids) for run in runs]
 
 
 def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
@@ -158,11 +163,10 @@ def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
     return stepped, dist
 
 
-def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
-    """Pick the argmax at every step; lowest id wins exact ties."""
-    if max_len < 1:
-        raise SearchError(f"max_len must be >= 1, got {max_len}")
-    vocab = _check_models(models)
+def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
+    """Pick the argmax at every step; lowest id wins exact ties. The LM
+    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
+    vocab, lam = _check_models(models, max_len, lam)
     sessions = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
     # an ensemble steps each member's state as a row of one, as a stack needs
@@ -170,7 +174,7 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     if rows:
         states = [(h[..., None, :], c[..., None, :]) for h, c in states]
     ids, logprob = (), 0.0
-    for t in range(max_len + 1):
+    for t in range(max_len):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
         y_prev = ids[-1] if ids else BOS
         states, dist = _next_dist(sessions, states, [y_prev] if rows else y_prev, t,
@@ -182,13 +186,12 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
         if choice == EOS:
             return DecodeResult(ids, logprob, truncated=False)
         ids += (choice,)
-        if len(ids) == max_len:
-            return DecodeResult(ids, logprob, truncated=True)
-    raise SearchError("unreachable: greedy loop exceeded max_len")
+    return DecodeResult(ids, logprob, truncated=True)
 
 
-def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
-    """Up to `width` results sorted by log-prob, ties by output ids.
+def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
+    """Up to `width` results sorted by log-prob, ties by output ids; lam as
+    for greedy_decode.
 
     The live hypotheses are rows of one [B, n] state batch per session
     ([K, B, n] for a stack); after each step the rows of the survivors'
@@ -196,9 +199,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
-    if max_len < 1:
-        raise SearchError(f"max_len must be >= 1, got {max_len}")
-    vocab = _check_models(models)
+    vocab, lam = _check_models(models, max_len, lam)
     sessions = _sessions(models, x_ids)
     states = [(h[..., None, :], c[..., None, :])
               for h, c in (s.initial_state() for s in sessions)]

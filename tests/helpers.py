@@ -548,8 +548,8 @@ def reference_attention_context(tape, params, source, s_prev):
 # --- the per-op training path ----------------------------------------------
 # forward_variant recorded op by op: a tape record per embedding lookup, cell
 # step, concat, e's transform, attention context and step loss.
-# model._sequence_loss records an example as one op and must match this loss
-# and every gradient bit for bit.
+# model.forward_variant itself records an example as one op and must match
+# this loss and every gradient bit for bit.
 
 def node_source(params, x_ids, positions):
     """A model._Source over per-position (fwd h, bwd h) Node pairs, which it
@@ -658,7 +658,32 @@ def reference_adadelta_step(params, grads, acc, l2=0.0, rho=0.95, eps=1e-6):
         p.value += delta
 
 
-# --- reference beam search --------------------------------------------------
+# --- reference searches -----------------------------------------------------
+# exhaustive_decode walks the complete search tree of one model: the oracle
+# for a beam wide enough to keep every path.
+
+def exhaustive_decode(model, x_ids, max_len):
+    """Complete search tree: every EOS leaf plus every truncated path."""
+    sess = DecodeSession(model, x_ids)
+    out = []
+
+    def rec(state, ids, lp, t):
+        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
+        for i in np.flatnonzero(dist > 0.0):
+            i = int(i)
+            lp2 = lp + float(np.log(dist[i]))
+            if i == EOS:
+                out.append(search.DecodeResult(ids, lp2, truncated=False))
+            elif t + 1 == max_len:
+                out.append(search.DecodeResult(ids + (i,), lp2, truncated=True))
+            else:
+                rec((h, c), ids + (i,), lp2, t + 1)
+
+    rec(sess.initial_state(), (), 0.0, 0)
+    out.sort(key=lambda r: (-r.logprob, r.ids))
+    return out
+
+
 # One DecodeSession.step on one state per live hypothesis and member, every
 # candidate built and fully sorted by (-logprob, ids): the oracle for the
 # batched search.beam_decode and its partial selection.

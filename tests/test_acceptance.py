@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (check_model_gradients, models_equal, randomize_params,
-                     separable_rerank_fixture)
+from helpers import (check_model_gradients, exhaustive_decode, models_equal,
+                     randomize_params, separable_rerank_fixture)
 from morphogen import cli
 from morphogen.charlm import (BOW, EOW, WittenBellLM, filter_wordlist, load_lm,
                               save_lm, train_lm)
@@ -121,36 +121,13 @@ def test_criterion_03_joint_helps_low_resource():
     assert wins >= 3
 
 
-def _exhaustive_decode(model, x_ids, max_len):
-    """Complete search tree: every terminated leaf plus every truncated path."""
-    from morphogen.search import DecodeResult
-    sess = DecodeSession(model, x_ids)
-    out = []
-
-    def rec(state, ids, lp, t):
-        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
-        for i in np.flatnonzero(dist > 0.0):
-            i = int(i)
-            lp2 = lp + float(np.log(dist[i]))
-            if i == EOS:
-                out.append(DecodeResult(ids, lp2, truncated=False))
-            elif t + 1 == max_len:
-                out.append(DecodeResult(ids + (i,), lp2, truncated=True))
-            else:
-                rec((h, c), ids + (i,), lp2, t + 1)
-
-    rec(sess.initial_state(), (), 0.0, 0)
-    out.sort(key=lambda r: (-r.logprob, r.ids))
-    return out
-
-
 def test_criterion_04_beam_search_oracle_equivalence():
     vocab = CharVocab("ab")  # 4 candidate ids per step: a, b, unk, end
     model = randomize_params(
         init_model(vocab, "full", hidden=6, embed_dim=5, seed=0), 5)
     x = vocab.encode("ab")
     max_len = 5
-    want = _exhaustive_decode(model, x, max_len)
+    want = exhaustive_decode(model, x, max_len)
     got = beam_decode([model], x, 4 ** max_len, max_len)
     # 3 continuations per step: sum(3^d, d<5) = 121 leaves + 3^5 truncated
     assert len(got) == len(want) == 364

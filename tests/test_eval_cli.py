@@ -1,3 +1,6 @@
+import itertools
+import shutil
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from morphogen import trainer
 from morphogen.charlm import load_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
 from morphogen.errors import DataError
-from morphogen.model import load_model
+from morphogen.model import load_model, save_model
 from morphogen.reranker import load_weights
 from morphogen.search import read_nbest
 from morphogen.trainer import TrainConfig, train_factored
@@ -329,7 +332,7 @@ def test_cli_evaluate_models_dir(workspace, capsys):
 
 
 def test_cli_evaluate_tag_equals_path_syntax(workspace, tmp_path, capsys):
-    # the TAG=PATH form splits on the first '=', so it suits tags without one
+    # a tag without '=' works as well as the synthetic data's case=...
     data = tmp_path / "simple.tsv"
     data.write_text("talo\tpast\ttalossa\n", encoding="utf-8")
     rc = cli.main(["evaluate", "--model", f"past={workspace['model.ckpt']}",
@@ -337,6 +340,64 @@ def test_cli_evaluate_tag_equals_path_syntax(workspace, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("tag\tpast\t")
+
+
+def test_cli_evaluate_tag_with_equals_sign(workspace, tmp_path, capsys):
+    # TAG=PATH takes the longest tag of the data that the entry starts with:
+    # "case=inessive=PATH" is the tag case=inessive, not the tag case
+    data = tmp_path / "two-tags.tsv"
+    data.write_text("".join(f"{ex.lemma}\t{ex.tag}\t{ex.inflected}\n"
+                            for ex in parse_dataset(workspace["test.tsv"])
+                            if ex.tag == INESSIVE) + "talo\tcase\ttalossa\n",
+                    encoding="utf-8")
+    rc = cli.main(["evaluate", "--model", f"{INESSIVE}={workspace['model.ckpt']}",
+                   "--model", f"case={workspace['model.ckpt']}", "--data", str(data)])
+    assert rc == 0
+    tags = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("tag\t")]
+    assert tags == ["case", INESSIVE]
+
+
+def test_cli_evaluate_plain_path_with_equals_sign(workspace, tmp_path, monkeypatch, capsys):
+    # a file named as joint training names it: "case=inessive." is no tag's "<tag>="
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(workspace["model.ckpt"], tmp_path / f"{INESSIVE}.ckpt")
+    for path in (f"{INESSIVE}.ckpt", str(tmp_path / f"{INESSIVE}.ckpt")):
+        rc = cli.main(["evaluate", "--model", path, "--data", workspace["test.tsv"]])
+        assert rc == 0
+        assert capsys.readouterr().out.count("tag\t") == 4
+
+
+@pytest.mark.parametrize("extra", ([], ["--beam", "--beam-width", "3"]), ids=("greedy", "beam"))
+def test_cli_evaluate_decodes_each_tag_with_its_own_lambda(workspace, tmp_path, monkeypatch,
+                                                           capsys, extra):
+    examples = parse_dataset(workspace["test.tsv"])
+    tags = sorted({ex.tag for ex in examples})[:2]
+    data = tmp_path / "two-tags.tsv"
+    data.write_text("".join(f"{ex.lemma}\t{ex.tag}\t{ex.inflected}\n"
+                            for tag in tags for ex in examples if ex.tag == tag),
+                    encoding="utf-8")
+    models_dir = tmp_path / "models"
+    models_dir.mkdir()
+    for tag, lam in zip(tags, (0.1, 3.0)):
+        model = load_model(workspace["model.ckpt"])
+        model.lm_lambda = lam
+        save_model(model, models_dir / f"{tag}.ckpt")
+    real, lams = se.interpolated_next_dist, []
+
+    def spy(model_dist, lm_dist, lam):
+        lams.append(lam)
+        return real(model_dist, lm_dist, lam)
+
+    monkeypatch.setattr(se, "interpolated_next_dist", spy)
+    base = ["evaluate", "--models-dir", str(models_dir), "--data", str(data),
+            "--lm", workspace["lm.txt"], *extra]
+    assert cli.main(base) == 0
+    assert [lam for lam, _ in itertools.groupby(lams)] == [0.1, 3.0]
+    lams.clear()
+    assert cli.main(base + ["--interp-lambda", "0.5"]) == 0
+    assert lams and set(lams) == {0.5}
+    capsys.readouterr()
 
 
 def test_cli_evaluate_beam_rerank_and_analyses(workspace, tmp_path, capsys):
@@ -424,7 +485,7 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
     assert cli.main(["train", "--mode", "joint", "--data", workspace["train.tsv"]]) == 1
     assert cli.main(["evaluate", "--data", workspace["test.tsv"]]) == 1  # no models
     rc = cli.main(["evaluate", "--model", workspace["model.ckpt"],
-                   "--model", f"past={workspace['model.ckpt']}",
+                   "--model", f"{INESSIVE}={workspace['model.ckpt']}",
                    "--data", workspace["test.tsv"]])
     assert rc == 1  # mixing plain and TAG=PATH entries
     capsys.readouterr()

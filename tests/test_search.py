@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import randomize_params
+from helpers import exhaustive_decode, randomize_params
 from morphogen import search as se
 from morphogen.charlm import EOW, train_lm
 from morphogen.errors import DataError, SearchError
@@ -165,33 +165,11 @@ def test_beam_without_eos_all_truncated():
     assert all(r.truncated and len(r.ids) == 4 for r in results)
 
 
-def _exhaustive(model, x_ids, max_len):
-    """Complete search tree: every EOS leaf plus every truncated path."""
-    sess = DecodeSession(model, x_ids)
-    out = []
-
-    def rec(state, ids, lp, t):
-        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
-        for i in np.flatnonzero(dist > 0.0):
-            i = int(i)
-            lp2 = lp + float(np.log(dist[i]))
-            if i == EOS:
-                out.append(se.DecodeResult(ids, lp2, truncated=False))
-            elif t + 1 == max_len:
-                out.append(se.DecodeResult(ids + (i,), lp2, truncated=True))
-            else:
-                rec((h, c), ids + (i,), lp2, t + 1)
-
-    rec(sess.initial_state(), (), 0.0, 0)
-    out.sort(key=lambda r: (-r.logprob, r.ids))
-    return out
-
-
 def test_beam_wide_enough_equals_exhaustive_search():
     m = _search_model()
     x = VOCAB.encode("ab")
     max_len = 3
-    want = _exhaustive(m, x, max_len)
+    want = exhaustive_decode(m, x, max_len)
     got = se.beam_decode([m], x, 64, max_len)
     assert len(got) == len(want) == 40  # 13 EOS leaves + 27 truncated paths
     for g, w in zip(got, want):
@@ -293,6 +271,21 @@ def test_lm_lambda_zero_equals_plain_decode():
     zero = se.greedy_decode([m], x, 6, lm=lm, lam=0.0)
     assert plain == zero
     assert se.beam_decode([m], x, 4, 6) == se.beam_decode([m], x, 4, 6, lm=lm, lam=0.0)
+
+
+def test_decode_defaults_to_the_first_members_learned_lambda():
+    models = [_search_model(5), _search_model(6)]
+    lm = train_lm(["abab", "baba"], order=3)
+    x = VOCAB.encode("ba")
+    assert se.greedy_decode(models, x, 6, lm=lm) == se.greedy_decode(models, x, 6, lm=lm, lam=1.0)
+    models[0].lm_lambda, models[1].lm_lambda = 2.5, 0.5
+    for ms in (models[:1], models):
+        assert se.greedy_decode(ms, x, 6, lm=lm) == se.greedy_decode(ms, x, 6, lm=lm, lam=2.5)
+        beam = se.beam_decode(ms, x, 4, 6, lm=lm)
+        assert beam == se.beam_decode(ms, x, 4, 6, lm=lm, lam=2.5)
+        assert beam != se.beam_decode(ms, x, 4, 6, lm=lm, lam=1.0)
+        # a given weight wins, 0 included
+        assert se.beam_decode(ms, x, 4, 6, lm=lm, lam=0.0) == se.beam_decode(ms, x, 4, 6)
 
 
 def test_ensemble_decode_matches_replay():

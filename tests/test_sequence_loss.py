@@ -1,6 +1,6 @@
 """forward_variant's one-record sequence path against the per-op path.
 
-Every variant trains through model._sequence_loss: an untaped forward over
+Every variant trains through model.forward_variant: an untaped forward over
 arrays and a hand-written backward through time, appended to the tape as
 one closure. helpers.per_op_loss records the same loss op by op and is the
 oracle here: the loss and every gradient must match it bit for bit, with
@@ -63,7 +63,7 @@ def _run(per_op, m, x, y, lm, lambda_init):
         loss = loss.value[0]
     else:
         tape = []
-        loss = mod._sequence_loss(tape, m, x, y, lm, None if lm is None else lam_hat)
+        loss = mod.forward_variant(tape, m, x, y, lm, None if lm is None else lam_hat)
         grads = ad.backward(tape, {p: np.zeros_like(p.value) for p in params})
     return (np.float64(loss).tobytes(), {p.name: grads[p].tobytes() for p in params},
             len(tape))

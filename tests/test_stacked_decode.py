@@ -15,7 +15,7 @@ from helpers import per_member_beam_decode, per_member_greedy_decode, randomize_
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import train_lm
-from morphogen.errors import DimensionError, MorphogenError
+from morphogen.errors import DimensionError
 from morphogen.model import VARIANTS, DecodeSession, init_model
 from morphogen.vocab import CharVocab
 
@@ -107,7 +107,7 @@ def test_single_model_session_keeps_its_shapes(variant):
 def test_stack_step_is_each_members_step(variant):
     models = [_model(variant, seed) for seed in (1, 2, 3)]
     x = VOCAB.encode("dcab")
-    stack = DecodeSession(models, x)
+    stack = DecodeSession(mod._stack(models), x)
     alone = [DecodeSession(m, x) for m in models]
     n, V = models[0].hidden, len(VOCAB)
     H, C = stack.initial_state()
@@ -132,7 +132,8 @@ def test_stack_step_is_each_members_step(variant):
 
 
 def test_stack_steps_rows_only():
-    stack = DecodeSession([_model("full", seed) for seed in (1, 2)], VOCAB.encode("ab"))
+    stack = DecodeSession(mod._stack([_model("full", seed) for seed in (1, 2)]),
+                          VOCAB.encode("ab"))
     H, C = stack.initial_state()
     with pytest.raises(DimensionError, match="rows"):
         stack.step(H, C, 2, 0)
@@ -149,12 +150,3 @@ def test_stack_reads_the_members_current_values():
     assert _bits(after) == _bits(per_member_beam_decode(models, x, 4, 6))
     assert _bits(after) != _bits(before)
 
-
-def test_stack_rejects_members_of_another_configuration():
-    with pytest.raises(MorphogenError, match="stack"):
-        mod._stack([_model("full", 1), _model("full", 2, hidden=5)])
-    with pytest.raises(MorphogenError, match="stack"):
-        mod._stack([_model("full", 1), _model("plain-encdec", 2)])
-    other = init_model(CharVocab("abce"), "full", hidden=4, embed_dim=3, seed=0)
-    with pytest.raises(MorphogenError, match="stack"):
-        mod._stack([_model("full", 1), other])
