@@ -4,8 +4,9 @@ A tape is a plain list: a function given one appends backward_fn(sweep) to
 it (training appends one per example, model.forward_variant), and given
 None computes values only. backward() calls the closures last-first; each
 adds into the caller's gradient buffers through the Sweep it is given.
-step_loss, logit_grad and masked_softmax are the array pieces of a decoder
-step's loss and distribution.
+step_loss and logit_grad are the array pieces of a training step's loss,
+log_softmax those of a decoder step's and a search combine's log-probs,
+masked_softmax the softmax that attention weights its source with.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "Parameter",
     "Sweep",
     "masked_softmax",
+    "log_softmax",
     "step_loss",
     "logit_grad",
     "backward",
@@ -99,6 +101,14 @@ def masked_softmax(logits, masked_ids=()):
         z.T[list(masked_ids)] = -np.inf    # the last axis; cheaper than z[..., ids]
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(z):
+    """Log-softmax over the last axis; -inf entries (masked ids) stay -inf.
+    Every row needs a finite entry."""
+    z = z - z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):

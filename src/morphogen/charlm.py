@@ -45,7 +45,7 @@ class WittenBellLM:
             raise DataError("LM alphabet must not contain boundary symbols")
         self._succ = {}   # history -> {char: count}
         self._total = {}  # history -> c(history)
-        # (vocab data chars, history) -> read-only next-char vector, filled
+        # (vocab data chars, history) -> read-only next-char log-probs, filled
         # by search.lm_next_dist; emptied whenever a count changes
         self.bridge_cache = {}
 

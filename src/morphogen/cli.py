@@ -90,6 +90,8 @@ def _models_by_tag(args, tags):
     path.
     """
     if args.models_dir:
+        if args.model:
+            raise _Usage("give --model or --models-dir, not both")
         return {tag: [load_model(os.path.join(args.models_dir, f"{tag}.ckpt"))]
                 for tag in tags}
     tagged, shared = {}, []

@@ -3,8 +3,11 @@
 Single-layer, no peepholes, independent forget gate. Gate weights are stored
 fused as [4n x l] / [4n x n] blocks in (input, forget, output, candidate)
 order; the forget block of the bias starts at 1.0. lstm_step is the cell on
-arrays, for one state or a batch of rows; run_cached runs it over a sequence
-and keeps what backward_cached, backpropagation through time by hand, reads.
+arrays, for one state or a batch of rows, given its input projection
+W_x x + b; run_cached forms that projection per step, runs the cell over a
+sequence and keeps what backward_cached, backpropagation through time by
+hand, reads. A decoder that knows its inputs' projections in advance
+(model.DecodeSession's tables) passes them to lstm_step directly.
 
 A stack of K cells of one shape (decoding an ensemble) holds each tensor
 with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
@@ -46,15 +49,16 @@ class LSTMParams:
         return [self.W_x, self.W_h, self.b]
 
 
-def lstm_step(params, X, H, C):
-    """One cell update, i,f,o = sigmoid, g = tanh, c' = f*c + i*g,
-    h' = o*tanh(c'), on one state (X [l], H and C [n]), on a batch of rows
-    (X [B,l], H and C [B,n]) or, for a stack, on rows [K,B,·] -> (H', C',
+def lstm_step(params, ZX, H, C):
+    """One cell update from the input projection ZX = W_x x + b: gates
+    z = ZX + W_h h, i,f,o = sigmoid, g = tanh, c' = f*c + i*g,
+    h' = o*tanh(c'), on one state (ZX [4n], H and C [n]), on a batch of rows
+    (ZX [B,4n], H and C [B,n]) or, for a stack, on rows [K,B,·] -> (H', C',
     sigmoid(z) over the i/f/o slice, the candidate g, tanh(C'));
     backward_cached reads the last three."""
     n = params.hidden_size
     n3 = 3 * n
-    z = (X @ params.W_x.value.mT + params.b.value) + H @ params.W_h.value.mT
+    z = ZX + H @ params.W_h.value.mT
     sig = expit(z[..., :n3])
     g = np.tanh(z[..., n3:])
     C = sig[..., n:2 * n] * C + sig[..., :n] * g
@@ -65,18 +69,20 @@ def lstm_step(params, X, H, C):
 def run_cached(params, xs, h0=None, step_input=None):
     """lstm_step over the input vectors xs (a stack's rows [K,B,l]), from
     (h0, 0) or the zero state -> (every step's h, a per-step cache for
-    backward_cached).
+    backward_cached). Each step's input projection is x @ W_x.T + b, summed
+    before the recurrent product joins, so the gates keep training's bits.
 
     step_input(x, h_prev), if given, builds each step's input from xs[t] and
     the previous h: an input that depends on the state, like attention's.
     """
+    W_xT, b = params.W_x.value.mT, params.b.value
     h = np.zeros(params.state_shape) if h0 is None else h0
     c = np.zeros(params.state_shape)
     hs, cache = [], []
     for x in xs:
         if step_input is not None:
             x = step_input(x, h)
-        h_next, c_next, sig, g, tc = lstm_step(params, x, h, c)
+        h_next, c_next, sig, g, tc = lstm_step(params, x @ W_xT + b, h, c)
         cache.append((x, h, c, sig, g, tc))
         h, c = h_next, c_next
         hs.append(h)

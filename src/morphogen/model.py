@@ -398,8 +398,16 @@ class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
     Built over one model, or over a stack of K models (_stack). Runs the
-    encoder once; step advances the decoder untaped, on one state or on a
-    batch of state rows; a stack steps rows, on every member at once.
+    encoder once and splits the decoder's input projection W_x [e|context,
+    y_prev, x_t] + b by its column blocks into tables for this source: the
+    constant part b (+ W_e e) plus, when the variant consumes the source,
+    x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n] for y_prev. A
+    step then looks its input projection up instead of forming it; only
+    attention's context W_ctx context is a product per step. The tables are
+    built per session from the tensors' current values, never cached on the
+    model, which training updates in place. step advances the decoder
+    untaped, on one state or on a batch of state rows; a stack steps rows, on
+    every member at once.
     """
 
     def __init__(self, params, x_ids):
@@ -408,7 +416,25 @@ class DecodeSession:
             raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
         self.params = params
         self.stacked = params.embed.value.ndim == 3
-        self._source = _encode_source(params, x_ids)[0]
+        source = self._source = _encode_source(params, x_ids)[0]
+        w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
+        W_x = params.dec.W_x.value
+        lead = n * w.e_per_step + 2 * n * w.attention    # the e or context columns
+        self._W_ctx = W_x[..., :lead].mT if w.attention else None
+        zx = params.dec.b.value     # [4n]; a stack's [K, 1, 4n]
+        if w.e_per_step:
+            zx = zx + (source.e[:, None] if self.stacked else source.e) @ W_x[..., :n].mT
+        self._P_y = E @ W_x[..., lead:lead + d].mT    # [V, 4n]; a stack's [K, V, 4n]
+        # the constant part of step t's projection; the last one serves every
+        # step past the source end, where x_t is EPS
+        self._zx = [zx]
+        if w.consumes_source:
+            P_x = E @ W_x[..., lead + d:].mT
+            self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
+                        for i in [*source.x_ids, EPS]]
+        # the output bias, -inf at the masked ids: logits come out masked
+        self._out_b = params.out_b.value.copy()
+        self._out_b[..., list(MASKED_OUTPUT_IDS)] = -np.inf
 
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
@@ -418,44 +444,34 @@ class DecodeSession:
         return self._source.e if p.wiring.e_as_init else np.zeros(n), np.zeros(n)
 
     def step(self, H, C, y_prev, t):
-        """One decoder step, its output affine and masked_softmax, as in training.
+        """One decoder step and its output layer -> (H', C', the masked
+        log-softmax: log-probs with -inf at BOS and EPS).
 
-        One state: H, C [n] and an int y_prev -> (H', C', dist [V]).
-        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', dist [B,V]).
+        One state: H, C [n] and an int y_prev -> (H', C', logprobs [V]).
+        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', logprobs [B,V]).
         A stack steps rows only, with a leading member axis K: H, C [K,B,n]
-        and y_prev [B] -> (H', C', dist [K,B,V]).
-        Row ids are not range-checked: only the search makes them.
+        and y_prev [B] -> (H', C', logprobs [K,B,V]).
+        The input projection comes from the session's tables, so the gates
+        equal training's to rounding, not bit for bit. Row ids are not
+        range-checked: only the search makes them.
         """
-        params, source = self.params, self._source
-        w, E = params.wiring, params.embed.value
+        P_y = self._P_y
         one = H.ndim == 1
         if one:
-            if not 0 <= y_prev < len(E):
+            if not 0 <= y_prev < len(P_y):
                 raise DimensionError(f"y_prev id {y_prev} out of range "
-                                     f"for a vocabulary of {len(E)}")
-        elif H.ndim != E.ndim:
-            raise DimensionError(f"decoder states of shape {H.shape} for embeddings of "
-                                 f"shape {E.shape}: a stack steps rows [K, B, n]")
-        # decoder input columns in training's order: [e|context, y_prev, x_t];
+                                     f"for a vocabulary of {len(P_y)}")
+        elif H.ndim != P_y.ndim:
+            raise DimensionError(f"decoder states of shape {H.shape} for a decoder with "
+                                 f"tables of shape {P_y.shape}: a stack steps rows [K, B, n]")
         # row ids index the vocabulary axis, a stack's second
-        parts = [E[y_prev] if one else E.take(y_prev, axis=-2)]
-        if w.e_per_step:
-            parts.insert(0, source.e if one else _rows(source.e, len(y_prev)))
-        elif w.attention:
-            parts.insert(0, attention_context(params, source, H)[0])
-        if w.consumes_source:
-            x = source.x_ids
-            x_t = x[t] if t < len(x) else EPS
-            parts.append(E[x_t] if one else _rows(E[..., x_t, :], len(y_prev)))
-        X = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        H, C = lstm.lstm_step(params.dec, X, H, C)[:2]
-        logits = H @ params.out_W.value.mT + params.out_b.value
-        return H, C, ad.masked_softmax(logits, MASKED_OUTPUT_IDS)
-
-
-def _rows(v, B):
-    """A per-source vector [m] (a stack's [K, m]) repeated as B rows."""
-    return v[..., None, :].repeat(B, axis=-2)
+        ZX = self._zx[min(t, len(self._zx) - 1)] + (P_y[y_prev] if one
+                                                     else P_y.take(y_prev, axis=-2))
+        params = self.params
+        if params.wiring.attention:
+            ZX = ZX + attention_context(params, self._source, H)[0] @ self._W_ctx
+        H, C = lstm.lstm_step(params.dec, ZX, H, C)[:2]
+        return H, C, ad.log_softmax(H @ params.out_W.value.mT + self._out_b)
 
 
 # --- persistence -----------------------------------------------------------

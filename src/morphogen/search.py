@@ -1,8 +1,12 @@
 """Greedy and beam decoding over one model or an ensemble.
 
-Ensembles combine per-step distributions as a product of experts,
-p(i) proportional to prod_j p_j(i)**(1/k). An optional character LM joins in
-as p_model(i) * p_lm(i)**lambda, renormalized each step. Beam search retires
+Decoding works in log space: every step distribution is a vector of
+log-probs, -inf where a symbol cannot follow. Ensembles combine them as a
+product of experts, p(i) proportional to prod_j p_j(i)**(1/k): the mean of
+the members' log-probs, renormalized by one log-sum-exp. An optional
+character LM joins in as p_model(i) * p_lm(i)**lambda: lambda * log p_lm is
+added and the sum renormalized the same way. A hypothesis's score is the sum
+of its steps' log-probs. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
@@ -15,6 +19,10 @@ one state for a single model and one row per member for an ensemble, beam
 search all live hypotheses as the rows [B, ·] of each step call; both go
 through _next_dist, and the combiners below work row by row on [B, V] arrays
 as well as on single distributions.
+
+Summing log-probs keeps the members' tails that probabilities lose to
+underflow: two members at log-probs [0, -800] and [-800, 0] combine to
+[log 0.5, log 0.5], where exp(-800) == 0 would leave no common support.
 """
 
 from dataclasses import dataclass
@@ -22,6 +30,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .autodiff import log_softmax
 from .charlm import BOW, EOW
 from .data import open_text, split_fields
 from .errors import DataError, SearchError
@@ -51,39 +60,43 @@ class DecodeResult:
         return vocab.decode(self.ids)
 
 
-def ensemble_next_dist(dists):
-    """Product of experts: geometric mean of the member distributions.
+def _renormalized(lp, empty):
+    """Log-probs lp renormalized over the last axis by one log-sum-exp;
+    a row with no finite entry raises SearchError(empty)."""
+    if (lp.max(axis=-1) == -np.inf).any():
+        raise SearchError(empty)
+    return log_softmax(lp)
 
-    Each member gives one distribution [V], or one per row [B, V]; dists is
-    a sequence of them, or one array [K, ...] of the K members' in order.
+
+def ensemble_next_dist(dists):
+    """Product of experts: the normalized geometric mean of the member
+    distributions, in log space.
+
+    Each member gives one log-prob vector [V], or one per row [B, V]; dists
+    is a sequence of them, or one array [K, ...] of the K members' in order.
+    Returns log-probs of the same shape as one member's (a copy for k = 1).
     """
     k = len(dists)
     if k == 0:
         raise SearchError("ensemble_next_dist needs at least one distribution")
     if k == 1:
         return np.array(dists[0], dtype=np.float64)
-    stacked = np.asarray(dists, dtype=np.float64)
-    combined = np.exp(np.log(np.maximum(stacked, 1e-300)).mean(axis=0))
-    combined[np.any(stacked == 0.0, axis=0)] = 0.0
-    z = combined.sum(axis=-1, keepdims=True)
-    if np.any(z <= 0.0):
-        raise SearchError("ensemble distributions have disjoint support")
-    return combined / z
+    # sum / k is what ndarray.mean computes, without its Python-level wrapper
+    return _renormalized(np.asarray(dists, dtype=np.float64).sum(axis=0) / k,
+                         "ensemble distributions have disjoint support")
 
 
 def interpolated_next_dist(model_dist, lm_dist, lam):
-    """p(i) proportional to p_model(i) * p_lm(i)**lam, renormalized (per row
-    for [B, V] arrays)."""
+    """log of p_model(i) * p_lm(i)**lam renormalized, from log-probs (per
+    row for [B, V] arrays). At lam = 0 the model's log-probs come back as a
+    copy, with no lam * log p_lm term: a -inf LM log-prob would make it NaN."""
     if not 0 <= lam < np.inf:
         raise SearchError(f"interpolation weight must be a finite number >= 0, got {lam}")
     model_dist = np.asarray(model_dist, dtype=np.float64)
     if lam == 0:
         return model_dist.copy()
-    combined = model_dist * np.asarray(lm_dist, dtype=np.float64) ** lam
-    z = combined.sum(axis=-1, keepdims=True)
-    if np.any(z <= 0.0):
-        raise SearchError("interpolated distribution has zero mass")
-    return combined / z
+    return _renormalized(model_dist + lam * np.asarray(lm_dist, dtype=np.float64),
+                         "interpolated distribution has zero mass")
 
 
 def lm_history(vocab, order, prefix_ids):
@@ -94,12 +107,12 @@ def lm_history(vocab, order, prefix_ids):
 
 
 def lm_next_dist(lm, vocab, prefix_ids):
-    """LM next-char probabilities mapped onto vocab ids (EOS carries EOW).
+    """LM next-char log-probs mapped onto vocab ids (EOS carries EOW).
 
-    BOS and EPS get zero; the vector is a scoring bridge, not normalized
-    over the vocab, and is meant for the renormalizing combiners above. It is
-    memoised per (vocabulary, history) in the LM's bridge_cache, so the
-    returned array is shared and read-only.
+    BOS and EPS get -inf; the vector is a scoring bridge, not normalized
+    over the vocab, and is meant for the renormalizing combiners above and
+    for interpolated training. It is memoised per (vocabulary, history) in
+    the LM's bridge_cache, so the returned array is shared and read-only.
     """
     history = lm_history(vocab, lm.order, prefix_ids)
     key = (vocab.data_chars, history)
@@ -110,6 +123,8 @@ def lm_next_dist(lm, vocab, prefix_ids):
         dist[UNK] = lm.prob(history, "\x00")
         for i in vocab.data_ids():
             dist[i] = lm.prob(history, vocab.token_of(i))
+        with np.errstate(divide="ignore"):
+            dist = np.log(dist)
         dist.flags.writeable = False
         lm.bridge_cache[key] = dist
     return dist
@@ -145,7 +160,7 @@ def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
 
     states holds one (h, c) per session, as one state or as B rows, with a
     leading member axis for a stack; returns the stepped states and the
-    combined distribution [V] or [B, V].
+    combined log-probs [V] or [B, V].
     """
     stepped, dists = [], []
     for sess, (H, C) in zip(sessions, states):
@@ -181,8 +196,8 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
                                   lm_dist, lam)
         if rows:
             dist = dist[0]
-        choice = int(np.argmax(dist))
-        logprob += float(np.log(dist[choice]))
+        choice = int(dist.argmax())
+        logprob += float(dist[choice])
         if choice == EOS:
             return DecodeResult(ids, logprob, truncated=False)
         ids += (choice,)
@@ -210,8 +225,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
         lm_dist = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
         stepped, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
-        with np.errstate(divide="ignore"):
-            scores = np.array(live_lp)[:, None] + np.log(dist)
+        scores = np.array(live_lp)[:, None] + dist
         # EOS expansions compete with content expansions for the width slots;
         # surviving EOS branches retire, so width 1 walks the greedy path.
         best = _best(scores.ravel(), live_ids, width)

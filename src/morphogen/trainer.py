@@ -209,8 +209,7 @@ def train_interpolated(dataset, tag, lm, config, log=None):
 
     def lm_logprobs(word):
         y_ids = vocab.encode(word)
-        with np.errstate(divide="ignore"):
-            return [np.log(lm_next_dist(lm, vocab, y_ids[:t])) for t in range(len(y_ids) + 1)]
+        return [lm_next_dist(lm, vocab, y_ids[:t]) for t in range(len(y_ids) + 1)]
 
     # the LM is fixed: each target's per-step log-probs are taken once per run
     logprobs = {ex.inflected: lm_logprobs(ex.inflected) for ex in train}

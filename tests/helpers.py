@@ -4,16 +4,16 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from morphogen import autodiff as ad
 from morphogen import lstm, search
 from morphogen import model as mod
-from morphogen.charlm import train_lm
+from morphogen.charlm import BOW, EOW, train_lm
 from morphogen.errors import DimensionError
 from morphogen.model import DecodeSession, forward_variant
 from morphogen.reranker import RerankGroup
-from morphogen.vocab import BOS, EOS, EPS
+from morphogen.vocab import BOS, EOS, EPS, N_SPECIAL, UNK
 
 
 def randomize_params(model, seed, scale=0.5):
@@ -449,6 +449,12 @@ def zero_state(hidden_size):
     return LSTMState(h=constant(np.zeros(hidden_size)), c=constant(np.zeros(hidden_size)))
 
 
+def cell_step(params, x, h, c):
+    """lstm.lstm_step on an input vector x, its projection x @ W_x.T + b
+    formed as lstm.run_cached forms it."""
+    return lstm.lstm_step(params, x @ params.W_x.value.mT + params.b.value, h, c)
+
+
 def taped_lstm_step(tape, params, x, prev):
     """lstm.lstm_step on a state of Nodes, recorded as one op with outputs h and c."""
     n = params.hidden_size
@@ -457,7 +463,7 @@ def taped_lstm_step(tape, params, x, prev):
     if xv.shape[0] != params.input_size:
         raise DimensionError(
             f"lstm {params.name}: input {xv.shape} vs expected ({params.input_size},)")
-    h, c, sig, g, tc = lstm.lstm_step(params, xv, hv, cv)
+    h, c, sig, g, tc = cell_step(params, xv, hv, cv)
     h, c = Node(h), Node(c)
     if tape is not None:
         W_x, W_h, b = params.W_x, params.W_h, params.b
@@ -659,6 +665,36 @@ def reference_adadelta_step(params, grads, acc, l2=0.0, rho=0.95, eps=1e-6):
 
 
 # --- reference searches -----------------------------------------------------
+# The oracles work in log space, as the product does, but combine members and
+# the LM with their own code, never search's combiners: the mean of the
+# members' log-probs plus lam * log p_lm, renormalized.
+
+def _lm_logprobs(lm, vocab, prefix_ids):
+    """The LM bridge's log-probs, computed afresh from lm.prob (no memo):
+    the history is the last order - 1 characters of the start-padded
+    output, a special id standing as NUL."""
+    surface = "".join(vocab.token_of(i) if i >= N_SPECIAL else "\x00" for i in prefix_ids)
+    history = (BOW * lm.order + surface)[len(surface) + 1:]
+    p = np.zeros(len(vocab))
+    p[EOS] = lm.prob(history, EOW)
+    p[UNK] = lm.prob(history, "\x00")
+    for i in vocab.data_ids():
+        p[i] = lm.prob(history, vocab.token_of(i))
+    with np.errstate(divide="ignore"):
+        return np.log(p)
+
+
+def _combine_lse(member_lps, lm_lp, lam):
+    """Members' log-probs [V] and the LM's -> the combined log-probs, through
+    scipy's logsumexp: the same distribution as search's, not the same bits."""
+    lp = np.mean(member_lps, axis=0)
+    lp = lp - logsumexp(lp)
+    if lm_lp is not None and lam != 0:
+        lp = lp + lam * lm_lp
+        lp = lp - logsumexp(lp)
+    return lp
+
+
 # exhaustive_decode walks the complete search tree of one model: the oracle
 # for a beam wide enough to keep every path.
 
@@ -668,10 +704,10 @@ def exhaustive_decode(model, x_ids, max_len):
     out = []
 
     def rec(state, ids, lp, t):
-        h, c, dist = sess.step(*state, ids[-1] if ids else BOS, t)
-        for i in np.flatnonzero(dist > 0.0):
+        h, c, logprobs = sess.step(*state, ids[-1] if ids else BOS, t)
+        for i in np.flatnonzero(logprobs > -np.inf):
             i = int(i)
-            lp2 = lp + float(np.log(dist[i]))
+            lp2 = lp + float(logprobs[i])
             if i == EOS:
                 out.append(search.DecodeResult(ids, lp2, truncated=False))
             elif t + 1 == max_len:
@@ -698,13 +734,11 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         for ids, logprob, states in live:
             y_prev = ids[-1] if ids else BOS
             stepped = [s.step(h, c, y_prev, t) for s, (h, c) in zip(sessions, states)]
-            dist = search.ensemble_next_dist([d for _, _, d in stepped])
-            if lm is not None:
-                dist = search.interpolated_next_dist(
-                    dist, search.lm_next_dist(lm, vocab, ids), lam)
-            for i in np.flatnonzero(dist > 0.0):
+            logprobs = _combine_lse([d for _, _, d in stepped],
+                                    None if lm is None else _lm_logprobs(lm, vocab, ids), lam)
+            for i in np.flatnonzero(logprobs > -np.inf):
                 i = int(i)
-                lp = logprob + float(np.log(dist[i]))
+                lp = logprob + float(logprobs[i])
                 cands.append((-lp, ids + (i,), lp, tuple((h, c) for h, c, _ in stepped)))
         cands.sort(key=lambda c: (c[0], c[1]))
         live = []
@@ -722,19 +756,27 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
 
 # --- per-member search --------------------------------------------------------
 # greedy_decode and beam_decode with one DecodeSession per member, each member
-# stepped on its own and the members' distributions combined as a list: the
-# oracle that search's stacked sessions must equal bit for bit.
+# stepped on its own and the members' log-probs combined from a list: the
+# oracle that search's stacked sessions must equal bit for bit. Its combine
+# is its own code, in the arithmetic order that makes bits comparable: the
+# mean as a running sum over members divided by k, then the maximum
+# subtracted and the log of the exponentials' sum.
 
-def _per_member_next_dist(sessions, states, y_prev, t, lm_dist, lam):
-    stepped, dists = [], []
+def _renormalized(lp):
+    lp = lp - lp.max(axis=-1, keepdims=True)
+    return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
+
+
+def _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam):
+    stepped, lps = [], []
     for sess, (H, C) in zip(sessions, states):
-        H, C, dist = sess.step(H, C, y_prev, t)
+        H, C, lp = sess.step(H, C, y_prev, t)
         stepped.append((H, C))
-        dists.append(dist)
-    dist = search.ensemble_next_dist(dists)
-    if lm_dist is not None:
-        dist = search.interpolated_next_dist(dist, lm_dist, lam)
-    return stepped, dist
+        lps.append(lp)
+    lp = lps[0] if len(lps) == 1 else _renormalized(sum(lps[1:], lps[0]) / len(lps))
+    if lm_lp is not None and lam != 0:
+        lp = _renormalized(lp + lam * lm_lp)
+    return stepped, lp
 
 
 def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
@@ -743,11 +785,11 @@ def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     states = [s.initial_state() for s in sessions]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
-        lm_dist = search.lm_next_dist(lm, vocab, ids) if lm is not None else None
-        states, dist = _per_member_next_dist(sessions, states, ids[-1] if ids else BOS, t,
-                                             lm_dist, lam)
-        choice = int(np.argmax(dist))
-        logprob += float(np.log(dist[choice]))
+        lm_lp = _lm_logprobs(lm, vocab, ids) if lm is not None else None
+        states, lp = _per_member_next_dist(sessions, states, ids[-1] if ids else BOS, t,
+                                           lm_lp, lam)
+        choice = int(np.argmax(lp))
+        logprob += float(lp[choice])
         if choice == EOS:
             return search.DecodeResult(ids, logprob, truncated=False)
         ids += (choice,)
@@ -763,11 +805,10 @@ def per_member_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     pool = []
     for t in range(max_len):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
-        lm_dist = np.array([search.lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
+        lm_lp = np.array([_lm_logprobs(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
-        stepped, dist = _per_member_next_dist(sessions, states, y_prev, t, lm_dist, lam)
-        with np.errstate(divide="ignore"):
-            scores = np.array(live_lp)[:, None] + np.log(dist)
+        stepped, lp = _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam)
+        scores = np.array(live_lp)[:, None] + lp
         best = search._best(scores.ravel(), live_ids, width)
         rows, live_ids, live_lp = [], [], []
         for ids, lp, row in best:

@@ -164,7 +164,7 @@ def test_criterion_05_ensemble_identities():
         for a, b in zip(trio, single):
             assert abs(a.logprob - b.logprob) < 1e-9
     # normalized geometric mean of [3/4, 1/4] and [1/2, 1/2] by hand
-    got = ensemble_next_dist([np.array([0.75, 0.25]), np.array([0.5, 0.5])])
+    got = np.exp(ensemble_next_dist([np.log([0.75, 0.25]), np.log([0.5, 0.5])]))
     root3 = math.sqrt(3.0)
     assert abs(got[0] - (3.0 - root3) / 2.0) < 1e-12
     assert abs(got[1] - (root3 - 1.0) / 2.0) < 1e-12
@@ -229,7 +229,7 @@ def test_criterion_07_interpolation_identities():
             lm_dist = lm_next_dist(uniform, vocab, prefix)
             for lam in (0.3, 1.0, 2.5):
                 mixed = interpolated_next_dist(dist, lm_dist, lam)
-                assert np.max(np.abs(mixed - dist)) <= 1e-12
+                assert np.max(np.abs(np.exp(mixed) - np.exp(dist))) <= 1e-12
             choice = int(np.argmax(dist))
             if choice == EOS:
                 break

@@ -26,11 +26,13 @@ def _model(variant, seed=3, hidden=4):
 
 
 def _training_step(m, source, h, c, y_prev, t):
-    """The per-op training path run untaped: decoder_step, the output affine, masked_softmax."""
+    """The per-op training path run untaped: decoder_step, the output affine,
+    the log of masked_softmax."""
     state = decoder_step(None, m, source, LSTMState(constant(h), constant(c)), y_prev, t)
     logits = affine(None, m.out_W, state.h, m.out_b)
-    dist = ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS)
-    return state.h.value, state.c.value, dist
+    with np.errstate(divide="ignore"):
+        logprobs = np.log(ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS))
+    return state.h.value, state.c.value, logprobs
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -58,15 +60,17 @@ def test_step_many_rows_equal_step(variant, B):
 
 
 def _rows(rng, B, V, zero=()):
+    """B rows of log-probs over V ids, -inf at the zero ids."""
     d = rng.random((B, V))
     d[:, list(zero)] = 0.0
-    return d / d.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return np.log(d / d.sum(axis=1, keepdims=True))
 
 
 def test_row_wise_combiners_equal_one_dimensional():
     rng = np.random.default_rng(0)
     members = [_rows(rng, 5, 7, zero=(0, 2)) for _ in range(3)]
-    members[1][3, 4] = 0.0      # a zero in one member's row only
+    members[1][3, 4] = -np.inf      # a zero in one member's row only
     lm = _rows(rng, 5, 7, zero=(0,))
     ens = se.ensemble_next_dist(members)
     assert np.array_equal(se.ensemble_next_dist(np.array(members)), ens)   # one [K, B, V] array
@@ -79,12 +83,13 @@ def test_row_wise_combiners_equal_one_dimensional():
 
 
 def test_row_wise_combiners_reject_a_bad_row():
-    good = np.array([[0.5, 0.5], [0.5, 0.5]])
+    half, inf = np.log(0.5), np.inf
+    good = np.array([[half, half], [half, half]])
     with pytest.raises(SearchError, match="disjoint"):
-        se.ensemble_next_dist([good, np.array([[0.5, 0.5], [0.0, 1.0]]),
-                               np.array([[0.5, 0.5], [1.0, 0.0]])])
+        se.ensemble_next_dist([good, np.array([[half, half], [-inf, 0.0]]),
+                               np.array([[half, half], [0.0, -inf]])])
     with pytest.raises(SearchError, match="zero mass"):
-        se.interpolated_next_dist(good, np.array([[0.5, 0.5], [0.0, 0.0]]), 1.0)
+        se.interpolated_next_dist(good, np.array([[half, half], [-inf, -inf]]), 1.0)
 
 
 def _bridge_uncached(lm, vocab, prefix_ids):
@@ -94,7 +99,8 @@ def _bridge_uncached(lm, vocab, prefix_ids):
     dist[UNK] = lm.prob(history, "\x00")
     for i in vocab.data_ids():
         dist[i] = lm.prob(history, vocab.token_of(i))
-    return dist
+    with np.errstate(divide="ignore"):
+        return np.log(dist)
 
 
 def test_lm_bridge_memo_exact_read_only_and_per_vocab():
@@ -106,7 +112,7 @@ def test_lm_bridge_memo_exact_read_only_and_per_vocab():
         assert se.lm_next_dist(lm, VOCAB, prefix) is got   # served from the memo
         assert not got.flags.writeable
         with pytest.raises(ValueError):
-            got[EOS] = 0.5
+            got[EOS] = -0.5
         other = se.lm_next_dist(lm, wide, prefix)
         assert len(other) == len(wide) != len(got)
         assert np.array_equal(other, _bridge_uncached(lm, wide, prefix))

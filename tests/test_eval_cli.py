@@ -331,6 +331,18 @@ def test_cli_evaluate_models_dir(workspace, capsys):
     assert "macro\t" in out
 
 
+def test_cli_evaluate_rejects_model_with_models_dir(workspace, tmp_path, capsys):
+    # the --model entry would be left unread, so naming both is a usage error
+    missing = tmp_path / "missing.ckpt"
+    rc = cli.main(["evaluate", "--models-dir", workspace["joint"], "--model", str(missing),
+                   "--data", workspace["test.tsv"]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--model or --models-dir, not both" in captured.err
+
+
 def test_cli_evaluate_tag_equals_path_syntax(workspace, tmp_path, capsys):
     # a tag without '=' works as well as the synthetic data's case=...
     data = tmp_path / "simple.tsv"

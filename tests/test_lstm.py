@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (concat, constant, gradient_check, run_sequence, taped_encode_bidirectional,
-                     taped_lstm_step, usum, zero_state)
+from helpers import (cell_step, concat, constant, gradient_check, run_sequence,
+                     taped_encode_bidirectional, taped_lstm_step, usum, zero_state)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -40,14 +40,14 @@ def test_scalar_cell_hand_computed():
     # all four preactivations are 1, so c' = sigmoid(1)*tanh(1) and
     # h' = sigmoid(1)*tanh(c')
     p = _const_params("cell", 1, 1, 1.0)
-    h, c = lstm.lstm_step(p, np.array([1.0]), np.zeros(1), np.zeros(1))[:2]
+    h, c = cell_step(p, np.array([1.0]), np.zeros(1), np.zeros(1))[:2]
     assert abs(c[0] - 0.5567699411459397) < 1e-12
     assert abs(h[0] - 0.36960635293570576) < 1e-12
 
 
 def test_zero_weights_give_zero_hidden_state():
     p = _const_params("cell", 2, 3, 0.0)
-    h, c = lstm.lstm_step(p, np.array([5.0, -5.0]), np.zeros(3), np.zeros(3))[:2]
+    h, c = cell_step(p, np.array([5.0, -5.0]), np.zeros(3), np.zeros(3))[:2]
     assert np.array_equal(h, np.zeros(3))
     assert np.array_equal(c, np.zeros(3))
 
@@ -57,7 +57,7 @@ def test_hidden_state_bounded_below_one():
     rng = np.random.default_rng(1)
     h = c = np.zeros(6)
     for _ in range(20):
-        h, c = lstm.lstm_step(p, rng.normal(0.0, 3.0, 4), h, c)[:2]
+        h, c = cell_step(p, rng.normal(0.0, 3.0, 4), h, c)[:2]
         assert np.all(np.abs(h) < 1.0)
 
 
@@ -72,7 +72,7 @@ def test_run_sequence_matches_manual_fold():
     for x, got, got_h, step in zip(vs, states, hs, cache):
         # each cache entry keeps the state its step started from
         assert np.array_equal(step[1], h) and np.array_equal(step[2], c)
-        h, c = lstm.lstm_step(p, x, h, c)[:2]
+        h, c = cell_step(p, x, h, c)[:2]
         assert np.array_equal(h, got.h.value)
         assert np.array_equal(c, got.c.value)
         assert np.array_equal(h, got_h)
@@ -144,8 +144,8 @@ def test_bidirectional_length_one_halves():
     bwd = _random_params("enc.bwd", 2, 3, seed=8)
     x = np.array([0.4, -1.1])
     fwd_hs, bwd_hs = lstm.encode_bidirectional(fwd, bwd, [x])[:2]
-    hf = lstm.lstm_step(fwd, x, np.zeros(3), np.zeros(3))[0]
-    hb = lstm.lstm_step(bwd, x, np.zeros(3), np.zeros(3))[0]
+    hf = cell_step(fwd, x, np.zeros(3), np.zeros(3))[0]
+    hb = cell_step(bwd, x, np.zeros(3), np.zeros(3))[0]
     assert len(fwd_hs) == len(bwd_hs) == 1
     assert np.array_equal(fwd_hs[0], hf)
     assert np.array_equal(bwd_hs[0], hb)

@@ -79,7 +79,8 @@ def test_step_distribution_masks_and_normalizes():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
         sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-        _, _, dist = sess.step(*sess.initial_state(), BOS, 0)
+        _, _, logprobs = sess.step(*sess.initial_state(), BOS, 0)
+        dist = np.exp(logprobs)
         assert dist[BOS] == 0.0 and dist[EPS] == 0.0
         assert abs(dist.sum() - 1.0) < 1e-12
         assert np.all(dist >= 0.0)
@@ -90,8 +91,8 @@ def test_session_consumes_epsilon_past_source_end():
     sess = mod.DecodeSession(m, VOCAB.encode("ab"))
     h, c = sess.initial_state()
     for t in range(6):  # steps 2.. feed the learned epsilon symbol
-        h, c, dist = sess.step(h, c, 4, t)
-        assert abs(dist.sum() - 1.0) < 1e-12
+        h, c, logprobs = sess.step(h, c, 4, t)
+        assert abs(np.exp(logprobs).sum() - 1.0) < 1e-12
 
 
 def test_forward_rejects_empty_source():
@@ -126,7 +127,7 @@ def test_training_loss_matches_inference_distributions():
         for t, target in enumerate(targets):
             y_prev = BOS if t == 0 else targets[t - 1]
             h, c, dist = sess.step(h, c, y_prev, t)
-            total -= np.log(dist[target])
+            total -= dist[target]
         loss = mod.forward_variant(None, m, x, y)
         assert abs(loss - total) < 1e-9, variant
 

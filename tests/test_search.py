@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from helpers import exhaustive_decode, randomize_params
 from morphogen import search as se
@@ -31,43 +32,67 @@ def test_ensemble_requires_members():
 
 
 def test_ensemble_single_member_is_identity_copy():
-    d = np.array([0.25, 0.75])
+    d = np.log([0.25, 0.75])
     out = se.ensemble_next_dist([d])
     assert np.array_equal(out, d)
     assert out is not d
 
 
 def test_ensemble_identical_members_unchanged():
-    d = np.array([0.1, 0.2, 0.7])
+    d = np.log([0.1, 0.2, 0.7])
     for k in (2, 3, 5):
         out = se.ensemble_next_dist([d] * k)
         assert np.max(np.abs(out - d)) < 1e-12
 
 
 def test_ensemble_symmetric_pair_averages_to_half():
-    out = se.ensemble_next_dist([np.array([0.8, 0.2]), np.array([0.2, 0.8])])
+    out = np.exp(se.ensemble_next_dist([np.log([0.8, 0.2]), np.log([0.2, 0.8])]))
     assert np.max(np.abs(out - 0.5)) < 1e-12
 
 
 def test_ensemble_hand_value_geometric_mean():
     # p0 proportional to sqrt(0.9 * 0.25), p1 to sqrt(0.1 * 0.75);
     # the ratio is sqrt(3), so p0 = (3 - sqrt(3)) / 2
-    out = se.ensemble_next_dist([np.array([0.9, 0.1]), np.array([0.25, 0.75])])
+    out = np.exp(se.ensemble_next_dist([np.log([0.9, 0.1]), np.log([0.25, 0.75])]))
     want0 = (3.0 - math.sqrt(3.0)) / 2.0
     assert abs(out[0] - want0) < 1e-12
     assert abs(out[1] - (1.0 - want0)) < 1e-12
 
 
 def test_ensemble_preserves_zeros():
-    out = se.ensemble_next_dist([np.array([0.5, 0.5, 0.0]),
-                                 np.array([0.2, 0.4, 0.4])])
-    assert out[2] == 0.0
-    assert abs(out.sum() - 1.0) < 1e-12
+    out = se.ensemble_next_dist([np.array([np.log(0.5), np.log(0.5), -np.inf]),
+                                 np.log([0.2, 0.4, 0.4])])
+    assert out[2] == -np.inf
+    assert abs(np.exp(out).sum() - 1.0) < 1e-12
 
 
 def test_ensemble_disjoint_support_rejected():
     with pytest.raises(SearchError, match="disjoint"):
-        se.ensemble_next_dist([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        se.ensemble_next_dist([np.array([0.0, -np.inf]), np.array([-np.inf, 0.0])])
+    # the true case, past underflow: no id has a finite log-prob in both
+    with pytest.raises(SearchError, match="disjoint"):
+        se.ensemble_next_dist([np.array([0.0, -800.0, -np.inf]),
+                               np.array([-np.inf, -np.inf, 0.0])])
+
+
+def _masked_log_softmax(logits, masked):
+    z = np.array(logits, dtype=float)
+    z[list(masked)] = -np.inf
+    return z - logsumexp(z)
+
+
+def test_ensemble_keeps_tails_that_probabilities_underflow():
+    # exp(-800) underflows to 0.0: in probability space these two members,
+    # id 2 masked, share no support; their geometric mean is [0.5, 0.5, 0]
+    members = [_masked_log_softmax([0.0, -800.0, 0.0], (2,)),
+               _masked_log_softmax([-800.0, 0.0, 0.0], (2,))]
+    assert np.exp(members[0][1]) == 0.0 and np.exp(members[1][0]) == 0.0
+    out = se.ensemble_next_dist(members)
+    assert np.all(np.isfinite(out[:2])) and out[2] == -np.inf
+    assert np.max(np.abs(np.exp(out) - [0.5, 0.5, 0.0])) < 1e-12
+    # a member stack [K, B, V] takes the same path
+    rows = se.ensemble_next_dist(np.array(members)[:, None])
+    assert np.array_equal(rows[0], out)
 
 
 def test_interpolation_negative_lambda_rejected():
@@ -82,25 +107,25 @@ def test_interpolation_non_finite_lambda_rejected(lam):
 
 
 def test_interpolation_lambda_zero_returns_model_copy():
-    d = np.array([0.3, 0.7])
-    out = se.interpolated_next_dist(d, np.array([0.9, 0.1]), 0.0)
+    d = np.log([0.3, 0.7])
+    out = se.interpolated_next_dist(d, np.log([0.9, 0.1]), 0.0)
     assert np.array_equal(out, d)
     assert out is not d
 
 
 def test_interpolation_hand_values():
-    model = np.array([0.9, 0.1])
-    lm = np.array([0.25, 0.75])
-    out1 = se.interpolated_next_dist(model, lm, 1.0)
+    model = np.log([0.9, 0.1])
+    lm = np.log([0.25, 0.75])
+    out1 = np.exp(se.interpolated_next_dist(model, lm, 1.0))
     assert np.max(np.abs(out1 - [0.75, 0.25])) < 1e-12
     # at lambda=2 the products tie: 0.9*0.0625 == 0.1*0.5625
-    out2 = se.interpolated_next_dist(model, lm, 2.0)
+    out2 = np.exp(se.interpolated_next_dist(model, lm, 2.0))
     assert np.max(np.abs(out2 - 0.5)) < 1e-12
 
 
 def test_interpolation_zero_mass_rejected():
     with pytest.raises(SearchError, match="zero mass"):
-        se.interpolated_next_dist(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
+        se.interpolated_next_dist(np.array([0.0, -np.inf]), np.array([-np.inf, 0.0]), 1.0)
 
 
 def test_lm_history_padding_window_and_specials():
@@ -117,11 +142,11 @@ def test_lm_next_dist_bridges_probabilities():
     prefix = [4]
     d = se.lm_next_dist(lm, VOCAB, prefix)
     h = se.lm_history(VOCAB, lm.order, prefix)
-    assert d[BOS] == 0.0 and d[EPS] == 0.0
-    assert d[EOS] == lm.prob(h, EOW)
-    assert d[UNK] == lm.prob(h, "\x00")
-    assert d[4] == lm.prob(h, "a")
-    assert d[5] == lm.prob(h, "b")
+    assert d[BOS] == -np.inf and d[EPS] == -np.inf
+    assert d[EOS] == np.log(lm.prob(h, EOW))
+    assert d[UNK] == np.log(lm.prob(h, "\x00"))
+    assert d[4] == np.log(lm.prob(h, "a"))
+    assert d[5] == np.log(lm.prob(h, "b"))
 
 
 def test_decode_validates_arguments():
@@ -240,7 +265,7 @@ def _replay_logprob(models, x_ids, result, lm=None, lam=1.0):
         dist = se.ensemble_next_dist(dists)
         if lm is not None:
             dist = se.interpolated_next_dist(dist, se.lm_next_dist(lm, models[0].vocab, prefix), lam)
-        total += float(np.log(dist[choice]))
+        total += float(dist[choice])
         prefix.append(choice)
     return total
 

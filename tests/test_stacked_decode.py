@@ -11,7 +11,8 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import per_member_beam_decode, per_member_greedy_decode, randomize_params
+from helpers import (per_member_beam_decode, per_member_greedy_decode, randomize_params,
+                     reference_beam_decode)
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import train_lm
@@ -20,7 +21,8 @@ from morphogen.model import VARIANTS, DecodeSession, init_model
 from morphogen.vocab import CharVocab
 
 VOCAB = CharVocab("abcd")
-LM = train_lm(["abca", "bacab", "cab", "ab", "cca", "dab", "adda"], order=3)
+LM_WORDS = ["abca", "bacab", "cab", "ab", "cca", "dab", "adda"]
+LM = train_lm(LM_WORDS, order=3)
 WORDS = ("a", "abc", "cabba", "dacdbab")
 
 
@@ -55,6 +57,28 @@ def test_homogeneous_stack_equals_per_member_search(variant, k, with_lm):
     sessions = se._sessions(models, VOCAB.encode("ab"))
     assert len(sessions) == 1 and sessions[0].stacked
     _assert_same_as_per_member(models, LM if with_lm else None, lam=0.7)
+
+
+@pytest.mark.parametrize("order", (1, 12), ids=("order-1", "order-past-max-len"))
+def test_lm_orders_at_the_edges(order):
+    """An order-1 LM conditions on no history (lm_history's empty window); an
+    order longer than max_len start-pads every history it is asked for."""
+    lm = train_lm(LM_WORDS, order=order)
+    models = [_model("full", 1), _model("full", 2), _model("attention", 3)]
+    for members in (models[:1], models):
+        _assert_same_as_per_member(members, lm, lam=0.8)
+        for word, width in zip(WORDS, (3, 8, 5, 4)):
+            x = VOCAB.encode(word)
+            max_len = len(x) + 3
+            assert order == 1 or order > max_len
+            got = se.beam_decode(members, x, width, max_len, lm=lm, lam=0.8)
+            want = reference_beam_decode(members, x, width, max_len, lm=lm, lam=0.8)
+            greedy = se.greedy_decode(members, x, max_len, lm=lm, lam=0.8)
+            want_greedy = reference_beam_decode(members, x, 1, max_len, lm=lm, lam=0.8)
+            for got, want in ((got, want), ([greedy], want_greedy)):
+                assert [(r.ids, r.truncated) for r in got] == [(r.ids, r.truncated) for r in want]
+                for g, w in zip(got, want):
+                    assert abs(g.logprob - w.logprob) < 1e-12
 
 
 MIXED = {
