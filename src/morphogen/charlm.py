@@ -45,8 +45,9 @@ class WittenBellLM:
             raise DataError("LM alphabet must not contain boundary symbols")
         self._succ = {}   # history -> {char: count}
         self._total = {}  # history -> c(history)
-        # (vocab data chars, history) -> read-only next-char log-probs, filled
-        # by search.lm_next_dist; emptied whenever a count changes
+        # (vocab data chars, last order - 1 output ids) -> read-only next-char
+        # log-probs, filled by search.lm_next_dist; emptied whenever a count
+        # changes
         self.bridge_cache = {}
 
     @property

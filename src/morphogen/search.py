@@ -10,6 +10,12 @@ of its steps' log-probs. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
+Every step distribution is a log-softmax, so each entry is <= 0 and a
+hypothesis's score never rises as it grows. Beam search therefore stops as
+soon as the pool holds `width` results and the best live score is strictly
+below the width-th of them: no descendant of a live hypothesis could reach
+the n-best, so the result is the one running to the end would give.
+
 Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one lstm_step for the run, with a leading
@@ -111,13 +117,15 @@ def lm_next_dist(lm, vocab, prefix_ids):
 
     BOS and EPS get -inf; the vector is a scoring bridge, not normalized
     over the vocab, and is meant for the renormalizing combiners above and
-    for interpolated training. It is memoised per (vocabulary, history) in
-    the LM's bridge_cache, so the returned array is shared and read-only.
+    for interpolated training. It is memoised in the LM's bridge_cache per
+    (vocabulary, last order - 1 ids), the ids that fix the history, so the
+    returned array is shared and read-only.
     """
-    history = lm_history(vocab, lm.order, prefix_ids)
-    key = (vocab.data_chars, history)
+    n = lm.order - 1
+    key = (vocab.data_chars, tuple(prefix_ids[-n:]) if n else ())
     dist = lm.bridge_cache.get(key)
     if dist is None:
+        history = lm_history(vocab, lm.order, prefix_ids)
         dist = np.zeros(len(vocab))
         dist[EOS] = lm.prob(history, EOW)
         dist[UNK] = lm.prob(history, "\x00")
@@ -208,6 +216,11 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
     """Up to `width` results sorted by log-prob, ties by output ids; lam as
     for greedy_decode.
 
+    The search ends at max_len, when no hypothesis is live, or as soon as
+    the pool holds `width` results and the best live score is strictly below
+    the width-th best of them: scores never rise (every step's log-probs are
+    <= 0), so no live hypothesis could still enter the n-best.
+
     The live hypotheses are rows of one [B, n] state batch per session
     ([K, B, n] for a stack); after each step the rows of the survivors'
     parents are gathered in their order, once per session.
@@ -238,6 +251,9 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
                 live_ids.append(ids)
                 live_lp.append(lp)
         if not rows:
+            break
+        if len(pool) >= width and live_lp[0] < sorted(r.logprob for r in pool)[-width]:
+            live_ids = []   # none of them, nor any descendant, is in the n-best
             break
         states = [(np.take(H, rows, axis=-2), np.take(C, rows, axis=-2)) for H, C in stepped]
     pool += [DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]

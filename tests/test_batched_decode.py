@@ -1,11 +1,12 @@
 """The batched beam path against the per-hypothesis one: DecodeSession.step on
 one state and on B rows against the taped training step, the row-wise
 combiners against their 1-D forms, the memoised LM bridge against a fresh
-computation, and beam_decode against the fully sorted reference beam in
-helpers.py."""
+computation, and beam_decode, with its early stop, against the fully sorted
+reference beam in helpers.py, which runs until no hypothesis is live."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (LSTMState, affine, constant, decoder_step, node_encode, randomize_params,
                      reference_beam_decode)
@@ -15,10 +16,11 @@ from morphogen import search as se
 from morphogen.charlm import EOW, WittenBellLM, train_lm
 from morphogen.errors import SearchError
 from morphogen.model import VARIANTS, DecodeSession, init_model
-from morphogen.vocab import EOS, UNK, CharVocab
+from morphogen.vocab import BOS, EOS, UNK, CharVocab
 
 VOCAB = CharVocab("abc")
 TOL = 1e-12
+LM_WORDS = ["abca", "bacab", "cab", "ab", "cca"]
 
 
 def _model(variant, seed=3, hidden=4):
@@ -129,6 +131,33 @@ def test_lm_bridge_memo_dropped_when_counts_change():
     assert not np.array_equal(before, after)
 
 
+def test_lm_bridge_memo_keyed_by_the_last_order_minus_one_ids():
+    lm = train_lm(["abca", "bacab", "cab", "ab"], order=3)
+    got = se.lm_next_dist(lm, VOCAB, (6, 4, 5))
+    assert se.lm_next_dist(lm, VOCAB, [5, 5, 6, 4, 5]) is got
+    assert se.lm_next_dist(lm, VOCAB, (4, 5)) is got
+    assert se.lm_next_dist(lm, VOCAB, (5,)) is not got   # history BOW b, not ab
+    assert len(lm.bridge_cache) == 2
+
+
+def test_lm_bridge_memo_of_order_one_has_one_entry_per_vocabulary():
+    """prefix[-0:] is the whole prefix; an order-1 window is empty."""
+    lm = train_lm(["abca", "bacab", "cab", "ab"], order=1)
+    wide = CharVocab("abcd")
+    for prefix in ((), (4,), (4, 5, 6), (6, 5, 4, UNK, 4)):
+        for vocab in (VOCAB, wide):
+            assert np.array_equal(se.lm_next_dist(lm, vocab, prefix),
+                                  _bridge_uncached(lm, vocab, ()))
+    assert len(lm.bridge_cache) == 2
+
+
+def test_lm_bridge_memo_with_unk_in_the_window():
+    lm = train_lm(["abca", "bacab", "cab", "ab"], order=3)
+    for prefix in ([UNK], [4, UNK], [UNK, 5], [6, UNK, UNK]):
+        assert np.array_equal(se.lm_next_dist(lm, VOCAB, prefix),
+                              _bridge_uncached(lm, VOCAB, prefix))
+
+
 def _tied_model(bias):
     """Output layer zeroed but for a bias: every step gives one fixed
     distribution, so candidates tie whenever they hold the same ids in another
@@ -145,7 +174,8 @@ def _tied_model(bias):
                                   [0.0, -0.2, 0.0, -1.0, 0.1, 0.6]),
                          ids=("uniform", "three-way-tie", "eos-ties-content",
                               "likelier-b"))
-@pytest.mark.parametrize("width", (1, 2, 3, 4, 5))
+# 40 is more than the 31 results of length <= 4 over "ab": nothing is cut
+@pytest.mark.parametrize("width", (1, 2, 3, 4, 5, 40))
 def test_ties_across_the_width_boundary_match_the_full_sort(bias, width):
     m = _tied_model(bias)
     x = m.vocab.encode("ab")
@@ -171,3 +201,88 @@ def test_beam_matches_reference_on_mixed_ensemble_with_lm():
             for g, w in zip(got, want):
                 assert abs(g.logprob - w.logprob) < TOL
                 assert type(g.logprob) is float and all(type(i) is int for i in g.ids)
+
+
+def test_beam_stops_once_the_n_best_is_settled(monkeypatch):
+    """A stacked ensemble with an LM at width 8, as the paper decodes: the
+    reference beam, which has no stop, steps all max_len times; beam_decode
+    stops earlier and returns the same n-best."""
+    models = [_model("full", seed) for seed in (5, 6, 7)]
+    lm = train_lm(LM_WORDS, order=3)
+    real_step, real_next_dist = DecodeSession.step, se._next_dist
+    for word in ("a", "abc", "cabba"):
+        x = VOCAB.encode(word)
+        max_len = len(x) + 6
+        assert len(se._sessions(models, x)) == 1      # one stack of three
+        ref_steps, steps = [], []
+
+        def ref_step(self, H, C, y_prev, t):
+            ref_steps.append(t)
+            return real_step(self, H, C, y_prev, t)
+
+        def next_dist(sessions, states, y_prev, t, lm_dist, lam):
+            steps.append(t)
+            return real_next_dist(sessions, states, y_prev, t, lm_dist, lam)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(DecodeSession, "step", ref_step)
+            want = reference_beam_decode(models, x, 8, max_len, lm=lm)
+        with monkeypatch.context() as mp:
+            mp.setattr(se, "_next_dist", next_dist)
+            got = se.beam_decode(models, x, 8, max_len, lm=lm, lam=1.0)
+        assert max(ref_steps) + 1 == max_len
+        assert steps == list(range(len(steps))) and len(steps) < max_len
+        assert [(r.ids, r.truncated) for r in got] == [(r.ids, r.truncated) for r in want]
+        for g, w in zip(got, want):
+            assert abs(g.logprob - w.logprob) < TOL
+
+
+@pytest.mark.parametrize("members", ((("full", 4),), (("full", 4),) * 3,
+                                     (("full", 4), ("full", 4), ("attention", 5),
+                                      ("no-encoder", 4))),
+                         ids=("single", "stack", "mixed"))
+@pytest.mark.parametrize("lam", (0.0, 0.5, 1.0, 2.5))
+@pytest.mark.parametrize("with_lm", (False, True), ids=("no-lm", "lm"))
+def test_next_dist_rows_are_nonpositive_with_a_finite_entry(members, lam, with_lm):
+    """The early stop rests on this: every step's log-probs are <= 0, so a
+    score never rises as its hypothesis grows."""
+    rng = np.random.default_rng(17)
+    lm = train_lm(LM_WORDS, order=3) if with_lm else None
+    B = 6
+    for seed in range(3):
+        models = [_model(v, seed + j, hidden=h) for j, (v, h) in enumerate(members)]
+        x = VOCAB.encode("abcab"[:seed + 2])
+        sessions = se._sessions(models, x)
+        states = [(rng.normal(size=(*h.shape[:-1], B, h.shape[-1])),
+                   rng.normal(size=(*c.shape[:-1], B, c.shape[-1])))
+                  for h, c in (s.initial_state() for s in sessions)]
+        for t in range(len(x) + 3):
+            prefixes = [tuple(rng.integers(4, len(VOCAB), size=rng.integers(0, 4)).tolist())
+                        for _ in range(B)]
+            y_prev = np.array([p[-1] if p else BOS for p in prefixes])
+            lm_dist = np.array([se.lm_next_dist(lm, VOCAB, p) for p in prefixes]) \
+                if lm is not None else None
+            states, dist = se._next_dist(sessions, states, y_prev, t, lm_dist, lam)
+            assert dist.shape == (B, len(VOCAB))
+            assert (dist <= 0).all()
+            assert np.isfinite(dist).any(axis=1).all()
+
+
+@settings(deadline=None, max_examples=60)
+@given(chars=st.sampled_from(("ab", "abc")), hidden=st.integers(2, 4),
+       variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16), width=st.integers(1, 6), max_len=st.integers(1, 6),
+       word=st.text(alphabet="abc", min_size=1, max_size=4), with_lm=st.booleans())
+def test_beam_with_its_stop_equals_the_reference_beam(chars, hidden, variants, seed, width,
+                                                      max_len, word, with_lm):
+    vocab = CharVocab(chars)
+    models = [randomize_params(init_model(vocab, v, hidden=hidden, embed_dim=2, seed=0),
+                               seed + j)
+              for j, v in enumerate(variants)]
+    lm = train_lm(LM_WORDS, order=3) if with_lm else None
+    x = vocab.encode(word)
+    want = reference_beam_decode(models, x, width, max_len, lm=lm, lam=1.0)
+    got = se.beam_decode(models, x, width, max_len, lm=lm, lam=1.0)
+    assert [(r.ids, r.truncated) for r in got] == [(r.ids, r.truncated) for r in want]
+    for g, w in zip(got, want):
+        assert abs(g.logprob - w.logprob) < TOL
