@@ -19,8 +19,7 @@ from .search import (beam_decode, ensemble_next_dist, greedy_decode,
                      interpolated_next_dist)
 from .reranker import (FEATURE_NAMES, RerankGroup, RerankModel, extract_features,
                        levenshtein, pro_train, rerank)
-from .trainer import (TrainConfig, train_ensemble, train_factored,
-                      train_interpolated, train_joint)
+from .trainer import TrainConfig, train_ensemble, train_factored, train_joint
 from .evaluate import (EvalReport, accuracy_by_length, evaluate_accuracy,
                        export_embeddings, vowel_harmony_check)
 
@@ -39,8 +38,7 @@ __all__ = [
     "interpolated_next_dist",
     "FEATURE_NAMES", "RerankGroup", "RerankModel", "extract_features",
     "levenshtein", "pro_train", "rerank",
-    "TrainConfig", "train_factored", "train_joint", "train_interpolated",
-    "train_ensemble",
+    "TrainConfig", "train_factored", "train_joint", "train_ensemble",
     "EvalReport", "evaluate_accuracy", "accuracy_by_length",
     "vowel_harmony_check", "export_embeddings",
     "__version__",

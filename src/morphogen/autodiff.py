@@ -115,9 +115,10 @@ def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):
     """-log softmax(lv)[target] with masked ids excluded and renormalized.
 
     Given LM log-probs log_lm aligned with the logits lv and a float lam,
-    the distribution is p_model * p_lm**lam renormalized. Without log_lm no
-    lam * log_lm term is formed: at lam = 0 a -inf LM log-prob would make it
-    NaN. Returns (loss, p, dlam): p is the step distribution, so the logits'
+    the distribution is p_model * p_lm**lam renormalized. The masked ids'
+    LM log-probs (-inf in an LM row) enter lam * log_lm as zeros, since the
+    softmax masks those ids anyway: at lam = 0 a -inf would make it NaN.
+    Returns (loss, p, dlam): p is the step distribution, so the logits'
     gradient is (p - onehot), and dlam is the loss's derivative in lam
     (None without log_lm).
     """
@@ -126,9 +127,9 @@ def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):
     if log_lm is None:
         p, m, Z = _softmax_lse(lv, masked_ids)
         return np.log(Z) + m - lv[target], p, None
-    p, m, Z = _softmax_lse(lv + lam * log_lm, masked_ids)  # combined distribution
     safe_log_lm = log_lm.copy()
     safe_log_lm[list(masked_ids)] = 0.0
+    p, m, Z = _softmax_lse(lv + lam * safe_log_lm, masked_ids)  # combined distribution
     return (np.log(Z) + m - lv[target] - lam * log_lm[target], p,
             p @ safe_log_lm - log_lm[target])
 

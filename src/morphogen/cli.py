@@ -8,7 +8,6 @@ import math
 import os
 import sys
 import tempfile
-from functools import partial
 
 from . import charlm, data, evaluate, reranker, search, trainer
 from .errors import MorphogenError
@@ -142,12 +141,11 @@ def _cmd_train(args):
         _check_writable(path)
     if args.mode == "interpolated":
         lm = charlm.load_lm(args.lm)
-        model, lam = trainer.train_interpolated(dataset, args.tag, lm, config, log=print)
+        model = trainer.train_factored(dataset, args.tag, config, log=print, lm=lm)
         save_model(model, args.out)
-        print(f"lambda\t{lam!r}")
+        print(f"lambda\t{model.lm_lambda!r}")
         return 0
-    members = trainer.train_ensemble(
-        partial(trainer.train_factored, dataset, args.tag, log=print), config)
+    members = trainer.train_ensemble(dataset, args.tag, config, log=print)
     for model, path in zip(members, outs):
         save_model(model, path)
     return 0

@@ -258,8 +258,11 @@ class _Source:
 def _encode_source(params, x_ids):
     """The source encoding that training and decoding share -> (a _Source,
     the encoder passes' run_cached caches; None without an encoder). A
-    stack runs its encoder once for all members, on rows of one."""
+    stack runs its encoder once for all members, on rows of one. An empty
+    source is a DataError for every variant."""
     x_ids = list(x_ids)
+    if not x_ids:
+        raise DataError("empty input sequence")
     w, E = params.wiring, params.embed.value
     if not w.encoder:
         return _Source(params, x_ids), None
@@ -294,8 +297,6 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
     distribution becomes p_model * p_lm**lam renormalized, with lam =
     interpolation_weight(lam_hat), and lam_hat also receives gradient.
     """
-    if not x_ids:
-        raise DataError("forward_variant: empty input sequence")
     V = len(params.vocab)
     if not all(0 <= i < V for i in [*x_ids, *y_ids]):
         raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "

@@ -1,5 +1,5 @@
-"""Training loops: per-tag models, a shared-encoder joint mode, LM
-interpolation with a learned weight, and seed ensembles.
+"""Training loops: per-tag models (LM-interpolated, with a learned weight, when
+given an LM), seed ensembles of them, and a shared-encoder joint mode.
 
 All modes run batch-size-1 AdaDelta over shuffled epochs (at most
 config.epochs passes) and return the epoch snapshot with the best dev-set
@@ -29,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "train_factored",
     "train_joint",
-    "train_interpolated",
     "train_ensemble",
     "exact_match_accuracy",
 ]
@@ -69,8 +68,9 @@ class TrainConfig:
         return tuple(range(self.seed, self.seed + self.ensemble_k))
 
 
-def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=1.0):
-    """Greedy-decode exact match rate of an ensemble over examples."""
+def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=None):
+    """Greedy-decode exact match rate of an ensemble over examples; the LM
+    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
     if not examples:
         return None
     hits = sum(predict_one(models, ex.lemma, lm=lm, lam=lam, max_len_slack=max_len_slack)
@@ -118,31 +118,51 @@ def _tag_examples(examples, tag):
     return [ex for ex in examples if ex.tag == tag]
 
 
-def _tag_setup(dataset, tag, config):
-    """Validate config; (train, dev, vocab, new model) for one tag's training."""
+def train_factored(dataset, tag, config, log=None, *, lm=None):
+    """One model for a single inflection type.
+
+    Given a character LM, every step trains on the interpolated distribution
+    p_model * p_lm**lam renormalized. The weight lam is softplus of an
+    unconstrained scalar, initialised at config.lambda_init and updated by
+    the same optimizer; the dev set decodes with the LM at the current lam,
+    and the selected model's lm_lambda holds its epoch's lam.
+    """
     config.validate()
     train = _tag_examples(dataset.train, tag)
     if not train:
         raise TrainError(f"no training examples for tag {tag!r}")
+    dev = _tag_examples(dataset.dev, tag)
     vocab = build_vocab(dataset.train)
     model = init_model(vocab, config.variant, config.hidden, config.embed_dim,
                        seed=config.seed)
-    return train, _tag_examples(dataset.dev, tag), vocab, model
+    blocks, lam_hat = [model.block()], None
+    if lm is not None:
+        unknown = set(lm.alphabet) - set(vocab.data_chars)
+        if unknown:
+            raise TrainError(
+                f"LM alphabet has characters outside the model vocabulary: {sorted(unknown)}")
+        lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
+        blocks.append(Block(lam_hat.value, [lam_hat]))
 
+        def lm_logprobs(word):
+            y_ids = vocab.encode(word)
+            return [lm_next_dist(lm, vocab, y_ids[:t]) for t in range(len(y_ids) + 1)]
 
-def train_factored(dataset, tag, config, log=None):
-    """One model for a single inflection type."""
-    train, dev, vocab, model = _tag_setup(dataset, tag, config)
-    update = _update([model.block()])
+        # the LM is fixed: each target's per-step log-probs are taken once per run
+        logprobs = {ex.inflected: lm_logprobs(ex.inflected) for ex in train}
+    update = _update(blocks)
 
     def make_loss(tape, ex):
-        return forward_variant(tape, model, vocab.encode(ex.lemma),
-                               vocab.encode(ex.inflected))
+        return forward_variant(tape, model, vocab.encode(ex.lemma), vocab.encode(ex.inflected),
+                               lm_logprobs=None if lm is None else logprobs[ex.inflected],
+                               lam_hat=lam_hat)
 
-    return _epoch_loop(
-        config, train, make_loss, lambda ex: update,
-        lambda: exact_match_accuracy([model], dev, config.max_len_slack),
-        model.copy, log)
+    def eval_dev():
+        if lm is not None:   # the current weight, which dev decoding and a snapshot read
+            model.lm_lambda = interpolation_weight(lam_hat)
+        return exact_match_accuracy([model], dev, config.max_len_slack, lm=lm)
+
+    return _epoch_loop(config, train, make_loss, lambda ex: update, eval_dev, model.copy, log)
 
 
 def _share_encoder(models):
@@ -192,42 +212,9 @@ def train_joint(dataset, config, log=None):
                        lambda ex: updates[ex.tag], eval_dev, snapshot, log)
 
 
-def train_interpolated(dataset, tag, lm, config, log=None):
-    """Train with the per-step LM-interpolated distribution.
-
-    The interpolation weight is softplus of an unconstrained scalar, updated
-    by the same optimizer. Returns the selected model (lm_lambda filled in)
-    and the learned weight.
-    """
-    train, dev, vocab, model = _tag_setup(dataset, tag, config)
-    unknown = set(lm.alphabet) - set(vocab.data_chars)
-    if unknown:
-        raise TrainError(
-            f"LM alphabet has characters outside the model vocabulary: {sorted(unknown)}")
-    lam_hat = ad.Parameter("interp.lambda_hat", np.array([config.lambda_init]))
-    update = _update([model.block(), Block(lam_hat.value, [lam_hat])])
-
-    def lm_logprobs(word):
-        y_ids = vocab.encode(word)
-        return [lm_next_dist(lm, vocab, y_ids[:t]) for t in range(len(y_ids) + 1)]
-
-    # the LM is fixed: each target's per-step log-probs are taken once per run
-    logprobs = {ex.inflected: lm_logprobs(ex.inflected) for ex in train}
-
-    def make_loss(tape, ex):
-        return forward_variant(tape, model, vocab.encode(ex.lemma), vocab.encode(ex.inflected),
-                               lm_logprobs=logprobs[ex.inflected], lam_hat=lam_hat)
-
-    best_model, best_lam = _epoch_loop(
-        config, train, make_loss, lambda ex: update,
-        lambda: exact_match_accuracy([model], dev, config.max_len_slack,
-                                     lm=lm, lam=interpolation_weight(lam_hat)),
-        lambda: (model.copy(), interpolation_weight(lam_hat)), log)
-    best_model.lm_lambda = best_lam
-    return best_model, best_lam
-
-
-def train_ensemble(train_fn, config):
-    """k independent trainings differing only in seed, in seed order."""
+def train_ensemble(dataset, tag, config, log=None):
+    """config.ensemble_k factored models for one tag, differing only in
+    seed, in seed order (config.member_seeds())."""
     config.validate()
-    return [train_fn(replace(config, seed=s)) for s in config.member_seeds()]
+    return [train_factored(dataset, tag, replace(config, seed=s), log=log)
+            for s in config.member_seeds()]

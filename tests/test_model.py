@@ -7,6 +7,7 @@ import pytest
 from helpers import check_model_gradients, models_equal, randomize_params, row, run_sequence
 from morphogen import autodiff as ad
 from morphogen import model as mod
+from morphogen import search
 from morphogen.errors import (CheckpointError, DataError, DimensionError,
                               MorphogenError)
 from morphogen.vocab import BOS, EOS, EPS, CharVocab
@@ -99,6 +100,18 @@ def test_forward_rejects_empty_source():
     m = _model()
     with pytest.raises(DataError, match="empty input"):
         mod.forward_variant(None, m, [], VOCAB.encode("a"))
+
+
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_empty_source_is_rejected_by_every_variant(variant):
+    # training and decoding share the check, so a no-encoder model, which
+    # runs no encoder LSTM on the source, rejects it too
+    m = _model(variant)
+    for run in (lambda: mod.forward_variant(None, m, [], VOCAB.encode("a")),
+                lambda: search.greedy_decode([m], [], max_len=3),
+                lambda: search.beam_decode([m], [], width=2, max_len=3)):
+        with pytest.raises(DataError, match="empty input"):
+            run()
 
 
 def test_forward_accepts_empty_target():

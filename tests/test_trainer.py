@@ -1,17 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import forward_record, gradient_check, models_equal, randomize_params
 from morphogen import autodiff as ad
+from morphogen import search
 from morphogen import trainer as tr
 from morphogen.charlm import filter_wordlist, train_lm
 from morphogen.data import (DatasetSplit, Example, build_vocab,
                             default_synth_spec, split_tables, synth_language,
                             synth_wordlist, tables_to_examples)
 from morphogen.errors import TrainError
-from morphogen.model import forward_variant, init_model
+from morphogen.model import VARIANTS, forward_variant, init_model
 from morphogen.search import lm_next_dist
-from morphogen.vocab import CharVocab
+from morphogen.vocab import BOS, EPS, CharVocab
 
 INESSIVE = "case=inessive"
 
@@ -70,8 +73,8 @@ def test_epoch_lines_are_logged_as_epochs_end(monkeypatch, mode):
     per_epoch = len(ds.train) if mode == "joint" else 2
     run = {"factored": lambda cfg, log: tr.train_factored(ds, INESSIVE, cfg, log=log),
            "joint": lambda cfg, log: tr.train_joint(ds, cfg, log=log),
-           "interpolated": lambda cfg, log: tr.train_interpolated(ds, INESSIVE, lm, cfg,
-                                                                  log=log)}[mode]
+           "interpolated": lambda cfg, log: tr.train_factored(ds, INESSIVE, cfg, log=log,
+                                                              lm=lm)}[mode]
     first = []
     run(tr.TrainConfig(hidden=3, epochs=1), first.append)
     calls = []
@@ -217,6 +220,23 @@ def test_joint_two_tags_reach_dev_accuracy():
         assert tr.exact_match_accuracy([m], dev, cfg.max_len_slack) >= 0.95
 
 
+def test_exact_match_accuracy_decodes_at_the_learned_lambda(monkeypatch):
+    # with an LM and no lam, the weight is the model's lm_lambda, not 1.0
+    vocab = CharVocab("abcd")
+    m = randomize_params(init_model(vocab, "full", hidden=4, embed_dim=3, seed=0), 1)
+    m.lm_lambda = 0.25
+    lm = train_lm(["abc", "bcd", "dab"], order=2)
+    interpolate, seen = search.interpolated_next_dist, []
+
+    def recorded(model_dist, lm_dist, lam):
+        seen.append(lam)
+        return interpolate(model_dist, lm_dist, lam)
+
+    monkeypatch.setattr(search, "interpolated_next_dist", recorded)
+    tr.exact_match_accuracy([m], [Example("ab", INESSIVE, "abc")], 3, lm=lm)
+    assert seen and set(seen) == {0.25}
+
+
 def test_joint_needs_tags():
     ds = DatasetSplit(train=[], dev=[], test=[])
     with pytest.raises(TrainError, match="at least one tag"):
@@ -233,9 +253,8 @@ def test_interpolated_tiny_lambda_matches_factored_losses():
     cfg = tr.TrainConfig(hidden=12, epochs=4, seed=0, lambda_init=-40.0)
     log_f, log_i = [], []
     tr.train_factored(ds, INESSIVE, cfg, log=log_f.append)
-    model, lam = tr.train_interpolated(ds, INESSIVE, lm, cfg, log=log_i.append)
-    assert 0.0 <= lam < 1e-15
-    assert model.lm_lambda == lam
+    model = tr.train_factored(ds, INESSIVE, cfg, log=log_i.append, lm=lm)
+    assert 0.0 <= model.lm_lambda < 1e-15
     loss_f = [float(l.split("\t")[1]) for l in log_f]
     loss_i = [float(l.split("\t")[1]) for l in log_i]
     assert max(abs(a - b) for a, b in zip(loss_f, loss_i)) < 1e-6
@@ -247,16 +266,34 @@ def test_interpolated_learned_lambda_nonnegative():
     lm = train_lm(filter_wordlist(synth_wordlist(default_synth_spec(), 30, seed=6),
                                   vocab), 4)
     cfg = tr.TrainConfig(hidden=8, epochs=2, seed=0)
-    model, lam = tr.train_interpolated(ds, INESSIVE, lm, cfg)
-    assert lam >= 0.0
-    assert model.lm_lambda == lam
+    model = tr.train_factored(ds, INESSIVE, cfg, lm=lm)
+    assert model.lm_lambda >= 0.0
 
 
 def test_interpolated_rejects_lm_chars_outside_vocab():
     ds = _synth_split(20)
     lm = train_lm(["xyzzy"], order=3)
     with pytest.raises(TrainError, match="outside the model vocabulary"):
-        tr.train_interpolated(ds, INESSIVE, lm, tr.TrainConfig(hidden=4, epochs=1))
+        tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=4, epochs=1), lm=lm)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_interpolated_loss_at_lambda_zero_is_the_plain_loss(variant):
+    # softplus(-1000) is exactly 0.0, and the LM rows are -inf at BOS and
+    # EPS: the loss must form no 0 * -inf (a RuntimeWarning) and equal the
+    # loss without the LM bit for bit
+    vocab = CharVocab("abcd")
+    model = randomize_params(init_model(vocab, variant, hidden=5, embed_dim=4, seed=0), 3)
+    lm = train_lm(["abc", "abcd", "dcba", "bbac", "cad"], order=3)
+    lam_hat = ad.Parameter("interp.lambda_hat", np.array([-1000.0]))
+    x, y = vocab.encode("abc"), vocab.encode("bcd")
+    lm_logprobs = [lm_next_dist(lm, vocab, y[:t]) for t in range(len(y) + 1)]
+    assert all(lp[BOS] == lp[EPS] == -np.inf for lp in lm_logprobs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = forward_variant([], model, x, y, lm_logprobs=lm_logprobs, lam_hat=lam_hat)
+    plain = forward_variant([], model, x, y)
+    assert np.float64(loss).tobytes() == np.float64(plain).tobytes()
 
 
 def test_interpolated_lm_lookups_do_not_grow_with_epochs(monkeypatch):
@@ -275,7 +312,7 @@ def test_interpolated_lm_lookups_do_not_grow_with_epochs(monkeypatch):
     counts = []
     for epochs in (1, 3):
         calls.clear()
-        tr.train_interpolated(ds, INESSIVE, lm, tr.TrainConfig(hidden=3, epochs=epochs))
+        tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=3, epochs=epochs), lm=lm)
         counts.append(len(calls))
     train = [ex for ex in ds.train if ex.tag == INESSIVE]
     assert counts[0] == counts[1] <= sum(len(ex.inflected) + 1 for ex in train)
@@ -306,7 +343,7 @@ def test_ensemble_seed_layout():
     ex = Example("talo", INESSIVE, "talossa")
     ds = DatasetSplit(train=[ex] * 3, dev=[ex], test=[])
     cfg = tr.TrainConfig(hidden=4, epochs=1, seed=2, ensemble_k=2)
-    members = tr.train_ensemble(lambda c: tr.train_factored(ds, INESSIVE, c), cfg)
+    members = tr.train_ensemble(ds, INESSIVE, cfg)
     assert len(members) == 2
     from dataclasses import replace
     direct0 = tr.train_factored(ds, INESSIVE, replace(cfg, seed=2))
@@ -320,6 +357,6 @@ def test_ensemble_single_member_is_plain_training():
     ex = Example("talo", INESSIVE, "talossa")
     ds = DatasetSplit(train=[ex] * 3, dev=[ex], test=[])
     cfg = tr.TrainConfig(hidden=4, epochs=1, seed=0, ensemble_k=1)
-    members = tr.train_ensemble(lambda c: tr.train_factored(ds, INESSIVE, c), cfg)
+    members = tr.train_ensemble(ds, INESSIVE, cfg)
     assert len(members) == 1
     assert models_equal(members[0], tr.train_factored(ds, INESSIVE, cfg))

@@ -67,7 +67,7 @@ def test_interpolated_training_pinned():
     dataset = _dataset({INESSIVE})
     lm = train_lm([ex.inflected for ex in dataset.train], order=3)
     config = tr.TrainConfig(hidden=4, epochs=2, l2=L2, seed=7, lambda_init=0.5)
-    model, lam = tr.train_interpolated(dataset, INESSIVE, lm, config)
+    model = tr.train_factored(dataset, INESSIVE, config, lm=lm)
     digest, want_lam = INTERPOLATED
     assert _digest([model]) == digest
-    assert np.float64(lam).tobytes() == np.float64(want_lam).tobytes()
+    assert np.float64(model.lm_lambda).tobytes() == np.float64(want_lam).tobytes()
