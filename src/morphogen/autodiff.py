@@ -1,9 +1,9 @@
 """Reverse-mode differentiation by backward closures over float64 arrays.
 
-A tape is a plain list: a function given one appends backward_fn(sweep) to
+A tape is a plain list: a function given one appends backward_fn(grads) to
 it (training appends one per example, model.forward_variant), and given
 None computes values only. backward() calls the closures last-first; each
-adds into the caller's gradient buffers through the Sweep it is given.
+adds straight into grads, the caller's {Parameter: zeroed buffer} map.
 step_loss and logit_grad are the array pieces of a training step's loss,
 log_softmax those of a decoder step's and a search combine's log-probs,
 masked_softmax the softmax that attention weights its source with.
@@ -15,7 +15,6 @@ from .errors import MorphogenError
 
 __all__ = [
     "Parameter",
-    "Sweep",
     "masked_softmax",
     "log_softmax",
     "step_loss",
@@ -25,7 +24,7 @@ __all__ = [
 
 
 class Parameter:
-    """A named tensor owned by a model; its gradient lives in a Sweep's buffers."""
+    """A named tensor owned by a model; its gradient lives in a caller's buffer."""
 
     __slots__ = ("value", "name")
 
@@ -35,47 +34,6 @@ class Parameter:
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
-
-
-class Sweep:
-    """Gradient accumulation for one backward() call into grads, the
-    caller's {Parameter: zeroed buffer} (views into one flat vector, say)."""
-
-    __slots__ = ("grads", "_outer")
-
-    def __init__(self, grads):
-        self.grads = grads
-        self._outer = {}   # Parameter -> ([a, ...], [b, ...]) pending outer products
-
-    def acc(self, param, g):
-        """Add g to param's gradient."""
-        self.grads[param] += g
-
-    def grad_buffer(self, param):
-        """param's gradient buffer, for indexed accumulation."""
-        return self.grads[param]
-
-    def acc_outer(self, param, a, b):
-        """Add the outer product of vectors a and b to param's gradient.
-
-        Nothing reads a gradient before the sweep ends, so the pairs are kept
-        and summed by one matrix product in finish(); a weight used at every
-        step then costs one product per sweep instead of one per step.
-        """
-        pending = self._outer.setdefault(param, ([], []))
-        pending[0].append(a)
-        pending[1].append(b)
-
-    def acc_outers(self, param, rows_a, rows_b):
-        """acc_outer for each pair of rows_a and rows_b, in order."""
-        pending = self._outer.setdefault(param, ([], []))
-        pending[0].extend(rows_a)
-        pending[1].extend(rows_b)
-
-    def finish(self):
-        """Add the pending outer products, after every direct add."""
-        for param, (a, b) in self._outer.items():
-            self.acc(param, np.array(a).T @ np.array(b))
 
 
 def _softmax_lse(z, masked_ids=()):
@@ -142,13 +100,11 @@ def logit_grad(g, p, target):
 
 
 def backward(tape, grads):
-    """Call the tape's closures last-first; returns grads.
+    """Call the tape's closures last-first with grads; returns grads.
 
     grads maps every Parameter the closures reach to a zeroed buffer of its
-    shape, which the sweep adds into; its outer products are added last.
+    shape (views into one flat vector, say), which they add into.
     """
-    sweep = Sweep(grads)
     for backward_fn in reversed(tape):
-        backward_fn(sweep)
-    sweep.finish()
+        backward_fn(grads)
     return grads

@@ -67,7 +67,7 @@ def _config(args, seed):
         hidden=args.hidden, embed_dim=args.embed_dim, l2=args.l2,
         epochs=args.epochs, ensemble_k=args.ensemble_k, seed=seed,
         variant=args.variant, max_len_slack=args.max_len_slack,
-        lambda_init=args.lambda_init)
+        lambda_init=0.0 if args.lambda_init is None else args.lambda_init)
 
 
 def _read_columns(path, widths):
@@ -119,6 +119,10 @@ def _cmd_train(args):
         raise _Usage(f"--tag is required for mode {args.mode}")
     if args.mode != "factored" and args.ensemble_k != 1:
         raise _Usage(f"--ensemble-k applies to mode factored only, not {args.mode}")
+    config.validate()    # a non-finite --lambda-init is a data error (exit 2) in every mode
+    for flag, value in (("--lm", args.lm), ("--lambda-init", args.lambda_init)):
+        if args.mode != "interpolated" and value is not None:
+            raise _Usage(f"{flag} applies to mode interpolated only, not {args.mode}")
     if args.mode == "joint":
         if not args.out_dir:
             raise _Usage("--out-dir is required for mode joint")
@@ -343,7 +347,9 @@ def build_parser():
     p.add_argument("--l2", type=float, default=1e-5)
     p.add_argument("--ensemble-k", type=int, default=1)
     p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
-    p.add_argument("--lambda-init", type=float, default=0.0)
+    p.add_argument("--lambda-init", type=float, default=None,
+                   help="interpolated mode: initial lambda_hat, lambda = softplus(lambda_hat) "
+                        "(default 0.0)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("lm-train", help="train the character language model")

@@ -89,7 +89,7 @@ def run_cached(params, xs, h0=None, step_input=None):
     return hs, cache
 
 
-def backward_cached(sweep, params, cache, gh_out, step_grad=None):
+def backward_cached(grads, params, cache, gh_out, step_grad=None):
     """Backpropagation through time over run_cached's steps, last step
     first, adding each gradient in the order that a tape with one record per
     cell step would.
@@ -99,8 +99,9 @@ def backward_cached(sweep, params, cache, gh_out, step_grad=None):
     input gradient and returns the gradient that the input sends on into
     h_{t-1} (run_cached's step_input); it joins the recurrent gradient
     before gh_out[t-1] does, as on such a tape. Adds the weight and bias
-    gradients into the sweep; returns each step's input gradient and the
-    gradient into h0.
+    gradients into grads, the caller's {Parameter: buffer} map, each weight's
+    as one product over its rows [dz_T..dz_1] and inputs or states in the
+    same order; returns each step's input gradient and the gradient into h0.
     """
     n = params.hidden_size
     W_x, W_h = params.W_x.value, params.W_h.value
@@ -126,9 +127,10 @@ def backward_cached(sweep, params, cache, gh_out, step_grad=None):
         if step_grad is not None:
             gh_rec += step_grad(t, dxs[t])
         gc = dc * f[t]
-    sweep.acc_outers(params.W_x, dzs, xs[::-1])
-    sweep.acc_outers(params.W_h, dzs, hs[::-1])
-    sweep.acc(params.b, sum(dzs[1:], dzs[0]))
+    dZ = np.array(dzs).T    # products over contiguous rows, as the per-op oracle forms them
+    grads[params.W_x] += dZ @ np.array(xs[::-1])
+    grads[params.W_h] += dZ @ np.array(hs[::-1])
+    grads[params.b] += sum(dzs[1:], dzs[0])
     return dxs, gh_rec
 
 

@@ -335,34 +335,37 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
     if tape is None:
         return loss
 
-    def backward_fn(sweep):
+    def backward_fn(grads):
         rev = range(len(targets) - 1, -1, -1)
         gls = [ad.logit_grad(1.0, steps[t][1], targets[t]) for t in rev]
         if lm_logprobs is not None:   # d/dlam_hat = d/dlam * softplus'(lam_hat)
             dlams = [steps[t][2] for t in rev]
-            sweep.acc(lam_hat, sum(dlams[1:], dlams[0]) * expit(lam_hat.value))
-        sweep.acc_outers(params.out_W, gls, hs[::-1])
-        sweep.acc(params.out_b, sum(gls[1:], gls[0]))
+            grads[lam_hat] += sum(dlams[1:], dlams[0]) * expit(lam_hat.value)
+        grads[params.out_W] += np.array(gls).T @ np.array(hs[::-1])
+        grads[params.out_b] += sum(gls[1:], gls[0])
         step_grad = None
         if w.attention:
             H, W_enc, W_dec, v = source.H, params.attn_W_enc, params.attn_W_dec, params.attn_v
-            gHs = []
+            gHs, gkeys, h_prevs = [], [], []    # gkeys and h_prevs in reverse time
 
             def step_grad(t, dx):    # the backward of step t's attention context
                 g = dx[:2 * n]
                 weights, act = attended[t]
                 gw = H @ g
                 gscores = weights * (gw - gw @ weights)
-                sweep.acc(v, act.T @ gscores)
+                grads[v] += act.T @ gscores
                 gpre = gscores[:, None] * v.value * (1.0 - act * act)
                 gkey = gpre.sum(axis=0)
-                sweep.acc_outer(W_dec, gkey, dec_cache[t][1])    # h_{t-1}
-                sweep.acc(W_enc, gpre.T @ H)
+                gkeys.append(gkey)
+                h_prevs.append(dec_cache[t][1])    # h_{t-1}
+                grads[W_enc] += gpre.T @ H
                 gHs.append(weights[:, None] * g + gpre @ W_enc.value)
                 return W_dec.value.T @ gkey
-        dxs, gh0 = lstm.backward_cached(sweep, params.dec, dec_cache,
+        dxs, gh0 = lstm.backward_cached(grads, params.dec, dec_cache,
                                         [W_out.T @ gl for gl in gls[::-1]], step_grad)
-        gE = sweep.grad_buffer(params.embed)
+        if w.attention:
+            grads[W_dec] += np.array(gkeys).T @ np.array(h_prevs)
+        gE = grads[params.embed]
         ge = gh0 if w.e_as_init else None
         for t in rev:
             gx = dxs[t]
@@ -377,8 +380,8 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
         if not w.encoder:
             return
         if w.trans:
-            sweep.acc_outers(params.trans_W, [ge], [source.e_raw])
-            sweep.acc(params.trans_b, ge)
+            grads[params.trans_W] += np.array([ge]).T @ np.array([source.e_raw])
+            grads[params.trans_b] += ge
             g_raw = params.trans_W.value.T @ ge
             last = [None] * (len(x_ids) - 1)
             gh_fwd, gh_bwd = last + [g_raw[:n]], last + [g_raw[n:]]
@@ -386,8 +389,8 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
             gH = sum(gHs[1:], gHs[0])
             gh_fwd, gh_bwd = gH[:, :n], gH[::-1, n:]
         fwd_cache, bwd_cache = caches
-        dx_bwd = lstm.backward_cached(sweep, params.enc_bwd, bwd_cache, gh_bwd)[0]
-        dx_fwd = lstm.backward_cached(sweep, params.enc_fwd, fwd_cache, gh_fwd)[0]
+        dx_bwd = lstm.backward_cached(grads, params.enc_bwd, bwd_cache, gh_bwd)[0]
+        dx_fwd = lstm.backward_cached(grads, params.enc_fwd, fwd_cache, gh_fwd)[0]
         for j in range(len(x_ids) - 1, -1, -1):
             gE[x_ids[j]] += dx_bwd[-1 - j] + dx_fwd[j]
 

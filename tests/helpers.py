@@ -108,23 +108,47 @@ class Tape:
         return len(self.records)
 
 
-class GraphSweep(ad.Sweep):
-    """An autodiff.Sweep that gives a buffer to every node it reaches."""
+class _Grads(dict):
+    """A {node: gradient} map that gives a node a zero buffer when first read."""
 
-    __slots__ = ()
+    def __missing__(self, node):
+        buf = self[node] = np.zeros_like(node.value)
+        return buf
+
+
+class GraphSweep:
+    """Gradient accumulation for one sweep into grads, a {node: buffer} map.
+
+    acc_outer queues outer products; finish() adds each weight's as one
+    matrix product over its rows in queue order, after every direct add, so
+    a weight that a per-step record reaches at every step gets the bits of
+    forward_variant's single product per weight.
+    """
+
+    __slots__ = ("grads", "_outer")
+
+    def __init__(self, grads):
+        self.grads = grads
+        self._outer = {}   # node -> ([a, ...], [b, ...]) pending outer products
 
     def acc(self, node, g):
+        """Add g to node's gradient; the first add becomes its buffer."""
         buf = self.grads.get(node)
         if buf is None:
             self.grads[node] = np.array(g)
         else:
             buf += g
 
-    def grad_buffer(self, node):
-        buf = self.grads.get(node)
-        if buf is None:
-            buf = self.grads[node] = np.zeros_like(node.value)
-        return buf
+    def acc_outer(self, node, a, b):
+        """Queue the outer product of vectors a and b for node's gradient."""
+        pending = self._outer.setdefault(node, ([], []))
+        pending[0].append(a)
+        pending[1].append(b)
+
+    def finish(self):
+        """Add the queued outer products, one matrix product per node."""
+        for node, (a, b) in self._outer.items():
+            self.acc(node, np.array(a).T @ np.array(b))
 
 
 def backward(tape, loss, params=()):
@@ -139,7 +163,7 @@ def backward(tape, loss, params=()):
     if loss.value.size != 1:
         raise DimensionError(f"backward: loss has shape {loss.value.shape}, expected scalar")
     out = {p: np.zeros_like(p.value) for p in params}
-    grads = {**out, loss: np.ones(1)}
+    grads = _Grads({**out, loss: np.ones(1)})
     sweep = GraphSweep(grads)
     for outputs, backward_fn in reversed(tape.records):
         if any(node in grads for node in outputs):
@@ -155,7 +179,7 @@ def forward_record(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
     loss = Node(np.array([forward_variant(closures, params, x_ids, y_ids, lm_logprobs,
                                           lam_hat)]))
     if tape is not None:
-        tape.append(loss, lambda sweep, g: closures[0](sweep))
+        tape.append(loss, lambda sweep, g: closures[0](sweep.grads))
     return loss
 
 
@@ -232,7 +256,7 @@ def row(tape, E, i):
     out = Node(Ev[i])
     if tape is not None:
         def backward_fn(sweep, g):
-            sweep.grad_buffer(E)[i] += g
+            sweep.grads[E][i] += g
         tape.append(out, backward_fn)
     return out
 
@@ -323,7 +347,7 @@ def pick(tape, x, i):
     out = Node(x.value[i:i + 1])
     if tape is not None:
         def backward_fn(sweep, g):
-            sweep.grad_buffer(x)[i] += g[0]
+            sweep.grads[x][i] += g[0]
         tape.append(out, backward_fn)
     return out
 
@@ -536,7 +560,7 @@ def _block(tape, z, k, n):
     out = Node(z.value[k * n:(k + 1) * n])
     if tape is not None:
         def backward_fn(sweep, g):
-            sweep.grad_buffer(z)[k * n:(k + 1) * n] += g
+            sweep.grads[z][k * n:(k + 1) * n] += g
         tape.append(out, backward_fn)
     return out
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (Node, Tape, affine, backward, concat, constant, dot, gradient_check,
-                     matvec, mul, output_loss, pick, row, sigmoid, softmax, softmax_op,
+from helpers import (GraphSweep, Node, Tape, affine, backward, concat, constant, dot,
+                     gradient_check, matvec, mul, output_loss, pick, row, sigmoid, softmax, softmax_op,
                      softplus, sub, tanh, total, usum, weighted_sum)
 from morphogen import autodiff as ad
 from morphogen import model as mod
@@ -437,14 +437,14 @@ def test_backward_runs_closures_last_first_into_the_given_buffers():
     grads = dict(zip(block.parts, block.part_grads))
     order = []
 
-    def first(sweep):
+    def first(grads):
         order.append("first")
-        sweep.acc(w, np.ones((2, 3)))
+        grads[w] += np.ones((2, 3))
 
-    def second(sweep):
+    def second(grads):
         order.append("second")
-        sweep.grad_buffer(E)[1] += [2.0, 3.0]
-        sweep.acc_outers(w, [np.array([1.0, 0.0])], [np.array([4.0, 5.0, 6.0])])
+        grads[E][1] += [2.0, 3.0]
+        grads[w] += np.array([[1.0, 0.0]]).T @ np.array([[4.0, 5.0, 6.0]])
 
     assert ad.backward([first, second], grads) is grads
     assert order == ["second", "first"]
@@ -454,6 +454,25 @@ def test_backward_runs_closures_last_first_into_the_given_buffers():
     want_E[1] = [2.0, 3.0]
     assert np.array_equal(block.grad, np.concatenate((want_w.ravel(), want_E.ravel())))
     assert np.array_equal(w.value, np.zeros((2, 3)))    # values untouched
+
+
+# --- helpers.GraphSweep: the per-op oracle's queue of outer products ---------
+
+def _sweep_closures(closures, grads):
+    """Run closures last-first through one GraphSweep over grads, as the
+    oracle's backward does; returns grads."""
+    sweep = GraphSweep(grads)
+    for backward_fn in reversed(closures):
+        backward_fn(sweep)
+    sweep.finish()
+    return grads
+
+
+def _queue_rows(w, rows_a, rows_b):
+    def backward_fn(sweep):
+        for a, b in zip(rows_a, rows_b):
+            sweep.acc_outer(w, a, b)
+    return backward_fn
 
 
 def test_backward_adds_queued_outer_products_after_direct_adds():
@@ -468,7 +487,7 @@ def test_backward_adds_queued_outer_products_after_direct_adds():
         sweep.acc_outer(w, np.array([-1e16]), np.array([1.0]))
         sweep.acc(w, [[1e16]])
 
-    ad.backward([direct, queued_then_direct], {w: block.part_grads[0]})
+    _sweep_closures([direct, queued_then_direct], {w: block.part_grads[0]})
     assert block.grad[0] == 0.0
 
 
@@ -476,9 +495,8 @@ def test_backward_sums_queued_rows_as_one_product_in_queue_order():
     rng = np.random.default_rng(5)
     (w,), block = _block((3, 4))
     rows_a, rows_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
-    tape = [lambda sweep: sweep.acc_outers(w, rows_a[3:], rows_b[3:]),
-            lambda sweep: sweep.acc_outers(w, rows_a[:3], rows_b[:3])]
-    grads = ad.backward(tape, {w: np.zeros((3, 4))})
+    closures = [_queue_rows(w, rows_a[3:], rows_b[3:]), _queue_rows(w, rows_a[:3], rows_b[:3])]
+    grads = _sweep_closures(closures, {w: np.zeros((3, 4))})
     # the later closure fires, and queues its rows, first: rows 0..4 in order
     assert np.array_equal(grads[w], rows_a.T @ rows_b)
 

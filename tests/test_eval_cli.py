@@ -511,6 +511,20 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_train_lm_flags_outside_interpolated_mode_are_usage_errors(workspace, tmp_path, capsys):
+    # only interpolated training reads --lm and --lambda-init; elsewhere they
+    # would be dropped without a word, so they are usage errors
+    for mode, extra in (("factored", ["--tag", INESSIVE, "--out", str(tmp_path / "f.ckpt")]),
+                        ("joint", ["--out-dir", str(tmp_path / "joint")])):
+        for flag, value in (("--lm", workspace["lm.txt"]), ("--lambda-init", "3")):
+            argv = ["train", "--mode", mode, "--data", workspace["train.tsv"], "--hidden", "2",
+                    "--epochs", "1", flag, value] + extra
+            assert cli.main(argv) == 1, (mode, flag)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and flag in err[0], (mode, flag)
+    assert not list(tmp_path.iterdir())
+
+
 # One valid command line per subcommand and mode. "<name" is a workspace
 # file the command reads, ">name" a path it writes; the matrix below breaks one
 # of them at a time.
