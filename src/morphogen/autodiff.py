@@ -5,13 +5,13 @@ it (training appends one per example, model.forward_variant), and given
 None computes values only. backward() calls the closures last-first; each
 adds straight into grads, the caller's {Parameter: zeroed buffer} map.
 step_loss and logit_grad are the array pieces of a training step's loss,
-log_softmax those of a decoder step's and a search combine's log-probs,
+log_softmax the search's one normalization of a decoder step's scores,
 masked_softmax the softmax that attention weights its source with.
 """
 
 import numpy as np
 
-from .errors import MorphogenError
+from .errors import MorphogenError, SearchError
 
 __all__ = [
     "Parameter",
@@ -61,10 +61,15 @@ def masked_softmax(logits, masked_ids=()):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(z):
+def log_softmax(z, empty=None):
     """Log-softmax over the last axis; -inf entries (masked ids) stay -inf.
-    Every row needs a finite entry."""
-    z = z - z.max(axis=-1, keepdims=True)
+    Every row needs a finite entry: given a message `empty`, a row without
+    one raises SearchError(empty), found from the row max the log-softmax
+    subtracts anyway."""
+    m = z.max(axis=-1, keepdims=True)
+    if empty is not None and (m == -np.inf).any():
+        raise SearchError(empty)
+    z = z - m
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
 

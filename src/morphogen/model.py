@@ -411,7 +411,9 @@ class DecodeSession:
     built per session from the tensors' current values, never cached on the
     model, which training updates in place. step advances the decoder
     untaped, on one state or on a batch of state rows; a stack steps rows, on
-    every member at once.
+    every member at once. It emits the output layer's masked scores, not
+    log-probs: the search normalizes a step once, after combining the
+    members and the LM.
     """
 
     def __init__(self, params, x_ids):
@@ -449,12 +451,12 @@ class DecodeSession:
 
     def step(self, H, C, y_prev, t):
         """One decoder step and its output layer -> (H', C', the masked
-        log-softmax: log-probs with -inf at BOS and EPS).
+        scores H' out_W^T + out_b: unnormalized, -inf at BOS and EPS).
 
-        One state: H, C [n] and an int y_prev -> (H', C', logprobs [V]).
-        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', logprobs [B,V]).
+        One state: H, C [n] and an int y_prev -> (H', C', scores [V]).
+        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', scores [B,V]).
         A stack steps rows only, with a leading member axis K: H, C [K,B,n]
-        and y_prev [B] -> (H', C', logprobs [K,B,V]).
+        and y_prev [B] -> (H', C', scores [K,B,V]).
         The input projection comes from the session's tables, so the gates
         equal training's to rounding, not bit for bit. Row ids are not
         range-checked: only the search makes them.
@@ -475,7 +477,7 @@ class DecodeSession:
         if params.wiring.attention:
             ZX = ZX + attention_context(params, self._source, H)[0] @ self._W_ctx
         H, C = lstm.lstm_step(params.dec, ZX, H, C)[:2]
-        return H, C, ad.log_softmax(H @ params.out_W.value.mT + self._out_b)
+        return H, C, H @ params.out_W.value.mT + self._out_b
 
 
 # --- persistence -----------------------------------------------------------

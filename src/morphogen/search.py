@@ -1,32 +1,34 @@
 """Greedy and beam decoding over one model or an ensemble.
 
-Decoding works in log space: every step distribution is a vector of
-log-probs, -inf where a symbol cannot follow. Ensembles combine them as a
-product of experts, p(i) proportional to prod_j p_j(i)**(1/k): the mean of
-the members' log-probs, renormalized by one log-sum-exp. An optional
-character LM joins in as p_model(i) * p_lm(i)**lambda: lambda * log p_lm is
-added and the sum renormalized the same way. A hypothesis's score is the sum
-of its steps' log-probs. Beam search retires
+Decoding works in log space. A DecodeSession step emits its output layer's
+masked scores, and the search normalizes each step once: the step's
+log-probs are the log-softmax of the mean of the members' scores plus
+lambda * log p_lm, -inf where a symbol cannot follow. That is the product
+of experts p(i) proportional to prod_j p_j(i)**(1/k), with an optional
+character LM joining in as p_model(i) * p_lm(i)**lambda, both renormalized
+by one log-sum-exp (the training loss's combination, autodiff.step_loss).
+A hypothesis's score is the sum of its steps' log-probs. Beam search retires
 EOS-terminated hypotheses into an n-best pool and breaks score ties by
 lexicographic output ids, so decoding is fully deterministic.
 
-Every step distribution is a log-softmax, so each entry is <= 0 and a
-hypothesis's score never rises as it grows. Beam search therefore stops as
-soon as the pool holds `width` results and the best live score is strictly
-below the width-th of them: no descendant of a live hypothesis could reach
-the n-best, so the result is the one running to the end would give.
+Every step distribution is that one log-softmax, so each entry is <= 0 and
+a hypothesis's score never rises as it grows. Beam search therefore stops
+as soon as the pool holds `width` results and the best live score is
+strictly below the width-th of them: no descendant of a live hypothesis
+could reach the n-best, so the result is the one running to the end would
+give.
 
 Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one lstm_step for the run, with a leading
-member axis K on its states and distributions. A run of one member steps
+member axis K on its states and scores. A run of one member steps
 unstacked, so a single model decodes as it would alone. Greedy search steps
 one state for a single model and one row per member for an ensemble, beam
 search all live hypotheses as the rows [B, ·] of each step call; both go
-through _next_dist, and the combiners below work row by row on [B, V] arrays
-as well as on single distributions.
+through _next_dist, and the combiner below works row by row on [B, V]
+arrays as well as on single vectors.
 
-Summing log-probs keeps the members' tails that probabilities lose to
+Adding scores keeps the members' tails that probabilities lose to
 underflow: two members at log-probs [0, -800] and [-800, 0] combine to
 [log 0.5, log 0.5], where exp(-800) == 0 would leave no common support.
 """
@@ -66,43 +68,33 @@ class DecodeResult:
         return vocab.decode(self.ids)
 
 
-def _renormalized(lp, empty):
-    """Log-probs lp renormalized over the last axis by one log-sum-exp;
-    a row with no finite entry raises SearchError(empty)."""
-    if (lp.max(axis=-1) == -np.inf).any():
-        raise SearchError(empty)
-    return log_softmax(lp)
-
-
-def ensemble_next_dist(dists):
-    """Product of experts: the normalized geometric mean of the member
-    distributions, in log space.
-
-    Each member gives one log-prob vector [V], or one per row [B, V]; dists
-    is a sequence of them, or one array [K, ...] of the K members' in order.
-    Returns log-probs of the same shape as one member's (a copy for k = 1).
-    """
-    k = len(dists)
+def ensemble_next_dist(scores, lm_dist=None, lam=1.0):
+    """A step's log-probs: the log-softmax of the mean of the K members'
+    scores plus lam * lm_dist (the LM's log-probs, added by
+    interpolated_next_dist). scores holds one [V] or [B, V] array per member
+    in order, as a sequence or as one [K, ...] array. One member without an
+    LM gets a plain log_softmax, since a step's scores are finite but at BOS
+    and EPS; any other row with no finite entry is a SearchError."""
+    k = len(scores)
     if k == 0:
         raise SearchError("ensemble_next_dist needs at least one distribution")
-    if k == 1:
-        return np.array(dists[0], dtype=np.float64)
+    if k == 1 and lm_dist is None:
+        return log_softmax(scores[0])
     # sum / k is what ndarray.mean computes, without its Python-level wrapper
-    return _renormalized(np.asarray(dists, dtype=np.float64).sum(axis=0) / k,
-                         "ensemble distributions have disjoint support")
+    mean = scores[0] if k == 1 else np.asarray(scores, dtype=np.float64).sum(axis=0) / k
+    if lm_dist is None:
+        return log_softmax(mean, "ensemble distributions have disjoint support")
+    return interpolated_next_dist(mean, lm_dist, lam)
 
 
-def interpolated_next_dist(model_dist, lm_dist, lam):
-    """log of p_model(i) * p_lm(i)**lam renormalized, from log-probs (per
-    row for [B, V] arrays). At lam = 0 the model's log-probs come back as a
-    copy, with no lam * log p_lm term: a -inf LM log-prob would make it NaN."""
-    if not 0 <= lam < np.inf:
-        raise SearchError(f"interpolation weight must be a finite number >= 0, got {lam}")
-    model_dist = np.asarray(model_dist, dtype=np.float64)
-    if lam == 0:
-        return model_dist.copy()
-    return _renormalized(model_dist + lam * np.asarray(lm_dist, dtype=np.float64),
-                         "interpolated distribution has zero mass")
+def interpolated_next_dist(scores, lm_dist, lam):
+    """log of softmax(scores) * p_lm**lam renormalized: the log-softmax of
+    scores + lam * lm_dist, per row for [B, V] arrays (lam is checked once
+    per search, by _check_models). At lam = 0 no lam * log p_lm term is
+    formed: a -inf LM log-prob would make it NaN."""
+    if lam != 0:
+        scores = scores + lam * lm_dist
+    return log_softmax(scores, "interpolated distribution has zero mass")
 
 
 def lm_history(vocab, order, prefix_ids):
@@ -116,7 +108,7 @@ def lm_next_dist(lm, vocab, prefix_ids):
     """LM next-char log-probs mapped onto vocab ids (EOS carries EOW).
 
     BOS and EPS get -inf; the vector is a scoring bridge, not normalized
-    over the vocab, and is meant for the renormalizing combiners above and
+    over the vocab, and is meant for the normalizing combiner above and
     for interpolated training. It is memoised in the LM's bridge_cache per
     (vocabulary, last order - 1 ids), the ids that fix the history, so the
     returned array is shared and read-only.
@@ -138,9 +130,10 @@ def lm_next_dist(lm, vocab, prefix_ids):
     return dist
 
 
-def _check_models(models, max_len, lam):
-    """Check a search's models and max_len -> (their vocabulary, the LM weight:
-    lam, else the first member's learned lm_lambda, else 1.0)."""
+def _check_models(models, max_len, lm, lam):
+    """Check a search's models and max_len, and with an LM its weight ->
+    (their vocabulary, the LM weight: lam, else the first member's learned
+    lm_lambda, else 1.0)."""
     if not models:
         raise SearchError("decoding needs at least one model")
     if max_len < 1:
@@ -150,6 +143,8 @@ def _check_models(models, max_len, lam):
         raise SearchError("ensemble members must share one vocabulary")
     if lam is None:
         lam = 1.0 if models[0].lm_lambda is None else models[0].lm_lambda
+    if lm is not None and not 0 <= lam < np.inf:
+        raise SearchError(f"interpolation weight must be a finite number >= 0, got {lam}")
     return vocab, lam
 
 
@@ -163,33 +158,30 @@ def _sessions(models, x_ids):
 
 
 def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
-    """Step every session, combine the members and interpolate the LM vector,
-    if any.
+    """Step every session and combine the members' scores with the LM
+    vector, if any, into one log-softmax.
 
     states holds one (h, c) per session, as one state or as B rows, with a
     leading member axis for a stack; returns the stepped states and the
-    combined log-probs [V] or [B, V].
+    step's log-probs [V] or [B, V].
     """
-    stepped, dists = [], []
+    stepped, scores = [], []
     for sess, (H, C) in zip(sessions, states):
-        H, C, dist = sess.step(H, C, y_prev, t)
+        H, C, S = sess.step(H, C, y_prev, t)
         stepped.append((H, C))
-        dists.append(dist)
-    # the members' distributions, in member order, as one [K, ...] array
+        scores.append(S)
+    # the members' scores, in member order, as one [K, ...] array
     if len(sessions) > 1:
-        dists = np.concatenate([d if s.stacked else d[None] for s, d in zip(sessions, dists)])
+        scores = np.concatenate([S if s.stacked else S[None] for s, S in zip(sessions, scores)])
     elif sessions[0].stacked:
-        dists = dists[0]
-    dist = ensemble_next_dist(dists)
-    if lm_dist is not None:
-        dist = interpolated_next_dist(dist, lm_dist, lam)
-    return stepped, dist
+        scores = scores[0]
+    return stepped, ensemble_next_dist(scores, lm_dist, lam)
 
 
 def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     """Pick the argmax at every step; lowest id wins exact ties. The LM
     weight lam defaults to the first member's learned lm_lambda, else 1.0."""
-    vocab, lam = _check_models(models, max_len, lam)
+    vocab, lam = _check_models(models, max_len, lm, lam)
     sessions = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
     # an ensemble steps each member's state as a row of one, as a stack needs
@@ -227,7 +219,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
-    vocab, lam = _check_models(models, max_len, lam)
+    vocab, lam = _check_models(models, max_len, lm, lam)
     sessions = _sessions(models, x_ids)
     states = [(h[..., None, :], c[..., None, :])
               for h, c in (s.initial_state() for s in sessions)]

@@ -690,8 +690,9 @@ def reference_adadelta_step(params, grads, acc, l2=0.0, rho=0.95, eps=1e-6):
 
 # --- reference searches -----------------------------------------------------
 # The oracles work in log space, as the product does, but combine members and
-# the LM with their own code, never search's combiners: the mean of the
-# members' log-probs plus lam * log p_lm, renormalized.
+# the LM with their own code, never search's combiner: the mean of the
+# members' log-probs plus lam * log p_lm, renormalized. Step scores become
+# log-probs through autodiff.log_softmax.
 
 def _lm_logprobs(lm, vocab, prefix_ids):
     """The LM bridge's log-probs, computed afresh from lm.prob (no memo):
@@ -728,7 +729,8 @@ def exhaustive_decode(model, x_ids, max_len):
     out = []
 
     def rec(state, ids, lp, t):
-        h, c, logprobs = sess.step(*state, ids[-1] if ids else BOS, t)
+        h, c, scores = sess.step(*state, ids[-1] if ids else BOS, t)
+        logprobs = ad.log_softmax(scores)
         for i in np.flatnonzero(logprobs > -np.inf):
             i = int(i)
             lp2 = lp + float(logprobs[i])
@@ -758,7 +760,7 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
         for ids, logprob, states in live:
             y_prev = ids[-1] if ids else BOS
             stepped = [s.step(h, c, y_prev, t) for s, (h, c) in zip(sessions, states)]
-            logprobs = _combine_lse([d for _, _, d in stepped],
+            logprobs = _combine_lse([ad.log_softmax(s) for _, _, s in stepped],
                                     None if lm is None else _lm_logprobs(lm, vocab, ids), lam)
             for i in np.flatnonzero(logprobs > -np.inf):
                 i = int(i)
@@ -780,11 +782,11 @@ def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
 
 # --- per-member search --------------------------------------------------------
 # greedy_decode and beam_decode with one DecodeSession per member, each member
-# stepped on its own and the members' log-probs combined from a list: the
+# stepped on its own and the members' scores combined from a list: the
 # oracle that search's stacked sessions must equal bit for bit. Its combine
 # is its own code, in the arithmetic order that makes bits comparable: the
-# mean as a running sum over members divided by k, then the maximum
-# subtracted and the log of the exponentials' sum.
+# scores summed in member order and divided by k, lam * log p_lm added, then
+# one log-softmax, the maximum subtracted and the log of the exponentials' sum.
 
 def _renormalized(lp):
     lp = lp - lp.max(axis=-1, keepdims=True)
@@ -792,15 +794,15 @@ def _renormalized(lp):
 
 
 def _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam):
-    stepped, lps = [], []
+    stepped, scores = [], []
     for sess, (H, C) in zip(sessions, states):
-        H, C, lp = sess.step(H, C, y_prev, t)
+        H, C, s = sess.step(H, C, y_prev, t)
         stepped.append((H, C))
-        lps.append(lp)
-    lp = lps[0] if len(lps) == 1 else _renormalized(sum(lps[1:], lps[0]) / len(lps))
+        scores.append(s)
+    z = scores[0] if len(scores) == 1 else sum(scores[1:], scores[0]) / len(scores)
     if lm_lp is not None and lam != 0:
-        lp = _renormalized(lp + lam * lm_lp)
-    return stepped, lp
+        z = z + lam * lm_lp
+    return stepped, _renormalized(z)
 
 
 def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):

@@ -17,6 +17,7 @@ import pytest
 from helpers import (check_model_gradients, exhaustive_decode, models_equal,
                      randomize_params, separable_rerank_fixture)
 from morphogen import cli
+from morphogen.autodiff import log_softmax
 from morphogen.charlm import (BOW, EOW, WittenBellLM, filter_wordlist, load_lm,
                               save_lm, train_lm)
 from morphogen.data import (DatasetSplit, default_synth_spec, split_tables,
@@ -225,7 +226,8 @@ def test_criterion_07_interpolation_identities():
         h, c = sess.initial_state()
         prefix = []
         for t in range(len(x) + 3):
-            h, c, dist = sess.step(h, c, prefix[-1] if prefix else BOS, t)
+            h, c, scores = sess.step(h, c, prefix[-1] if prefix else BOS, t)
+            dist = log_softmax(scores)
             lm_dist = lm_next_dist(uniform, vocab, prefix)
             for lam in (0.3, 1.0, 2.5):
                 mixed = interpolated_next_dist(dist, lm_dist, lam)

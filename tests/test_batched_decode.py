@@ -40,7 +40,8 @@ def _training_step(m, source, h, c, y_prev, t):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("B", (1, 3, 8))
 def test_step_many_rows_equal_step(variant, B):
-    """DecodeSession.step on many rows, and on one state, equals the training step."""
+    """DecodeSession.step on many rows, and on one state, equals the training
+    step, its scores read through autodiff.log_softmax."""
     m = _model(variant)
     x = VOCAB.encode("abca")
     sess = DecodeSession(m, x)
@@ -50,11 +51,13 @@ def test_step_many_rows_equal_step(variant, B):
     for t in (0, 2, 6):   # t = 6 is past the source end: x_t is EPS
         H, C = rng.normal(size=(B, n)), rng.normal(size=(B, n))
         y_prev = rng.integers(0, len(VOCAB), size=B)
-        H2, C2, dist = sess.step(H, C, y_prev, t)
+        H2, C2, scores = sess.step(H, C, y_prev, t)
+        dist = ad.log_softmax(scores)
         assert H2.shape == C2.shape == (B, n) and dist.shape == (B, len(VOCAB))
         for r in range(B):
             want = _training_step(m, source, H[r], C[r], int(y_prev[r]), t)
-            one = sess.step(H[r], C[r], int(y_prev[r]), t)
+            h1, c1, s1 = sess.step(H[r], C[r], int(y_prev[r]), t)
+            one = (h1, c1, ad.log_softmax(s1))
             assert one[0].shape == one[1].shape == (n,) and one[2].shape == (len(VOCAB),)
             for got_row, got_one, w in zip((H2[r], C2[r], dist[r]), one, want):
                 np.testing.assert_allclose(got_row, w, rtol=0, atol=TOL)
@@ -79,9 +82,9 @@ def test_row_wise_combiners_equal_one_dimensional():
     for r in range(5):
         assert np.array_equal(ens[r], se.ensemble_next_dist([d[r] for d in members]))
         for lam in (0.0, 0.5, 1.0, 2.5):
-            got = se.interpolated_next_dist(ens, lm, lam)[r]
-            assert np.array_equal(got, se.interpolated_next_dist(ens[r], lm[r], lam))
-    assert np.array_equal(se.ensemble_next_dist(members[:1]), members[0])
+            got = se.ensemble_next_dist(members, lm, lam)[r]
+            assert np.array_equal(got, se.ensemble_next_dist([d[r] for d in members], lm[r], lam))
+    assert np.array_equal(se.ensemble_next_dist(members[:1]), ad.log_softmax(members[0]))
 
 
 def test_row_wise_combiners_reject_a_bad_row():
@@ -91,7 +94,38 @@ def test_row_wise_combiners_reject_a_bad_row():
         se.ensemble_next_dist([good, np.array([[half, half], [-inf, 0.0]]),
                                np.array([[half, half], [0.0, -inf]])])
     with pytest.raises(SearchError, match="zero mass"):
-        se.interpolated_next_dist(good, np.array([[half, half], [-inf, -inf]]), 1.0)
+        se.ensemble_next_dist([good], np.array([[half, half], [-inf, -inf]]), 1.0)
+
+
+def _two_stage_next_dist(scores, lm, lam):
+    """The combine as two normalizations: a log-softmax per member, their
+    mean renormalized, then lam * lm added and renormalized again."""
+    lps = [ad.log_softmax(S) for S in scores]
+    lp = lps[0] if len(lps) == 1 else ad.log_softmax(sum(lps[1:], lps[0]) / len(lps))
+    return lp if lm is None or lam == 0 else ad.log_softmax(lp + lam * lm)
+
+
+@settings(deadline=None, max_examples=200)
+@given(k=st.integers(1, 5), B=st.integers(1, 8), lam=st.sampled_from((0.0, 0.5, 1.0, 2.5)),
+       lm_kind=st.sampled_from(("none", "bridge", "extra-inf")), seed=st.integers(0, 2**32 - 1))
+def test_one_normalization_equals_the_two_stage_combine(k, B, lam, lm_kind, seed):
+    rng = np.random.default_rng(seed)
+    V = len(VOCAB)
+    scores = rng.normal(0.0, 3.0, size=(k, B, V))
+    scores[..., list(mod.MASKED_OUTPUT_IDS)] = -np.inf     # as DecodeSession.step emits
+    lm = None
+    if lm_kind != "none":
+        lm = _rows(rng, B, V, zero=mod.MASKED_OUTPUT_IDS)     # as the LM bridge gives
+        if lm_kind == "extra-inf":     # one more id the LM rules out in each row
+            lm[np.arange(B), rng.choice([EOS, UNK, 4, 5, 6], size=B)] = -np.inf
+    got = se.ensemble_next_dist(list(scores), lm, lam)
+    want = _two_stage_next_dist(scores, lm, lam)
+    assert np.array_equal(got == -np.inf, want == -np.inf)
+    finite = want > -np.inf
+    assert np.max(np.abs(got[finite] - want[finite])) <= TOL
+    top2 = np.sort(want, axis=-1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-9
+    assert np.array_equal(got.argmax(axis=-1)[clear], want.argmax(axis=-1)[clear])
 
 
 def _bridge_uncached(lm, vocab, prefix_ids):

@@ -395,13 +395,13 @@ def test_cli_evaluate_decodes_each_tag_with_its_own_lambda(workspace, tmp_path, 
         model = load_model(workspace["model.ckpt"])
         model.lm_lambda = lam
         save_model(model, models_dir / f"{tag}.ckpt")
-    real, lams = se.interpolated_next_dist, []
+    real, lams = se.ensemble_next_dist, []
 
-    def spy(model_dist, lm_dist, lam):
+    def spy(scores, lm_dist, lam):
         lams.append(lam)
-        return real(model_dist, lm_dist, lam)
+        return real(scores, lm_dist, lam)
 
-    monkeypatch.setattr(se, "interpolated_next_dist", spy)
+    monkeypatch.setattr(se, "ensemble_next_dist", spy)
     base = ["evaluate", "--models-dir", str(models_dir), "--data", str(data),
             "--lm", workspace["lm.txt"], *extra]
     assert cli.main(base) == 0

@@ -80,11 +80,35 @@ def test_step_distribution_masks_and_normalizes():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
         sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-        _, _, logprobs = sess.step(*sess.initial_state(), BOS, 0)
-        dist = np.exp(logprobs)
+        _, _, scores = sess.step(*sess.initial_state(), BOS, 0)
+        dist = np.exp(ad.log_softmax(scores))
         assert dist[BOS] == 0.0 and dist[EPS] == 0.0
         assert abs(dist.sum() - 1.0) < 1e-12
         assert np.all(dist >= 0.0)
+
+
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_step_scores_are_minus_inf_exactly_at_bos_and_eps(variant):
+    # the session emits the output layer's scores W h' + b, not log-probs;
+    # only the masked ids are -inf, for one state, for B rows and for a stack
+    models = [randomize_params(_model(variant), seed) for seed in (4, 5)]
+    x = VOCAB.encode("ab")
+    sess = mod.DecodeSession(models[0], x)
+    stack = mod.DecodeSession(mod._stack(models), x)
+    h, c = sess.initial_state()
+    H, C = stack.initial_state()
+    rng = np.random.default_rng(0)
+    one = sess.step(h, c, BOS, 0)
+    rows = sess.step(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), [BOS, 4, 5], 1)
+    stacked = stack.step(H[:, None], C[:, None], [BOS], 0)
+    outputs = [(one[0], one[2], models[0]), (rows[0], rows[2], models[0])]
+    outputs += [(stacked[0][k], stacked[2][k], m) for k, m in enumerate(models)]
+    kept = [i for i in range(len(VOCAB)) if i not in (BOS, EPS)]
+    for h2, scores, m in outputs:
+        assert scores.shape[-1] == len(VOCAB)
+        assert np.all(scores[..., [BOS, EPS]] == -np.inf)
+        want = h2 @ m.out_W.value.T + m.out_b.value
+        np.testing.assert_allclose(scores[..., kept], want[..., kept], rtol=0, atol=1e-12)
 
 
 def test_session_consumes_epsilon_past_source_end():
@@ -92,8 +116,8 @@ def test_session_consumes_epsilon_past_source_end():
     sess = mod.DecodeSession(m, VOCAB.encode("ab"))
     h, c = sess.initial_state()
     for t in range(6):  # steps 2.. feed the learned epsilon symbol
-        h, c, logprobs = sess.step(h, c, 4, t)
-        assert abs(np.exp(logprobs).sum() - 1.0) < 1e-12
+        h, c, scores = sess.step(h, c, 4, t)
+        assert abs(np.exp(ad.log_softmax(scores)).sum() - 1.0) < 1e-12
 
 
 def test_forward_rejects_empty_source():
@@ -139,8 +163,8 @@ def test_training_loss_matches_inference_distributions():
         total = 0.0
         for t, target in enumerate(targets):
             y_prev = BOS if t == 0 else targets[t - 1]
-            h, c, dist = sess.step(h, c, y_prev, t)
-            total -= dist[target]
+            h, c, scores = sess.step(h, c, y_prev, t)
+            total -= ad.log_softmax(scores)[target]
         loss = mod.forward_variant(None, m, x, y)
         assert abs(loss - total) < 1e-9, variant
 

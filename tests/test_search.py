@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from helpers import exhaustive_decode, randomize_params
+from morphogen import autodiff as ad
 from morphogen import search as se
 from morphogen.charlm import EOW, train_lm
 from morphogen.errors import DataError, SearchError
@@ -31,10 +32,11 @@ def test_ensemble_requires_members():
         se.ensemble_next_dist([])
 
 
-def test_ensemble_single_member_is_identity_copy():
-    d = np.log([0.25, 0.75])
+def test_ensemble_single_member_is_one_log_softmax():
+    # one member without an LM: exactly autodiff.log_softmax of its scores
+    d = np.array([0.3, -np.inf, 1.7, -2.0])
     out = se.ensemble_next_dist([d])
-    assert np.array_equal(out, d)
+    assert np.array_equal(out, ad.log_softmax(d))
     assert out is not d
 
 
@@ -95,37 +97,48 @@ def test_ensemble_keeps_tails_that_probabilities_underflow():
     assert np.array_equal(rows[0], out)
 
 
+def _bad_lambda_decodes(lam):
+    """A greedy and a beam decode with an LM at weight lam; the searches
+    check the weight once per call."""
+    m, lm, x = _search_model(), train_lm(["abab", "baba"], order=2), VOCAB.encode("ab")
+    return (lambda: se.greedy_decode([m], x, 4, lm=lm, lam=lam),
+            lambda: se.beam_decode([m], x, 2, 4, lm=lm, lam=lam))
+
+
 def test_interpolation_negative_lambda_rejected():
-    with pytest.raises(SearchError, match=">= 0"):
-        se.interpolated_next_dist(np.array([1.0]), np.array([1.0]), -0.5)
+    for decode in _bad_lambda_decodes(-0.5):
+        with pytest.raises(SearchError, match=">= 0"):
+            decode()
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_interpolation_non_finite_lambda_rejected(lam):
-    with pytest.raises(SearchError, match="interpolation weight must be a finite number"):
-        se.interpolated_next_dist(np.array([1.0]), np.array([1.0]), lam)
+    for decode in _bad_lambda_decodes(lam):
+        with pytest.raises(SearchError, match="interpolation weight must be a finite number"):
+            decode()
 
 
-def test_interpolation_lambda_zero_returns_model_copy():
-    d = np.log([0.3, 0.7])
-    out = se.interpolated_next_dist(d, np.log([0.9, 0.1]), 0.0)
-    assert np.array_equal(out, d)
-    assert out is not d
+def test_interpolation_lambda_zero_forms_no_lm_term():
+    # a -inf LM log-prob at lam = 0 would make 0 * -inf = NaN (and warn)
+    d, lm = np.log([0.3, 0.7]), np.array([0.0, -np.inf])
+    for members in ([d], [d, np.log([0.6, 0.4])]):
+        out = se.ensemble_next_dist(members, lm, 0.0)
+        assert np.array_equal(out, se.ensemble_next_dist(members))
 
 
 def test_interpolation_hand_values():
     model = np.log([0.9, 0.1])
     lm = np.log([0.25, 0.75])
-    out1 = np.exp(se.interpolated_next_dist(model, lm, 1.0))
+    out1 = np.exp(se.ensemble_next_dist([model], lm, 1.0))
     assert np.max(np.abs(out1 - [0.75, 0.25])) < 1e-12
     # at lambda=2 the products tie: 0.9*0.0625 == 0.1*0.5625
-    out2 = np.exp(se.interpolated_next_dist(model, lm, 2.0))
+    out2 = np.exp(se.ensemble_next_dist([model], lm, 2.0))
     assert np.max(np.abs(out2 - 0.5)) < 1e-12
 
 
 def test_interpolation_zero_mass_rejected():
     with pytest.raises(SearchError, match="zero mass"):
-        se.interpolated_next_dist(np.array([0.0, -np.inf]), np.array([-np.inf, 0.0]), 1.0)
+        se.ensemble_next_dist([np.array([0.0, -np.inf])], np.array([-np.inf, 0.0]), 1.0)
 
 
 def test_lm_history_padding_window_and_specials():
@@ -259,12 +272,11 @@ def _replay_logprob(models, x_ids, result, lm=None, lam=1.0):
     for t, choice in enumerate(chosen):
         dists = []
         for j, sess in enumerate(sessions):
-            h, c, d = sess.step(*states[j], prefix[-1] if prefix else BOS, t)
+            h, c, scores = sess.step(*states[j], prefix[-1] if prefix else BOS, t)
             states[j] = (h, c)
-            dists.append(d)
-        dist = se.ensemble_next_dist(dists)
-        if lm is not None:
-            dist = se.interpolated_next_dist(dist, se.lm_next_dist(lm, models[0].vocab, prefix), lam)
+            dists.append(ad.log_softmax(scores))
+        lm_dist = None if lm is None else se.lm_next_dist(lm, models[0].vocab, prefix)
+        dist = se.ensemble_next_dist(dists, lm_dist, lam)
         total += float(dist[choice])
         prefix.append(choice)
     return total
