@@ -7,7 +7,16 @@ arrays, for one state or a batch of rows, given its input projection
 W_x x + b; run_cached forms that projection per step, runs the cell over a
 sequence and keeps what backward_cached, backpropagation through time by
 hand, reads. A decoder that knows its inputs' projections in advance
-(model.DecodeSession's tables) passes them to lstm_step directly.
+(model.DecodeSession's tables) passes them to a cell directly: lstm_step
+for one state, rows_step for rows.
+
+rows_step is the same update for decoding rows only. It takes the i/f/o
+sigmoid as 1 / (1 + exp(-z)) from NumPy's vectorized exp, where lstm_step
+(and so training, the encoder and one decoder state) keeps scipy's expit,
+which calls libm's exp once per value. On wide rows NumPy's form is about
+twice as fast; on one state of 3n values expit is faster. The two differ
+at rounding level (a few ULP in some gates), so rows_step's states are not
+lstm_step's bits.
 
 A stack of K cells of one shape (decoding an ensemble) holds each tensor
 with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
@@ -20,7 +29,8 @@ from scipy.special import expit
 
 from .errors import DimensionError
 
-__all__ = ["LSTMParams", "lstm_step", "run_cached", "backward_cached", "encode_bidirectional"]
+__all__ = ["LSTMParams", "lstm_step", "rows_step", "run_cached", "backward_cached",
+           "encode_bidirectional"]
 
 FORGET_BIAS = 1.0
 
@@ -64,6 +74,28 @@ def lstm_step(params, ZX, H, C):
     C = sig[..., n:2 * n] * C + sig[..., :n] * g
     tc = np.tanh(C)
     return sig[..., 2 * n:] * tc, C, sig, g, tc
+
+
+def rows_step(params, ZX, H, C):
+    """lstm_step's update on rows (ZX [B,4n], H and C [B,n]) or a stack's
+    rows [K,B,·] -> (H', C'), for decoding: no backward values, and the
+    i/f/o sigmoid computed as 1 / (1 + exp(-z)) in place on one buffer.
+
+    exp(-z) overflows to inf for z below about -709, which still gives the
+    sigmoid exactly 0, so the exp alone runs with overflow ignored. Ignoring
+    it for a whole search instead cost as much on beam search and slowed
+    one-state greedy, whose ufuncs then ran inside the np.errstate too."""
+    n = params.hidden_size
+    n3 = 3 * n
+    z = H @ params.W_h.value.mT
+    z += ZX
+    sig = np.negative(z[..., :n3])
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    C = sig[..., n:2 * n] * C + sig[..., :n] * np.tanh(z[..., n3:])
+    return sig[..., 2 * n:] * np.tanh(C), C
 
 
 def run_cached(params, xs, h0=None, step_input=None):

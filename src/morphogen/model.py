@@ -152,7 +152,7 @@ class ModelParams:
 
 def _build(m, fill, pack=True):
     """Create every tensor of m in parameters() order, then (with pack) pack
-    them into m.theta and make each tensor a view into it.
+    them into m.theta, 64-byte aligned, and make each tensor a view into it.
 
     fill(name, shape, kind) supplies the values; kind is "weight", "bias" or
     "gates" (an LSTM bias).
@@ -181,7 +181,14 @@ def _build(m, fill, pack=True):
     if not pack:
         return
     params = m.parameters()
-    m.theta = np.concatenate([p.value.reshape(-1) for p in params])
+    # theta starts on a 64-byte boundary, so the weights' offsets from a
+    # cache line, and with them the speed of their BLAS products, are the
+    # same from one load to the next
+    size = sum(p.value.size for p in params)
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // buf.itemsize
+    m.theta = buf[start:start + size]
+    np.concatenate([p.value.reshape(-1) for p in params], out=m.theta)
     offset = 0
     for p in params:
         size = p.value.size
@@ -410,10 +417,10 @@ class DecodeSession:
     attention's context W_ctx context is a product per step. The tables are
     built per session from the tensors' current values, never cached on the
     model, which training updates in place. step advances the decoder
-    untaped, on one state or on a batch of state rows; a stack steps rows, on
-    every member at once. It emits the output layer's masked scores, not
-    log-probs: the search normalizes a step once, after combining the
-    members and the LM.
+    untaped, on one state (lstm.lstm_step) or on a batch of state rows
+    (lstm.rows_step); a stack steps rows, on every member at once. It emits
+    the output layer's masked scores, not log-probs: the search normalizes
+    a step once, after combining the members and the LM.
     """
 
     def __init__(self, params, x_ids):
@@ -458,26 +465,31 @@ class DecodeSession:
         A stack steps rows only, with a leading member axis K: H, C [K,B,n]
         and y_prev [B] -> (H', C', scores [K,B,V]).
         The input projection comes from the session's tables, so the gates
-        equal training's to rounding, not bit for bit. Row ids are not
-        range-checked: only the search makes them.
+        equal training's to rounding, not bit for bit. One state steps
+        lstm.lstm_step, training's cell; rows step lstm.rows_step, whose
+        sigmoid differs from it at rounding level, so a row of one is not
+        the one state's bits. Row ids are not range-checked: only the
+        search makes them.
         """
-        P_y = self._P_y
-        one = H.ndim == 1
-        if one:
+        P_y, zx = self._P_y, self._zx[min(t, len(self._zx) - 1)]
+        if H.ndim == 1:
             if not 0 <= y_prev < len(P_y):
                 raise DimensionError(f"y_prev id {y_prev} out of range "
                                      f"for a vocabulary of {len(P_y)}")
+            ZX, cell = zx + P_y[y_prev], lstm.lstm_step
         elif H.ndim != P_y.ndim:
             raise DimensionError(f"decoder states of shape {H.shape} for a decoder with "
                                  f"tables of shape {P_y.shape}: a stack steps rows [K, B, n]")
-        # row ids index the vocabulary axis, a stack's second
-        ZX = self._zx[min(t, len(self._zx) - 1)] + (P_y[y_prev] if one
-                                                     else P_y.take(y_prev, axis=-2))
+        else:   # row ids index the vocabulary axis, a stack's second
+            ZX, cell = P_y.take(y_prev, axis=-2), lstm.rows_step
+            ZX += zx
         params = self.params
         if params.wiring.attention:
-            ZX = ZX + attention_context(params, self._source, H)[0] @ self._W_ctx
-        H, C = lstm.lstm_step(params.dec, ZX, H, C)[:2]
-        return H, C, H @ params.out_W.value.mT + self._out_b
+            ZX += attention_context(params, self._source, H)[0] @ self._W_ctx
+        H, C = cell(params.dec, ZX, H, C)[:2]
+        scores = H @ params.out_W.value.mT
+        scores += self._out_b
+        return H, C, scores
 
 
 # --- persistence -----------------------------------------------------------

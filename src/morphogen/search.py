@@ -20,7 +20,7 @@ give.
 
 Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
-DecodeSession.step call and one lstm_step for the run, with a leading
+DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
 unstacked, so a single model decodes as it would alone. Greedy search steps
 one state for a single model and one row per member for an ensemble, beam
@@ -132,8 +132,9 @@ def lm_next_dist(lm, vocab, prefix_ids):
 
 def _check_models(models, max_len, lm, lam):
     """Check a search's models and max_len, and with an LM its weight ->
-    (their vocabulary, the LM weight: lam, else the first member's learned
-    lm_lambda, else 1.0)."""
+    (their vocabulary, the LM, the LM weight: lam, else the first member's
+    learned lm_lambda, else 1.0). At weight 0 the LM comes back as None: the
+    combiner would form no LM term, so the search looks up no LM vector."""
     if not models:
         raise SearchError("decoding needs at least one model")
     if max_len < 1:
@@ -145,7 +146,7 @@ def _check_models(models, max_len, lm, lam):
         lam = 1.0 if models[0].lm_lambda is None else models[0].lm_lambda
     if lm is not None and not 0 <= lam < np.inf:
         raise SearchError(f"interpolation weight must be a finite number >= 0, got {lam}")
-    return vocab, lam
+    return vocab, lm if lam != 0 else None, lam
 
 
 def _sessions(models, x_ids):
@@ -181,7 +182,7 @@ def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
 def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     """Pick the argmax at every step; lowest id wins exact ties. The LM
     weight lam defaults to the first member's learned lm_lambda, else 1.0."""
-    vocab, lam = _check_models(models, max_len, lm, lam)
+    vocab, lm, lam = _check_models(models, max_len, lm, lam)
     sessions = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
     # an ensemble steps each member's state as a row of one, as a stack needs
@@ -219,7 +220,7 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
-    vocab, lam = _check_models(models, max_len, lm, lam)
+    vocab, lm, lam = _check_models(models, max_len, lm, lam)
     sessions = _sessions(models, x_ids)
     states = [(h[..., None, :], c[..., None, :])
               for h, c in (s.initial_state() for s in sessions)]

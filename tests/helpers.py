@@ -31,6 +31,17 @@ def randomize_params(model, seed, scale=0.5):
     return model
 
 
+def assert_within_ulp(got, want, ulps=4, near_zero=1e-15):
+    """Every finite entry of got within `ulps` units in the last place of
+    want's, or within near_zero of it absolutely (near 0, where a cancelling
+    sum leaves fewer significant bits than its terms had); infinities equal."""
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    got, want = got[finite], want[finite]
+    tol = np.maximum(ulps * np.spacing(np.abs(want)), near_zero)
+    assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / tol)
+
+
 def _cv_word(rng):
     return "".join(rng.choice("klnst") + rng.choice("aou")
                    for _ in range(rng.randint(3, 6)))
@@ -809,11 +820,18 @@ def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     vocab = models[0].vocab
     sessions = [DecodeSession(m, x_ids) for m in models]
     states = [s.initial_state() for s in sessions]
+    # an ensemble steps each member as a row of one, as greedy_decode does
+    rows = len(models) > 1
+    if rows:
+        states = [(h[None], c[None]) for h, c in states]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
         lm_lp = _lm_logprobs(lm, vocab, ids) if lm is not None else None
-        states, lp = _per_member_next_dist(sessions, states, ids[-1] if ids else BOS, t,
+        y_prev = ids[-1] if ids else BOS
+        states, lp = _per_member_next_dist(sessions, states, [y_prev] if rows else y_prev, t,
                                            lm_lp, lam)
+        if rows:
+            lp = lp[0]
         choice = int(np.argmax(lp))
         logprob += float(lp[choice])
         if choice == EOS:

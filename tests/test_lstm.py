@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (cell_step, concat, constant, gradient_check, run_sequence,
-                     taped_encode_bidirectional, taped_lstm_step, usum, zero_state)
+from helpers import (assert_within_ulp, cell_step, concat, constant, gradient_check,
+                     run_sequence, taped_encode_bidirectional, taped_lstm_step, usum,
+                     zero_state)
 from morphogen import autodiff as ad
 from morphogen import lstm
 from morphogen import model as mod
@@ -176,3 +180,53 @@ def test_gradient_check_through_sequence():
         return usum(tape, concat(tape, [states[-1].h, states[-1].c]))
 
     assert gradient_check(loss_fn, p.parameters()) < 1e-4
+
+
+def _decoder_params(n, members, rng):
+    """A cell whose W_h is N(0, 0.5); rows_step and lstm_step read no other
+    weight. members > 0 gives a stack of that many cells."""
+    lead = (members,) if members else ()
+    return lstm.LSTMParams(
+        "dec",
+        ad.Parameter("dec.W_x", np.zeros((*lead, 4 * n, 1))),
+        ad.Parameter("dec.W_h", rng.normal(0.0, 0.5, (*lead, 4 * n, n))),
+        ad.Parameter("dec.b", np.zeros((*lead, 1, 4 * n) if lead else 4 * n)),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 40), rows=st.integers(1, 9), members=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_step_is_lstm_step_to_rounding(n, rows, members, seed):
+    """The decode cell's NumPy-exp sigmoid differs from expit by a few ULP
+    in some gates; the states stay within 4 ULP (1e-15 near 0), on rows
+    [B, n] and on a stack's [K, B, n]."""
+    rng = np.random.default_rng(seed)
+    p = _decoder_params(n, members, rng)
+    shape = (members, rows) if members else (rows,)
+    ZX = rng.normal(0.0, 3.0, (*shape, 4 * n))
+    H, C = rng.uniform(-1.0, 1.0, (*shape, n)), rng.normal(0.0, 2.0, (*shape, n))
+    got = lstm.rows_step(p, ZX, H, C)
+    want = lstm.lstm_step(p, ZX, H, C)[:2]
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == H.shape
+        assert_within_ulp(g, w)
+
+
+def test_rows_step_saturates_its_gates_at_750():
+    """exp(750) overflows to inf and gives a sigmoid of exactly 0, and
+    exp(-750) gives exactly 1; the overflow raises no warning."""
+    n = 3
+    p = _decoder_params(n, 0, np.random.default_rng(0))
+    p.W_h.value[...] = 0.0
+    g = np.array([0.5, -2.0, 7.0])
+    big = np.full(n, 750.0)
+    # row 0: i = 1, f = 0, o = 1; row 1: i = 0, f = 1, o = 0
+    ZX = np.array([np.concatenate((big, -big, big, g)), np.concatenate((-big, big, -big, g))])
+    H, C = np.zeros((2, n)), np.array([[1.5, -0.25, 3.0], [0.75, -4.0, 2.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H2, C2 = lstm.rows_step(p, ZX, H, C)
+    assert np.array_equal(C2[0], np.tanh(g)) and np.array_equal(H2[0], np.tanh(np.tanh(g)))
+    assert np.array_equal(C2[1], C[1]) and np.array_equal(H2[1], np.zeros(n))

@@ -264,6 +264,7 @@ def test_copy_is_deep_and_keeps_lambda():
 
 def _assert_laid_out_in_theta(m):
     assert m.theta.dtype == np.float64 and m.theta.flags.c_contiguous
+    assert m.theta.ctypes.data % 64 == 0
     assert m.theta.size == sum(p.value.size for p in m.parameters())
     for p in m.parameters():
         assert np.shares_memory(p.value, m.theta), p.name

@@ -300,14 +300,26 @@ def test_lm_interpolated_decode_scores_replay():
             assert abs(r.logprob - _replay_logprob([m], x, r, lm=lm, lam=lam)) < 1e-12
 
 
-def test_lm_lambda_zero_equals_plain_decode():
-    m = _search_model()
+def test_lm_lambda_zero_equals_plain_decode(monkeypatch):
+    # at lam = 0 the search drops the LM: no bridge lookup, the plain decode's bits
     lm = train_lm(["abab", "baba"], order=3)
     x = VOCAB.encode("ba")
-    plain = se.greedy_decode([m], x, 6)
-    zero = se.greedy_decode([m], x, 6, lm=lm, lam=0.0)
-    assert plain == zero
-    assert se.beam_decode([m], x, 4, 6) == se.beam_decode([m], x, 4, 6, lm=lm, lam=0.0)
+    bridge, calls = se.lm_next_dist, []
+
+    def counted(*args):
+        calls.append(args)
+        return bridge(*args)
+
+    monkeypatch.setattr(se, "lm_next_dist", counted)
+    for models in ([_search_model()], [_search_model(5), _search_model(6)]):
+        assert se.greedy_decode(models, x, 6) == se.greedy_decode(models, x, 6, lm=lm, lam=0.0)
+        assert se.beam_decode(models, x, 4, 6) == se.beam_decode(models, x, 4, 6, lm=lm,
+                                                                 lam=0.0)
+        models[0].lm_lambda = 0.0    # a learned weight of 0 as well
+        assert se.beam_decode(models, x, 4, 6) == se.beam_decode(models, x, 4, 6, lm=lm)
+    assert calls == []
+    se.greedy_decode(models, x, 6, lm=lm, lam=0.5)
+    assert calls
 
 
 def test_decode_defaults_to_the_first_members_learned_lambda():

@@ -4,15 +4,17 @@ greedy_decode and beam_decode must give the per-member search's results
 (helpers.per_member_greedy_decode / per_member_beam_decode) bit for bit:
 the same ids, truncation flags and log-prob bytes, for every variant,
 homogeneous and mixed ensembles, with and without the LM. DecodeSession keeps
-a single model's shapes and steps a stack's rows with a leading member axis."""
+a single model's shapes and steps a stack's rows with a leading member axis.
+Rows step lstm.rows_step, so the oracles step an ensemble's members as rows
+too, greedy's as rows of one."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from helpers import (per_member_beam_decode, per_member_greedy_decode, randomize_params,
-                     reference_beam_decode)
+from helpers import (assert_within_ulp, per_member_beam_decode, per_member_greedy_decode,
+                     randomize_params, reference_beam_decode)
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import train_lm
@@ -148,11 +150,12 @@ def test_stack_step_is_each_members_step(variant):
             out = stack.step(H, C, y, t)
             assert [a.shape for a in out] == [(3, B, n), (3, B, n), (3, B, V)]
             for k, sess in enumerate(alone):
+                # at B = 1 too: greedy's row of one is the member's row of one
                 for got, want in zip(out, sess.step(H[k], C[k], y, t)):
                     assert np.array_equal(got[k], want)
-                if B == 1:     # greedy's row of one equals the member's one state
+                if B == 1:     # and the member's one state (lstm_step's expit) to rounding
                     for got, want in zip(out, sess.step(H[k, 0], C[k, 0], int(y[0]), t)):
-                        assert np.array_equal(got[k, 0], want)
+                        assert_within_ulp(got[k, 0], want)
 
 
 def test_stack_steps_rows_only():
