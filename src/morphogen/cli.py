@@ -165,44 +165,34 @@ def _cmd_lm_train(args):
 
 
 def _check_decode_flags(args):
-    """Reject a bad --beam-width or --interp-lambda, used or not."""
+    """Reject a bad --beam-width or --interp-lambda, used or not; then one with no --lm."""
     if getattr(args, "beam_width", 1) < 1:
         raise MorphogenError(f"beam width must be >= 1, got {args.beam_width}")
     lam = getattr(args, "interp_lambda", None)
     if lam is not None and not 0 <= lam < math.inf:
         raise MorphogenError(f"interpolation weight must be a finite number >= 0, got {lam}")
+    if lam is not None and not args.lm:
+        args.parser.print_usage(sys.stderr)
+        raise _Usage("--interp-lambda applies with --lm only")
 
 
-def _load_lm(args):
-    return charlm.load_lm(args.lm) if args.lm else None
-
-
-def _cmd_predict(args):
+def _cmd_decode(args):
+    """predict writes each row's best form, beam its n-best with log-probs."""
     _check_writable(args.out)
     models = [load_model(p) for p in args.model]
-    lm = _load_lm(args)
-    lines = []
-    for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
-        pred = evaluate.predict_one(models, lemma, lm=lm, lam=args.interp_lambda,
-                                    max_len_slack=args.max_len_slack)
-        lines.append(f"{lemma}\t{tag}\t{pred}")
-    _write_lines(args.out, lines)
-    return 0
-
-
-def _cmd_beam(args):
-    _check_writable(args.out)
-    models = [load_model(p) for p in args.model]
-    lm = _load_lm(args)
+    lm = charlm.load_lm(args.lm) if args.lm else None
+    rows = [(lemma, tag) for lemma, tag, *_ in _read_columns(args.data, (2, 3))]
+    results = evaluate.decode_lemmas(models, [lemma for lemma, _ in rows],
+                                     beam_width=getattr(args, "beam_width", None), lm=lm,
+                                     lam=args.interp_lambda, max_len_slack=args.max_len_slack)
     vocab = models[0].vocab
-    rows = []
-    for lemma, tag, *_ in _read_columns(args.data, (2, 3)):
-        x_ids = vocab.encode(lemma)
-        results = search.beam_decode(models, x_ids, args.beam_width,
-                                     len(x_ids) + args.max_len_slack,
-                                     lm=lm, lam=args.interp_lambda)
-        rows.extend((lemma, tag, r.text(vocab), r.logprob) for r in results)
-    search.write_nbest(args.out, rows)
+    if args.command == "beam":
+        search.write_nbest(args.out, [(lemma, tag, r.text(vocab), r.logprob)
+                                      for (lemma, tag), nbest in zip(rows, results)
+                                      for r in nbest])
+    else:
+        _write_lines(args.out, [f"{lemma}\t{tag}\t{nbest[0].text(vocab)}"
+                                for (lemma, tag), nbest in zip(rows, results)])
     return 0
 
 
@@ -228,7 +218,7 @@ def _cmd_evaluate(args):
     examples = data.parse_dataset(args.data)
     tags = sorted({ex.tag for ex in examples})
     models_by_tag = _models_by_tag(args, tags)
-    lm = _load_lm(args)
+    lm = charlm.load_lm(args.lm) if args.lm else None
     rerank_model = reranker.load_weights(args.rerank) if args.rerank else None
     report = evaluate.evaluate_accuracy(
         models_by_tag, examples,
@@ -360,7 +350,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lm_train)
 
-    for name, fn in (("predict", _cmd_predict), ("beam", _cmd_beam)):
+    for name in ("predict", "beam"):
         p = sub.add_parser(name, help=f"{name} with trained models")
         p.add_argument("--model", action="append", required=True,
                        help="checkpoint path; repeat for an ensemble")
@@ -372,7 +362,7 @@ def build_parser():
         p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
         if name == "beam":
             p.add_argument("--beam-width", type=int, default=20)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_decode, parser=p)
 
     p = sub.add_parser("rerank-train", help="fit reranker weights on beam output")
     p.add_argument("--nbest", required=True)
@@ -399,7 +389,7 @@ def build_parser():
     p.add_argument("--by-length", action="store_true")
     p.add_argument("--harmony", action="store_true")
     p.add_argument("--pred-out", default=None)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, parser=p)
 
     p = sub.add_parser("analyze-length", help="accuracy by gold-form length bin")
     p.add_argument("--pred", required=True, help="predictions TSV")

@@ -4,12 +4,13 @@ length, a whole-word vowel-harmony check, and embedding export."""
 from dataclasses import dataclass
 
 from .data import open_text
-from .errors import DataError
+from .errors import DataError, SearchError
 from .reranker import rerank as rerank_pick
 from .search import beam_decode, greedy_decode
 
 __all__ = [
     "EvalReport",
+    "decode_lemmas",
     "evaluate_accuracy",
     "LENGTH_BIN_LABELS",
     "bin_of_length",
@@ -36,25 +37,22 @@ def _as_ensemble(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def predict_one(models, lemma, *, beam_width=None, lm=None, lam=None,
-                rerank_model=None, max_len_slack=10):
-    """Decode one lemma: greedy, beam top-1, or beam + reranker. The LM
-    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
+def decode_lemmas(models, lemmas, *, beam_width=None, lm=None, lam=None, max_len_slack=10):
+    """Each lemma's DecodeResult list under one model or ensemble list: the greedy
+    result, or the n-best of a beam of beam_width. An output may run max_len_slack
+    symbols past its lemma; lam defaults as for search.greedy_decode."""
+    if not models:
+        raise SearchError("decoding needs at least one model")
     vocab = models[0].vocab
-    x_ids = vocab.encode(lemma)
-    max_len = len(x_ids) + max_len_slack
-    if rerank_model is not None:
-        if lm is None:
-            raise DataError("reranking needs a language model for its features")
+    out = []
+    for lemma in lemmas:
+        x_ids = vocab.encode(lemma)
+        max_len = len(x_ids) + max_len_slack
         if beam_width is None:
-            raise DataError("reranking needs a beam width")
-        results = beam_decode(models, x_ids, beam_width, max_len)
-        nbest = [(r.text(vocab), r.logprob) for r in results]
-        return rerank_pick(nbest, rerank_model, lm, lemma)
-    if beam_width is not None:
-        results = beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam)
-        return results[0].text(vocab)
-    return greedy_decode(models, x_ids, max_len, lm=lm, lam=lam).text(vocab)
+            out.append([greedy_decode(models, x_ids, max_len, lm=lm, lam=lam)])
+        else:
+            out.append(beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam))
+    return out
 
 
 def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
@@ -62,27 +60,37 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
     """Per-tag and macro exact-match accuracy over labelled examples.
 
     models_by_tag maps each tag to a model or ensemble list. Decoding is
-    greedy unless beam_width is given; a reranker needs beam_width and an LM.
-    Without lam, each tag decodes with its first member's learned lm_lambda,
-    else 1.0.
+    greedy unless beam_width is given; a reranker needs beam_width and an LM,
+    and picks from a beam decoded without it. Without lam, each tag decodes
+    with its first member's learned lm_lambda, else 1.0.
     """
     if not examples:
         raise DataError("evaluate_accuracy: no examples given")
-    missing = {ex.tag for ex in examples} - set(models_by_tag)
+    tags = dict.fromkeys(ex.tag for ex in examples)
+    missing = set(tags) - set(models_by_tag)
     if missing:
         raise DataError(f"no model for tags: {sorted(missing)}")
-    hits, counts, predictions = {}, {}, []
-    for ex in examples:
-        models = _as_ensemble(models_by_tag[ex.tag])
-        pred = predict_one(models, ex.lemma, beam_width=beam_width, lm=lm, lam=lam,
-                           rerank_model=rerank_model, max_len_slack=max_len_slack)
-        predictions.append((ex.lemma, ex.tag, ex.inflected, pred))
-        counts[ex.tag] = counts.get(ex.tag, 0) + 1
-        hits[ex.tag] = hits.get(ex.tag, 0) + (pred == ex.inflected)
-    per_tag = {tag: hits[tag] / counts[tag] for tag in counts}
-    macro = sum(per_tag.values()) / len(per_tag)
-    return EvalReport(per_tag=per_tag, counts=counts, macro=macro,
-                      predictions=tuple(predictions))
+    if rerank_model is not None:
+        if lm is None:
+            raise DataError("reranking needs a language model for its features")
+        if beam_width is None:
+            raise DataError("reranking needs a beam width")
+    per_tag, counts, preds = {}, {}, {}   # preds: example -> predicted form
+    for tag in tags:
+        models = _as_ensemble(models_by_tag[tag])
+        tag_examples = [ex for ex in examples if ex.tag == tag]
+        results = decode_lemmas(models, [ex.lemma for ex in tag_examples], beam_width=beam_width,
+                                lm=lm if rerank_model is None else None, lam=lam,
+                                max_len_slack=max_len_slack)
+        vocab = models[0].vocab
+        for ex, nbest in zip(tag_examples, results):
+            preds[ex] = nbest[0].text(vocab) if rerank_model is None else rerank_pick(
+                [(r.text(vocab), r.logprob) for r in nbest], rerank_model, lm, ex.lemma)
+        counts[tag] = len(tag_examples)
+        per_tag[tag] = sum(preds[ex] == ex.inflected for ex in tag_examples) / counts[tag]
+    predictions = tuple((ex.lemma, ex.tag, ex.inflected, preds[ex]) for ex in examples)
+    return EvalReport(per_tag=per_tag, counts=counts, macro=sum(per_tag.values()) / len(per_tag),
+                      predictions=predictions)
 
 
 LENGTH_BIN_LABELS = ("<5", "[5,10)", "[10,15)", ">=15")

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
-from .evaluate import predict_one
+from .evaluate import decode_lemmas
 from .model import (DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model,
                     interpolation_weight)
 from .optim import Block, adadelta_step
@@ -69,12 +69,13 @@ class TrainConfig:
 
 
 def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=None):
-    """Greedy-decode exact match rate of an ensemble over examples; the LM
-    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
+    """Greedy exact-match rate over examples (None if none); lam as in decode_lemmas."""
     if not examples:
         return None
-    hits = sum(predict_one(models, ex.lemma, lm=lm, lam=lam, max_len_slack=max_len_slack)
-               == ex.inflected for ex in examples)
+    results = decode_lemmas(models, [ex.lemma for ex in examples], lm=lm, lam=lam,
+                            max_len_slack=max_len_slack)
+    vocab = models[0].vocab
+    hits = sum(best.text(vocab) == ex.inflected for (best,), ex in zip(results, examples))
     return hits / len(examples)
 
 

@@ -11,7 +11,7 @@ from morphogen import search as se
 from morphogen import trainer
 from morphogen.charlm import load_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
-from morphogen.errors import DataError
+from morphogen.errors import DataError, SearchError
 from morphogen.model import load_model, save_model
 from morphogen.reranker import load_weights
 from morphogen.search import read_nbest
@@ -125,17 +125,37 @@ def test_evaluate_accuracy_validation(memorizer):
                              [Example("talo", "case=elative", "talosta")])
 
 
-def test_predict_one_beam_and_greedy_agree_when_confident(memorizer):
+def test_decode_lemmas_beam_and_greedy_agree_when_confident(memorizer):
     ex, model = memorizer
-    assert ev.predict_one([model], "talo") == "talossa"
-    assert ev.predict_one([model], "talo", beam_width=4) == "talossa"
+    [[greedy]] = ev.decode_lemmas([model], ["talo"])
+    assert greedy.text(model.vocab) == "talossa"
+    [nbest] = ev.decode_lemmas([model], ["talo"], beam_width=4)
+    assert 1 <= len(nbest) <= 4
+    assert nbest[0].text(model.vocab) == "talossa"
 
 
-def test_predict_one_rerank_requires_lm(memorizer):
-    _, model = memorizer
+def test_evaluate_accuracy_rerank_checks_run_before_decoding(memorizer, monkeypatch):
+    ex, model = memorizer
     from morphogen.reranker import RerankModel
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before the reranker's inputs were checked")
+
+    monkeypatch.setattr(ev, "decode_lemmas", no_decode)
     with pytest.raises(DataError, match="language model"):
-        ev.predict_one([model], "talo", rerank_model=RerankModel(np.zeros(8)))
+        ev.evaluate_accuracy({INESSIVE: model}, [ex], beam_width=4,
+                             rerank_model=RerankModel(np.zeros(8)))
+    with pytest.raises(DataError, match="beam width"):
+        ev.evaluate_accuracy({INESSIVE: model}, [ex], lm=object(),
+                             rerank_model=RerankModel(np.zeros(8)))
+
+
+def test_decoding_with_no_model_is_a_search_error(memorizer):
+    ex, _ = memorizer
+    with pytest.raises(SearchError, match="decoding needs at least one model"):
+        ev.evaluate_accuracy({INESSIVE: []}, [ex])
+    with pytest.raises(SearchError, match="decoding needs at least one model"):
+        trainer.exact_match_accuracy([], [ex], 5)
 
 
 def test_export_embeddings_round_trip(tmp_path, memorizer):
@@ -786,7 +806,9 @@ BAD_DECODE_ARGS = (
        ("evaluate", ["--beam-width", "0"], 2, "beam width"),
        ("predict", ["--interp-lambda", "nan"], 2, "interpolation weight"),
        ("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--interp-lambda", "nan"], 2,
-        "interpolation weight")])
+        "interpolation weight")]
+    # a weight with no LM to weigh would go unread
+    + [(cmd, ["--interp-lambda", "0.5"], 1, "--interp-lambda") for cmd in DECODE_COMMANDS])
 
 
 @pytest.mark.parametrize("command, extra, code, names", BAD_DECODE_ARGS,
@@ -824,4 +846,34 @@ def test_cli_evaluate_rerank_beams_at_the_given_width(workspace, monkeypatch, ca
         widths.clear()
         assert cli.main(base + extra) == 0
         assert widths and set(widths) == {width}
+    capsys.readouterr()
+
+
+def test_decode_commands_decode_a_run_through_decode_lemmas(workspace, tmp_path, monkeypatch,
+                                                            capsys):
+    # predict and beam decode the whole file in one call, evaluate one call per
+    # tag with that tag's lemmas in file order
+    real, calls = ev.decode_lemmas, []
+
+    def spy(models, lemmas, **kwargs):
+        calls.append(list(lemmas))
+        return real(models, lemmas, **kwargs)
+
+    monkeypatch.setattr(ev, "decode_lemmas", spy)
+    dev = parse_dataset(workspace["dev.tsv"])
+    by_tag = {}
+    for ex in dev:
+        by_tag.setdefault(ex.tag, []).append(ex.lemma)
+    assert len(by_tag) > 1
+    base = ["--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"]]
+    whole, per_tag = [[ex.lemma for ex in dev]], list(by_tag.values())
+    rerank = ["--rerank", workspace["weights.tsv"], "--lm", workspace["lm.txt"]]
+    for argv, want in ((["predict", *base, "--out", str(tmp_path / "p.tsv")], whole),
+                       (["beam", *base, "--beam-width", "3", "--out", str(tmp_path / "b.tsv")],
+                        whole),
+                       (["evaluate", *base], per_tag),
+                       (["evaluate", *base, *rerank, "--beam-width", "3"], per_tag)):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == want, argv[0]
     capsys.readouterr()

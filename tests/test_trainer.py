@@ -220,6 +220,20 @@ def test_joint_two_tags_reach_dev_accuracy():
         assert tr.exact_match_accuracy([m], dev, cfg.max_len_slack) >= 0.95
 
 
+def test_each_dev_evaluation_decodes_the_dev_set_in_one_call(monkeypatch):
+    ds = _synth_split(10)
+    real, calls = tr.decode_lemmas, []
+
+    def spy(models, lemmas, **kwargs):
+        calls.append(list(lemmas))
+        return real(models, lemmas, **kwargs)
+
+    monkeypatch.setattr(tr, "decode_lemmas", spy)
+    tr.train_factored(ds, INESSIVE, tr.TrainConfig(hidden=4, epochs=3, seed=0))
+    dev_lemmas = [ex.lemma for ex in ds.dev if ex.tag == INESSIVE]
+    assert dev_lemmas and calls == [dev_lemmas] * 3
+
+
 def test_exact_match_accuracy_decodes_at_the_learned_lambda(monkeypatch):
     # with an LM and no lam, the weight is the model's lm_lambda, not 1.0
     vocab = CharVocab("abcd")
