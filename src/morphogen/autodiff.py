@@ -6,16 +6,18 @@ None computes values only. backward() calls the closures last-first; each
 adds straight into grads, the caller's {Parameter: zeroed buffer} map.
 step_loss and logit_grad are the array pieces of a training step's loss,
 log_softmax the search's one normalization of a decoder step's scores,
-masked_softmax the softmax that attention weights its source with.
+softmax the one that attention weights its source with. A masked id is a
+-inf logit (the model's output bias puts it there), which every softmax
+here takes to probability zero.
 """
 
 import numpy as np
 
-from .errors import MorphogenError, SearchError
+from .errors import SearchError
 
 __all__ = [
     "Parameter",
-    "masked_softmax",
+    "softmax",
     "log_softmax",
     "step_loss",
     "logit_grad",
@@ -36,27 +38,16 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-def _softmax_lse(z, masked_ids=()):
-    """Stable softmax of z with masked ids at probability zero.
-
-    Returns (p, m, Z) with log-sum-exp over the unmasked entries equal to
-    log(Z) + m; z itself is left untouched.
-    """
-    if len(masked_ids):
-        z = z.copy()
-        z[list(masked_ids)] = -np.inf
+def _softmax_lse(z):
+    """Stable softmax of z -> (p, m, Z), with log-sum-exp(z) = log(Z) + m."""
     m = z.max()
     e = np.exp(z - m)
     Z = e.sum()
     return e / Z, m, Z
 
 
-def masked_softmax(logits, masked_ids=()):
-    """Softmax over the last axis with the given ids forced to probability zero."""
-    z = np.asarray(logits, dtype=np.float64)
-    if len(masked_ids):
-        z = z.copy()
-        z.T[list(masked_ids)] = -np.inf    # the last axis; cheaper than z[..., ids]
+def softmax(z):
+    """Softmax over the last axis."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -74,27 +65,23 @@ def log_softmax(z, empty=None):
     return z
 
 
-def step_loss(lv, target, masked_ids=(), log_lm=None, lam=None):
-    """-log softmax(lv)[target] with masked ids excluded and renormalized.
+def step_loss(lv, target, log_lm=None, lam=None):
+    """-log softmax(lv)[target]; a -inf logit is an id the step never emits.
 
     Given LM log-probs log_lm aligned with the logits lv and a float lam,
-    the distribution is p_model * p_lm**lam renormalized. The masked ids'
-    LM log-probs (-inf in an LM row) enter lam * log_lm as zeros, since the
-    softmax masks those ids anyway: at lam = 0 a -inf would make it NaN.
-    Returns (loss, p, dlam): p is the step distribution, so the logits'
-    gradient is (p - onehot), and dlam is the loss's derivative in lam
-    (None without log_lm).
+    the distribution is p_model * p_lm**lam renormalized. log_lm must be
+    finite, as search.lm_next_dist's is (0.0 where the logits are -inf),
+    so lv + lam * log_lm keeps lv's -inf entries and no other, lam = 0
+    included. Returns (loss, p, dlam): p is the step distribution, so the
+    logits' gradient is (p - onehot), and dlam is the loss's derivative in
+    lam (None without log_lm).
     """
-    if target in masked_ids:
-        raise MorphogenError(f"step_loss: target {target} is masked")
     if log_lm is None:
-        p, m, Z = _softmax_lse(lv, masked_ids)
+        p, m, Z = _softmax_lse(lv)
         return np.log(Z) + m - lv[target], p, None
-    safe_log_lm = log_lm.copy()
-    safe_log_lm[list(masked_ids)] = 0.0
-    p, m, Z = _softmax_lse(lv + lam * safe_log_lm, masked_ids)  # combined distribution
+    p, m, Z = _softmax_lse(lv + lam * log_lm)    # the combined distribution
     return (np.log(Z) + m - lv[target] - lam * log_lm[target], p,
-            p @ safe_log_lm - log_lm[target])
+            p @ log_lm - log_lm[target])
 
 
 def logit_grad(g, p, target):

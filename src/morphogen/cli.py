@@ -110,22 +110,33 @@ def _models_by_tag(args, tags):
 
 
 def _cmd_train(args):
+    """Train and save; every usage check runs before any data loads."""
     seed = _seed(args)
-    train_examples = data.parse_dataset(args.data)
-    dev_examples = data.parse_dataset(args.dev) if args.dev else []
-    dataset = data.DatasetSplit(train=train_examples, dev=dev_examples, test=[])
     config = _config(args, seed)
-    if args.mode in ("factored", "interpolated") and not args.tag:
-        raise _Usage(f"--tag is required for mode {args.mode}")
+    if args.mode == "joint":
+        for flag, value in (("--tag", args.tag), ("--out", args.out)):
+            if value is not None:
+                raise _Usage(f"{flag} applies to modes factored and interpolated, not joint")
+        if not args.out_dir:
+            raise _Usage("--out-dir is required for mode joint")
+    else:
+        if args.out_dir is not None:
+            raise _Usage(f"--out-dir applies to mode joint only, not {args.mode}")
+        for flag, value in (("--tag", args.tag), ("--out", args.out)):
+            if not value:
+                raise _Usage(f"{flag} is required for mode {args.mode}")
     if args.mode != "factored" and args.ensemble_k != 1:
         raise _Usage(f"--ensemble-k applies to mode factored only, not {args.mode}")
     config.validate()    # a non-finite --lambda-init is a data error (exit 2) in every mode
     for flag, value in (("--lm", args.lm), ("--lambda-init", args.lambda_init)):
         if args.mode != "interpolated" and value is not None:
             raise _Usage(f"{flag} applies to mode interpolated only, not {args.mode}")
+    if args.mode == "interpolated" and not args.lm:
+        raise _Usage("--lm is required for mode interpolated")
+    train_examples = data.parse_dataset(args.data)
+    dev_examples = data.parse_dataset(args.dev) if args.dev else []
+    dataset = data.DatasetSplit(train=train_examples, dev=dev_examples, test=[])
     if args.mode == "joint":
-        if not args.out_dir:
-            raise _Usage("--out-dir is required for mode joint")
         _make_dir(args.out_dir)
         paths = {tag: os.path.join(args.out_dir, f"{tag}.ckpt")
                  for tag in sorted({ex.tag for ex in train_examples})}
@@ -135,10 +146,6 @@ def _cmd_train(args):
         for tag, model in sorted(models.items()):
             save_model(model, paths[tag])
         return 0
-    if not args.out:
-        raise _Usage(f"--out is required for mode {args.mode}")
-    if args.mode == "interpolated" and not args.lm:
-        raise _Usage("--lm is required for mode interpolated")
     outs = [args.out] if args.ensemble_k == 1 else \
         [f"{args.out}.{i}" for i in range(1, args.ensemble_k + 1)]
     for path in outs:
@@ -165,15 +172,26 @@ def _cmd_lm_train(args):
 
 
 def _check_decode_flags(args):
-    """Reject a bad --beam-width or --interp-lambda, used or not; then one with no --lm."""
-    if getattr(args, "beam_width", 1) < 1:
-        raise MorphogenError(f"beam width must be >= 1, got {args.beam_width}")
+    """Reject a bad --beam-width or --interp-lambda, used or not; then one the
+    command would ignore: --interp-lambda without --lm or with --rerank
+    (which beams without the LM), evaluate's --beam-width without --beam or
+    --rerank."""
+    width = getattr(args, "beam_width", None)
+    if width is not None and width < 1:
+        raise MorphogenError(f"beam width must be >= 1, got {width}")
     lam = getattr(args, "interp_lambda", None)
     if lam is not None and not 0 <= lam < math.inf:
         raise MorphogenError(f"interpolation weight must be a finite number >= 0, got {lam}")
+    ignored = None
     if lam is not None and not args.lm:
+        ignored = "--interp-lambda applies with --lm only"
+    elif lam is not None and getattr(args, "rerank", None):
+        ignored = "--interp-lambda does not apply with --rerank, which beams without the LM"
+    elif args.command == "evaluate" and width is not None and not (args.beam or args.rerank):
+        ignored = "--beam-width applies with --beam or --rerank only"
+    if ignored:
         args.parser.print_usage(sys.stderr)
-        raise _Usage("--interp-lambda applies with --lm only")
+        raise _Usage(ignored)
 
 
 def _cmd_decode(args):
@@ -222,7 +240,7 @@ def _cmd_evaluate(args):
     rerank_model = reranker.load_weights(args.rerank) if args.rerank else None
     report = evaluate.evaluate_accuracy(
         models_by_tag, examples,
-        beam_width=args.beam_width if args.beam or args.rerank else None,
+        beam_width=(args.beam_width or 20) if args.beam or args.rerank else None,
         lm=lm, lam=args.interp_lambda, rerank_model=rerank_model,
         max_len_slack=args.max_len_slack)
     for tag in sorted(report.per_tag):
@@ -380,11 +398,12 @@ def build_parser():
     p.add_argument("--models-dir", default=None, help="directory of <tag>.ckpt files")
     p.add_argument("--data", required=True)
     p.add_argument("--beam", action="store_true", help="beam decode instead of greedy")
-    p.add_argument("--beam-width", type=int, default=20)
+    p.add_argument("--beam-width", type=int, default=None,
+                   help="with --beam or --rerank (default 20)")
     p.add_argument("--rerank", default=None, help="reranker weights file (implies beam)")
     p.add_argument("--lm", default=None)
     p.add_argument("--interp-lambda", type=float, default=None,
-                   help="override every tag's learned interpolation weight")
+                   help="override every tag's learned interpolation weight (not with --rerank)")
     p.add_argument("--max-len-slack", type=_non_negative_int, default=10)
     p.add_argument("--by-length", action="store_true")
     p.add_argument("--harmony", action="store_true")

@@ -102,11 +102,12 @@ def open_text(path, mode="r", what="file", error=DataError):
 
 
 def split_fields(lines, widths, source="<input>"):
-    """(line number, tab-separated fields) of each line; blank and # lines
-    are skipped, and a line whose field count is not in `widths` is a
-    DataError."""
+    """(line number, tab-separated NFC-normalized fields) of each line;
+    blank and # lines are skipped, and a line whose field count is not in
+    `widths` is a DataError. Every tab-separated input is read through here,
+    so a decomposed file reads as its composed form."""
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+        line = unicodedata.normalize("NFC", line.rstrip("\n"))
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -123,8 +124,7 @@ def parse_dataset(path):
 
 def parse_dataset_lines(lines, source="<input>"):
     examples = []
-    for lineno, cols in split_fields(lines, (3,), source):
-        lemma, tag, inflected = (unicodedata.normalize("NFC", c) for c in cols)
+    for lineno, (lemma, tag, inflected) in split_fields(lines, (3,), source):
         try:
             examples.append(Example(lemma, tag, inflected))
         except DataError as exc:
@@ -182,8 +182,9 @@ def tables_to_examples(tables):
 
 
 def read_wordlist(path):
+    """The file's non-blank lines, stripped and NFC-normalized."""
     with open_text(path, what="wordlist") as f:
-        return [line.strip() for line in f if line.strip()]
+        return [unicodedata.normalize("NFC", line.strip()) for line in f if line.strip()]
 
 
 def write_wordlist(words, path):

@@ -9,8 +9,8 @@ x_t to the learned epsilon symbol once the source runs out. Variants:
   attention     additive attention context replaces e; no x_t feed
   no-encoder    decoder sees [y_{t-1} ; x_t] only
 
-Output logits go through a softmax with BOS and EPS masked out; training is
-teacher-forced negative log-likelihood with EOS closing every target.
+The output bias masks BOS and EPS out of the logits (_masked_bias); training
+is teacher-forced negative log-likelihood with EOS closing every target.
 """
 
 import json
@@ -211,6 +211,14 @@ def _stack(models):
     return stack
 
 
+def _masked_bias(params):
+    """A copy of out_b, a model's [V] or a stack's [K, 1, V], -inf at
+    MASKED_OUTPUT_IDS: the one mask of the logits, in training and decoding."""
+    b = params.out_b.value.copy()
+    b[..., list(MASKED_OUTPUT_IDS)] = -np.inf
+    return b
+
+
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
     """Seeded uniform [-0.1, 0.1] init; forget-gate biases start at 1."""
     d = embed_dim if embed_dim is not None else len(vocab)
@@ -239,7 +247,7 @@ def attention_context(params, source, S):
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
     act = np.tanh(source.keys + (S @ params.attn_W_dec.value.mT)[..., None, :])  # [(K, B,) T, n]
     # v as a column: the product act @ v, and a stack's v [K, 1, n] broadcasts over rows
-    weights = ad.masked_softmax((act @ params.attn_v.value[..., None])[..., 0])
+    weights = ad.softmax((act @ params.attn_v.value[..., None])[..., 0])
     return weights @ source.H, weights, act
 
 
@@ -302,12 +310,15 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
 
     lm_logprobs/lam_hat switch each step to the interpolated loss: the step
     distribution becomes p_model * p_lm**lam renormalized, with lam =
-    interpolation_weight(lam_hat), and lam_hat also receives gradient.
+    interpolation_weight(lam_hat), and lam_hat also receives gradient. LM
+    rows are finite, as lm_next_dist's are; a BOS or EPS target is an error.
     """
     V = len(params.vocab)
     if not all(0 <= i < V for i in [*x_ids, *y_ids]):
         raise DimensionError(f"ids {list(x_ids)} -> {list(y_ids)} out of range "
                              f"for a vocabulary of {V}")
+    if any(i in MASKED_OUTPUT_IDS for i in y_ids):
+        raise MorphogenError(f"target ids {list(y_ids)} hold a masked output id")
     # An untaped forward over arrays and backpropagation through time by hand,
     # in the arithmetic order of recording the example op by op (softplus of
     # lam_hat, then a record per lookup, cell step, concat, attention context
@@ -333,9 +344,9 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
                              + ([E[x_t]] if w.consumes_source else []))
               for y_prev, x_t in zip(y_prevs, x_steps)]
     hs, dec_cache = lstm.run_cached(params.dec, inputs, e if w.e_as_init else None, step_input)
-    W_out, b_out = params.out_W.value, params.out_b.value
+    W_out, b_out = params.out_W.value, _masked_bias(params)
     lam = None if lm_logprobs is None else interpolation_weight(lam_hat)
-    steps = [ad.step_loss(W_out @ h + b_out, target, MASKED_OUTPUT_IDS,
+    steps = [ad.step_loss(W_out @ h + b_out, target,
                           None if lm_logprobs is None else lm_logprobs[t], lam)
              for t, (h, target) in enumerate(zip(hs, targets))]
     loss = float(sum((s[0] for s in steps[1:]), steps[0][0]))
@@ -445,9 +456,7 @@ class DecodeSession:
             P_x = E @ W_x[..., lead + d:].mT
             self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
                         for i in [*source.x_ids, EPS]]
-        # the output bias, -inf at the masked ids: logits come out masked
-        self._out_b = params.out_b.value.copy()
-        self._out_b[..., list(MASKED_OUTPUT_IDS)] = -np.inf
+        self._out_b = _masked_bias(params)
 
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]

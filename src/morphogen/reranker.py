@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .charlm import lm_score_word
@@ -162,6 +161,9 @@ def pro_train(groups, lm, iterations=100, seed=0):
     if not diffs:
         raise TrainError("PRO training found no candidate pairs with a quality gap")
     d = np.stack(diffs)
+    # imported here, not at the top: scipy.optimize takes about a third of
+    # the time `import morphogen.cli` takes, and only PRO training uses it
+    from scipy.optimize import minimize
 
     def objective(w):
         z = d @ w

@@ -90,8 +90,8 @@ def ensemble_next_dist(scores, lm_dist=None, lam=1.0):
 def interpolated_next_dist(scores, lm_dist, lam):
     """log of softmax(scores) * p_lm**lam renormalized: the log-softmax of
     scores + lam * lm_dist, per row for [B, V] arrays (lam is checked once
-    per search, by _check_models). At lam = 0 no lam * log p_lm term is
-    formed: a -inf LM log-prob would make it NaN."""
+    per search, by _check_models). lm_dist is finite, as lm_next_dist's is,
+    so the sum keeps the scores' -inf entries; at lam = 0 none is formed."""
     if lam != 0:
         scores = scores + lam * lm_dist
     return log_softmax(scores, "interpolated distribution has zero mass")
@@ -107,24 +107,24 @@ def lm_history(vocab, order, prefix_ids):
 def lm_next_dist(lm, vocab, prefix_ids):
     """LM next-char log-probs mapped onto vocab ids (EOS carries EOW).
 
-    BOS and EPS get -inf; the vector is a scoring bridge, not normalized
-    over the vocab, and is meant for the normalizing combiner above and
-    for interpolated training. It is memoised in the LM's bridge_cache per
-    (vocabulary, last order - 1 ids), the ids that fix the history, so the
-    returned array is shared and read-only.
+    BOS and EPS get log 1 = 0.0: the model's -inf scores rule them out, and
+    a finite vector adds to them at any weight without NaN. It is a scoring
+    bridge, not normalized over the vocab, meant for the normalizing
+    combiner above and for interpolated training. It is memoised in the
+    LM's bridge_cache per (vocabulary, last order - 1 ids), the ids that
+    fix the history, so the returned array is shared and read-only.
     """
     n = lm.order - 1
     key = (vocab.data_chars, tuple(prefix_ids[-n:]) if n else ())
     dist = lm.bridge_cache.get(key)
     if dist is None:
         history = lm_history(vocab, lm.order, prefix_ids)
-        dist = np.zeros(len(vocab))
+        dist = np.ones(len(vocab))
         dist[EOS] = lm.prob(history, EOW)
         dist[UNK] = lm.prob(history, "\x00")
         for i in vocab.data_ids():
             dist[i] = lm.prob(history, vocab.token_of(i))
-        with np.errstate(divide="ignore"):
-            dist = np.log(dist)
+        dist = np.log(dist)
         dist.flags.writeable = False
         lm.bridge_cache[key] = dist
     return dist

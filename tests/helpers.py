@@ -273,12 +273,15 @@ def row(tape, E, i):
 
 
 def output_loss(tape, W, h, b, target, masked_ids=(), log_lm=None, lam=None):
-    """ad.step_loss of the logits W @ h + b: a decoder step's output layer
-    and loss as one record. lam is a scalar Node and gets a gradient too."""
+    """ad.step_loss of the logits W @ h + b, -inf at masked_ids: a decoder
+    step's output layer and loss as one record. lam is a scalar Node and
+    gets a gradient too."""
     Wv, hv, bv = W.value, h.value, b.value
     if Wv.ndim != 2 or Wv.shape[1] != hv.shape[0] or Wv.shape[0] != bv.shape[0]:
         raise DimensionError(f"output_loss: W{Wv.shape} does not fit h{hv.shape}, b{bv.shape}")
-    loss, p, dlam = ad.step_loss(Wv @ hv + bv, target, masked_ids, log_lm,
+    logits = Wv @ hv + bv
+    logits[list(masked_ids)] = -np.inf
+    loss, p, dlam = ad.step_loss(logits, target, log_lm,
                                  None if log_lm is None else float(lam.value[0]))
     out = Node(np.array([loss]))
     if tape is not None:
@@ -708,16 +711,15 @@ def reference_adadelta_step(params, grads, acc, l2=0.0, rho=0.95, eps=1e-6):
 def _lm_logprobs(lm, vocab, prefix_ids):
     """The LM bridge's log-probs, computed afresh from lm.prob (no memo):
     the history is the last order - 1 characters of the start-padded
-    output, a special id standing as NUL."""
+    output, a special id standing as NUL. BOS and EPS get log 1 = 0.0."""
     surface = "".join(vocab.token_of(i) if i >= N_SPECIAL else "\x00" for i in prefix_ids)
     history = (BOW * lm.order + surface)[len(surface) + 1:]
-    p = np.zeros(len(vocab))
+    p = np.ones(len(vocab))
     p[EOS] = lm.prob(history, EOW)
     p[UNK] = lm.prob(history, "\x00")
     for i in vocab.data_ids():
         p[i] = lm.prob(history, vocab.token_of(i))
-    with np.errstate(divide="ignore"):
-        return np.log(p)
+    return np.log(p)
 
 
 def _combine_lse(member_lps, lm_lp, lam):

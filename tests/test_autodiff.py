@@ -7,7 +7,7 @@ from helpers import (GraphSweep, Node, Tape, affine, backward, concat, constant,
                      softplus, sub, tanh, total, usum, weighted_sum)
 from morphogen import autodiff as ad
 from morphogen import model as mod
-from morphogen.errors import DimensionError, MorphogenError
+from morphogen.errors import DimensionError
 from morphogen.optim import Block
 from morphogen.vocab import CharVocab
 
@@ -146,17 +146,19 @@ def test_softmax_shift_invariance_and_normalization(v, c):
 
 
 def test_masked_softmax_zeroes_and_renormalizes():
-    logits = np.array([1.0, 2.0, 3.0, 4.0])
-    p = ad.masked_softmax(logits, masked_ids=(0, 2))
+    # a masked id is a -inf logit
+    logits = np.array([-np.inf, 2.0, -np.inf, 4.0])
+    p = ad.softmax(logits)
     assert p[0] == 0.0 and p[2] == 0.0
     assert abs(p.sum() - 1.0) < 1e-12
     sub = softmax(logits[[1, 3]])
     assert abs(p[1] - sub[0]) < 1e-12 and abs(p[3] - sub[1]) < 1e-12
     # over the last axis: each row of a 2-D input equals its 1-D result
     rows = np.random.default_rng(0).normal(size=(3, 4))
-    P = ad.masked_softmax(rows, masked_ids=(0, 2))
+    rows[:, [0, 2]] = -np.inf
+    P = ad.softmax(rows)
     for r in range(3):
-        assert np.array_equal(P[r], ad.masked_softmax(rows[r], masked_ids=(0, 2)))
+        assert np.array_equal(P[r], ad.softmax(rows[r]))
 
 
 def test_backward_linear_gradient_is_input():
@@ -271,12 +273,6 @@ def test_cross_entropy_matches_manual_formula():
     assert abs(out.value[0] - _manual_ce(logits.value, 2, (0,))) < 1e-12
 
 
-def test_cross_entropy_masked_target_rejected():
-    logits = ad.Parameter("logits", [0.0, 1.0, 2.0])
-    with pytest.raises(MorphogenError, match="masked"):
-        _ce(None, logits, 1, masked_ids=(1,))
-
-
 def test_cross_entropy_gradient_is_p_minus_onehot():
     logits = ad.Parameter("logits", [0.5, 1.5, -0.5, 0.0])
     masked = (0,)
@@ -284,8 +280,9 @@ def test_cross_entropy_gradient_is_p_minus_onehot():
     loss = _ce(tape, logits, 3, masked_ids=masked)
     assert len(tape) == 1  # fused: one record per decoder step
     g = backward(tape, loss, [logits])[logits]
-    p = ad.masked_softmax(logits.value, masked)
-    want = p.copy()
+    z = logits.value.copy()
+    z[list(masked)] = -np.inf
+    want = ad.softmax(z)
     want[3] -= 1.0
     assert np.max(np.abs(g - want)) < 1e-12
     assert g[0] == 0.0
@@ -324,7 +321,7 @@ def test_interpolated_ce_lambda_gradient_matches_finite_difference():
 
 def test_interpolated_ce_masked_ids_stay_zero_in_gradient():
     logits = ad.Parameter("logits", [0.2, 0.9, -0.4, 0.1])
-    log_lm = np.array([-np.inf, np.log(0.4), np.log(0.3), np.log(0.3)])
+    log_lm = np.array([0.0, np.log(0.4), np.log(0.3), np.log(0.3)])    # as the LM bridge gives
     lam = ad.Parameter("lam", [0.5])
     tape = Tape()
     loss = _ce(tape, logits, 1, masked_ids=(0,), log_lm=log_lm, lam=lam)

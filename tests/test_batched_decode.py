@@ -29,11 +29,12 @@ def _model(variant, seed=3, hidden=4):
 
 def _training_step(m, source, h, c, y_prev, t):
     """The per-op training path run untaped: decoder_step, the output affine,
-    the log of masked_softmax."""
+    the log of the softmax with the masked ids at -inf."""
     state = decoder_step(None, m, source, LSTMState(constant(h), constant(c)), y_prev, t)
-    logits = affine(None, m.out_W, state.h, m.out_b)
+    logits = affine(None, m.out_W, state.h, m.out_b).value
+    logits[list(mod.MASKED_OUTPUT_IDS)] = -np.inf
     with np.errstate(divide="ignore"):
-        logprobs = np.log(ad.masked_softmax(logits.value, mod.MASKED_OUTPUT_IDS))
+        logprobs = np.log(ad.softmax(logits))
     return state.h.value, state.c.value, logprobs
 
 
@@ -115,7 +116,8 @@ def test_one_normalization_equals_the_two_stage_combine(k, B, lam, lm_kind, seed
     scores[..., list(mod.MASKED_OUTPUT_IDS)] = -np.inf     # as DecodeSession.step emits
     lm = None
     if lm_kind != "none":
-        lm = _rows(rng, B, V, zero=mod.MASKED_OUTPUT_IDS)     # as the LM bridge gives
+        lm = _rows(rng, B, V)
+        lm[:, list(mod.MASKED_OUTPUT_IDS)] = 0.0     # as the LM bridge gives
         if lm_kind == "extra-inf":     # one more id the LM rules out in each row
             lm[np.arange(B), rng.choice([EOS, UNK, 4, 5, 6], size=B)] = -np.inf
     got = se.ensemble_next_dist(list(scores), lm, lam)
@@ -130,13 +132,12 @@ def test_one_normalization_equals_the_two_stage_combine(k, B, lam, lm_kind, seed
 
 def _bridge_uncached(lm, vocab, prefix_ids):
     history = se.lm_history(vocab, lm.order, prefix_ids)
-    dist = np.zeros(len(vocab))
+    dist = np.ones(len(vocab))     # BOS and EPS stay at log 1 = 0.0
     dist[EOS] = lm.prob(history, EOW)
     dist[UNK] = lm.prob(history, "\x00")
     for i in vocab.data_ids():
         dist[i] = lm.prob(history, vocab.token_of(i))
-    with np.errstate(divide="ignore"):
-        return np.log(dist)
+    return np.log(dist)
 
 
 def test_lm_bridge_memo_exact_read_only_and_per_vocab():

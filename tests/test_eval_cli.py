@@ -1,5 +1,6 @@
 import itertools
 import shutil
+import unicodedata
 
 import numpy as np
 import pytest
@@ -514,6 +515,8 @@ def test_cli_usage_errors(workspace, tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train", "--bogus-flag"]) == 1
     assert cli.main(["train", "--data", workspace["train.tsv"]]) == 1  # no --tag
+    # found before the data is read: the file does not exist
+    assert cli.main(["train", "--data", str(tmp_path / "missing.tsv")]) == 1
     assert cli.main(["train", "--mode", "joint", "--data", workspace["train.tsv"]]) == 1
     assert cli.main(["evaluate", "--data", workspace["test.tsv"]]) == 1  # no models
     rc = cli.main(["evaluate", "--model", workspace["model.ckpt"],
@@ -543,6 +546,53 @@ def test_train_lm_flags_outside_interpolated_mode_are_usage_errors(workspace, tm
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and flag in err[0], (mode, flag)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("factored", ["--tag", INESSIVE, "--out", "{tmp}/f.ckpt", "--out-dir", "{tmp}/ignored"]),
+    ("interpolated", ["--tag", INESSIVE, "--lm", "{lm}", "--out", "{tmp}/i.ckpt",
+                      "--out-dir", "{tmp}/ignored"]),
+    ("joint", ["--out-dir", "{tmp}/joint", "--tag", INESSIVE]),
+    ("joint", ["--out-dir", "{tmp}/joint", "--out", "{tmp}/j.ckpt"]),
+], ids=("factored --out-dir", "interpolated --out-dir", "joint --tag", "joint --out"))
+def test_train_flags_the_mode_ignores_are_usage_errors(workspace, tmp_path, capsys, mode, extra):
+    # checked before any data loads: the data file does not exist
+    argv = ["train", "--mode", mode, "--data", str(tmp_path / "missing.tsv")]
+    argv += [a.format(tmp=tmp_path, lm=workspace["lm.txt"]) for a in extra]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    flag = extra[-2]    # the ignored flag comes last
+    assert len(err) == 1 and err[0].startswith("morphogen: error: ") and flag in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_decomposed_input_decodes_as_its_composed_form(workspace, tmp_path, capsys):
+    with open(workspace["dev.tsv"], encoding="utf-8") as f:
+        text = f.read()
+    nfd = unicodedata.normalize("NFD", text)
+    # some lemma, which every decode command reads, is decomposed
+    assert {ln.split("\t")[0] for ln in nfd.splitlines()} != \
+        {ln.split("\t")[0] for ln in text.splitlines()}
+    dev_nfd = tmp_path / "nfd-dev.tsv"
+    dev_nfd.write_text(nfd, encoding="utf-8")
+    model = ["--model", workspace["model.ckpt"]]
+    outs = {name: tmp_path / f"{name}.tsv" for name in ("p-nfc", "p-nfd", "e-nfd")}
+    assert cli.main(["predict", *model, "--data", workspace["dev.tsv"],
+                     "--out", str(outs["p-nfc"])]) == 0
+    assert cli.main(["predict", *model, "--data", str(dev_nfd),
+                     "--out", str(outs["p-nfd"])]) == 0
+    assert cli.main(["evaluate", *model, "--data", str(dev_nfd),
+                     "--pred-out", str(outs["e-nfd"])]) == 0
+    want = outs["p-nfc"].read_bytes()
+    assert outs["p-nfd"].read_bytes() == want and outs["e-nfd"].read_bytes() == want
+    # an n-best file beamed from the decomposed file finds its gold forms there
+    nbest = str(tmp_path / "b.tsv")
+    assert cli.main(["beam", *model, "--data", str(dev_nfd), "--beam-width", "2",
+                     "--out", nbest]) == 0
+    assert cli.main(["rerank-train", "--nbest", nbest, "--data", str(dev_nfd),
+                     "--lm", workspace["lm.txt"], "--iterations", "5",
+                     "--out", str(tmp_path / "w.tsv")]) == 0
+    capsys.readouterr()
 
 
 # One valid command line per subcommand and mode. "<name" is a workspace
@@ -808,7 +858,12 @@ BAD_DECODE_ARGS = (
        ("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--interp-lambda", "nan"], 2,
         "interpolation weight")]
     # a weight with no LM to weigh would go unread
-    + [(cmd, ["--interp-lambda", "0.5"], 1, "--interp-lambda") for cmd in DECODE_COMMANDS])
+    + [(cmd, ["--interp-lambda", "0.5"], 1, "--interp-lambda") for cmd in DECODE_COMMANDS]
+    # and so would a weight for reranking, which beams without the LM, and a
+    # width for greedy evaluation
+    + [("evaluate", ["--rerank", "{weights}", "--lm", "{lm}", "--interp-lambda", "0.5"], 1,
+        "--interp-lambda"),
+       ("evaluate", ["--beam-width", "3"], 1, "--beam-width")])
 
 
 @pytest.mark.parametrize("command, extra, code, names", BAD_DECODE_ARGS,

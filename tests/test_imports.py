@@ -7,6 +7,9 @@ and is left out.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_unused_imports_are_found():
     source = ("import os\nimport numpy as np\nimport a.b\nfrom x import (y, z as w)\n"
               "from m import *\n__all__ = ['y']\nprint(np.pi)\n")
     assert unused_imports(source) == ["a", "os", "w"]
+
+
+def test_the_cli_imports_without_scipy_optimize():
+    # only PRO training needs it, and it is a large share of the CLI's start-up
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", "import sys, morphogen.cli; "
+                          "print('scipy.optimize' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -155,7 +155,7 @@ def test_lm_next_dist_bridges_probabilities():
     prefix = [4]
     d = se.lm_next_dist(lm, VOCAB, prefix)
     h = se.lm_history(VOCAB, lm.order, prefix)
-    assert d[BOS] == -np.inf and d[EPS] == -np.inf
+    assert d[BOS] == 0.0 and d[EPS] == 0.0    # log 1: the model's scores mask them
     assert d[EOS] == np.log(lm.prob(h, EOW))
     assert d[UNK] == np.log(lm.prob(h, "\x00"))
     assert d[4] == np.log(lm.prob(h, "a"))

@@ -25,13 +25,14 @@ EDGE_SHAPES = [(1, 0, 1, 1), (1, 0, 3, 2), (1, 4, 1, 2), (6, 1, 2, 3), (2, 7, 4,
 
 
 def _lm_logprobs(rng, steps):
-    """Per-step LM log-probs shaped like lm_next_dist's: BOS and EPS at -inf."""
+    """Per-step LM log-probs shaped like lm_next_dist's: BOS and EPS at 0.0."""
     out = []
     for _ in range(steps):
         p = rng.random(len(VOCAB))
         p[[BOS, EPS]] = 0.0
-        with np.errstate(divide="ignore"):
-            out.append(np.log(p / p.sum()))
+        p /= p.sum()
+        p[[BOS, EPS]] = 1.0
+        out.append(np.log(p))
     return out
 
 

@@ -293,16 +293,16 @@ def test_interpolated_rejects_lm_chars_outside_vocab():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_interpolated_loss_at_lambda_zero_is_the_plain_loss(variant):
-    # softplus(-1000) is exactly 0.0, and the LM rows are -inf at BOS and
-    # EPS: the loss must form no 0 * -inf (a RuntimeWarning) and equal the
-    # loss without the LM bit for bit
+    # softplus(-1000) is exactly 0.0, and the LM rows are finite, 0.0 at BOS
+    # and EPS: the loss must raise no RuntimeWarning and equal the loss
+    # without the LM bit for bit
     vocab = CharVocab("abcd")
     model = randomize_params(init_model(vocab, variant, hidden=5, embed_dim=4, seed=0), 3)
     lm = train_lm(["abc", "abcd", "dcba", "bbac", "cad"], order=3)
     lam_hat = ad.Parameter("interp.lambda_hat", np.array([-1000.0]))
     x, y = vocab.encode("abc"), vocab.encode("bcd")
     lm_logprobs = [lm_next_dist(lm, vocab, y[:t]) for t in range(len(y) + 1)]
-    assert all(lp[BOS] == lp[EPS] == -np.inf for lp in lm_logprobs)
+    assert all(lp[BOS] == lp[EPS] == 0.0 and np.isfinite(lp).all() for lp in lm_logprobs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loss = forward_variant([], model, x, y, lm_logprobs=lm_logprobs, lam_hat=lam_hat)

@@ -82,6 +82,15 @@ def test_parse_applies_nfc_normalization():
     assert got[0].inflected == "K\xe4lber"
 
 
+def test_every_text_reader_applies_nfc_normalization(tmp_path):
+    # split_fields serves every tab-separated reader; read_wordlist reads lines
+    fields = list(d.split_fields(io.StringIO("ka\u0308l\tt\n"), (2,)))
+    assert fields == [(1, ["k\xe4l", "t"])]
+    p = tmp_path / "words.txt"
+    p.write_text("ka\u0308la\n", encoding="utf-8")
+    assert d.read_wordlist(p) == ["k\xe4la"]
+
+
 def test_parse_dataset_missing_file():
     with pytest.raises(DataError, match="cannot read dataset"):
         d.parse_dataset("/nonexistent/path.tsv")
