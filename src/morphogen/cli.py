@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import tempfile
+import unicodedata
 
 from . import charlm, data, evaluate, reranker, search, trainer
 from .errors import MorphogenError
@@ -33,6 +34,11 @@ def _non_negative_int(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _nfc(text):
+    """Command-line text, NFC-normalized as every file input is."""
+    return unicodedata.normalize("NFC", text)
 
 
 class _Usage(Exception):
@@ -84,9 +90,9 @@ def _read_columns(path, widths):
 def _models_by_tag(args, tags):
     """--model PATH or TAG=PATH (repeatable), or --models-dir with <tag>.ckpt.
 
-    An entry is TAG=PATH when it starts with "<tag>=" for a tag of the data,
-    the longest such tag, since tags may contain "="; any other entry is a
-    path.
+    An entry is TAG=PATH when it starts with "<tag>=" for a tag of the data
+    (compared in NFC), the longest such tag, since tags may contain "="; any
+    other entry is a path. A path is used exactly as given.
     """
     if args.models_dir:
         if args.model:
@@ -95,11 +101,14 @@ def _models_by_tag(args, tags):
                 for tag in tags}
     tagged, shared = {}, []
     for entry in args.model or ():
-        tag = max((t for t in tags if entry.startswith(f"{t}=")), key=len, default=None)
+        tag = path = None
+        for i, ch in enumerate(entry):     # the last match is the longest tag
+            if ch == "=" and (head := _nfc(entry[:i])) in tags:
+                tag, path = head, entry[i + 1:]
         if tag is None:
             shared.append(load_model(entry))
         else:
-            tagged.setdefault(tag, []).append(load_model(entry[len(tag) + 1:]))
+            tagged.setdefault(tag, []).append(load_model(path))
     if shared and tagged:
         raise _Usage("mix of TAG=PATH and plain --model entries")
     if shared:
@@ -345,7 +354,7 @@ def build_parser():
                    default="factored")
     p.add_argument("--data", required=True, help="training TSV (lemma TAB tag TAB form)")
     p.add_argument("--dev", default=None, help="development TSV for epoch selection")
-    p.add_argument("--tag", default=None)
+    p.add_argument("--tag", type=_nfc, default=None)
     p.add_argument("--out", default=None, help="checkpoint path (.N appended for ensembles)")
     p.add_argument("--out-dir", default=None, help="joint mode: one <tag>.ckpt per tag")
     p.add_argument("--lm", default=None, help="LM file for interpolated mode")
@@ -422,7 +431,8 @@ def build_parser():
 
     p = sub.add_parser("export-embeddings", help="dump character vectors")
     p.add_argument("--model", required=True)
-    p.add_argument("--chars", required=True, help="characters to export, e.g. 'aeiouy'")
+    p.add_argument("--chars", type=_nfc, required=True,
+                   help="characters to export, e.g. 'aeiouy'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_embeddings)
 

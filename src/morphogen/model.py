@@ -13,7 +13,9 @@ The output bias masks BOS and EPS out of the logits (_masked_bias); training
 is teacher-forced negative log-likelihood with EOS closing every target.
 """
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -503,12 +505,14 @@ class DecodeSession:
 
 # --- persistence -----------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_model(params, path):
-    tensors = {p.name: {"shape": list(p.value.shape),
-                        "data": [float(v) for v in p.value.reshape(-1)]}
+    """Write a version-2 checkpoint: JSON whose tensors each hold their shape
+    and the base64 of their little-endian float64 bytes in C order."""
+    tensors = {p.name: {"shape": list(p.value.shape), "dtype": "<f8",
+                        "b64": base64.b64encode(p.value.astype("<f8").tobytes()).decode()}
                for p in params.parameters()}
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -546,8 +550,9 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise bad(f"expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise bad(f"format_version {version!r}, expected {CHECKPOINT_VERSION}")
+    if not (_is_number(version, int) and 1 <= version <= CHECKPOINT_VERSION):
+        raise bad(f"format_version {version!r:.40}, expected an integer from 1 to "
+                  f"{CHECKPOINT_VERSION}")
     vocab = field(doc, "vocab", lambda v: isinstance(v, list)
                   and all(isinstance(c, str) for c in v), "a list of strings")
     variant = field(doc, "variant", lambda v: v in VARIANTS, f"one of {VARIANTS}")
@@ -560,21 +565,41 @@ def load_model(path):
               "a finite number >= 0")
     m = ModelParams(CharVocab(vocab), variant, hidden, embed_dim)
 
-    def tensor(name, shape, kind):
-        spec = field(tensors, name, lambda v: isinstance(v, dict)
-                     and isinstance(v.get("data"), list), "an object with a data list")
-        data = spec["data"]
-        if spec.get("shape") != list(shape):
-            raise bad(f"tensor {name!r} has shape {spec.get('shape')!r}, expected {list(shape)}")
-        if len(data) != int(np.prod(shape)):
-            raise bad(f"tensor {name!r} has {len(data)} values for shape {shape}")
+    def v1_values(name, spec, size):
+        data = spec.get("data")
+        if not isinstance(data, list):
+            raise bad(f"tensor {name!r} must be an object with a data list")
+        if len(data) != size:
+            raise bad(f"tensor {name!r} has {len(data)} values, expected {size}")
         try:
             arr = np.array(data, dtype=np.float64)
         except (TypeError, ValueError):
             arr = None
         if arr is None or arr.ndim != 1:
             raise bad(f"tensor {name!r} data must be a flat list of numbers")
-        arr = arr.reshape(shape)
+        return arr
+
+    def v2_values(name, spec, size):
+        if spec.get("dtype") != "<f8":
+            raise bad(f"tensor {name!r} has dtype {spec.get('dtype')!r:.40}, expected '<f8'")
+        text = spec.get("b64")
+        if not isinstance(text, str):
+            raise bad(f"tensor {name!r} must have a b64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            raise bad(f"tensor {name!r} b64 is not valid base64") from None
+        if len(raw) != 8 * size:
+            raise bad(f"tensor {name!r} has {len(raw)} bytes, expected {8 * size}")
+        return np.frombuffer(raw, "<f8")
+
+    values = v1_values if version == 1 else v2_values
+
+    def tensor(name, shape, kind):
+        spec = field(tensors, name, lambda v: isinstance(v, dict), "an object")
+        if spec.get("shape") != list(shape):
+            raise bad(f"tensor {name!r} has shape {spec.get('shape')!r}, expected {list(shape)}")
+        arr = values(name, spec, math.prod(shape)).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise bad(f"tensor {name!r} has non-finite values")
         return arr

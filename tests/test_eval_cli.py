@@ -511,6 +511,45 @@ def test_cli_export_embeddings(workspace, tmp_path):
     assert rc == 2
 
 
+# Command-line text is NFC-normalized as file text is: a decomposed "ä"
+# ("a" + U+0308) names the same character or tag as the composed one.
+NFD_A = unicodedata.normalize("NFD", "ä")
+
+
+def _with_tag(src, dst, tag, keep=None):
+    """src's examples (only those tagged keep, if given) with INESSIVE
+    renamed to tag, written to dst."""
+    rows = [f"{ex.lemma}\t{tag if ex.tag == INESSIVE else ex.tag}\t{ex.inflected}\n"
+            for ex in parse_dataset(src) if keep is None or ex.tag == keep]
+    dst.write_text("".join(rows), encoding="utf-8")
+    return str(dst)
+
+
+def test_cli_export_embeddings_chars_in_nfc(workspace, tmp_path):
+    out = tmp_path / "emb.tsv"
+    assert cli.main(["export-embeddings", "--model", workspace["model.ckpt"],
+                     "--chars", f"a{NFD_A}", "--out", str(out)]) == 0
+    assert list(ev.read_embeddings(out)) == ["a", "ä"]
+
+
+def test_cli_train_tag_in_nfc(workspace, tmp_path):
+    train = _with_tag(workspace["train.tsv"], tmp_path / "train.tsv", "case=ä")
+    out = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", train, "--tag", f"case={NFD_A}", "--out", str(out),
+                     "--hidden", "2", "--epochs", "1"]) == 0
+    assert load_model(out).hidden == 2
+
+
+def test_cli_evaluate_tag_entry_in_nfc_path_as_given(workspace, tmp_path, capsys):
+    test = _with_tag(workspace["test.tsv"], tmp_path / "test.tsv", "case=ä", keep=INESSIVE)
+    path = tmp_path / f"m{NFD_A}.ckpt"     # a decomposed file name, used as given
+    shutil.copyfile(workspace["model.ckpt"], path)
+    assert not (tmp_path / "mä.ckpt").exists()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--model", f"case={NFD_A}={path}", "--data", test]) == 0
+    assert capsys.readouterr().out.startswith("tag\tcase=ä\t")
+
+
 def test_cli_usage_errors(workspace, tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train", "--bogus-flag"]) == 1

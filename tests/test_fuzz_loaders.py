@@ -1,6 +1,8 @@
 """Every loader, fed arbitrary bytes or a damaged valid file, either loads or
 raises a MorphogenError: never another exception."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -16,6 +18,7 @@ from morphogen.vocab import CharVocab
 
 LOADERS = {
     "load_model": load_model,
+    "load_model_v1": load_model,      # over a committed version-1 checkpoint
     "load_lm": load_lm,
     "read_nbest": search.read_nbest,
     "load_weights": load_weights,
@@ -31,6 +34,8 @@ def _write_valid(kind, path):
     if kind == "load_model":
         model.lm_lambda = 0.5
         save_model(model, path)
+    elif kind == "load_model_v1":
+        path.write_bytes((Path(__file__).parent / "data" / "attention.v1.ckpt").read_bytes())
     elif kind == "load_lm":
         save_lm(train_lm(["ab", "ba", "aab\\"], order=3), path)
     elif kind == "read_nbest":

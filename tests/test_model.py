@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,14 +330,31 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _doc(tmp_path, mutate):
-    m = _model("full", hidden=3, embed_dim=2)
-    path = tmp_path / "m.ckpt"
-    mod.save_model(m, path)
-    doc = json.loads(path.read_text())
+FIXTURES = Path(__file__).parent / "data"
+
+
+def _v1_fixture(variant="full"):
+    """A version-1 checkpoint of _model(variant, hidden=5, embed_dim=4, seed=0),
+    as the version-1 writer saved it."""
+    return FIXTURES / f"{variant}.v1.ckpt"
+
+
+def _doc(tmp_path, mutate, version=1):
+    """A checkpoint document of the given version, changed by mutate."""
+    if version == 1:
+        doc = json.loads(_v1_fixture().read_text(encoding="utf-8"))
+    else:
+        mod.save_model(_model("full", hidden=3, embed_dim=2), tmp_path / "m.ckpt")
+        doc = json.loads((tmp_path / "m.ckpt").read_text(encoding="utf-8"))
     mutate(doc)
+    path = tmp_path / "m.ckpt"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _set_b64(doc, name, values):
+    doc["tensors"][name]["b64"] = base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()).decode()
 
 
 def test_checkpoint_missing_file_and_bad_json(tmp_path):
@@ -361,10 +380,8 @@ def test_checkpoint_missing_file_and_bad_json(tmp_path):
 ], ids=["list", "tensor-number", "hidden-string", "vocab-number", "config-list",
         "variant-list", "data-strings", "data-nested", "embed-dim-bool", "lambda-nan"])
 def test_checkpoint_wrong_structure_rejected(tmp_path, mutate):
-    m = _model("full", hidden=3, embed_dim=2)
+    doc = json.loads(_v1_fixture().read_text(encoding="utf-8"))
     path = tmp_path / "m.ckpt"
-    mod.save_model(m, path)
-    doc = json.loads(path.read_text())
     path.write_text(json.dumps(mutate(doc) or doc))
     with pytest.raises(CheckpointError) as info:
         mod.load_model(path)
@@ -378,6 +395,14 @@ def test_checkpoint_unwritable_path(tmp_path):
 
 def test_checkpoint_version_check(tmp_path):
     path = _doc(tmp_path, lambda doc: doc.update(format_version=99))
+    with pytest.raises(CheckpointError, match="format_version"):
+        mod.load_model(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 2.0, "1", 0, None])
+def test_checkpoint_version_must_be_a_known_int(tmp_path, version):
+    # True == 1 and 1.0 == 1 in Python, but neither is a format version
+    path = _doc(tmp_path, lambda doc: doc.update(format_version=version))
     with pytest.raises(CheckpointError, match="format_version"):
         mod.load_model(path)
 
@@ -411,6 +436,55 @@ def test_checkpoint_nonfinite_rejected(tmp_path):
         mod.load_model(path)
 
 
+def test_checkpoint_writes_version_2_with_base64_tensors(tmp_path):
+    m = _model("full", hidden=3, embed_dim=2)
+    mod.save_model(m, tmp_path / "m.ckpt")
+    doc = json.loads((tmp_path / "m.ckpt").read_text(encoding="utf-8"))
+    assert doc["format_version"] == mod.CHECKPOINT_VERSION == 2
+    for p in m.parameters():
+        spec = doc["tensors"][p.name]
+        assert set(spec) == {"shape", "dtype", "b64"}
+        assert spec["shape"] == list(p.value.shape) and spec["dtype"] == "<f8"
+        assert base64.b64decode(spec["b64"]) == p.value.astype("<f8").tobytes()
+
+
+def test_checkpoint_v2_keeps_every_bit(tmp_path):
+    m = _model("full", hidden=3, embed_dim=2)
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([-0.0, tiny, -tiny, 2.2e-308, 1e308, -1e308, np.finfo(float).max, 0.1])
+    m.embed.value.reshape(-1)[:special.size] = special
+    mod.save_model(m, tmp_path / "m.ckpt")
+    loaded = mod.load_model(tmp_path / "m.ckpt")
+    for a, b in zip(m.parameters(), loaded.parameters()):
+        assert a.value.tobytes() == b.value.tobytes(), a.name
+    assert np.signbit(loaded.embed.value.reshape(-1)[0])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["tensors"]["softmax.b"].update(b64="not base64!"),
+    lambda doc: doc["tensors"]["softmax.b"].update(b64=doc["tensors"]["softmax.b"]["b64"][:-4]),
+    lambda doc: doc["tensors"]["softmax.b"].update(b64="ä" * 8),
+    lambda doc: doc["tensors"]["softmax.b"].update(b64=7),
+    lambda doc: doc["tensors"]["softmax.b"].pop("b64"),
+    lambda doc: doc["tensors"]["softmax.b"].update(dtype=">f8"),
+    lambda doc: doc["tensors"]["softmax.b"].update(dtype="<f4"),
+    lambda doc: doc["tensors"]["softmax.b"].pop("dtype"),
+    lambda doc: _set_b64(doc, "softmax.b", [0.0] * (len(VOCAB) + 1)),
+    lambda doc: _set_b64(doc, "softmax.b", [0.0] * (len(VOCAB) - 1) + [np.nan]),
+    lambda doc: _set_b64(doc, "softmax.b", [np.inf] + [0.0] * (len(VOCAB) - 1)),
+    lambda doc: _set_b64(doc, "softmax.b", [-np.inf] + [0.0] * (len(VOCAB) - 1)),
+    lambda doc: doc["tensors"]["softmax.b"].update(shape=[len(VOCAB) + 1]),
+    lambda doc: doc["tensors"].update({"softmax.b": [0.0] * len(VOCAB)}),
+], ids=["bad-base64", "truncated", "non-ascii", "b64-number", "b64-missing", "big-endian",
+        "float32", "dtype-missing", "too-many-bytes", "nan", "inf", "minus-inf", "shape",
+        "tensor-list"])
+def test_checkpoint_v2_bad_tensor_named(tmp_path, mutate):
+    path = _doc(tmp_path, mutate, version=2)
+    with pytest.raises(CheckpointError, match="softmax.b") as info:
+        mod.load_model(path)
+    assert "\n" not in str(info.value)
+
+
 def test_checkpoint_missing_config_field(tmp_path):
     path = _doc(tmp_path, lambda doc: doc["config"].pop("hidden"))
     with pytest.raises(CheckpointError, match="missing field"):
@@ -428,20 +502,25 @@ def test_models_equal_detects_structural_differences():
 
 
 # The numerical contract of init and persistence, per variant: the sha256 of
-# the initial parameter bytes in parameters() order, the sha256 of the saved
-# checkpoint, and the tape length of forward_variant on ("abab" -> "ba") and
-# ("a" -> "bab"). A reordered RNG draw, parameter or tape record changes one
-# of them.
+# the initial parameter bytes in parameters() order, the sha256 of the
+# checkpoint save_model writes (format version 2) and of the version-1 file
+# the earlier writer saved (tests/data/<variant>.v1.ckpt), and the tape
+# length of forward_variant on ("abab" -> "ba") and ("a" -> "bab"). A
+# reordered RNG draw, parameter or tape record changes one of them.
 PINNED = {
     "full": ("9d4cfbcf852a64659885d663bd4cd15913f71544b2660350cca5adf99fe5f3e6",
+             "69201be13049cd38db96f90d6e1102f29735e2de27f26a3a27d15a0f36d34235",
              "1de272b5fd191bf0474eace2501f50d79931f2c92255e6e36b2c5b1c7f947456", (1, 1)),
     "plain-encdec": ("62b6e21f112c9112e84c58509db132b14f55264e4f929475211b03cda199a2c9",
+                     "8798749c83806e7e957164abe4a686082d8744761e62fad20a347055a876277b",
                      "4e345fc0cd40fd6553bcca5253d21084b85458e97e2f45071d59b2970e5dd65f",
                      (1, 1)),
     "attention": ("3be2ec6beddeb92e84ab20da3e442e909082964a59986b35706c8dfb570c46cb",
+                  "b6f8a64ee847bfa906380001f1f853fd65e5c77ca388afc4d3eaf78a9302fcb7",
                   "6126a29ab3499c439d4fbb4c2d4281bb2afa979ba7dfb908f5cf0ada3126d266",
                   (1, 1)),
     "no-encoder": ("bfc29732a645eda4860b0387197b57f614711451ca8b761f1b262607b5d66578",
+                   "f8f383812caa6039cac30967a1faa86d56dcb316121b23d2607184d0f534d23f",
                    "857949ecd2479d87ff96f6af66b330f3b90aeacf7dc3255f9bab15f98b10890f",
                    (1, 1)),
 }
@@ -449,7 +528,7 @@ PINNED = {
 
 @pytest.mark.parametrize("variant", mod.VARIANTS)
 def test_init_checkpoint_and_tape_pinned(tmp_path, variant):
-    params_digest, checkpoint_digest, tape_lengths = PINNED[variant]
+    params_digest, checkpoint_digest, _, tape_lengths = PINNED[variant]
     m = _model(variant, hidden=5, embed_dim=4, seed=0)
     got = hashlib.sha256(b"".join(p.value.tobytes() for p in m.parameters()))
     assert got.hexdigest() == params_digest
@@ -462,6 +541,18 @@ def test_init_checkpoint_and_tape_pinned(tmp_path, variant):
         mod.forward_variant(tape, m, VOCAB.encode(x), VOCAB.encode(y))
         lengths.append(len(tape))
     assert tuple(lengths) == tape_lengths
+
+
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_v1_checkpoint_fixture_pinned_and_loaded(variant):
+    params_digest, _, v1_digest, _ = PINNED[variant]
+    path = _v1_fixture(variant)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == v1_digest
+    loaded = mod.load_model(path)
+    got = hashlib.sha256(b"".join(p.value.tobytes() for p in loaded.parameters()))
+    assert got.hexdigest() == params_digest
+    assert models_equal(loaded, _model(variant, hidden=5, embed_dim=4, seed=0))
+    assert loaded.lm_lambda is None
 
 
 # sha256 of the loss and of every parameter gradient (name, then bytes, in
