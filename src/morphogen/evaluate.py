@@ -1,12 +1,18 @@
 """Exact-match evaluation plus the post-hoc analyses: accuracy by output
-length, a whole-word vowel-harmony check, and embedding export."""
+length, a whole-word vowel-harmony check, and embedding export.
+
+decode_lemmas is the one entry for decoding a run of lemmas with one model
+or ensemble: CLI predict and beam, evaluate_accuracy and the trainer's dev
+evaluation all reach it. A greedy run decodes as rows of one batch
+(search.greedy_decode_batch); a beam decodes word by word.
+"""
 
 from dataclasses import dataclass
 
 from .data import open_text
 from .errors import DataError, SearchError
 from .reranker import rerank as rerank_pick
-from .search import beam_decode, greedy_decode
+from .search import beam_decode, greedy_decode_batch
 
 __all__ = [
     "EvalReport",
@@ -40,19 +46,18 @@ def _as_ensemble(value):
 def decode_lemmas(models, lemmas, *, beam_width=None, lm=None, lam=None, max_len_slack=10):
     """Each lemma's DecodeResult list under one model or ensemble list: the greedy
     result, or the n-best of a beam of beam_width. An output may run max_len_slack
-    symbols past its lemma; lam defaults as for search.greedy_decode."""
+    symbols past its lemma; lam defaults as for search.greedy_decode. Greedy
+    decodes all lemmas as rows (search.greedy_decode_batch), whose ids and flags
+    are greedy_decode's and whose log-probs agree with it to rounding."""
     if not models:
         raise SearchError("decoding needs at least one model")
     vocab = models[0].vocab
-    out = []
-    for lemma in lemmas:
-        x_ids = vocab.encode(lemma)
-        max_len = len(x_ids) + max_len_slack
-        if beam_width is None:
-            out.append([greedy_decode(models, x_ids, max_len, lm=lm, lam=lam)])
-        else:
-            out.append(beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam))
-    return out
+    sources = [vocab.encode(lemma) for lemma in lemmas]
+    max_lens = [len(x_ids) + max_len_slack for x_ids in sources]
+    if beam_width is None:
+        return [[r] for r in greedy_decode_batch(models, sources, max_lens, lm=lm, lam=lam)]
+    return [beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam)
+            for x_ids, max_len in zip(sources, max_lens)]
 
 
 def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
@@ -62,7 +67,9 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
     models_by_tag maps each tag to a model or ensemble list. Decoding is
     greedy unless beam_width is given; a reranker needs beam_width and an LM,
     and picks from a beam decoded without it. Without lam, each tag decodes
-    with its first member's learned lm_lambda, else 1.0.
+    with its first member's learned lm_lambda, else 1.0. Tags mapped to the
+    same list (or model) object decode each distinct lemma of theirs once,
+    in one decode_lemmas call.
     """
     if not examples:
         raise DataError("evaluate_accuracy: no examples given")
@@ -75,17 +82,27 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
             raise DataError("reranking needs a language model for its features")
         if beam_width is None:
             raise DataError("reranking needs a beam width")
-    per_tag, counts, preds = {}, {}, {}   # preds: example -> predicted form
+    # tags that share one model list (evaluate --model PATH gives every tag
+    # the same list) decode each of their distinct lemmas once, in one run
+    groups = {}
     for tag in tags:
-        models = _as_ensemble(models_by_tag[tag])
-        tag_examples = [ex for ex in examples if ex.tag == tag]
-        results = decode_lemmas(models, [ex.lemma for ex in tag_examples], beam_width=beam_width,
-                                lm=lm if rerank_model is None else None, lam=lam,
-                                max_len_slack=max_len_slack)
+        groups.setdefault(id(models_by_tag[tag]), []).append(tag)
+    preds = {}   # example -> predicted form
+    for group in groups.values():
+        models = _as_ensemble(models_by_tag[group[0]])
+        group_examples = [ex for ex in examples if ex.tag in group]
+        lemmas = list(dict.fromkeys(ex.lemma for ex in group_examples))
+        results = dict(zip(lemmas, decode_lemmas(
+            models, lemmas, beam_width=beam_width, lm=lm if rerank_model is None else None,
+            lam=lam, max_len_slack=max_len_slack)))
         vocab = models[0].vocab
-        for ex, nbest in zip(tag_examples, results):
+        for ex in group_examples:
+            nbest = results[ex.lemma]
             preds[ex] = nbest[0].text(vocab) if rerank_model is None else rerank_pick(
                 [(r.text(vocab), r.logprob) for r in nbest], rerank_model, lm, ex.lemma)
+    per_tag, counts = {}, {}
+    for tag in tags:
+        tag_examples = [ex for ex in examples if ex.tag == tag]
         counts[tag] = len(tag_examples)
         per_tag[tag] = sum(preds[ex] == ex.inflected for ex in tag_examples) / counts[tag]
     predictions = tuple((ex.lemma, ex.tag, ex.inflected, preds[ex]) for ex in examples)

@@ -22,6 +22,11 @@ A stack of K cells of one shape (decoding an ensemble) holds each tensor
 with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
 steps rows [K,B,·]: one np.matmul per weight for all members, each member's
 slice computed by the same BLAS call as that member alone.
+
+A batch of sources of different lengths (decoding a run of words) runs as
+rows padded to the longest, with a mask: run_cached holds a row's state
+through its padded steps, so encode_bidirectional gives every row the
+states its source alone would.
 """
 
 import numpy as np
@@ -98,7 +103,7 @@ def rows_step(params, ZX, H, C):
     return sig[..., 2 * n:] * np.tanh(C), C
 
 
-def run_cached(params, xs, h0=None, step_input=None):
+def run_cached(params, xs, h0=None, step_input=None, mask=None):
     """lstm_step over the input vectors xs (a stack's rows [K,B,l]), from
     (h0, 0) or the zero state -> (every step's h, a per-step cache for
     backward_cached). Each step's input projection is x @ W_x.T + b, summed
@@ -106,16 +111,22 @@ def run_cached(params, xs, h0=None, step_input=None):
 
     step_input(x, h_prev), if given, builds each step's input from xs[t] and
     the previous h: an input that depends on the state, like attention's.
+    mask, if given, holds a [B, 1] array of bools per step for rows xs[t]
+    [B, l] (or [K, B, l]): a row whose entry is False keeps its state
+    through that step, as a padded position of a batch of sources must. The
+    cache of a masked run is not one backward_cached can read.
     """
     W_xT, b = params.W_x.value.mT, params.b.value
     h = np.zeros(params.state_shape) if h0 is None else h0
     c = np.zeros(params.state_shape)
     hs, cache = [], []
-    for x in xs:
+    for t, x in enumerate(xs):
         if step_input is not None:
             x = step_input(x, h)
         h_next, c_next, sig, g, tc = lstm_step(params, x @ W_xT + b, h, c)
         cache.append((x, h, c, sig, g, tc))
+        if mask is not None:
+            h_next, c_next = np.where(mask[t], h_next, h), np.where(mask[t], c_next, c)
         h, c = h_next, c_next
         hs.append(h)
     return hs, cache
@@ -166,13 +177,21 @@ def backward_cached(grads, params, cache, gh_out, step_grad=None):
     return dxs, gh_rec
 
 
-def encode_bidirectional(fwd, bwd, xs):
+def encode_bidirectional(fwd, bwd, xs, mask=None):
     """Both passes over the inputs xs (vectors [l], or rows [K,1,l] for a
     stack) -> (the forward pass's h at every position, the backward pass's h
     at every position, the forward pass's run_cached cache, the backward
-    pass's, which runs over xs reversed)."""
+    pass's, which runs over xs reversed).
+
+    With mask (run_cached's, one [B, 1] array per position), xs holds the
+    rows [B, l] ([K, B, l] for a stack) of B sources padded at the end to
+    one length, and each row keeps its state over its padding: the forward
+    pass carries a row's last state to the end, and the backward pass holds
+    the zero state until it reaches the row's last symbol. So every row's
+    states at its own positions, and the final states at positions -1 and 0,
+    are the ones its source alone would give."""
     if not xs:
         raise DimensionError(f"lstm {fwd.name}: empty input sequence")
-    fwd_hs, fwd_cache = run_cached(fwd, xs)
-    bwd_hs, bwd_cache = run_cached(bwd, xs[::-1])
+    fwd_hs, fwd_cache = run_cached(fwd, xs, mask=mask)
+    bwd_hs, bwd_cache = run_cached(bwd, xs[::-1], mask=None if mask is None else mask[::-1])
     return fwd_hs, bwd_hs[::-1], fwd_cache, bwd_cache

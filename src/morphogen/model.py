@@ -14,6 +14,7 @@ is teacher-forced negative log-likelihood with EOS closing every target.
 """
 
 import base64
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -183,13 +184,7 @@ def _build(m, fill, pack=True):
     if not pack:
         return
     params = m.parameters()
-    # theta starts on a 64-byte boundary, so the weights' offsets from a
-    # cache line, and with them the speed of their BLAS products, are the
-    # same from one load to the next
-    size = sum(p.value.size for p in params)
-    buf = np.empty(size + 7)
-    start = -buf.ctypes.data % 64 // buf.itemsize
-    m.theta = buf[start:start + size]
+    m.theta = _aligned(sum(p.value.size for p in params))
     np.concatenate([p.value.reshape(-1) for p in params], out=m.theta)
     offset = 0
     for p in params:
@@ -198,16 +193,37 @@ def _build(m, fill, pack=True):
         offset += size
 
 
+def _aligned(size):
+    """An uninitialized float64 vector of size values that starts on a
+    64-byte boundary, so that the offsets of the weights it holds from a
+    cache line, and with them the speed of their BLAS products, are the same
+    from one run to the next."""
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // buf.itemsize
+    return buf[start:start + size]
+
+
 def _stack(models):
     """Models of one vocabulary and (variant, hidden, embed_dim), which the
     caller checks, as one model of K members: each tensor gains a leading
     member axis, a matrix as [K, r, c] and a vector as [K, 1, c], which
-    broadcasts over a step's rows [K, B, c]. Stacked from the members'
-    tensors on every call, since training updates them in place; a stack
-    has no theta."""
+    broadcasts over a step's rows [K, B, c]. Each stacked tensor is a
+    contiguous copy of the members' current values that starts on a 64-byte
+    boundary of one aligned buffer, so its layout is the same from one run
+    to the next. Training updates the members in place, so a stack must not
+    outlive a training step. A stack has no theta."""
     first = models[0]
-    values = {ps[0].name: np.array([p.value if p.value.ndim == 2 else p.value[None] for p in ps])
-              for ps in zip(*(m.parameters() for m in models))}
+    groups = list(zip(*(m.parameters() for m in models)))
+    shapes = [(len(ps), *ps[0].value.shape) if ps[0].value.ndim == 2
+              else (len(ps), 1, *ps[0].value.shape) for ps in groups]
+    # each tensor starts a run of whole 64-byte lines (8 float64) of one buffer
+    starts = [0, *itertools.accumulate(-(-math.prod(shape) // 8) * 8 for shape in shapes)]
+    buf, values = _aligned(starts[-1]), {}
+    for ps, shape, start in zip(groups, shapes, starts):
+        flat = buf[start:start + math.prod(shape)]
+        # members one after another: a matrix's rows, a vector's values
+        np.concatenate([p.value for p in ps], out=flat.reshape(-1, *ps[0].value.shape[1:]))
+        values[ps[0].name] = flat.reshape(shape)
     stack = ModelParams(first.vocab, first.variant, first.hidden, first.embed_dim)
     _build(stack, lambda name, shape, kind: values[name], pack=False)
     return stack
@@ -243,13 +259,19 @@ def attention_context(params, source, S):
     """Additive attention of a decoder state S [n], of every row of S
     [B, n] or of a stack's rows [K, B, n] over an encoded source:
     softmax(v . tanh(W_enc h_t + W_dec s)) weighting the source's states
-    h_t. Returns (context, weights, tanh activations); training's backward
-    reads the last two."""
+    h_t. Over a batch of sources (_encode_sources) row b attends to source
+    b, and to none of its padded positions. Returns (context, weights, tanh
+    activations); training's backward reads the last two."""
     if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
     act = np.tanh(source.keys + (S @ params.attn_W_dec.value.mT)[..., None, :])  # [(K, B,) T, n]
     # v as a column: the product act @ v, and a stack's v [K, 1, n] broadcasts over rows
-    weights = ad.softmax((act @ params.attn_v.value[..., None])[..., 0])
+    scores = (act @ params.attn_v.value[..., None])[..., 0]
+    if source.pad is not None:
+        scores += source.pad
+    weights = ad.softmax(scores)
+    if source.batch:    # each row's weights [T] over its own states [T, 2n]
+        return (weights[..., None, :] @ source.H)[..., 0, :], weights, act
     return weights @ source.H, weights, act
 
 
@@ -260,11 +282,17 @@ class _Source:
     H [T, 2n] with rows [fwd h_t ; bwd h_t], together with their
     projections keys = W_enc h_t [T, n], which do not depend on the decoder
     step. A stack's has a leading member axis: e [K, n], e_raw [K, 2n],
-    H [K, T, 2n] and keys [K, 1, T, n], which broadcasts over rows."""
+    H [K, T, 2n] and keys [K, 1, T, n], which broadcasts over rows.
+
+    A batch of B sources (batch true, from _encode_sources) holds one row
+    per source: x_ids [B, T + 1] padded with EPS, e [(K,) B, n], H
+    [(K,) B, T, 2n] and keys [(K,) B, T, n], and pad [B, T], 0 at a row's
+    own positions and -inf at its padding (None when no row is padded)."""
 
     def __init__(self, params, x_ids, H=None):
         self.x_ids = x_ids
-        self.e = self.e_raw = None
+        self.e = self.e_raw = self.pad = None
+        self.batch = False
         self.H = H
         if H is not None:
             self.keys = H @ params.attn_W_enc.value.mT
@@ -299,6 +327,40 @@ def _encode_source(params, x_ids):
         if stacked:     # one row per member -> [K, ·]
             source.e_raw, source.e = source.e_raw[:, 0], source.e[:, 0]
     return source, caches
+
+
+def _encode_sources(params, sources):
+    """B sources encoded at once, as the rows of a batch _Source: one
+    masked encoder pass over the sources padded to the longest, so padding
+    never changes a row's states. An empty source is a DataError, as in
+    _encode_source."""
+    lengths = [len(x) for x in sources]
+    if not all(lengths):
+        raise DataError("empty input sequence")
+    T = max(lengths)
+    X = np.full((len(sources), T + 1), EPS)
+    for r, x in enumerate(sources):
+        X[r, :len(x)] = x
+    source = _Source(params, X)
+    source.batch = True
+    w, E = params.wiring, params.embed.value
+    if not w.encoder:
+        return source
+    stacked = E.ndim == 3
+    mask = (np.arange(T)[:, None] < lengths)[..., None]     # [T, B, 1]
+    fwd_hs, bwd_hs = lstm.encode_bidirectional(
+        params.enc_fwd, params.enc_bwd, [E.take(X[:, t], axis=-2) for t in range(T)], mask)[:2]
+    if w.attention:
+        H = np.concatenate((fwd_hs, bwd_hs), axis=-1)    # [T, (K,) B, 2n]
+        source.H = np.ascontiguousarray(np.moveaxis(H, 0, -2))
+        W_enc = params.attn_W_enc.value.mT     # a stack's as [K, 1, 2n, n], over the rows
+        source.keys = source.H @ (W_enc[:, None] if stacked else W_enc)
+        if min(lengths) < T:
+            source.pad = np.where(mask[..., 0].T, 0.0, -np.inf)
+    if w.trans:
+        e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)
+        source.e = e_raw @ params.trans_W.value.mT + params.trans_b.value
+    return source
 
 
 def interpolation_weight(lam_hat):
@@ -421,9 +483,10 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
 class DecodeSession:
     """Per-input stepping interface used by greedy and beam search.
 
-    Built over one model, or over a stack of K models (_stack). Runs the
+    Built over one model, or over a stack of K models (_stack), and over one
+    source x_ids or a batch of them (sources, one row each). Runs the
     encoder once and splits the decoder's input projection W_x [e|context,
-    y_prev, x_t] + b by its column blocks into tables for this source: the
+    y_prev, x_t] + b by its column blocks into tables for the sources: the
     constant part b (+ W_e e) plus, when the variant consumes the source,
     x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n] for y_prev. A
     step then looks its input projection up instead of forming it; only
@@ -434,38 +497,66 @@ class DecodeSession:
     (lstm.rows_step); a stack steps rows, on every member at once. It emits
     the output layer's masked scores, not log-probs: the search normalizes
     a step once, after combining the members and the LM.
+
+    Over a batch of sources, row b of every step belongs to source b: it
+    reads that source's e, its own x_t (EPS past its own end) and, with
+    attention, that source's states alone. select keeps a subset of the
+    rows as the search retires the others.
     """
 
-    def __init__(self, params, x_ids):
+    def __init__(self, params, x_ids=None, *, sources=None):
         V = len(params.vocab)
-        if not all(0 <= i < V for i in x_ids):
-            raise DimensionError(f"source ids {list(x_ids)} out of range for a vocabulary of {V}")
+        batch = sources is not None
+        for x in sources if batch else [x_ids]:
+            if not all(0 <= i < V for i in x):
+                raise DimensionError(f"source ids {list(x)} out of range for a vocabulary of {V}")
         self.params = params
         self.stacked = params.embed.value.ndim == 3
-        source = self._source = _encode_source(params, x_ids)[0]
+        source = self._source = (_encode_sources(params, sources) if batch
+                                 else _encode_source(params, x_ids)[0])
         w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
         W_x = params.dec.W_x.value
         lead = n * w.e_per_step + 2 * n * w.attention    # the e or context columns
         self._W_ctx = W_x[..., :lead].mT if w.attention else None
         zx = params.dec.b.value     # [4n]; a stack's [K, 1, 4n]
-        if w.e_per_step:
-            zx = zx + (source.e[:, None] if self.stacked else source.e) @ W_x[..., :n].mT
+        if w.e_per_step:    # one source's e as rows of one for a stack; a batch's e is rows
+            zx = zx + (source.e[:, None] if self.stacked and not batch else source.e) \
+                @ W_x[..., :n].mT
         self._P_y = E @ W_x[..., lead:lead + d].mT    # [V, 4n]; a stack's [K, V, 4n]
         # the constant part of step t's projection; the last one serves every
-        # step past the source end, where x_t is EPS
+        # step past the (longest) source end, where x_t is EPS
         self._zx = [zx]
         if w.consumes_source:
             P_x = E @ W_x[..., lead + d:].mT
-            self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
-                        for i in [*source.x_ids, EPS]]
+            if batch:   # one column of the EPS-padded ids per step: rows [(K,) B, 4n]
+                self._zx = [zx + P_x.take(ids, axis=-2) for ids in source.x_ids.T]
+            else:
+                self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
+                            for i in [*source.x_ids, EPS]]
         self._out_b = _masked_bias(params)
 
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
-        for a stack: one state per member)."""
-        p = self.params
-        n = (len(p.embed.value), p.hidden) if self.stacked else p.hidden
-        return self._source.e if p.wiring.e_as_init else np.zeros(n), np.zeros(n)
+        for a stack: one state per member); for a batch of B sources, as
+        rows [B, n] ([K, B, n] for a stack)."""
+        p, source = self.params, self._source
+        if source.batch:
+            n = (*p.embed.value.shape[:-2], len(source.x_ids), p.hidden)
+        else:
+            n = (len(p.embed.value), p.hidden) if self.stacked else p.hidden
+        return source.e if p.wiring.e_as_init else np.zeros(n), np.zeros(n)
+
+    def select(self, rows):
+        """Keep the given rows (indices into the current rows, in their new
+        order) of a batch session's per-source tables, as the search does
+        with its state rows when it retires the others."""
+        source = self._source
+        if self.params.wiring.consumes_source:
+            self._zx = [zx.take(rows, axis=-2) for zx in self._zx]
+        if source.H is not None:
+            source.H, source.keys = source.H.take(rows, axis=-3), source.keys.take(rows, axis=-3)
+            if source.pad is not None:
+                source.pad = source.pad.take(rows, axis=0)
 
     def step(self, H, C, y_prev, t):
         """One decoder step and its output layer -> (H', C', the masked

@@ -22,11 +22,21 @@ Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
-unstacked, so a single model decodes as it would alone. Greedy search steps
-one state for a single model and one row per member for an ensemble, beam
-search all live hypotheses as the rows [B, ·] of each step call; both go
-through _next_dist, and the combiner below works row by row on [B, V]
-arrays as well as on single vectors.
+unstacked, so a single model decodes as it would alone. Beam search steps
+all live hypotheses of one word as the rows [B, ·] of each step call;
+everything goes through _next_dist, and the combiner below works row by row
+on [B, V] arrays as well as on single vectors.
+
+Greedy search has two paths. greedy_decode_batch decodes a run of sources
+(evaluate.decode_lemmas: a file, a tag, a dev set) as the rows of one batch
+per BATCH_SOURCES sources: the members are stacked once per run, the
+sources are encoded together, each row keeps its own source and max_len,
+and rows retire at EOS or at their max_len. greedy_decode decodes one
+source: one state for a single model, which is faster per word than a row
+of one, and for an ensemble the same row loop on a batch of that one
+source. The two paths give the same ids and truncation flags; their
+log-probs agree to rounding (1e-12), since rows step lstm.rows_step and
+row products where one state steps lstm.lstm_step.
 
 Adding scores keeps the members' tails that probabilities lose to
 underflow: two members at log-probs [0, -800] and [-800, 0] combine to
@@ -52,6 +62,7 @@ __all__ = [
     "lm_next_dist",
     "lm_history",
     "greedy_decode",
+    "greedy_decode_batch",
     "beam_decode",
     "write_nbest",
     "read_nbest",
@@ -149,13 +160,19 @@ def _check_models(models, max_len, lm, lam):
     return vocab, lm if lam != 0 else None, lam
 
 
-def _sessions(models, x_ids):
-    """One DecodeSession per run of adjacent members that share (variant,
-    hidden, embed_dim): over the model itself for a run of one, over the run
-    as one stack otherwise. The sessions' members are in member order."""
+def _runs(models):
+    """The parameters of each run of adjacent members that share (variant,
+    hidden, embed_dim): the model itself for a run of one, the run as one
+    stack otherwise, in member order. A stack copies the members' values,
+    so it serves one decoding call, never across a training step."""
     runs = [list(run) for _, run in groupby(models, key=lambda m: (m.variant, m.hidden,
                                                                     m.embed_dim))]
-    return [DecodeSession(run[0] if len(run) == 1 else _stack(run), x_ids) for run in runs]
+    return [run[0] if len(run) == 1 else _stack(run) for run in runs]
+
+
+def _sessions(models, x_ids):
+    """One DecodeSession over x_ids per run of members (_runs)."""
+    return [DecodeSession(params, x_ids) for params in _runs(models)]
 
 
 def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
@@ -181,28 +198,90 @@ def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
 
 def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     """Pick the argmax at every step; lowest id wins exact ties. The LM
-    weight lam defaults to the first member's learned lm_lambda, else 1.0."""
+    weight lam defaults to the first member's learned lm_lambda, else 1.0.
+
+    A single model steps one state. An ensemble steps one row per member:
+    it runs greedy_decode_batch's row loop on a batch of this one source."""
     vocab, lm, lam = _check_models(models, max_len, lm, lam)
+    if len(models) > 1:
+        return _greedy_rows(_runs(models), [x_ids], [max_len], vocab, lm, lam)[0]
     sessions = _sessions(models, x_ids)
     states = [s.initial_state() for s in sessions]
-    # an ensemble steps each member's state as a row of one, as a stack needs
-    rows = len(models) > 1
-    if rows:
-        states = [(h[..., None, :], c[..., None, :]) for h, c in states]
     ids, logprob = (), 0.0
     for t in range(max_len):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
         y_prev = ids[-1] if ids else BOS
-        states, dist = _next_dist(sessions, states, [y_prev] if rows else y_prev, t,
-                                  lm_dist, lam)
-        if rows:
-            dist = dist[0]
+        states, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
         choice = int(dist.argmax())
         logprob += float(dist[choice])
         if choice == EOS:
             return DecodeResult(ids, logprob, truncated=False)
         ids += (choice,)
     return DecodeResult(ids, logprob, truncated=True)
+
+
+# Sources per batch in greedy_decode_batch: the cost per source of an
+# encoder pass and of a decoder step falls as rows are added, up to about
+# this many (h = 32), while a longer batch holds more states in memory.
+BATCH_SOURCES = 64
+
+
+def greedy_decode_batch(models, sources, max_lens, lm=None, lam=None):
+    """greedy_decode of every source (max_lens[i] for sources[i]), in input
+    order, stepped as the rows of one batch per BATCH_SOURCES sources.
+
+    The members are grouped and stacked once per call. Each row keeps its
+    own source, e, source pointer and max_len; it retires at EOS or at its
+    max_len, and the live rows are compacted. A row's ids and truncation
+    flag are greedy_decode's, and its log-prob is to rounding: rows step
+    lstm.rows_step and row products where a single model steps one state.
+    """
+    if not sources:
+        return []
+    vocab, lm, lam = _check_models(models, min(max_lens), lm, lam)
+    runs = _runs(models)
+    out = []
+    for i in range(0, len(sources), BATCH_SOURCES):
+        out += _greedy_rows(runs, sources[i:i + BATCH_SOURCES], max_lens[i:i + BATCH_SOURCES],
+                            vocab, lm, lam)
+    return out
+
+
+def _greedy_rows(runs, sources, max_lens, vocab, lm, lam):
+    """The greedy row loop over a batch of sources, one DecodeSession per
+    run of members -> each source's DecodeResult, in input order."""
+    sessions = [DecodeSession(params, sources=sources) for params in runs]
+    states = [s.initial_state() for s in sessions]
+    live = list(range(len(sources)))    # the source of each row
+    ids = [()] * len(sources)
+    out = [None] * len(sources)
+    logprob = np.zeros(len(sources))
+    y_prev = np.full(len(sources), BOS)
+    for t in range(max(max_lens)):
+        lm_dist = np.array([lm_next_dist(lm, vocab, ids[i]) for i in live]) \
+            if lm is not None else None
+        states, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        y_prev = dist.argmax(axis=-1)
+        logprob += dist.max(axis=-1)    # each row's entry at y_prev
+        keep = []
+        for r, (i, choice) in enumerate(zip(live, y_prev.tolist())):
+            if choice == EOS:
+                out[i] = DecodeResult(ids[i], float(logprob[r]), truncated=False)
+                continue
+            ids[i] += (choice,)
+            if t + 1 == max_lens[i]:
+                out[i] = DecodeResult(ids[i], float(logprob[r]), truncated=True)
+            else:
+                keep.append(r)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[r] for r in keep]
+            logprob, y_prev = logprob[keep], y_prev[keep]
+            states = [(H.take(keep, axis=-2), C.take(keep, axis=-2)) for H, C in states]
+            for s in sessions:
+                s.select(keep)
+    return out
 
 
 def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):

@@ -135,6 +135,35 @@ def test_decode_lemmas_beam_and_greedy_agree_when_confident(memorizer):
     assert nbest[0].text(model.vocab) == "talossa"
 
 
+@pytest.mark.parametrize("kwargs", ({}, {"beam_width": 3}), ids=("greedy", "beam"))
+def test_evaluate_accuracy_decodes_each_lemma_once_per_shared_model_list(workspace, monkeypatch,
+                                                                         kwargs):
+    examples = parse_dataset(workspace["test.tsv"])
+    tags = sorted({ex.tag for ex in examples})
+    model = load_model(workspace["model.ckpt"])
+    shared, other = [model], [load_model(workspace["model.ckpt"])]
+    # one list per tag: the report every grouping must give
+    want = ev.evaluate_accuracy({tag: [model] for tag in tags}, examples, **kwargs)
+    real, calls = ev.decode_lemmas, []
+
+    def spy(models, lemmas, **kw):
+        calls.append((models, list(lemmas)))
+        return real(models, lemmas, **kw)
+
+    monkeypatch.setattr(ev, "decode_lemmas", spy)
+    for models_by_tag in ({tag: shared for tag in tags},
+                          {tag: shared if tag != tags[1] else other for tag in tags},
+                          {tag: model for tag in tags}):
+        calls.clear()
+        assert ev.evaluate_accuracy(models_by_tag, examples, **kwargs) == want
+        # one call per distinct list (or model), each of its lemmas once, in file order
+        lists = list({id(m): m for m in models_by_tag.values()}.values())
+        assert [models for models, _ in calls] == [ev._as_ensemble(m) for m in lists]
+        for m, (_, lemmas) in zip(lists, calls):
+            assert lemmas == list(dict.fromkeys(ex.lemma for ex in examples
+                                                if models_by_tag[ex.tag] is m))
+
+
 def test_evaluate_accuracy_rerank_checks_run_before_decoding(memorizer, monkeypatch):
     ex, model = memorizer
     from morphogen.reranker import RerankModel
@@ -945,8 +974,9 @@ def test_cli_evaluate_rerank_beams_at_the_given_width(workspace, monkeypatch, ca
 
 def test_decode_commands_decode_a_run_through_decode_lemmas(workspace, tmp_path, monkeypatch,
                                                             capsys):
-    # predict and beam decode the whole file in one call, evaluate one call per
-    # tag with that tag's lemmas in file order
+    # predict and beam decode the whole file in one call; evaluate --model PATH
+    # gives every tag one model list, so it decodes each distinct lemma once,
+    # in file order, in one call
     real, calls = ev.decode_lemmas, []
 
     def spy(models, lemmas, **kwargs):
@@ -955,18 +985,16 @@ def test_decode_commands_decode_a_run_through_decode_lemmas(workspace, tmp_path,
 
     monkeypatch.setattr(ev, "decode_lemmas", spy)
     dev = parse_dataset(workspace["dev.tsv"])
-    by_tag = {}
-    for ex in dev:
-        by_tag.setdefault(ex.tag, []).append(ex.lemma)
-    assert len(by_tag) > 1
+    assert len({ex.tag for ex in dev}) > 1
     base = ["--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"]]
-    whole, per_tag = [[ex.lemma for ex in dev]], list(by_tag.values())
+    whole, distinct = [[ex.lemma for ex in dev]], [list(dict.fromkeys(ex.lemma for ex in dev))]
+    assert len(distinct[0]) < len(whole[0])
     rerank = ["--rerank", workspace["weights.tsv"], "--lm", workspace["lm.txt"]]
     for argv, want in ((["predict", *base, "--out", str(tmp_path / "p.tsv")], whole),
                        (["beam", *base, "--beam-width", "3", "--out", str(tmp_path / "b.tsv")],
                         whole),
-                       (["evaluate", *base], per_tag),
-                       (["evaluate", *base, *rerank, "--beam-width", "3"], per_tag)):
+                       (["evaluate", *base], distinct),
+                       (["evaluate", *base, *rerank, "--beam-width", "3"], distinct)):
         calls.clear()
         assert cli.main(argv) == 0
         assert calls == want, argv[0]

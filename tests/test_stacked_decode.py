@@ -168,6 +168,19 @@ def test_stack_steps_rows_only():
     assert dist.shape == (2, 1, len(VOCAB))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_tensors_are_aligned_contiguous_copies(variant):
+    """Each stacked tensor starts on a 64-byte boundary, as theta does, so
+    its layout does not change from one run or word to the next."""
+    models = [_model(variant, seed) for seed in (1, 2, 3)]
+    stack = mod._stack(models)
+    for p, *members in zip(stack.parameters(), *(m.parameters() for m in models)):
+        assert p.value.ctypes.data % 64 == 0 and p.value.flags.c_contiguous
+        assert p.value.shape[0] == 3
+        for k, member in enumerate(members):
+            assert np.array_equal(p.value[k].reshape(member.value.shape), member.value)
+
+
 def test_stack_reads_the_members_current_values():
     models = [_model("full", seed) for seed in (1, 2)]
     x = VOCAB.encode("abc")

@@ -234,6 +234,50 @@ def test_each_dev_evaluation_decodes_the_dev_set_in_one_call(monkeypatch):
     assert dev_lemmas and calls == [dev_lemmas] * 3
 
 
+def _per_word_exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=None):
+    """exact_match_accuracy with every dev lemma decoded by search.greedy_decode."""
+    if not examples:
+        return None
+    vocab = models[0].vocab
+    hits = sum(search.greedy_decode(models, vocab.encode(ex.lemma), len(ex.lemma) + max_len_slack,
+                                    lm=lm, lam=lam).text(vocab) == ex.inflected
+               for ex in examples)
+    return hits / len(examples)
+
+
+@pytest.mark.parametrize("run", [*VARIANTS, "interpolated", "joint"])
+def test_dev_selection_equals_per_word_decoding(monkeypatch, run):
+    """Dev evaluation decodes the dev set as rows; a run whose dev evaluation
+    decodes word by word logs the same accuracy every epoch and returns the
+    same parameters, so no selected epoch moves."""
+    spec = default_synth_spec()
+    spec.suffixes = {"case=inessive": ("ssä", "ssa"), "case=adessive": ("llä", "lla")}
+    ds = _synth_split(10, spec=spec)
+    # the training examples repeated, and as the dev set: accuracy climbs, and dips
+    ds = DatasetSplit(train=ds.train * 8, dev=ds.train, test=[])
+    lm = train_lm(filter_wordlist(synth_wordlist(spec, 60, seed=1), build_vocab(ds.train)),
+                  order=3)
+    variant = run if run in VARIANTS else "full"
+    config = tr.TrainConfig(hidden=16, epochs=10, seed=0, variant=variant)
+
+    def train(log):
+        if run == "joint":
+            return tr.train_joint(ds, config, log=log.append)
+        return {INESSIVE: tr.train_factored(ds, INESSIVE, config, log=log.append,
+                                            lm=lm if run == "interpolated" else None)}
+
+    rows_log, words_log = [], []
+    rows = train(rows_log)
+    monkeypatch.setattr(tr, "exact_match_accuracy", _per_word_exact_match_accuracy)
+    words = train(words_log)
+    assert rows_log == words_log
+    assert len({line.split("\t")[2] for line in rows_log}) > 2    # selection has a choice
+    assert rows.keys() == words.keys()
+    for tag in rows:
+        assert models_equal(rows[tag], words[tag])
+        assert rows[tag].lm_lambda == words[tag].lm_lambda
+
+
 def test_exact_match_accuracy_decodes_at_the_learned_lambda(monkeypatch):
     # with an LM and no lam, the weight is the model's lm_lambda, not 1.0
     vocab = CharVocab("abcd")
