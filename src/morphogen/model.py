@@ -106,6 +106,13 @@ class ModelParams:
     parameters() order. A model built around another model's encoder
     (joint training) reads those tensors from the other model's theta; the
     matching head of its own theta goes unused.
+
+    A read-only model (load_model, _stack: theta and every tensor have
+    flags.writeable False, so a write raises ValueError) keeps the state
+    that decoding derives from its weights: its decode tables
+    (_decode_tables) and, on a run's first member, the stacks of runs of
+    read-only members (search._runs). A writeable model, which training
+    updates in place, keeps none; copy() gives a writeable model.
     """
 
     def __init__(self, vocab, variant, hidden, embed_dim):
@@ -120,6 +127,13 @@ class ModelParams:
             setattr(self, attr, None)
         self.theta = None
         self.lm_lambda = None   # set by interpolated training
+        self._tables = None     # _decode_tables, kept when read-only
+        self._stacks = {}       # member ids of a run -> its stack (search._runs)
+
+    @property
+    def read_only(self):
+        """Whether theta, and with it every tensor, is read-only."""
+        return self.theta is not None and not self.theta.flags.writeable
 
     def decoder_input_size(self):
         """The width of a decoder input [e|context, y_prev, x_t]."""
@@ -145,7 +159,8 @@ class ModelParams:
         return Block(self.theta[lo:lo + sum(p.value.size for p in parts)], parts)
 
     def copy(self):
-        """A deep copy with a theta of its own, shared tensors included."""
+        """A writeable deep copy with a theta of its own, shared tensors
+        included."""
         m = ModelParams(self.vocab, self.variant, self.hidden, self.embed_dim)
         values = {p.name: p.value for p in self.parameters()}
         _build(m, lambda name, shape, kind: values[name])
@@ -193,6 +208,13 @@ def _build(m, fill, pack=True):
         offset += size
 
 
+def _freeze(m):
+    """Make m's theta and every tensor of m read-only (ModelParams.read_only)."""
+    m.theta.flags.writeable = False
+    for p in m.parameters():
+        p.value.flags.writeable = False
+
+
 def _aligned(size):
     """An uninitialized float64 vector of size values that starts on a
     64-byte boundary, so that the offsets of the weights it holds from a
@@ -210,8 +232,10 @@ def _stack(models):
     broadcasts over a step's rows [K, B, c]. Each stacked tensor is a
     contiguous copy of the members' current values that starts on a 64-byte
     boundary of one aligned buffer, so its layout is the same from one run
-    to the next. Training updates the members in place, so a stack must not
-    outlive a training step. A stack has no theta."""
+    to the next. That buffer, padding included, is the stack's theta, and
+    the stack is read-only: a copy of the members' values when it was built,
+    so a stack of writeable members must not outlive a training step. Its
+    members attribute holds the members, in order."""
     first = models[0]
     groups = list(zip(*(m.parameters() for m in models)))
     shapes = [(len(ps), *ps[0].value.shape) if ps[0].value.ndim == 2
@@ -226,6 +250,8 @@ def _stack(models):
         values[ps[0].name] = flat.reshape(shape)
     stack = ModelParams(first.vocab, first.variant, first.hidden, first.embed_dim)
     _build(stack, lambda name, shape, kind: values[name], pack=False)
+    stack.theta, stack.members = buf, tuple(models)
+    _freeze(stack)
     return stack
 
 
@@ -235,6 +261,31 @@ def _masked_bias(params):
     b = params.out_b.value.copy()
     b[..., list(MASKED_OUTPUT_IDS)] = -np.inf
     return b
+
+
+def _decode_tables(params):
+    """The decoder's source-independent tables over a model or a stack ->
+    (W_src, P_y, P_x, the masked output bias). The decoder input
+    projection W_x [e|context, y_prev, x_t] + b splits by column blocks:
+    W_src is the e or context block's transpose (a view), P_y = E W_yᵀ
+    [V, 4n] gives y_prev's rows and P_x = E W_xtᵀ x_t's (None unless the
+    variant consumes the source); a stack's have a leading member axis.
+    They depend on the weights alone: built once and kept on read-only
+    params, whose weights cannot change, and built per call on writeable
+    params, which training updates in place."""
+    if params._tables is not None:
+        return params._tables
+    w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
+    W_x = params.dec.W_x.value
+    lead = n * w.e_per_step + 2 * n * w.attention    # the e or context columns
+    P_x = E @ W_x[..., lead + d:].mT if w.consumes_source else None
+    tables = W_x[..., :lead].mT, E @ W_x[..., lead:lead + d].mT, P_x, _masked_bias(params)
+    if params.read_only:
+        for table in tables[1:]:
+            if table is not None:
+                table.flags.writeable = False
+        params._tables = tables
+    return tables
 
 
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
@@ -490,9 +541,11 @@ class DecodeSession:
     constant part b (+ W_e e) plus, when the variant consumes the source,
     x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n] for y_prev. A
     step then looks its input projection up instead of forming it; only
-    attention's context W_ctx context is a product per step. The tables are
-    built per session from the tensors' current values, never cached on the
-    model, which training updates in place. step advances the decoder
+    attention's context W_ctx context is a product per step. The
+    source-independent tables (P_y, x_t's table, the masked bias) come from
+    _decode_tables: built once on a read-only model or stack, and per
+    session from the tensors' current values on a writeable model, which
+    training updates in place. step advances the decoder
     untaped, on one state (lstm.lstm_step) or on a batch of state rows
     (lstm.rows_step); a stack steps rows, on every member at once. It emits
     the output layer's masked scores, not log-probs: the search normalizes
@@ -514,26 +567,21 @@ class DecodeSession:
         self.stacked = params.embed.value.ndim == 3
         source = self._source = (_encode_sources(params, sources) if batch
                                  else _encode_source(params, x_ids)[0])
-        w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
-        W_x = params.dec.W_x.value
-        lead = n * w.e_per_step + 2 * n * w.attention    # the e or context columns
-        self._W_ctx = W_x[..., :lead].mT if w.attention else None
+        w = params.wiring
+        self._W_src, self._P_y, P_x, self._out_b = _decode_tables(params)
         zx = params.dec.b.value     # [4n]; a stack's [K, 1, 4n]
         if w.e_per_step:    # one source's e as rows of one for a stack; a batch's e is rows
             zx = zx + (source.e[:, None] if self.stacked and not batch else source.e) \
-                @ W_x[..., :n].mT
-        self._P_y = E @ W_x[..., lead:lead + d].mT    # [V, 4n]; a stack's [K, V, 4n]
+                @ self._W_src
         # the constant part of step t's projection; the last one serves every
         # step past the (longest) source end, where x_t is EPS
         self._zx = [zx]
         if w.consumes_source:
-            P_x = E @ W_x[..., lead + d:].mT
             if batch:   # one column of the EPS-padded ids per step: rows [(K,) B, 4n]
                 self._zx = [zx + P_x.take(ids, axis=-2) for ids in source.x_ids.T]
             else:
                 self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
                             for i in [*source.x_ids, EPS]]
-        self._out_b = _masked_bias(params)
 
     def initial_state(self):
         """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
@@ -587,7 +635,7 @@ class DecodeSession:
             ZX += zx
         params = self.params
         if params.wiring.attention:
-            ZX += attention_context(params, self._source, H)[0] @ self._W_ctx
+            ZX += attention_context(params, self._source, H)[0] @ self._W_src
         H, C = cell(params.dec, ZX, H, C)[:2]
         scores = H @ params.out_W.value.mT
         scores += self._out_b
@@ -620,6 +668,9 @@ def save_model(params, path):
 
 
 def load_model(path):
+    """A checkpoint of save_model's (format 1 or 2) as a read-only model:
+    a write into its theta or a tensor raises ValueError, and copy() gives a
+    writeable one. A malformed file is a CheckpointError."""
     try:
         with open_text(path, what="checkpoint", error=CheckpointError) as f:
             doc = json.load(f)
@@ -696,6 +747,7 @@ def load_model(path):
         return arr
 
     _build(m, tensor)
+    _freeze(m)
     m.lm_lambda = config.get("lambda")
     return m
 

@@ -22,10 +22,12 @@ Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
-unstacked, so a single model decodes as it would alone. Beam search steps
-all live hypotheses of one word as the rows [B, ·] of each step call;
-everything goes through _next_dist, and the combiner below works row by row
-on [B, V] arrays as well as on single vectors.
+unstacked, so a single model decodes as it would alone. A run of loaded,
+read-only members is stacked once and the stack kept (_runs); writeable
+members, which training updates in place, are stacked per call. Beam
+search steps all live hypotheses of one word as the rows [B, ·] of each
+step call; everything goes through _next_dist, and the combiner below
+works row by row on [B, V] arrays as well as on single vectors.
 
 Greedy search has two paths. greedy_decode_batch decodes a run of sources
 (evaluate.decode_lemmas: a file, a tag, a dev set) as the rows of one batch
@@ -163,11 +165,28 @@ def _check_models(models, max_len, lm, lam):
 def _runs(models):
     """The parameters of each run of adjacent members that share (variant,
     hidden, embed_dim): the model itself for a run of one, the run as one
-    stack otherwise, in member order. A stack copies the members' values,
-    so it serves one decoding call, never across a training step."""
-    runs = [list(run) for _, run in groupby(models, key=lambda m: (m.variant, m.hidden,
-                                                                    m.embed_dim))]
-    return [run[0] if len(run) == 1 else _stack(run) for run in runs]
+    stack otherwise, in member order.
+
+    A stack copies the members' values. A run of writeable members is
+    stacked per call, so its stack never serves across a training step. A
+    run of read-only members (load_model) is stacked once: the stack is kept
+    on the run's first member, keyed by the ids of the run's members in
+    order, and holds those members, so no key's ids can be reused while
+    its stack lives."""
+    out = []
+    for _, run in groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim)):
+        run = tuple(run)
+        if len(run) == 1:
+            out.append(run[0])
+        elif all(m.read_only for m in run):
+            key = tuple(map(id, run))
+            stacks = run[0]._stacks
+            if key not in stacks:
+                stacks[key] = _stack(run)
+            out.append(stacks[key])
+        else:
+            out.append(_stack(run))
+    return out
 
 
 def _sessions(models, x_ids):
@@ -230,7 +249,8 @@ def greedy_decode_batch(models, sources, max_lens, lm=None, lam=None):
     """greedy_decode of every source (max_lens[i] for sources[i]), in input
     order, stepped as the rows of one batch per BATCH_SOURCES sources.
 
-    The members are grouped and stacked once per call. Each row keeps its
+    The members are grouped and stacked once per call (read-only members
+    once for good, _runs). Each row keeps its
     own source, e, source pointer and max_len; it retires at EOS or at its
     max_len, and the live rows are compacted. A row's ids and truncation
     flag are greedy_decode's, and its log-prob is to rounding: rows step
