@@ -3,8 +3,9 @@ length, a whole-word vowel-harmony check, and embedding export.
 
 decode_lemmas is the one entry for decoding a run of lemmas with one model
 or ensemble: CLI predict and beam, evaluate_accuracy and the trainer's dev
-evaluation all reach it. A greedy run decodes as rows of one batch
-(search.greedy_decode_batch); a beam decodes word by word.
+evaluation all reach it. It decodes each distinct lemma once. A greedy run
+decodes as rows of one batch (search.greedy_decode_batch); a beam decodes
+word by word.
 """
 
 from dataclasses import dataclass
@@ -46,18 +47,23 @@ def _as_ensemble(value):
 def decode_lemmas(models, lemmas, *, beam_width=None, lm=None, lam=None, max_len_slack=10):
     """Each lemma's DecodeResult list under one model or ensemble list: the greedy
     result, or the n-best of a beam of beam_width. An output may run max_len_slack
-    symbols past its lemma; lam defaults as for search.greedy_decode. Greedy
-    decodes all lemmas as rows (search.greedy_decode_batch), whose ids and flags
-    are greedy_decode's and whose log-probs agree with it to rounding."""
+    symbols past its lemma; lam defaults as for search.greedy_decode. Each
+    distinct lemma decodes once, and its list serves every row that holds it.
+    Greedy decodes the lemmas as rows (search.greedy_decode_batch), whose ids
+    and flags are greedy_decode's and whose log-probs agree with it to rounding."""
     if not models:
         raise SearchError("decoding needs at least one model")
     vocab = models[0].vocab
-    sources = [vocab.encode(lemma) for lemma in lemmas]
+    distinct = list(dict.fromkeys(lemmas))
+    sources = [vocab.encode(lemma) for lemma in distinct]
     max_lens = [len(x_ids) + max_len_slack for x_ids in sources]
     if beam_width is None:
-        return [[r] for r in greedy_decode_batch(models, sources, max_lens, lm=lm, lam=lam)]
-    return [beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam)
-            for x_ids, max_len in zip(sources, max_lens)]
+        results = [[r] for r in greedy_decode_batch(models, sources, max_lens, lm=lm, lam=lam)]
+    else:
+        results = [beam_decode(models, x_ids, beam_width, max_len, lm=lm, lam=lam)
+                   for x_ids, max_len in zip(sources, max_lens)]
+    by_lemma = dict(zip(distinct, results))
+    return [by_lemma[lemma] for lemma in lemmas]
 
 
 def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
@@ -68,8 +74,8 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
     greedy unless beam_width is given; a reranker needs beam_width and an LM,
     and picks from a beam decoded without it. Without lam, each tag decodes
     with its first member's learned lm_lambda, else 1.0. Tags mapped to the
-    same list (or model) object decode each distinct lemma of theirs once,
-    in one decode_lemmas call.
+    same list (or model) object decode their lemmas in one decode_lemmas
+    call, which decodes each distinct lemma once.
     """
     if not examples:
         raise DataError("evaluate_accuracy: no examples given")
@@ -83,7 +89,7 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
         if beam_width is None:
             raise DataError("reranking needs a beam width")
     # tags that share one model list (evaluate --model PATH gives every tag
-    # the same list) decode each of their distinct lemmas once, in one run
+    # the same list) decode in one run
     groups = {}
     for tag in tags:
         groups.setdefault(id(models_by_tag[tag]), []).append(tag)
@@ -91,13 +97,11 @@ def evaluate_accuracy(models_by_tag, examples, *, beam_width=None, lm=None,
     for group in groups.values():
         models = _as_ensemble(models_by_tag[group[0]])
         group_examples = [ex for ex in examples if ex.tag in group]
-        lemmas = list(dict.fromkeys(ex.lemma for ex in group_examples))
-        results = dict(zip(lemmas, decode_lemmas(
-            models, lemmas, beam_width=beam_width, lm=lm if rerank_model is None else None,
-            lam=lam, max_len_slack=max_len_slack)))
+        results = decode_lemmas(
+            models, [ex.lemma for ex in group_examples], beam_width=beam_width,
+            lm=lm if rerank_model is None else None, lam=lam, max_len_slack=max_len_slack)
         vocab = models[0].vocab
-        for ex in group_examples:
-            nbest = results[ex.lemma]
+        for ex, nbest in zip(group_examples, results):
             preds[ex] = nbest[0].text(vocab) if rerank_model is None else rerank_pick(
                 [(r.text(vocab), r.logprob) for r in nbest], rerank_model, lm, ex.lemma)
     per_tag, counts = {}, {}

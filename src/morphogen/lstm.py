@@ -7,8 +7,9 @@ arrays, for one state or a batch of rows, given its input projection
 W_x x + b; run_cached forms that projection per step, runs the cell over a
 sequence and keeps what backward_cached, backpropagation through time by
 hand, reads. A decoder that knows its inputs' projections in advance
-(model.DecodeSession's tables) passes them to a cell directly: lstm_step
-for one state, rows_step for rows.
+(model.DecodeSession's tables) passes them to a cell directly: rows_step
+for rows, and lstm_step for one state, which only a single model's
+session over one source steps (greedy_decode).
 
 rows_step is the same update for decoding rows only. It takes the i/f/o
 sigmoid as 1 / (1 + exp(-z)) from NumPy's vectorized exp, where lstm_step
@@ -23,10 +24,11 @@ with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
 steps rows [K,B,·]: one np.matmul per weight for all members, each member's
 slice computed by the same BLAS call as that member alone.
 
-A batch of sources of different lengths (decoding a run of words) runs as
-rows padded to the longest, with a mask: run_cached holds a row's state
-through its padded steps, so encode_bidirectional gives every row the
-states its source alone would.
+Decoding encodes its sources as rows, a batch of B (a stack's [K,B,·]),
+except a single model's lone source, which runs as training's vectors.
+Sources of different lengths run padded to the longest, with a mask:
+run_cached holds a row's state through its padded steps, so
+encode_bidirectional gives every row the states its source alone would.
 """
 
 import numpy as np
@@ -178,8 +180,8 @@ def backward_cached(grads, params, cache, gh_out, step_grad=None):
 
 
 def encode_bidirectional(fwd, bwd, xs, mask=None):
-    """Both passes over the inputs xs (vectors [l], or rows [K,1,l] for a
-    stack) -> (the forward pass's h at every position, the backward pass's h
+    """Both passes over the inputs xs (vectors [l], or rows [B,l], a stack's
+    [K,B,l]) -> (the forward pass's h at every position, the backward pass's h
     at every position, the forward pass's run_cached cache, the backward
     pass's, which runs over xs reversed).
 

@@ -234,8 +234,7 @@ def _stack(models):
     boundary of one aligned buffer, so its layout is the same from one run
     to the next. That buffer, padding included, is the stack's theta, and
     the stack is read-only: a copy of the members' values when it was built,
-    so a stack of writeable members must not outlive a training step. Its
-    members attribute holds the members, in order."""
+    so a stack of writeable members must not outlive a training step."""
     first = models[0]
     groups = list(zip(*(m.parameters() for m in models)))
     shapes = [(len(ps), *ps[0].value.shape) if ps[0].value.ndim == 2
@@ -250,7 +249,7 @@ def _stack(models):
         values[ps[0].name] = flat.reshape(shape)
     stack = ModelParams(first.vocab, first.variant, first.hidden, first.embed_dim)
     _build(stack, lambda name, shape, kind: values[name], pack=False)
-    stack.theta, stack.members = buf, tuple(models)
+    stack.theta = buf
     _freeze(stack)
     return stack
 
@@ -310,9 +309,10 @@ def attention_context(params, source, S):
     """Additive attention of a decoder state S [n], of every row of S
     [B, n] or of a stack's rows [K, B, n] over an encoded source:
     softmax(v . tanh(W_enc h_t + W_dec s)) weighting the source's states
-    h_t. Over a batch of sources (_encode_sources) row b attends to source
-    b, and to none of its padded positions. Returns (context, weights, tanh
-    activations); training's backward reads the last two."""
+    h_t. Over a batch of B > 1 sources (_encode_sources) row b attends to
+    source b, and to none of its padded positions; one source, training's
+    or a batch of one, serves every row with one product. Returns (context,
+    weights, tanh activations); training's backward reads the last two."""
     if not params.wiring.attention:
         raise MorphogenError(f"attention_context on variant {params.variant!r}")
     act = np.tanh(source.keys + (S @ params.attn_W_dec.value.mT)[..., None, :])  # [(K, B,) T, n]
@@ -321,70 +321,69 @@ def attention_context(params, source, S):
     if source.pad is not None:
         scores += source.pad
     weights = ad.softmax(scores)
-    if source.batch:    # each row's weights [T] over its own states [T, 2n]
-        return (weights[..., None, :] @ source.H)[..., 0, :], weights, act
-    return weights @ source.H, weights, act
+    H = source.H
+    if H.ndim > 2:  # a batch's [(K,) B, T, 2n]
+        if H.shape[-3] > 1:     # each row's weights [T] over its own source's states [T, 2n]
+            return (weights[..., None, :] @ H)[..., 0, :], weights, act
+        H = H[..., 0, :, :]
+    return weights @ H, weights, act
 
 
 class _Source:
-    """An encoded source: its ids, e = W_trans e_raw + b_trans of the final
-    encoder states e_raw = [fwd h_T ; bwd h_1] (None without a transform)
-    and, with attention, both encoder passes' states at every position,
-    H [T, 2n] with rows [fwd h_t ; bwd h_t], together with their
-    projections keys = W_enc h_t [T, n], which do not depend on the decoder
-    step. A stack's has a leading member axis: e [K, n], e_raw [K, 2n],
-    H [K, T, 2n] and keys [K, 1, T, n], which broadcasts over rows.
-
-    A batch of B sources (batch true, from _encode_sources) holds one row
-    per source: x_ids [B, T + 1] padded with EPS, e [(K,) B, n], H
-    [(K,) B, T, 2n] and keys [(K,) B, T, n], and pad [B, T], 0 at a row's
-    own positions and -inf at its padding (None when no row is padded)."""
+    """An encoded source. Training's (_encode_source) is one model's source
+    as vectors: its ids, e = W_trans e_raw + b_trans of the final encoder
+    states e_raw = [fwd h_T ; bwd h_1] (None without a transform) and, with
+    attention, both encoder passes' states at every position, H [T, 2n]
+    with rows [fwd h_t ; bwd h_t], with their projections keys = W_enc h_t
+    [T, n], which do not depend on the decoder step. Decoding's
+    (_encode_sources) holds B >= 1 sources as rows: x_ids [B, T + 1] padded
+    with EPS, e [(K,) B, n], H [(K,) B, T, 2n] and keys [(K,) B, T, n],
+    with a stack's member axis K leading, and pad [B, T], 0 at a row's own
+    positions and -inf at its padding (None when no row is padded)."""
 
     def __init__(self, params, x_ids, H=None):
         self.x_ids = x_ids
         self.e = self.e_raw = self.pad = None
-        self.batch = False
         self.H = H
-        if H is not None:
-            self.keys = H @ params.attn_W_enc.value.mT
-            if H.ndim == 3:
-                self.keys = self.keys[:, None]
+        self.keys = None if H is None else H @ params.attn_W_enc.value.mT
 
 
 def _encode_source(params, x_ids):
-    """The source encoding that training and decoding share -> (a _Source,
-    the encoder passes' run_cached caches; None without an encoder). A
-    stack runs its encoder once for all members, on rows of one. An empty
-    source is a DataError for every variant."""
+    """Training's source encoding, of one model's source as vectors ->
+    (a _Source, the encoder passes' run_cached caches; None without an
+    encoder). An empty source is a DataError for every variant."""
     x_ids = list(x_ids)
     if not x_ids:
         raise DataError("empty input sequence")
     w, E = params.wiring, params.embed.value
     if not w.encoder:
         return _Source(params, x_ids), None
-    stacked = E.ndim == 3
-    fwd_hs, bwd_hs, *caches = lstm.encode_bidirectional(
-        params.enc_fwd, params.enc_bwd,
-        [E[:, i, None] for i in x_ids] if stacked else [E[i] for i in x_ids])
-    H = None
-    if w.attention:
-        H = np.concatenate((fwd_hs, bwd_hs), axis=-1)    # [T, 2n]; a stack's [T, K, 1, 2n]
-        if stacked:
-            H = np.ascontiguousarray(H[:, :, 0].swapaxes(0, 1))
-    source = _Source(params, x_ids, H)
+    fwd_hs, bwd_hs, *caches = lstm.encode_bidirectional(params.enc_fwd, params.enc_bwd,
+                                                        [E[i] for i in x_ids])
+    source = _Source(params, x_ids,
+                     np.concatenate((fwd_hs, bwd_hs), axis=-1) if w.attention else None)
     if w.trans:
-        source.e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)     # [fwd h_T ; bwd h_1]
+        source.e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]))     # [fwd h_T ; bwd h_1]
         source.e = source.e_raw @ params.trans_W.value.mT + params.trans_b.value   # 2n -> n
-        if stacked:     # one row per member -> [K, ·]
-            source.e_raw, source.e = source.e_raw[:, 0], source.e[:, 0]
     return source, caches
 
 
 def _encode_sources(params, sources):
-    """B sources encoded at once, as the rows of a batch _Source: one
-    masked encoder pass over the sources padded to the longest, so padding
-    never changes a row's states. An empty source is a DataError, as in
-    _encode_source."""
+    """B sources encoded at once, as the rows of a decoding _Source: one
+    encoder pass over the sources padded to the longest, masked only when a
+    row is padded, so padding never changes a row's states. A single
+    model's lone source is _encode_source's, training's vector encoding,
+    with its ids, e, H and keys made rows of one. An empty source is a
+    DataError, as in _encode_source."""
+    w, E = params.wiring, params.embed.value
+    if len(sources) == 1 and E.ndim == 2:
+        source = _encode_source(params, sources[0])[0]
+        source.x_ids = np.array([[*source.x_ids, EPS]])
+        if source.e is not None:
+            source.e = source.e[None]
+        if source.H is not None:
+            source.H, source.keys = source.H[None], source.keys[None]
+        return source
     lengths = [len(x) for x in sources]
     if not all(lengths):
         raise DataError("empty input sequence")
@@ -393,20 +392,17 @@ def _encode_sources(params, sources):
     for r, x in enumerate(sources):
         X[r, :len(x)] = x
     source = _Source(params, X)
-    source.batch = True
-    w, E = params.wiring, params.embed.value
     if not w.encoder:
         return source
-    stacked = E.ndim == 3
-    mask = (np.arange(T)[:, None] < lengths)[..., None]     # [T, B, 1]
+    mask = (np.arange(T)[:, None] < lengths)[..., None] if min(lengths) < T else None  # [T, B, 1]
     fwd_hs, bwd_hs = lstm.encode_bidirectional(
         params.enc_fwd, params.enc_bwd, [E.take(X[:, t], axis=-2) for t in range(T)], mask)[:2]
     if w.attention:
         H = np.concatenate((fwd_hs, bwd_hs), axis=-1)    # [T, (K,) B, 2n]
         source.H = np.ascontiguousarray(np.moveaxis(H, 0, -2))
         W_enc = params.attn_W_enc.value.mT     # a stack's as [K, 1, 2n, n], over the rows
-        source.keys = source.H @ (W_enc[:, None] if stacked else W_enc)
-        if min(lengths) < T:
+        source.keys = source.H @ (W_enc[:, None] if E.ndim == 3 else W_enc)
+        if mask is not None:
             source.pad = np.where(mask[..., 0].T, 0.0, -np.inf)
     if w.trans:
         e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)
@@ -532,75 +528,66 @@ def forward_variant(tape, params, x_ids, y_ids, lm_logprobs=None, lam_hat=None):
 
 
 class DecodeSession:
-    """Per-input stepping interface used by greedy and beam search.
+    """Per-batch stepping interface used by greedy and beam search.
 
-    Built over one model, or over a stack of K models (_stack), and over one
-    source x_ids or a batch of them (sources, one row each). Runs the
-    encoder once and splits the decoder's input projection W_x [e|context,
-    y_prev, x_t] + b by its column blocks into tables for the sources: the
-    constant part b (+ W_e e) plus, when the variant consumes the source,
-    x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n] for y_prev. A
-    step then looks its input projection up instead of forming it; only
-    attention's context W_ctx context is a product per step. The
-    source-independent tables (P_y, x_t's table, the masked bias) come from
-    _decode_tables: built once on a read-only model or stack, and per
-    session from the tensors' current values on a writeable model, which
-    training updates in place. step advances the decoder
-    untaped, on one state (lstm.lstm_step) or on a batch of state rows
-    (lstm.rows_step); a stack steps rows, on every member at once. It emits
-    the output layer's masked scores, not log-probs: the search normalizes
-    a step once, after combining the members and the LM.
+    Built over one model, or over a stack of K models (_stack), and over a
+    batch of sources, one row each; a beam's lone source is a batch of one.
+    Runs the encoder once and splits the decoder's input projection W_x
+    [e|context, y_prev, x_t] + b by its column blocks into tables for the
+    sources: the constant part b (+ W_e e) plus, when the variant consumes
+    the source, x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n]
+    for y_prev. A step then looks its input projection up instead of
+    forming it; only attention's context W_ctx context is a product per
+    step. The source-independent tables (P_y, x_t's table, the masked bias)
+    come from _decode_tables: built once on a read-only model or stack, and
+    per session from the tensors' current values on a writeable model,
+    which training updates in place. step advances the decoder untaped, on
+    state rows (lstm.rows_step) or, for a single model over one source, on
+    one state (lstm.lstm_step), and emits the output layer's masked scores,
+    not log-probs: the search normalizes a step once, after combining the
+    members and the LM.
 
-    Over a batch of sources, row b of every step belongs to source b: it
-    reads that source's e, its own x_t (EPS past its own end) and, with
-    attention, that source's states alone. select keeps a subset of the
+    Row b of every step reads source b's e, its own x_t (EPS past its own
+    end) and, with attention, source b's states alone; one source serves
+    any number of rows, a beam's hypotheses. select keeps a subset of the
     rows as the search retires the others.
     """
 
-    def __init__(self, params, x_ids=None, *, sources=None):
+    def __init__(self, params, sources):
         V = len(params.vocab)
-        batch = sources is not None
-        for x in sources if batch else [x_ids]:
+        for x in sources:
             if not all(0 <= i < V for i in x):
                 raise DimensionError(f"source ids {list(x)} out of range for a vocabulary of {V}")
         self.params = params
         self.stacked = params.embed.value.ndim == 3
-        source = self._source = (_encode_sources(params, sources) if batch
-                                 else _encode_source(params, x_ids)[0])
+        source = self._source = _encode_sources(params, sources)
         w = params.wiring
         self._W_src, self._P_y, P_x, self._out_b = _decode_tables(params)
-        zx = params.dec.b.value     # [4n]; a stack's [K, 1, 4n]
-        if w.e_per_step:    # one source's e as rows of one for a stack; a batch's e is rows
-            zx = zx + (source.e[:, None] if self.stacked and not batch else source.e) \
-                @ self._W_src
-        # the constant part of step t's projection; the last one serves every
-        # step past the (longest) source end, where x_t is EPS
-        self._zx = [zx]
+        zx = np.atleast_2d(params.dec.b.value)    # a row [1, 4n]; a stack's [K, 1, 4n]
+        if w.e_per_step:
+            zx = zx + source.e @ self._W_src
+        # the constant part of each step's projection [steps, (K,) B, 4n] (B
+        # is 1 for b alone): a step per column of the EPS-padded ids, the last
+        # serving every step past the longest source's end; swapaxes moves a
+        # stack's member axis K behind the steps
+        self._zx = zx[None]
         if w.consumes_source:
-            if batch:   # one column of the EPS-padded ids per step: rows [(K,) B, 4n]
-                self._zx = [zx + P_x.take(ids, axis=-2) for ids in source.x_ids.T]
-            else:
-                self._zx = [zx + (P_x[:, i, None] if self.stacked else P_x[i])
-                            for i in [*source.x_ids, EPS]]
+            self._zx = zx + P_x.take(source.x_ids.T, axis=-2).swapaxes(0, -3)
 
     def initial_state(self):
-        """The decoder's (h, c) before the first step, as [n] arrays ([K, n]
-        for a stack: one state per member); for a batch of B sources, as
-        rows [B, n] ([K, B, n] for a stack)."""
+        """The decoder's (h, c) before the first step, one row per source:
+        [B, n] arrays, a stack's [K, B, n]."""
         p, source = self.params, self._source
-        if source.batch:
-            n = (*p.embed.value.shape[:-2], len(source.x_ids), p.hidden)
-        else:
-            n = (len(p.embed.value), p.hidden) if self.stacked else p.hidden
-        return source.e if p.wiring.e_as_init else np.zeros(n), np.zeros(n)
+        shape = (*p.embed.value.shape[:-2], len(source.x_ids), p.hidden)
+        return source.e if p.wiring.e_as_init else np.zeros(shape), np.zeros(shape)
 
     def select(self, rows):
         """Keep the given rows (indices into the current rows, in their new
-        order) of a batch session's per-source tables, as the search does
-        with its state rows when it retires the others."""
+        order) of the session's per-source tables, as the search does with
+        its state rows when it retires the others."""
         source = self._source
         if self.params.wiring.consumes_source:
-            self._zx = [zx.take(rows, axis=-2) for zx in self._zx]
+            self._zx = self._zx.take(rows, axis=-2)
         if source.H is not None:
             source.H, source.keys = source.H.take(rows, axis=-3), source.keys.take(rows, axis=-3)
             if source.pad is not None:
@@ -610,10 +597,11 @@ class DecodeSession:
         """One decoder step and its output layer -> (H', C', the masked
         scores H' out_W^T + out_b: unnormalized, -inf at BOS and EPS).
 
-        One state: H, C [n] and an int y_prev -> (H', C', scores [V]).
         B rows: H, C [B,n] and y_prev [B] ids -> (H', C', scores [B,V]).
-        A stack steps rows only, with a leading member axis K: H, C [K,B,n]
-        and y_prev [B] -> (H', C', scores [K,B,V]).
+        A stack steps rows with a leading member axis K: H, C [K,B,n] and
+        y_prev [B] -> (H', C', scores [K,B,V]).
+        One state, on a single model's session over one source: H, C [n]
+        and an int y_prev -> (H', C', scores [V]).
         The input projection comes from the session's tables, so the gates
         equal training's to rounding, not bit for bit. One state steps
         lstm.lstm_step, training's cell; rows step lstm.rows_step, whose
@@ -621,21 +609,25 @@ class DecodeSession:
         the one state's bits. Row ids are not range-checked: only the
         search makes them.
         """
-        P_y, zx = self._P_y, self._zx[min(t, len(self._zx) - 1)]
-        if H.ndim == 1:
+        params, source, P_y = self.params, self._source, self._P_y
+        zx = self._zx[min(t, len(self._zx) - 1)]
+        one = H.ndim == 1
+        if one:
+            if self.stacked or len(source.x_ids) > 1:
+                raise DimensionError("one state steps only a single model over one source")
             if not 0 <= y_prev < len(P_y):
                 raise DimensionError(f"y_prev id {y_prev} out of range "
                                      f"for a vocabulary of {len(P_y)}")
-            ZX, cell = zx + P_y[y_prev], lstm.lstm_step
+            ZX, cell = zx[0] + P_y[y_prev], lstm.lstm_step
         elif H.ndim != P_y.ndim:
             raise DimensionError(f"decoder states of shape {H.shape} for a decoder with "
                                  f"tables of shape {P_y.shape}: a stack steps rows [K, B, n]")
         else:   # row ids index the vocabulary axis, a stack's second
             ZX, cell = P_y.take(y_prev, axis=-2), lstm.rows_step
             ZX += zx
-        params = self.params
-        if params.wiring.attention:
-            ZX += attention_context(params, self._source, H)[0] @ self._W_src
+        if params.wiring.attention:     # one state's context is a row of one
+            context = attention_context(params, source, H)[0]
+            ZX += (context[0] if one else context) @ self._W_src
         H, C = cell(params.dec, ZX, H, C)[:2]
         scores = H @ params.out_W.value.mT
         scores += self._out_b

@@ -24,10 +24,12 @@ DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
 unstacked, so a single model decodes as it would alone. A run of loaded,
 read-only members is stacked once and the stack kept (_runs); writeable
-members, which training updates in place, are stacked per call. Beam
-search steps all live hypotheses of one word as the rows [B, ·] of each
-step call; everything goes through _next_dist, and the combiner below
-works row by row on [B, V] arrays as well as on single vectors.
+members, which training updates in place, are stacked per call. Every
+DecodeSession is over a batch of sources, one row each: beam search builds
+one per run over its word's source and steps the word's live hypotheses as
+the rows [B, ·] of each step call, so batching beam over words is a matter
+of passing more sources. Everything goes through _next_dist, and the
+combiner below works row by row on [B, V] arrays as well as on single vectors.
 
 Greedy search has two paths. greedy_decode_batch decodes a run of sources
 (evaluate.decode_lemmas: a file, a tag, a dev set) as the rows of one batch
@@ -171,8 +173,9 @@ def _runs(models):
     stacked per call, so its stack never serves across a training step. A
     run of read-only members (load_model) is stacked once: the stack is kept
     on the run's first member, keyed by the ids of the run's members in
-    order, and holds those members, so no key's ids can be reused while
-    its stack lives."""
+    order. The first member owns the stack and the stack holds the later
+    members, so no key's ids can be reused while the stack lives, and it
+    is freed with its members, with no cycle for the collector to find."""
     out = []
     for _, run in groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim)):
         run = tuple(run)
@@ -183,15 +186,11 @@ def _runs(models):
             stacks = run[0]._stacks
             if key not in stacks:
                 stacks[key] = _stack(run)
+                stacks[key].later_members = run[1:]
             out.append(stacks[key])
         else:
             out.append(_stack(run))
     return out
-
-
-def _sessions(models, x_ids):
-    """One DecodeSession over x_ids per run of members (_runs)."""
-    return [DecodeSession(params, x_ids) for params in _runs(models)]
 
 
 def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
@@ -224,8 +223,9 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     vocab, lm, lam = _check_models(models, max_len, lm, lam)
     if len(models) > 1:
         return _greedy_rows(_runs(models), [x_ids], [max_len], vocab, lm, lam)[0]
-    sessions = _sessions(models, x_ids)
-    states = [s.initial_state() for s in sessions]
+    sessions = [DecodeSession(models[0], [x_ids])]
+    h, c = sessions[0].initial_state()
+    states = [(h[0], c[0])]     # the source's row as one state
     ids, logprob = (), 0.0
     for t in range(max_len):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
@@ -270,7 +270,7 @@ def greedy_decode_batch(models, sources, max_lens, lm=None, lam=None):
 def _greedy_rows(runs, sources, max_lens, vocab, lm, lam):
     """The greedy row loop over a batch of sources, one DecodeSession per
     run of members -> each source's DecodeResult, in input order."""
-    sessions = [DecodeSession(params, sources=sources) for params in runs]
+    sessions = [DecodeSession(params, sources) for params in runs]
     states = [s.initial_state() for s in sessions]
     live = list(range(len(sources)))    # the source of each row
     ids = [()] * len(sources)
@@ -314,15 +314,15 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
     <= 0), so no live hypothesis could still enter the n-best.
 
     The live hypotheses are rows of one [B, n] state batch per session
-    ([K, B, n] for a stack); after each step the rows of the survivors'
-    parents are gathered in their order, once per session.
+    ([K, B, n] for a stack), each session over the one source; after each
+    step the rows of the survivors' parents are gathered in their order,
+    once per session.
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
     vocab, lm, lam = _check_models(models, max_len, lm, lam)
-    sessions = _sessions(models, x_ids)
-    states = [(h[..., None, :], c[..., None, :])
-              for h, c in (s.initial_state() for s in sessions)]
+    sessions = [DecodeSession(params, [x_ids]) for params in _runs(models)]
+    states = [s.initial_state() for s in sessions]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):

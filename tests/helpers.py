@@ -736,9 +736,16 @@ def _combine_lse(member_lps, lm_lp, lam):
 # exhaustive_decode walks the complete search tree of one model: the oracle
 # for a beam wide enough to keep every path.
 
+def one_state(session):
+    """The (h, c) of a session over one source as one state [n], the row
+    DecodeSession.initial_state gives that source."""
+    h, c = session.initial_state()
+    return h[0], c[0]
+
+
 def exhaustive_decode(model, x_ids, max_len):
     """Complete search tree: every EOS leaf plus every truncated path."""
-    sess = DecodeSession(model, x_ids)
+    sess = DecodeSession(model, [x_ids])
     out = []
 
     def rec(state, ids, lp, t):
@@ -754,7 +761,7 @@ def exhaustive_decode(model, x_ids, max_len):
             else:
                 rec((h, c), ids + (i,), lp2, t + 1)
 
-    rec(sess.initial_state(), (), 0.0, 0)
+    rec(one_state(sess), (), 0.0, 0)
     out.sort(key=lambda r: (-r.logprob, r.ids))
     return out
 
@@ -764,9 +771,9 @@ def exhaustive_decode(model, x_ids, max_len):
 # batched search.beam_decode and its partial selection.
 
 def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
-    sessions = [DecodeSession(m, x_ids) for m in models]
+    sessions = [DecodeSession(m, [x_ids]) for m in models]
     vocab = models[0].vocab
-    live = [((), 0.0, tuple(s.initial_state() for s in sessions))]
+    live = [((), 0.0, tuple(one_state(s) for s in sessions))]
     pool = []
     for t in range(max_len):
         cands = []
@@ -820,12 +827,10 @@ def _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam):
 
 def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     vocab = models[0].vocab
-    sessions = [DecodeSession(m, x_ids) for m in models]
-    states = [s.initial_state() for s in sessions]
+    sessions = [DecodeSession(m, [x_ids]) for m in models]
     # an ensemble steps each member as a row of one, as greedy_decode does
     rows = len(models) > 1
-    if rows:
-        states = [(h[None], c[None]) for h, c in states]
+    states = [s.initial_state() if rows else one_state(s) for s in sessions]
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
         lm_lp = _lm_logprobs(lm, vocab, ids) if lm is not None else None
@@ -845,8 +850,8 @@ def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
 
 def per_member_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     vocab = models[0].vocab
-    sessions = [DecodeSession(m, x_ids) for m in models]
-    states = [(h[None], c[None]) for h, c in (s.initial_state() for s in sessions)]
+    sessions = [DecodeSession(m, [x_ids]) for m in models]
+    states = [s.initial_state() for s in sessions]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (check_model_gradients, exhaustive_decode, models_equal,
-                     randomize_params, separable_rerank_fixture)
+                     one_state, randomize_params, separable_rerank_fixture)
 from morphogen import cli
 from morphogen.autodiff import log_softmax
 from morphogen.charlm import (BOW, EOW, WittenBellLM, filter_wordlist, load_lm,
@@ -222,8 +222,8 @@ def test_criterion_07_interpolation_identities():
     uniform = WittenBellLM(5, "abcd")  # no counts: every outcome 1/5
     for word in ("ab", "dca"):
         x = vocab.encode(word)
-        sess = DecodeSession(model, x)
-        h, c = sess.initial_state()
+        sess = DecodeSession(model, [x])
+        h, c = one_state(sess)
         prefix = []
         for t in range(len(x) + 3):
             h, c, scores = sess.step(h, c, prefix[-1] if prefix else BOS, t)

@@ -45,7 +45,7 @@ def test_step_many_rows_equal_step(variant, B):
     step, its scores read through autodiff.log_softmax."""
     m = _model(variant)
     x = VOCAB.encode("abca")
-    sess = DecodeSession(m, x)
+    sess = DecodeSession(m, [x])
     source = node_encode(None, m, x)
     rng = np.random.default_rng(B)
     n = m.hidden
@@ -248,7 +248,7 @@ def test_beam_stops_once_the_n_best_is_settled(monkeypatch):
     for word in ("a", "abc", "cabba"):
         x = VOCAB.encode(word)
         max_len = len(x) + 6
-        assert len(se._sessions(models, x)) == 1      # one stack of three
+        assert len(se._runs(models)) == 1      # one stack of three
         ref_steps, steps = [], []
 
         def ref_step(self, H, C, y_prev, t):
@@ -287,9 +287,9 @@ def test_next_dist_rows_are_nonpositive_with_a_finite_entry(members, lam, with_l
     for seed in range(3):
         models = [_model(v, seed + j, hidden=h) for j, (v, h) in enumerate(members)]
         x = VOCAB.encode("abcab"[:seed + 2])
-        sessions = se._sessions(models, x)
-        states = [(rng.normal(size=(*h.shape[:-1], B, h.shape[-1])),
-                   rng.normal(size=(*c.shape[:-1], B, c.shape[-1])))
+        sessions = [DecodeSession(params, [x]) for params in se._runs(models)]
+        states = [(rng.normal(size=(*h.shape[:-2], B, h.shape[-1])),
+                   rng.normal(size=(*c.shape[:-2], B, c.shape[-1])))
                   for h, c in (s.initial_state() for s in sessions)]
         for t in range(len(x) + 3):
             prefixes = [tuple(rng.integers(4, len(VOCAB), size=rng.integers(0, 4)).tolist())

@@ -120,16 +120,15 @@ def test_a_batch_session_row_is_its_source_alone(variant, members):
     models = [_model(variant, seed) for seed in range(1, members + 1)]
     params = models[0] if members == 1 else mod._stack(models)
     sources = [VOCAB.encode(w) for w in ("abcdab", "a", "zcd")]
-    batch = DecodeSession(params, sources=sources)
+    batch = DecodeSession(params, sources)
     H, C = batch.initial_state()
     rng = np.random.default_rng(0)
     H, C = H + rng.normal(size=H.shape), C + rng.normal(size=C.shape)
     y = rng.integers(0, len(VOCAB), size=len(sources))
-    alone = [DecodeSession(params, x_ids) for x_ids in sources]
+    alone = [DecodeSession(params, [x_ids]) for x_ids in sources]
     for r, session in enumerate(alone):
         np.testing.assert_allclose(batch.initial_state()[0][..., r:r + 1, :],
-                                   session.initial_state()[0][..., None, :],   # as a row of one
-                                   rtol=0, atol=TOL)
+                                   session.initial_state()[0], rtol=0, atol=TOL)
     for t in (0, 2, 7):    # t = 7 is past every source's end
         outs = batch.step(H, C, y, t)
         for r, session in enumerate(alone):
@@ -163,3 +162,29 @@ def test_masked_encoder_rows_equal_each_source_alone():
         # the final states: the forward pass's at the end, the backward pass's at 0
         np.testing.assert_allclose(fwd_hs[-1][r], fwd_one[-1], rtol=0, atol=TOL)
         np.testing.assert_allclose(bwd_hs[0][r], bwd_one[0], rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("name", ("full", "mixed"))
+def test_decode_lemmas_decodes_each_distinct_lemma_once(monkeypatch, name):
+    """Repeated lemmas (the same lemma under several tags) decode once: one
+    search.beam_decode call per distinct lemma, and every row gets the
+    results of a run without repeats, greedy and beam."""
+    models = ENSEMBLES[name]
+    distinct = LEMMAS[:6]
+    rows = [distinct[i] for i in (0, 1, 0, 2, 3, 1, 4, 5, 5, 0)]
+    want_beam = dict(zip(distinct, ev.decode_lemmas(models, distinct, beam_width=3, lm=LM,
+                                                    lam=0.7)))
+    want_greedy = dict(zip(distinct, ev.decode_lemmas(models, distinct)))
+    calls = []
+    real = ev.beam_decode
+    assert real is se.beam_decode
+
+    def spy(models, x_ids, *args, **kwargs):
+        calls.append(tuple(x_ids))
+        return real(models, x_ids, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "beam_decode", spy)
+    got = ev.decode_lemmas(models, rows, beam_width=3, lm=LM, lam=0.7)
+    assert calls == [tuple(VOCAB.encode(lemma)) for lemma in distinct]
+    assert got == [want_beam[lemma] for lemma in rows]
+    assert ev.decode_lemmas(models, rows) == [want_greedy[lemma] for lemma in rows]

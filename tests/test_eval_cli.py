@@ -145,23 +145,36 @@ def test_evaluate_accuracy_decodes_each_lemma_once_per_shared_model_list(workspa
     # one list per tag: the report every grouping must give
     want = ev.evaluate_accuracy({tag: [model] for tag in tags}, examples, **kwargs)
     real, calls = ev.decode_lemmas, []
+    real_greedy, real_beam = ev.greedy_decode_batch, ev.beam_decode
 
     def spy(models, lemmas, **kw):
-        calls.append((models, list(lemmas)))
+        calls.append((models, list(lemmas), []))    # and the sources its searches decode
         return real(models, lemmas, **kw)
 
+    def greedy_spy(models, sources, *args, **kw):
+        calls[-1][2].extend(tuple(x) for x in sources)
+        return real_greedy(models, sources, *args, **kw)
+
+    def beam_spy(models, x_ids, *args, **kw):
+        calls[-1][2].append(tuple(x_ids))
+        return real_beam(models, x_ids, *args, **kw)
+
     monkeypatch.setattr(ev, "decode_lemmas", spy)
+    monkeypatch.setattr(ev, "greedy_decode_batch", greedy_spy)
+    monkeypatch.setattr(ev, "beam_decode", beam_spy)
     for models_by_tag in ({tag: shared for tag in tags},
                           {tag: shared if tag != tags[1] else other for tag in tags},
                           {tag: model for tag in tags}):
         calls.clear()
         assert ev.evaluate_accuracy(models_by_tag, examples, **kwargs) == want
-        # one call per distinct list (or model), each of its lemmas once, in file order
+        # one call per distinct list (or model), with its rows' lemmas in file
+        # order, which decodes each of them once
         lists = list({id(m): m for m in models_by_tag.values()}.values())
-        assert [models for models, _ in calls] == [ev._as_ensemble(m) for m in lists]
-        for m, (_, lemmas) in zip(lists, calls):
-            assert lemmas == list(dict.fromkeys(ex.lemma for ex in examples
-                                                if models_by_tag[ex.tag] is m))
+        assert [models for models, _, _ in calls] == [ev._as_ensemble(m) for m in lists]
+        for m, (_, lemmas, decoded) in zip(lists, calls):
+            assert lemmas == [ex.lemma for ex in examples if models_by_tag[ex.tag] is m]
+            assert decoded == [tuple(model.vocab.encode(lemma))
+                               for lemma in dict.fromkeys(lemmas)]
 
 
 def test_evaluate_accuracy_rerank_checks_run_before_decoding(memorizer, monkeypatch):
@@ -974,28 +987,42 @@ def test_cli_evaluate_rerank_beams_at_the_given_width(workspace, monkeypatch, ca
 
 def test_decode_commands_decode_a_run_through_decode_lemmas(workspace, tmp_path, monkeypatch,
                                                             capsys):
-    # predict and beam decode the whole file in one call; evaluate --model PATH
-    # gives every tag one model list, so it decodes each distinct lemma once,
-    # in file order, in one call
-    real, calls = ev.decode_lemmas, []
+    # predict and beam decode the whole file in one call, and so does evaluate
+    # --model PATH, which gives every tag one model list; the call decodes
+    # each distinct lemma once, in file order
+    real, calls, decoded = ev.decode_lemmas, [], []
+    real_greedy, real_beam = ev.greedy_decode_batch, ev.beam_decode
 
     def spy(models, lemmas, **kwargs):
         calls.append(list(lemmas))
         return real(models, lemmas, **kwargs)
 
+    def greedy_spy(models, sources, *args, **kwargs):
+        decoded.extend(tuple(x) for x in sources)
+        return real_greedy(models, sources, *args, **kwargs)
+
+    def beam_spy(models, x_ids, *args, **kwargs):
+        decoded.append(tuple(x_ids))
+        return real_beam(models, x_ids, *args, **kwargs)
+
     monkeypatch.setattr(ev, "decode_lemmas", spy)
+    monkeypatch.setattr(ev, "greedy_decode_batch", greedy_spy)
+    monkeypatch.setattr(ev, "beam_decode", beam_spy)
     dev = parse_dataset(workspace["dev.tsv"])
     assert len({ex.tag for ex in dev}) > 1
     base = ["--model", workspace["model.ckpt"], "--data", workspace["dev.tsv"]]
-    whole, distinct = [[ex.lemma for ex in dev]], [list(dict.fromkeys(ex.lemma for ex in dev))]
-    assert len(distinct[0]) < len(whole[0])
+    whole = [ex.lemma for ex in dev]
+    vocab = load_model(workspace["model.ckpt"]).vocab
+    distinct = [tuple(vocab.encode(lemma)) for lemma in dict.fromkeys(whole)]
+    assert len(distinct) < len(whole)
     rerank = ["--rerank", workspace["weights.tsv"], "--lm", workspace["lm.txt"]]
-    for argv, want in ((["predict", *base, "--out", str(tmp_path / "p.tsv")], whole),
-                       (["beam", *base, "--beam-width", "3", "--out", str(tmp_path / "b.tsv")],
-                        whole),
-                       (["evaluate", *base], distinct),
-                       (["evaluate", *base, *rerank, "--beam-width", "3"], distinct)):
+    for argv in (["predict", *base, "--out", str(tmp_path / "p.tsv")],
+                 ["beam", *base, "--beam-width", "3", "--out", str(tmp_path / "b.tsv")],
+                 ["evaluate", *base],
+                 ["evaluate", *base, *rerank, "--beam-width", "3"]):
         calls.clear()
+        decoded.clear()
         assert cli.main(argv) == 0
-        assert calls == want, argv[0]
+        assert calls == [whole], argv[0]
+        assert decoded == distinct, argv[0]
     capsys.readouterr()

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_model_gradients, models_equal, randomize_params, row, run_sequence
+from helpers import (check_model_gradients, models_equal, one_state, randomize_params, row,
+                     run_sequence)
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen import search
@@ -78,11 +79,49 @@ def test_encoding_is_the_transformed_final_states():
         assert np.array_equal(source.e, want)
 
 
+@pytest.mark.parametrize("variant", mod.VARIANTS)
+def test_a_lone_source_encodes_as_training_does(variant):
+    """A single model's lone decoding source is training's encoding, bit
+    for bit, as rows of one: ids padded with one EPS, e, H and keys."""
+    m = randomize_params(_model(variant), 4)
+    x = VOCAB.encode("abba")
+    one = mod._encode_source(m, x)[0]
+    rows = mod._encode_sources(m, [x])
+    assert rows.x_ids.tolist() == [x + [EPS]] and rows.pad is None
+    for attr in ("e", "H", "keys"):
+        want, got = getattr(one, attr), getattr(rows, attr)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.shape == (1, *want.shape) and np.array_equal(got[0], want)
+
+
+def test_one_source_attends_every_row_with_one_product():
+    """Rows over one source (a beam's hypotheses) take one product w @ H, as
+    over training's source, not one per row: the same context bits."""
+    m = randomize_params(_model("attention", hidden=32, embed_dim=8), 4)
+    x = VOCAB.encode("abbabaabb")
+    S = np.random.default_rng(0).normal(size=(8, m.hidden))
+    got = mod.attention_context(m, mod._encode_sources(m, [x]), S)
+    want = mod.attention_context(m, mod._encode_source(m, x)[0], S)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_one_state_steps_only_a_single_models_session_over_one_source():
+    models = [randomize_params(_model(), seed) for seed in (4, 5)]
+    x = VOCAB.encode("ab")
+    h, c = one_state(mod.DecodeSession(models[0], [x]))
+    for sess in (mod.DecodeSession(mod._stack(models), [x]),
+                 mod.DecodeSession(models[0], [x, VOCAB.encode("b")])):
+        with pytest.raises(DimensionError, match="one state steps only"):
+            sess.step(h, c, BOS, 0)
+
+
 def test_step_distribution_masks_and_normalizes():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
-        sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-        _, _, scores = sess.step(*sess.initial_state(), BOS, 0)
+        sess = mod.DecodeSession(m, [VOCAB.encode("ab")])
+        _, _, scores = sess.step(*one_state(sess), BOS, 0)
         dist = np.exp(ad.log_softmax(scores))
         assert dist[BOS] == 0.0 and dist[EPS] == 0.0
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -95,14 +134,14 @@ def test_step_scores_are_minus_inf_exactly_at_bos_and_eps(variant):
     # only the masked ids are -inf, for one state, for B rows and for a stack
     models = [randomize_params(_model(variant), seed) for seed in (4, 5)]
     x = VOCAB.encode("ab")
-    sess = mod.DecodeSession(models[0], x)
-    stack = mod.DecodeSession(mod._stack(models), x)
-    h, c = sess.initial_state()
+    sess = mod.DecodeSession(models[0], [x])
+    stack = mod.DecodeSession(mod._stack(models), [x])
+    h, c = one_state(sess)
     H, C = stack.initial_state()
     rng = np.random.default_rng(0)
     one = sess.step(h, c, BOS, 0)
     rows = sess.step(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), [BOS, 4, 5], 1)
-    stacked = stack.step(H[:, None], C[:, None], [BOS], 0)
+    stacked = stack.step(H, C, [BOS], 0)
     outputs = [(one[0], one[2], models[0]), (rows[0], rows[2], models[0])]
     outputs += [(stacked[0][k], stacked[2][k], m) for k, m in enumerate(models)]
     kept = [i for i in range(len(VOCAB)) if i not in (BOS, EPS)]
@@ -115,8 +154,8 @@ def test_step_scores_are_minus_inf_exactly_at_bos_and_eps(variant):
 
 def test_session_consumes_epsilon_past_source_end():
     m = randomize_params(_model("full"), 4)
-    sess = mod.DecodeSession(m, VOCAB.encode("ab"))
-    h, c = sess.initial_state()
+    sess = mod.DecodeSession(m, [VOCAB.encode("ab")])
+    h, c = one_state(sess)
     for t in range(6):  # steps 2.. feed the learned epsilon symbol
         h, c, scores = sess.step(h, c, 4, t)
         assert abs(np.exp(ad.log_softmax(scores)).sum() - 1.0) < 1e-12
@@ -160,8 +199,8 @@ def test_training_loss_matches_inference_distributions():
         m = randomize_params(_model(variant), 4)
         x, y = VOCAB.encode("aab"), VOCAB.encode("ba")
         targets = y + [EOS]
-        sess = mod.DecodeSession(m, x)
-        h, c = sess.initial_state()
+        sess = mod.DecodeSession(m, [x])
+        h, c = one_state(sess)
         total = 0.0
         for t, target in enumerate(targets):
             y_prev = BOS if t == 0 else targets[t - 1]
@@ -214,16 +253,16 @@ def test_attention_context_rejects_other_variants():
 
 def test_decoder_step_rejects_out_of_range_ids():
     m = randomize_params(_model("full"), 4)
-    sess = mod.DecodeSession(m, VOCAB.encode("a"))
-    h, c = sess.initial_state()
+    sess = mod.DecodeSession(m, [VOCAB.encode("a")])
+    h, c = one_state(sess)
     with pytest.raises(DimensionError, match="out of range"):
         sess.step(h, c, len(VOCAB), 0)
     with pytest.raises(DimensionError, match="out of range"):
         sess.step(h, c, -1, 0)
     with pytest.raises(DimensionError, match="out of range"):
-        mod.DecodeSession(m, [len(VOCAB)])
+        mod.DecodeSession(m, [[len(VOCAB)]])
     with pytest.raises(DimensionError, match="out of range"):   # no encoder reads x
-        mod.DecodeSession(_model("no-encoder"), [0, -1])
+        mod.DecodeSession(_model("no-encoder"), [[0, -1]])
 
 
 def test_gradients_all_variants_small_fixture():

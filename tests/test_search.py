@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import exhaustive_decode, randomize_params
+from helpers import exhaustive_decode, one_state, randomize_params
 from morphogen import autodiff as ad
 from morphogen import search as se
 from morphogen.charlm import EOW, train_lm
@@ -264,8 +264,8 @@ def test_beam_deterministic():
 
 def _replay_logprob(models, x_ids, result, lm=None, lam=1.0):
     """Recompute a result's score from public per-step distributions."""
-    sessions = [DecodeSession(m, x_ids) for m in models]
-    states = [s.initial_state() for s in sessions]
+    sessions = [DecodeSession(m, [x_ids]) for m in models]
+    states = [one_state(s) for s in sessions]
     chosen = list(result.ids) if result.truncated else list(result.ids) + [EOS]
     prefix = []
     total = 0.0

@@ -13,8 +13,8 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import (assert_within_ulp, per_member_beam_decode, per_member_greedy_decode,
-                     randomize_params, reference_beam_decode)
+from helpers import (assert_within_ulp, one_state, per_member_beam_decode,
+                     per_member_greedy_decode, randomize_params, reference_beam_decode)
 from morphogen import model as mod
 from morphogen import search as se
 from morphogen.charlm import train_lm
@@ -31,6 +31,11 @@ WORDS = ("a", "abc", "cabba", "dacdbab")
 def _model(variant, seed, hidden=4, embed_dim=3):
     m = init_model(VOCAB, variant, hidden=hidden, embed_dim=embed_dim, seed=0)
     return randomize_params(m, seed)
+
+
+def _sessions(models, x_ids):
+    """One session over x_ids per run of members, as beam_decode builds them."""
+    return [DecodeSession(params, [x_ids]) for params in se._runs(models)]
 
 
 def _bits(results):
@@ -56,7 +61,7 @@ def _assert_same_as_per_member(models, lm=None, lam=1.0):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_homogeneous_stack_equals_per_member_search(variant, k, with_lm):
     models = [_model(variant, seed) for seed in range(k)]
-    sessions = se._sessions(models, VOCAB.encode("ab"))
+    sessions = _sessions(models, VOCAB.encode("ab"))
     assert len(sessions) == 1 and sessions[0].stacked
     _assert_same_as_per_member(models, LM if with_lm else None, lam=0.7)
 
@@ -108,9 +113,9 @@ def test_mixed_ensemble_equals_per_member_search(name, with_lm):
                                            ("full-attention-full", [False, False, False])])
 def test_sessions_stack_runs_of_adjacent_members(name, stacked):
     models = [_model(v, seed, hidden=n) for v, seed, n in MIXED[name]]
-    sessions = se._sessions(models, VOCAB.encode("ab"))
+    sessions = _sessions(models, VOCAB.encode("ab"))
     assert [s.stacked for s in sessions] == stacked
-    single = se._sessions(models[:1], VOCAB.encode("ab"))
+    single = _sessions(models[:1], VOCAB.encode("ab"))
     assert len(single) == 1 and not single[0].stacked
 
 
@@ -118,9 +123,10 @@ def test_sessions_stack_runs_of_adjacent_members(name, stacked):
 def test_single_model_session_keeps_its_shapes(variant):
     m = _model(variant, 1)
     n, V = m.hidden, len(VOCAB)
-    sess = DecodeSession(m, VOCAB.encode("abc"))
+    sess = DecodeSession(m, [VOCAB.encode("abc")])
     assert not sess.stacked
-    h, c = sess.initial_state()
+    assert all(a.shape == (1, n) for a in sess.initial_state())    # one row: the source's
+    h, c = one_state(sess)
     assert h.shape == c.shape == (n,)
     h2, c2, dist = sess.step(h, c, 2, 0)
     assert h2.shape == c2.shape == (n,) and dist.shape == (V,)
@@ -133,11 +139,11 @@ def test_single_model_session_keeps_its_shapes(variant):
 def test_stack_step_is_each_members_step(variant):
     models = [_model(variant, seed) for seed in (1, 2, 3)]
     x = VOCAB.encode("dcab")
-    stack = DecodeSession(mod._stack(models), x)
-    alone = [DecodeSession(m, x) for m in models]
+    stack = DecodeSession(mod._stack(models), [x])
+    alone = [DecodeSession(m, [x]) for m in models]
     n, V = models[0].hidden, len(VOCAB)
     H, C = stack.initial_state()
-    assert H.shape == C.shape == (3, n)
+    assert H.shape == C.shape == (3, 1, n)
     for k, sess in enumerate(alone):
         for got, want in zip((H[k], C[k]), sess.initial_state()):
             assert np.array_equal(got, want)
@@ -160,11 +166,11 @@ def test_stack_step_is_each_members_step(variant):
 
 def test_stack_steps_rows_only():
     stack = DecodeSession(mod._stack([_model("full", seed) for seed in (1, 2)]),
-                          VOCAB.encode("ab"))
+                          [VOCAB.encode("ab")])
     H, C = stack.initial_state()
-    with pytest.raises(DimensionError, match="rows"):
-        stack.step(H, C, 2, 0)
-    H, C, dist = stack.step(H[:, None], C[:, None], [2], 0)
+    with pytest.raises(DimensionError, match="rows"):    # one state per member, [K, n]
+        stack.step(H[:, 0], C[:, 0], 2, 0)
+    H, C, dist = stack.step(H, C, [2], 0)
     assert dist.shape == (2, 1, len(VOCAB))
 
 
