@@ -26,14 +26,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _non_negative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_from(low):
+    """An argparse type: an int >= low. argparse names the flag in the error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_non_negative_int = _int_from(0)
+_positive_int = _int_from(1)
 
 
 def _nfc(text):
@@ -437,8 +444,8 @@ def build_parser():
     p.set_defaults(func=_cmd_export_embeddings)
 
     p = sub.add_parser("synth-data", help="generate the synthetic harmony language")
-    p.add_argument("--size", type=int, default=300, help="number of inflection tables")
-    p.add_argument("--wordlist-size", type=int, default=500)
+    p.add_argument("--size", type=_positive_int, default=300, help="number of inflection tables")
+    p.add_argument("--wordlist-size", type=_positive_int, default=500)
     p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_synth_data)

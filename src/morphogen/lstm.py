@@ -6,10 +6,12 @@ order; the forget block of the bias starts at 1.0. lstm_step is the cell on
 arrays, for one state or a batch of rows, given its input projection
 W_x x + b; run_cached forms that projection per step, runs the cell over a
 sequence and keeps what backward_cached, backpropagation through time by
-hand, reads. A decoder that knows its inputs' projections in advance
-(model.DecodeSession's tables) passes them to a cell directly: rows_step
-for rows, and lstm_step for one state, which only a single model's
-session over one source steps (greedy_decode).
+hand, reads; training runs it, through encode_bidirectional for the
+encoder. Decoding knows its inputs' projections in advance (model's per-id
+tables) and passes them to a cell directly: the decoder's
+(model.DecodeSession) to rows_step for rows and to lstm_step for one state,
+which only a single model's session over one source steps (greedy_decode),
+and the encoder's (model._encode_sources) to lstm_step, keeping no cache.
 
 rows_step is the same update for decoding rows only. It takes the i/f/o
 sigmoid as 1 / (1 + exp(-z)) from NumPy's vectorized exp, where lstm_step
@@ -23,12 +25,6 @@ A stack of K cells of one shape (decoding an ensemble) holds each tensor
 with a leading member axis, W_x [K,4n,l], W_h [K,4n,n] and b [K,1,4n], and
 steps rows [K,B,·]: one np.matmul per weight for all members, each member's
 slice computed by the same BLAS call as that member alone.
-
-Decoding encodes its sources as rows, a batch of B (a stack's [K,B,·]),
-except a single model's lone source, which runs as training's vectors.
-Sources of different lengths run padded to the longest, with a mask:
-run_cached holds a row's state through its padded steps, so
-encode_bidirectional gives every row the states its source alone would.
 """
 
 import numpy as np
@@ -59,8 +55,6 @@ class LSTMParams:
             raise DimensionError(f"lstm {name}: W_x has shape {W_x.value.shape}")
         if b.value.shape != ((*lead, 1, gates) if lead else (gates,)):
             raise DimensionError(f"lstm {name}: b has shape {b.value.shape}")
-        # a zero state: [n], or [K, 1, n] for a stack, which broadcasts over rows
-        self.state_shape = (*lead, 1, self.hidden_size) if lead else self.hidden_size
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
@@ -105,30 +99,24 @@ def rows_step(params, ZX, H, C):
     return sig[..., 2 * n:] * np.tanh(C), C
 
 
-def run_cached(params, xs, h0=None, step_input=None, mask=None):
-    """lstm_step over the input vectors xs (a stack's rows [K,B,l]), from
-    (h0, 0) or the zero state -> (every step's h, a per-step cache for
-    backward_cached). Each step's input projection is x @ W_x.T + b, summed
-    before the recurrent product joins, so the gates keep training's bits.
+def run_cached(params, xs, h0=None, step_input=None):
+    """lstm_step over the input vectors xs [l], from (h0, 0) or the zero
+    state -> (every step's h, a per-step cache for backward_cached). Each
+    step's input projection is x @ W_x.T + b, summed before the recurrent
+    product joins, so the gates keep training's bits.
 
     step_input(x, h_prev), if given, builds each step's input from xs[t] and
     the previous h: an input that depends on the state, like attention's.
-    mask, if given, holds a [B, 1] array of bools per step for rows xs[t]
-    [B, l] (or [K, B, l]): a row whose entry is False keeps its state
-    through that step, as a padded position of a batch of sources must. The
-    cache of a masked run is not one backward_cached can read.
     """
     W_xT, b = params.W_x.value.mT, params.b.value
-    h = np.zeros(params.state_shape) if h0 is None else h0
-    c = np.zeros(params.state_shape)
+    h = np.zeros(params.hidden_size) if h0 is None else h0
+    c = np.zeros(params.hidden_size)
     hs, cache = [], []
-    for t, x in enumerate(xs):
+    for x in xs:
         if step_input is not None:
             x = step_input(x, h)
         h_next, c_next, sig, g, tc = lstm_step(params, x @ W_xT + b, h, c)
         cache.append((x, h, c, sig, g, tc))
-        if mask is not None:
-            h_next, c_next = np.where(mask[t], h_next, h), np.where(mask[t], c_next, c)
         h, c = h_next, c_next
         hs.append(h)
     return hs, cache
@@ -179,21 +167,13 @@ def backward_cached(grads, params, cache, gh_out, step_grad=None):
     return dxs, gh_rec
 
 
-def encode_bidirectional(fwd, bwd, xs, mask=None):
-    """Both passes over the inputs xs (vectors [l], or rows [B,l], a stack's
-    [K,B,l]) -> (the forward pass's h at every position, the backward pass's h
-    at every position, the forward pass's run_cached cache, the backward
-    pass's, which runs over xs reversed).
-
-    With mask (run_cached's, one [B, 1] array per position), xs holds the
-    rows [B, l] ([K, B, l] for a stack) of B sources padded at the end to
-    one length, and each row keeps its state over its padding: the forward
-    pass carries a row's last state to the end, and the backward pass holds
-    the zero state until it reaches the row's last symbol. So every row's
-    states at its own positions, and the final states at positions -1 and 0,
-    are the ones its source alone would give."""
+def encode_bidirectional(fwd, bwd, xs):
+    """Both passes over the input vectors xs -> (the forward pass's h at
+    every position, the backward pass's h at every position, the forward
+    pass's run_cached cache, the backward pass's, which runs over xs
+    reversed)."""
     if not xs:
         raise DimensionError(f"lstm {fwd.name}: empty input sequence")
-    fwd_hs, fwd_cache = run_cached(fwd, xs, mask=mask)
-    bwd_hs, bwd_cache = run_cached(bwd, xs[::-1], mask=None if mask is None else mask[::-1])
+    fwd_hs, fwd_cache = run_cached(fwd, xs)
+    bwd_hs, bwd_cache = run_cached(bwd, xs[::-1])
     return fwd_hs, bwd_hs[::-1], fwd_cache, bwd_cache

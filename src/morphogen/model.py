@@ -109,10 +109,11 @@ class ModelParams:
 
     A read-only model (load_model, _stack: theta and every tensor have
     flags.writeable False, so a write raises ValueError) keeps the state
-    that decoding derives from its weights: its decode tables
-    (_decode_tables) and, on a run's first member, the stacks of runs of
-    read-only members (search._runs). A writeable model, which training
-    updates in place, keeps none; copy() gives a writeable model.
+    that decoding derives from its weights: its decoder and encoder tables
+    (_decode_tables, _encoder_tables) and, on a run's first member, the
+    stacks of runs of read-only members (search._runs). A writeable model,
+    which training updates in place, keeps none; copy() gives a writeable
+    one.
     """
 
     def __init__(self, vocab, variant, hidden, embed_dim):
@@ -128,6 +129,7 @@ class ModelParams:
         self.theta = None
         self.lm_lambda = None   # set by interpolated training
         self._tables = None     # _decode_tables, kept when read-only
+        self._enc_tables = None     # _encoder_tables, kept when read-only
         self._stacks = {}       # member ids of a run -> its stack (search._runs)
 
     @property
@@ -370,13 +372,14 @@ def _encode_source(params, x_ids):
 
 def _encode_sources(params, sources):
     """B sources encoded at once, as the rows of a decoding _Source: one
-    encoder pass over the sources padded to the longest, masked only when a
-    row is padded, so padding never changes a row's states. A single
-    model's lone source is _encode_source's, training's vector encoding,
-    with its ids, e, H and keys made rows of one. An empty source is a
-    DataError, as in _encode_source."""
+    decode-only encoder pass per direction (_encoder_pass) over the sources
+    padded to the longest, masked only when a row is padded, so padding
+    never changes a row's states. A writeable single model's lone source is
+    _encode_source's, training's vector encoding, with its ids, e, H and
+    keys made rows of one; a batch of one gives those bits too. An empty
+    source is a DataError, as in _encode_source."""
     w, E = params.wiring, params.embed.value
-    if len(sources) == 1 and E.ndim == 2:
+    if len(sources) == 1 and E.ndim == 2 and not params.read_only:
         source = _encode_source(params, sources[0])[0]
         source.x_ids = np.array([[*source.x_ids, EPS]])
         if source.e is not None:
@@ -395,8 +398,11 @@ def _encode_sources(params, sources):
     if not w.encoder:
         return source
     mask = (np.arange(T)[:, None] < lengths)[..., None] if min(lengths) < T else None  # [T, B, 1]
-    fwd_hs, bwd_hs = lstm.encode_bidirectional(
-        params.enc_fwd, params.enc_bwd, [E.take(X[:, t], axis=-2) for t in range(T)], mask)[:2]
+    steps = X.T[:T]     # each step's ids [B]
+    fwd, bwd = _encoder_tables(params)
+    fwd_hs = _encoder_pass(params.enc_fwd, *fwd, steps, mask)
+    bwd_hs = _encoder_pass(params.enc_bwd, *bwd, steps[::-1],
+                           None if mask is None else mask[::-1])[::-1]
     if w.attention:
         H = np.concatenate((fwd_hs, bwd_hs), axis=-1)    # [T, (K,) B, 2n]
         source.H = np.ascontiguousarray(np.moveaxis(H, 0, -2))
@@ -408,6 +414,57 @@ def _encode_sources(params, sources):
         e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)
         source.e = e_raw @ params.trans_W.value.mT + params.trans_b.value
     return source
+
+
+def _encoder_tables(params):
+    """Each encoder direction's per-id tables over a model or a stack ->
+    ((Z, H1, C1) forward, (Z, H1, C1) backward), from _cell_tables. They
+    depend on the weights alone: built once and kept on read-only params,
+    built per call on writeable params, as _decode_tables' are."""
+    if params._enc_tables is not None:
+        return params._enc_tables
+    E = params.embed.value
+    tables = tuple(_cell_tables(cell, E) for cell in (params.enc_fwd, params.enc_bwd))
+    if params.read_only:
+        for table in itertools.chain(*tables):
+            table.flags.writeable = False
+        params._enc_tables = tables
+    return tables
+
+
+def _cell_tables(cell, E):
+    """An encoder cell's per-id tables over the embeddings E [V, d] (a
+    stack's [K, V, d]) -> (Z, H1, C1). Z [V, 4n] holds each id's input
+    projection E[v] W_xᵀ + b, formed one row per id: a one-row product runs
+    as BLAS gemv, as training's product for one vector does, where one
+    product over many rows runs as gemm and rounds differently. (H1, C1)
+    [V, n] is each id's state after a first step from zero,
+    lstm_step(Z, 0, 0). A stack's have a leading member axis."""
+    W_xT = cell.W_x.value.mT
+    rows = E[..., :, None, :] @ (W_xT[:, None] if E.ndim == 3 else W_xT)  # [(K,) V, 1, 4n]
+    Z = rows[..., 0, :] + cell.b.value
+    zero = np.zeros((*Z.shape[:-1], cell.hidden_size))
+    return (Z, *lstm.lstm_step(cell, Z, zero, zero)[:2])
+
+
+def _encoder_pass(cell, Z, H1, C1, steps, mask):
+    """One encoder direction over rows of ids, for decoding -> every step's
+    h [(K,) B, n]. steps holds each step's ids [B]; step 0 looks its state
+    up in (H1, C1), every later one gathers its input projection from Z and
+    runs lstm_step. No cache is kept. mask, if given, holds a [B, 1] array
+    of bools per step: a row whose entry is False keeps its state through
+    that step (the zero state, before a reversed row's last symbol)."""
+    h, c = H1.take(steps[0], axis=-2), C1.take(steps[0], axis=-2)
+    if mask is not None:
+        h, c = np.where(mask[0], h, 0.0), np.where(mask[0], c, 0.0)
+    hs = [h]
+    for t in range(1, len(steps)):
+        h_next, c_next = lstm.lstm_step(cell, Z.take(steps[t], axis=-2), h, c)[:2]
+        if mask is not None:
+            h_next, c_next = np.where(mask[t], h_next, h), np.where(mask[t], c_next, c)
+        h, c = h_next, c_next
+        hs.append(h)
+    return hs
 
 
 def interpolation_weight(lam_hat):

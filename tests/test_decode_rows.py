@@ -19,7 +19,7 @@ from morphogen import search as se
 from morphogen.charlm import train_lm
 from morphogen.errors import DataError
 from morphogen.model import VARIANTS, DecodeSession, init_model
-from morphogen.vocab import EOS, CharVocab
+from morphogen.vocab import EOS, EPS, N_SPECIAL, CharVocab
 
 VOCAB = CharVocab("abcd")
 LM = train_lm(["abca", "bacab", "cab", "ab", "cca", "dab", "adda"], order=3)
@@ -146,22 +146,29 @@ def test_a_batch_session_row_is_its_source_alone(variant, members):
 
 
 def test_masked_encoder_rows_equal_each_source_alone():
-    m = _model("attention", 9, hidden=3)
+    """The decode encoder's padded rows (_encode_sources) against training's
+    encoder over each source alone. Every source vector is an embedding row
+    of its own, and EPS, which pads the shorter rows, embeds as 99.0, so a
+    padded step that reached a row's state would show."""
     sources = [np.random.default_rng(s).normal(size=(length, 3)) for s, length in
                enumerate((4, 1, 6))]
-    T = 6
-    xs = [np.array([x[t] if t < len(x) else np.full(3, 99.0) for x in sources])
-          for t in range(T)]
-    mask = (np.arange(T)[:, None] < [len(x) for x in sources])[..., None]
-    fwd_hs, bwd_hs = lstm.encode_bidirectional(m.enc_fwd, m.enc_bwd, xs, mask)[:2]
+    m = randomize_params(init_model(CharVocab("abcdefghijk"), "attention", hidden=3,
+                                    embed_dim=3, seed=0), 9)
+    ids, start = [], N_SPECIAL
+    for x in sources:
+        ids.append(list(range(start, start + len(x))))
+        m.embed.value[start:start + len(x)] = x
+        start += len(x)
+    m.embed.value[EPS] = 99.0
+    n, H = m.hidden, mod._encode_sources(m, ids).H     # [B, T, 2n] rows [fwd h_t ; bwd h_t]
     for r, x in enumerate(sources):
         fwd_one, bwd_one = lstm.encode_bidirectional(m.enc_fwd, m.enc_bwd, list(x))[:2]
         for t in range(len(x)):
-            np.testing.assert_allclose(fwd_hs[t][r], fwd_one[t], rtol=0, atol=TOL)
-            np.testing.assert_allclose(bwd_hs[t][r], bwd_one[t], rtol=0, atol=TOL)
+            np.testing.assert_allclose(H[r, t, :n], fwd_one[t], rtol=0, atol=TOL)
+            np.testing.assert_allclose(H[r, t, n:], bwd_one[t], rtol=0, atol=TOL)
         # the final states: the forward pass's at the end, the backward pass's at 0
-        np.testing.assert_allclose(fwd_hs[-1][r], fwd_one[-1], rtol=0, atol=TOL)
-        np.testing.assert_allclose(bwd_hs[0][r], bwd_one[0], rtol=0, atol=TOL)
+        np.testing.assert_allclose(H[r, -1, :n], fwd_one[-1], rtol=0, atol=TOL)
+        np.testing.assert_allclose(H[r, 0, n:], bwd_one[0], rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("name", ("full", "mixed"))

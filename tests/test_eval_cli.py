@@ -772,18 +772,30 @@ def test_cli_unallocatable_size_exits_two(workspace, tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("command, flag, value", [("rerank-train", "--iterations", "0"),
                                                  ("rerank-train", "--iterations", "-1"),
-                                                 ("synth-data", "--wordlist-size", "-1"),
                                                  ("export-embeddings", "--chars", "")])
 def test_cli_nothing_to_do_exits_two_without_output(workspace, tmp_path, capsys,
                                                     command, flag, value):
     out = tmp_path / "out"
     inputs = {"rerank-train": ["--nbest", workspace["beams.tsv"], "--data", workspace["dev.tsv"],
                                "--lm", workspace["lm.txt"], "--out", str(out)],
-              "synth-data": ["--size", "20", "--out-dir", str(out)],
               "export-embeddings": ["--model", workspace["model.ckpt"], "--out", str(out)]}
     assert cli.main([command, flag, value] + inputs[command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("morphogen: error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [(flag, value) for flag in ("--size", "--wordlist-size")
+                                         for value in ("0", "-1")])
+def test_cli_synth_data_sizes_are_positive_ints(tmp_path, capsys, flag, value):
+    """A usage error that names the flag, before anything is written."""
+    out = tmp_path / "out"
+    assert cli.main(["synth-data", "--size", "20", flag, value, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: morphogen synth-data ")
+    assert captured.err.splitlines()[-1] == \
+        f"morphogen: error: argument {flag}: must be >= 1, got {value}"
     assert captured.out == ""
     assert not out.exists()
 
