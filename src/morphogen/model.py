@@ -107,13 +107,13 @@ class ModelParams:
     (joint training) reads those tensors from the other model's theta; the
     matching head of its own theta goes unused.
 
-    A read-only model (load_model, _stack: theta and every tensor have
-    flags.writeable False, so a write raises ValueError) keeps the state
-    that decoding derives from its weights: its decoder and encoder tables
-    (_decode_tables, _encoder_tables) and, on a run's first member, the
-    stacks of runs of read-only members (search._runs). A writeable model,
-    which training updates in place, keeps none; copy() gives a writeable
-    one.
+    A read-only model (load_model, the models trainer returns, _stack: theta
+    and every tensor have flags.writeable False, so a write raises
+    ValueError) keeps the state that decoding derives from its weights: its
+    decoder and encoder tables (_decode_tables, _encoder_tables) and, on a
+    run's first member, the stacks of runs of read-only members
+    (search._runs). A writeable model (init_model, copy(), the live model
+    that training updates in place) keeps none.
     """
 
     def __init__(self, vocab, variant, hidden, embed_dim):

@@ -22,14 +22,15 @@ Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
-unstacked, so a single model decodes as it would alone. A run of loaded,
-read-only members is stacked once and the stack kept (_runs); writeable
-members, which training updates in place, are stacked per call. Every
-DecodeSession is over a batch of sources, one row each: beam search builds
-one per run over its word's source and steps the word's live hypotheses as
-the rows [B, ·] of each step call, so batching beam over words is a matter
-of passing more sources. Everything goes through _next_dist, and the
-combiner below works row by row on [B, V] arrays as well as on single vectors.
+unstacked, so a single model decodes as it would alone. A run of loaded or
+trained, read-only members is stacked once and the stack kept (_runs);
+writeable members, which training updates in place, are stacked per call.
+Every DecodeSession is over a batch of sources, one row each: beam search
+builds one per run over its word's source and steps the word's live
+hypotheses as the rows [B, ·] of each step call, so batching beam over
+words is a matter of passing more sources. Everything goes through
+_next_dist, and the combiner below works row by row on [B, V] arrays as
+well as on single vectors.
 
 Greedy search has two paths. greedy_decode_batch decodes a run of sources
 (evaluate.decode_lemmas: a file, a tag, a dev set) as the rows of one batch
@@ -171,11 +172,12 @@ def _runs(models):
 
     A stack copies the members' values. A run of writeable members is
     stacked per call, so its stack never serves across a training step. A
-    run of read-only members (load_model) is stacked once: the stack is kept
-    on the run's first member, keyed by the ids of the run's members in
-    order. The first member owns the stack and the stack holds the later
-    members, so no key's ids can be reused while the stack lives, and it
-    is freed with its members, with no cycle for the collector to find."""
+    run of read-only members (load_model, trainer) is stacked once: the
+    stack is kept on the run's first member, keyed by the ids of the run's
+    members in order. The first member owns the stack and the stack holds
+    the later members, so no key's ids can be reused while the stack lives,
+    and it is freed with its members, with no cycle for the collector to
+    find."""
     out = []
     for _, run in groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim)):
         run = tuple(run)
@@ -250,11 +252,11 @@ def greedy_decode_batch(models, sources, max_lens, lm=None, lam=None):
     order, stepped as the rows of one batch per BATCH_SOURCES sources.
 
     The members are grouped and stacked once per call (read-only members
-    once for good, _runs). Each row keeps its
-    own source, e, source pointer and max_len; it retires at EOS or at its
-    max_len, and the live rows are compacted. A row's ids and truncation
-    flag are greedy_decode's, and its log-prob is to rounding: rows step
-    lstm.rows_step and row products where a single model steps one state.
+    once for good, _runs). Each row keeps its own source, e, source pointer
+    and max_len; it retires at EOS or at its max_len, and the live rows are
+    compacted. A row's ids and truncation flag are greedy_decode's, and its
+    log-prob is to rounding: rows step lstm.rows_step and row products where
+    a single model steps one state.
     """
     if not sources:
         return []

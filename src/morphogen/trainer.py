@@ -4,7 +4,10 @@ given an LM), seed ensembles of them, and a shared-encoder joint mode.
 All modes run batch-size-1 AdaDelta over shuffled epochs (at most
 config.epochs passes) and return the epoch snapshot with the best dev-set
 exact-match accuracy, earliest epoch on ties. Every source of randomness is
-seeded, so a fixed config gives bit-identical parameters.
+seeded, so a fixed config gives bit-identical parameters. The live models,
+which the steps update and the dev set decodes, stay writeable; the
+snapshots returned are read-only, as load_model's are, so decoding them
+keeps their tables and stacks (copy() gives a writeable model).
 
 Per example, autodiff.backward runs forward_variant's one backward closure
 into the gradient views of the blocks that adadelta_step then updates.
@@ -20,8 +23,8 @@ from . import autodiff as ad
 from .data import build_vocab
 from .errors import TrainError
 from .evaluate import decode_lemmas
-from .model import (DECODER_ATTRS, SHARED_ATTRS, VARIANTS, forward_variant, init_model,
-                    interpolation_weight)
+from .model import (DECODER_ATTRS, SHARED_ATTRS, VARIANTS, _freeze, forward_variant,
+                    init_model, interpolation_weight)
 from .optim import Block, adadelta_step
 from .search import lm_next_dist
 
@@ -86,7 +89,8 @@ def _update(blocks):
 
 
 def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapshot, log):
-    """Shared epoch scaffolding; logs each epoch's line as it ends, returns the best snapshot."""
+    """Shared epoch scaffolding; logs each epoch's line as it ends, returns the
+    best snapshot (a model or a dict of them) made read-only."""
     order_rng = random.Random(config.seed)
     best_acc, best = -math.inf, None
     for epoch in range(1, config.epochs + 1):
@@ -112,6 +116,8 @@ def _epoch_loop(config, train_examples, make_loss, update_for, eval_dev, snapsho
             best_acc, best = acc, snapshot()
     if best is None:
         best = snapshot()
+    for m in best.values() if isinstance(best, dict) else (best,):
+        _freeze(m)
     return best
 
 
@@ -126,7 +132,8 @@ def train_factored(dataset, tag, config, log=None, *, lm=None):
     p_model * p_lm**lam renormalized. The weight lam is softplus of an
     unconstrained scalar, initialised at config.lambda_init and updated by
     the same optimizer; the dev set decodes with the LM at the current lam,
-    and the selected model's lm_lambda holds its epoch's lam.
+    and the selected model's lm_lambda holds its epoch's lam. Returns a
+    read-only model.
     """
     config.validate()
     train = _tag_examples(dataset.train, tag)
@@ -182,7 +189,7 @@ def train_joint(dataset, config, log=None):
     gradients from every inflection type. The encoder lives in the first
     model's theta and each decoder in its own tag model's theta, so a step
     updates two blocks. Epoch selection uses the average of the per-tag dev
-    accuracies.
+    accuracies. Returns {tag: read-only model}, sharing one encoder.
     """
     config.validate()
     tags = sorted({ex.tag for ex in dataset.train})
@@ -214,8 +221,8 @@ def train_joint(dataset, config, log=None):
 
 
 def train_ensemble(dataset, tag, config, log=None):
-    """config.ensemble_k factored models for one tag, differing only in
-    seed, in seed order (config.member_seeds())."""
+    """config.ensemble_k read-only factored models for one tag, differing
+    only in seed, in seed order (config.member_seeds())."""
     config.validate()
     return [train_factored(dataset, tag, replace(config, seed=s), log=log)
             for s in config.member_seeds()]

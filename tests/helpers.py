@@ -1,7 +1,9 @@
 """Shared fixtures-in-code for the test suite."""
 
+import ctypes
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -461,6 +463,34 @@ def check_model_gradients(params, x_ids, y_ids, h=1e-4):
     def loss_fn(tape):
         return forward_record(tape, params, x_ids, y_ids)
     return gradient_check(loss_fn, params.parameters(), h=h)
+
+
+def dispatch_target():
+    """The dispatch target this process computes on: NumPy's enabled SIMD
+    features and the core that NumPy's bundled OpenBLAS picked. Both are
+    wheel internals, so each reads "unknown" when it cannot be read."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+        simd = " ".join(name for name, enabled in __cpu_features__.items() if enabled)
+    except ImportError:
+        simd = "unknown"
+    try:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        corename = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so")))) \
+            .scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        blas = corename().decode()
+    except (StopIteration, OSError, AttributeError):
+        blas = "unknown"
+    return f"NumPy SIMD [{simd}], OpenBLAS core {blas}"
+
+
+def pinned_message():
+    """The failure message of a test that compares with recorded digests."""
+    return ("the digests were recorded with OpenBLAS core SkylakeX and NumPy's AVX-512 "
+            "(X86_V4) loops; another target rounds differently and has none recorded "
+            "(OPENBLAS_CORETYPE=Haswell or NPY_DISABLE_CPU_FEATURES=\"AVX512_SPR AVX512_ICL "
+            f"X86_V4\" forces one). This process: {dispatch_target()}")
 
 
 def models_equal(a, b):

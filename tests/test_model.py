@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (check_model_gradients, models_equal, one_state, randomize_params, row,
-                     run_sequence)
+from helpers import (check_model_gradients, models_equal, one_state, pinned_message,
+                     randomize_params, row, run_sequence)
 from morphogen import autodiff as ad
 from morphogen import model as mod
 from morphogen import search
@@ -624,4 +624,4 @@ def test_loss_and_gradients_pinned_on_sources_longer_than_targets(variant):
             h.update(p.name.encode())
             h.update(grads[p].tobytes())
         digests.append(h.hexdigest())
-    assert tuple(digests) == GRADIENTS_PINNED[variant]
+    assert tuple(digests) == GRADIENTS_PINNED[variant], pinned_message()

@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import dispatch_target, pinned_message
 from morphogen import trainer as tr
 from morphogen.charlm import train_lm
 from morphogen.data import DatasetSplit, default_synth_spec, synth_language, tables_to_examples
@@ -53,14 +54,14 @@ INTERPOLATED = ("10fecc09e0846c887a732ac3e3ea2d83ce98f6820143de4dedad89bbc46a750
 def test_factored_training_pinned(variant):
     config = tr.TrainConfig(hidden=4, epochs=2, l2=L2, seed=3, variant=variant)
     model = tr.train_factored(_dataset({INESSIVE}), INESSIVE, config)
-    assert _digest([model]) == FACTORED[variant]
+    assert _digest([model]) == FACTORED[variant], pinned_message()
 
 
 def test_joint_training_pinned():
     config = tr.TrainConfig(hidden=4, epochs=2, l2=L2, seed=5)
     models = tr.train_joint(_dataset({INESSIVE, ELATIVE}), config)
     assert sorted(models) == [ELATIVE, INESSIVE]
-    assert _digest([models[t] for t in sorted(models)]) == JOINT
+    assert _digest([models[t] for t in sorted(models)]) == JOINT, pinned_message()
 
 
 def test_interpolated_training_pinned():
@@ -69,5 +70,11 @@ def test_interpolated_training_pinned():
     config = tr.TrainConfig(hidden=4, epochs=2, l2=L2, seed=7, lambda_init=0.5)
     model = tr.train_factored(dataset, INESSIVE, config, lm=lm)
     digest, want_lam = INTERPOLATED
-    assert _digest([model]) == digest
-    assert np.float64(model.lm_lambda).tobytes() == np.float64(want_lam).tobytes()
+    assert _digest([model]) == digest, pinned_message()
+    assert np.float64(model.lm_lambda).tobytes() == np.float64(want_lam).tobytes(), \
+        pinned_message()
+
+
+def test_dispatch_target_names_the_simd_level_and_the_blas_core():
+    simd, blas = dispatch_target().split("], OpenBLAS core ")
+    assert simd.startswith("NumPy SIMD [") and len(simd) > len("NumPy SIMD [") and blas
