@@ -374,19 +374,10 @@ def _encode_sources(params, sources):
     """B sources encoded at once, as the rows of a decoding _Source: one
     decode-only encoder pass per direction (_encoder_pass) over the sources
     padded to the longest, masked only when a row is padded, so padding
-    never changes a row's states. A writeable single model's lone source is
-    _encode_source's, training's vector encoding, with its ids, e, H and
-    keys made rows of one; a batch of one gives those bits too. An empty
+    never changes a row's states. A batch of one gives the bits of
+    _encode_source, training's vector encoding, as rows of one. An empty
     source is a DataError, as in _encode_source."""
     w, E = params.wiring, params.embed.value
-    if len(sources) == 1 and E.ndim == 2 and not params.read_only:
-        source = _encode_source(params, sources[0])[0]
-        source.x_ids = np.array([[*source.x_ids, EPS]])
-        if source.e is not None:
-            source.e = source.e[None]
-        if source.H is not None:
-            source.H, source.keys = source.H[None], source.keys[None]
-        return source
     lengths = [len(x) for x in sources]
     if not all(lengths):
         raise DataError("empty input sequence")

@@ -59,22 +59,22 @@ def test_table_rows_are_trainings_values_for_each_id(variant, k):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("k", (1, 3))
 def test_a_batch_of_one_encodes_as_training_does(variant, k):
-    """A read-only model's or a stack's batch of one source: e, H and keys
-    are training's encoding of that source (each member's, for a stack), bit
-    for bit, as rows of one."""
+    """A read-only model's, its writeable copy's or a stack's batch of one
+    source: e, H and keys are training's encoding of that source (each
+    member's, for a stack), bit for bit, as rows of one."""
     members, params = _members_and_params(variant, k)
     for word in WORDS:
         x = VOCAB.encode(word)
-        rows = mod._encode_sources(params, [x])
-        assert rows.pad is None
-        for j, m in enumerate(members):
-            one = mod._encode_source(m, x)[0]
-            for attr in ("e", "H", "keys"):
-                want, got = getattr(one, attr), getattr(rows, attr)
-                assert (got is None) == (want is None)
-                if want is not None:
-                    got = got[0] if k == 1 else got[j, 0]
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for rows in [mod._encode_sources(p, [x]) for p in (params, params.copy())]:
+            assert rows.pad is None
+            for j, m in enumerate(members):
+                one = mod._encode_source(m, x)[0]
+                for attr in ("e", "H", "keys"):
+                    want, got = getattr(one, attr), getattr(rows, attr)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        got = got[0] if k == 1 else got[j, 0]
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_encoder_tables_are_built_once_per_read_only_params(monkeypatch):
@@ -101,8 +101,7 @@ def test_encoder_tables_are_built_once_per_read_only_params(monkeypatch):
                                              for cell in (p.enc_fwd, p.enc_bwd))
     for params in kept:
         assert not any(table.flags.writeable for tables in params._enc_tables for table in tables)
-    # writeable copies: greedy builds them per batch; a single model's lone
-    # beam source takes training's encoder, and the per-call stack builds per word
+    # writeable copies build them per call: per greedy batch, per beam word
     built.clear()
     copies = [m.copy() for m in models]
     ev.decode_lemmas(copies, lemmas[:5])
@@ -110,7 +109,7 @@ def test_encoder_tables_are_built_once_per_read_only_params(monkeypatch):
     assert len(built) == 2 * 3 * 2
     built.clear()
     ev.decode_lemmas(copies, lemmas[:5], beam_width=2)
-    assert len(built) == 5 * 2
+    assert len(built) == 5 * 3 * 2
     assert all(m._enc_tables is None for m in copies)
 
 

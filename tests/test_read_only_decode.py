@@ -1,12 +1,12 @@
-"""Loaded checkpoints are read-only, and decoding keeps what it derives from
-their weights.
+"""Loaded checkpoints and trained models are read-only, and decoding keeps
+what it derives from their weights.
 
-load_model freezes theta and every tensor, so a write raises instead of
-leaving derived state stale. A run of read-only members is stacked once
-(search._runs keeps the stack on the run's first member) and a read-only
-model or stack builds its decode tables once (model._decode_tables).
-Writeable models, which training updates in place, take the per-call path.
-Both paths give the same results, bit for bit."""
+load_model and the trainer freeze theta and every tensor, so a write raises
+instead of leaving derived state stale. A run of read-only members is
+stacked once (search._runs keeps the stack on the run's first member) and a
+read-only model or stack builds its decode tables once
+(model._decode_tables). Writeable models, which training updates in place,
+take the per-call path. Both paths give the same results, bit for bit."""
 
 import gc
 import struct
@@ -19,19 +19,31 @@ from helpers import models_equal, randomize_params
 from morphogen import evaluate as ev
 from morphogen import model as mod
 from morphogen import search as se
+from morphogen import trainer as tr
 from morphogen.charlm import train_lm
+from morphogen.data import DatasetSplit, Example
 from morphogen.model import VARIANTS, init_model
 from morphogen.vocab import EOS, CharVocab
 
 VOCAB = CharVocab("abcd")
 LM = train_lm(["abca", "bacab", "cab", "ab", "cca", "dab", "adda"], order=3)
 LEMMAS = ["a", "z", "bd", "cza", "abcd", "dcbaz", "bbadc", "azcdab", "cabdabc", "dzbacdba"]
+INESSIVE, ELATIVE = "case=inessive", "case=elative"
+TRAINING = DatasetSplit(
+    train=[Example(w, t, w + s) for w in ("abca", "bacab", "cab", "ab", "cca", "dab")
+           for t, s in ((INESSIVE, "da"), (ELATIVE, "cb"))],
+    dev=[Example("adda", INESSIVE, "addada"), Example("adda", ELATIVE, "addacb")], test=[])
 
-ENSEMBLES = {
+ENSEMBLES = {    # loaded (variant, seed, hidden) specs, or a training run's models
     **{v: [(v, 1, 4)] for v in VARIANTS},
     "stack": [("full", seed, 4) for seed in (2, 3, 4)],
     # a stack of two between two single models of other configurations
     "mixed": [("attention", 5, 4), ("no-encoder", 6, 5), ("no-encoder", 7, 5), ("full", 8, 3)],
+    "trained": lambda: tr.train_ensemble(
+        TRAINING, INESSIVE, tr.TrainConfig(hidden=4, epochs=2, seed=2, ensemble_k=3)),
+    # two tags' models, which share one encoder
+    "joint": lambda: [m for _, m in sorted(
+        tr.train_joint(TRAINING, tr.TrainConfig(hidden=4, epochs=2, seed=5)).items())],
 }
 LMS = {"no-lm": (None, None), "lm": (LM, 0.7), "lambda-0": (LM, 0.0)}
 
@@ -49,6 +61,11 @@ def _loaded(tmp_path, specs):
         mod.save_model(_model(*spec), path)
         out.append(mod.load_model(path))
     return out
+
+
+def _members(tmp_path, name):
+    specs = ENSEMBLES[name]
+    return specs() if callable(specs) else _loaded(tmp_path, specs)
 
 
 def _bits(nbests):
@@ -96,7 +113,9 @@ def test_a_copy_of_a_loaded_model_is_writeable_and_equal(tmp_path, variant):
 @pytest.mark.parametrize("lm_kind", LMS)
 @pytest.mark.parametrize("name", ENSEMBLES)
 def test_loaded_members_decode_as_their_writeable_copies(tmp_path, name, lm_kind):
-    loaded = _loaded(tmp_path, ENSEMBLES[name])
+    """Loaded members, or a training run's, which are as read-only."""
+    loaded = _members(tmp_path, name)
+    assert all(m.read_only and m.vocab == VOCAB for m in loaded)
     copies = [m.copy() for m in loaded]
     lm, lam = LMS[lm_kind]
     want = _decode_all(copies, lm, lam)

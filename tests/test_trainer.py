@@ -418,3 +418,83 @@ def test_ensemble_single_member_is_plain_training():
     members = tr.train_ensemble(ds, INESSIVE, cfg)
     assert len(members) == 1
     assert models_equal(members[0], tr.train_factored(ds, INESSIVE, cfg))
+
+
+def _trained(mode, dataset, config, lm=None):
+    """What a training mode (a variant's name for factored) returns, as a list
+    of models."""
+    if mode == "joint":
+        models = tr.train_joint(dataset, config)
+        return [models[tag] for tag in sorted(models)]
+    if mode == "ensemble":
+        return tr.train_ensemble(dataset, INESSIVE, config)
+    return [tr.train_factored(dataset, INESSIVE, config, lm=lm)]
+
+
+@pytest.mark.parametrize("mode", (*VARIANTS, "interpolated", "ensemble", "joint"))
+def test_training_returns_read_only_models_whose_copies_are_writeable(mode):
+    ds = _synth_split(20)
+    lm = train_lm([ex.inflected for ex in ds.train], order=3) if mode == "interpolated" else None
+    variant = mode if mode in VARIANTS else "full"
+    config = tr.TrainConfig(hidden=4, epochs=1, seed=3, ensemble_k=2, variant=variant)
+    models = _trained(mode, ds, config, lm)
+    assert len(models) == {"ensemble": 2, "joint": 4}.get(mode, 1)
+    for m in models:
+        assert m.read_only
+        with pytest.raises(ValueError, match="read-only"):
+            m.theta[0] = 1.0
+        for p in m.parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                p.value[...] = 0.0
+        c = m.copy()
+        assert not c.read_only and all(p.value.flags.writeable for p in c.parameters())
+        assert models_equal(c, m) and c.theta.tobytes() == m.theta.tobytes()
+        m.lm_lambda = 0.25      # no tensor: still assignable
+        assert m.lm_lambda == 0.25
+
+
+@pytest.mark.parametrize("mode", ("full", "interpolated", "joint"))
+def test_an_earlier_selected_epoch_is_returned_frozen_after_training_goes_on(monkeypatch, mode):
+    """Dev accuracy falls every epoch, so epoch 1 is selected out of 3: the
+    live model trains on through epochs 2 and 3 after that snapshot, and
+    epoch 1's parameters come back read-only."""
+    ds = _synth_split(20)
+    lm = train_lm([ex.inflected for ex in ds.train], order=3) if mode == "interpolated" else None
+
+    def run(epochs):
+        calls = []
+
+        def falling(models, examples, max_len_slack, lm=None, lam=None):
+            calls.append(None)
+            return 1.0 / len(calls)
+
+        monkeypatch.setattr(tr, "exact_match_accuracy", falling)
+        return _trained(mode, ds, tr.TrainConfig(hidden=4, epochs=epochs, seed=3), lm)
+
+    models, first = run(3), run(1)
+    assert all(m.read_only for m in models)
+    assert [m.theta.tobytes() for m in models] == [m.theta.tobytes() for m in first]
+    assert [m.lm_lambda for m in models] == [m.lm_lambda for m in first]
+
+
+def test_the_readme_library_example_runs_on_a_trained_model(tmp_path):
+    """The README's library calls, at hidden 4 and one epoch."""
+    from morphogen.evaluate import evaluate_accuracy
+    from morphogen.model import load_model, save_model
+
+    dataset = _synth_split(300, seed=0)
+    config = tr.TrainConfig(hidden=4, epochs=1, seed=0)
+    model = tr.train_factored(dataset, INESSIVE, config)
+    assert model.read_only
+    report = evaluate_accuracy({INESSIVE: model},
+                               [e for e in dataset.test if e.tag == INESSIVE])
+    assert 0.0 <= report.macro <= 1.0
+    lm = train_lm([e.inflected for e in dataset.train], order=4)
+    interp = tr.train_factored(dataset, INESSIVE, config, lm=lm)
+    assert interp.read_only and np.isfinite(interp.lm_lambda) and interp.lm_lambda >= 0
+    x = model.vocab.encode("kukka")
+    results = search.beam_decode([model], x, width=4, max_len=len(x) + 10)
+    assert 1 <= len(results) <= 4
+    assert all(isinstance(r.text(model.vocab), str) for r in results)
+    save_model(model, tmp_path / "inessive.ckpt")
+    assert models_equal(load_model(tmp_path / "inessive.ckpt"), model)

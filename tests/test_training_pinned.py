@@ -8,11 +8,14 @@ digest, so a refactor of any of them must leave these untouched.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import dispatch_target, pinned_message
+from helpers import pinned_message
 from morphogen import trainer as tr
 from morphogen.charlm import train_lm
 from morphogen.data import DatasetSplit, default_synth_spec, synth_language, tables_to_examples
@@ -75,6 +78,16 @@ def test_interpolated_training_pinned():
         pinned_message()
 
 
-def test_dispatch_target_names_the_simd_level_and_the_blas_core():
-    simd, blas = dispatch_target().split("], OpenBLAS core ")
-    assert simd.startswith("NumPy SIMD [") and len(simd) > len("NumPy SIMD [") and blas
+def test_dispatch_target_reads_the_forced_target():
+    """Under the two variables that pinned_message names, dispatch_target
+    reads the forced OpenBLAS core and drops the disabled SIMD features."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import helpers; print(helpers.dispatch_target())"
+    forced = subprocess.run([sys.executable, "-c", code],
+                            env=env, capture_output=True, text=True, check=True).stdout
+    simd, blas = forced.strip().removeprefix("NumPy SIMD [").split("], OpenBLAS core ")
+    assert blas == "Haswell"
+    assert simd != "unknown" and "SSE2" in simd.split()
+    assert not {"AVX512_SPR", "AVX512_ICL", "X86_V4"} & set(simd.split())
