@@ -107,13 +107,15 @@ class ModelParams:
     (joint training) reads those tensors from the other model's theta; the
     matching head of its own theta goes unused.
 
+    Decoding derives state from the weights: a model's or a stack's decode
+    tables (_decode_tables) and the stacks of runs of members (_run_params).
     A read-only model (load_model, the models trainer returns, _stack: theta
     and every tensor have flags.writeable False, so a write raises
-    ValueError) keeps the state that decoding derives from its weights: its
-    decoder and encoder tables (_decode_tables, _encoder_tables) and, on a
-    run's first member, the stacks of runs of read-only members
-    (search._runs). A writeable model (init_model, copy(), the live model
-    that training updates in place) keeps none.
+    ValueError) keeps that state once built, since its weights cannot
+    change: its tables, and on a run's first member the stacks of runs of
+    read-only members. A writeable model (init_model, copy(), the live model
+    that training updates in place) keeps none, and decoding builds it per
+    session or per call from the tensors' current values.
     """
 
     def __init__(self, vocab, variant, hidden, embed_dim):
@@ -129,8 +131,7 @@ class ModelParams:
         self.theta = None
         self.lm_lambda = None   # set by interpolated training
         self._tables = None     # _decode_tables, kept when read-only
-        self._enc_tables = None     # _encoder_tables, kept when read-only
-        self._stacks = {}       # member ids of a run -> its stack (search._runs)
+        self._stacks = {}       # member ids of a run -> its stack (_run_params)
 
     @property
     def read_only(self):
@@ -265,28 +266,50 @@ def _masked_bias(params):
 
 
 def _decode_tables(params):
-    """The decoder's source-independent tables over a model or a stack ->
-    (W_src, P_y, P_x, the masked output bias). The decoder input
-    projection W_x [e|context, y_prev, x_t] + b splits by column blocks:
-    W_src is the e or context block's transpose (a view), P_y = E W_yᵀ
-    [V, 4n] gives y_prev's rows and P_x = E W_xtᵀ x_t's (None unless the
-    variant consumes the source); a stack's have a leading member axis.
-    They depend on the weights alone: built once and kept on read-only
-    params, whose weights cannot change, and built per call on writeable
-    params, which training updates in place."""
+    """Every table decoding derives from a model's or a stack's weights ->
+    (W_src, P_y, P_x, the masked output bias, the encoder's tables). The
+    decoder input projection W_x [e|context, y_prev, x_t] + b splits by
+    column blocks: W_src is the e or context block's transpose (a view),
+    P_y = E W_yᵀ [V, 4n] gives y_prev's rows and P_x = E W_xtᵀ x_t's (None
+    unless the variant consumes the source). The encoder's tables are each
+    direction's (Z, H1, C1), forward then backward, from _cell_tables (None
+    without an encoder). A stack's have a leading member axis. Kept on
+    read-only params (ModelParams)."""
     if params._tables is not None:
         return params._tables
     w, n, d, E = params.wiring, params.hidden, params.embed_dim, params.embed.value
     W_x = params.dec.W_x.value
     lead = n * w.e_per_step + 2 * n * w.attention    # the e or context columns
     P_x = E @ W_x[..., lead + d:].mT if w.consumes_source else None
-    tables = W_x[..., :lead].mT, E @ W_x[..., lead:lead + d].mT, P_x, _masked_bias(params)
+    enc = tuple(_cell_tables(c, E) for c in (params.enc_fwd, params.enc_bwd)) \
+        if w.encoder else None
+    tables = W_x[..., :lead].mT, E @ W_x[..., lead:lead + d].mT, P_x, _masked_bias(params), enc
     if params.read_only:
-        for table in tables[1:]:
+        for table in (*tables[:4], *itertools.chain(*enc or ())):
             if table is not None:
                 table.flags.writeable = False
         params._tables = tables
     return tables
+
+
+def _run_params(run):
+    """What decodes a run of models of one vocabulary and (variant, hidden,
+    embed_dim), which the caller checks: the model for a run of one, else
+    the run's stack. A run of read-only members is stacked once
+    (ModelParams): the stack is kept on the run's first member, keyed by
+    the ids of the run's members in order. The first member owns the stack
+    and the stack holds the later members, so no key's ids can be reused
+    while the stack lives, and it is freed with its members, with no cycle
+    for the collector to find."""
+    if len(run) == 1:
+        return run[0]
+    if not all(m.read_only for m in run):
+        return _stack(run)
+    key, stacks = tuple(map(id, run)), run[0]._stacks
+    if key not in stacks:
+        stacks[key] = _stack(run)
+        stacks[key].later_members = run[1:]
+    return stacks[key]
 
 
 def init_model(vocab, variant="full", hidden=100, embed_dim=None, seed=0):
@@ -370,13 +393,14 @@ def _encode_source(params, x_ids):
     return source, caches
 
 
-def _encode_sources(params, sources):
+def _encode_sources(params, sources, tables):
     """B sources encoded at once, as the rows of a decoding _Source: one
-    decode-only encoder pass per direction (_encoder_pass) over the sources
-    padded to the longest, masked only when a row is padded, so padding
-    never changes a row's states. A batch of one gives the bits of
-    _encode_source, training's vector encoding, as rows of one. An empty
-    source is a DataError, as in _encode_source."""
+    decode-only encoder pass per direction (_encoder_pass) on that
+    direction's tables, the encoder's part of _decode_tables, over the
+    sources padded to the longest, masked only when a row is padded, so
+    padding never changes a row's states. A batch of one gives the bits of _encode_source,
+    training's vector encoding, as rows of one. An empty source is a
+    DataError, as in _encode_source."""
     w, E = params.wiring, params.embed.value
     lengths = [len(x) for x in sources]
     if not all(lengths):
@@ -390,7 +414,7 @@ def _encode_sources(params, sources):
         return source
     mask = (np.arange(T)[:, None] < lengths)[..., None] if min(lengths) < T else None  # [T, B, 1]
     steps = X.T[:T]     # each step's ids [B]
-    fwd, bwd = _encoder_tables(params)
+    fwd, bwd = tables
     fwd_hs = _encoder_pass(params.enc_fwd, *fwd, steps, mask)
     bwd_hs = _encoder_pass(params.enc_bwd, *bwd, steps[::-1],
                            None if mask is None else mask[::-1])[::-1]
@@ -405,22 +429,6 @@ def _encode_sources(params, sources):
         e_raw = np.concatenate((fwd_hs[-1], bwd_hs[0]), axis=-1)
         source.e = e_raw @ params.trans_W.value.mT + params.trans_b.value
     return source
-
-
-def _encoder_tables(params):
-    """Each encoder direction's per-id tables over a model or a stack ->
-    ((Z, H1, C1) forward, (Z, H1, C1) backward), from _cell_tables. They
-    depend on the weights alone: built once and kept on read-only params,
-    built per call on writeable params, as _decode_tables' are."""
-    if params._enc_tables is not None:
-        return params._enc_tables
-    E = params.embed.value
-    tables = tuple(_cell_tables(cell, E) for cell in (params.enc_fwd, params.enc_bwd))
-    if params.read_only:
-        for table in itertools.chain(*tables):
-            table.flags.writeable = False
-        params._enc_tables = tables
-    return tables
 
 
 def _cell_tables(cell, E):
@@ -586,14 +594,14 @@ class DecodeSession:
     the source, x_t's rows W_xt E[x_t] for every step, and W_y E [V, 4n]
     for y_prev. A step then looks its input projection up instead of
     forming it; only attention's context W_ctx context is a product per
-    step. The source-independent tables (P_y, x_t's table, the masked bias)
-    come from _decode_tables: built once on a read-only model or stack, and
-    per session from the tensors' current values on a writeable model,
-    which training updates in place. step advances the decoder untaped, on
-    state rows (lstm.rows_step) or, for a single model over one source, on
-    one state (lstm.lstm_step), and emits the output layer's masked scores,
-    not log-probs: the search normalizes a step once, after combining the
-    members and the LM.
+    step. The tables the weights alone fix (P_y, x_t's table, the masked
+    bias and the encoder's) come from one _decode_tables call per session,
+    which a read-only model or stack answers from what it keeps
+    (ModelParams). An empty list of sources is a DataError. step advances
+    the decoder untaped, on state rows (lstm.rows_step) or, for a single
+    model over one source, on one state (lstm.lstm_step), and emits the
+    output layer's masked scores, not log-probs: the search normalizes a
+    step once, after combining the members and the LM.
 
     Row b of every step reads source b's e, its own x_t (EPS past its own
     end) and, with attention, source b's states alone; one source serves
@@ -602,15 +610,17 @@ class DecodeSession:
     """
 
     def __init__(self, params, sources):
+        if not sources:
+            raise DataError("a decode session needs at least one source")
         V = len(params.vocab)
         for x in sources:
             if not all(0 <= i < V for i in x):
                 raise DimensionError(f"source ids {list(x)} out of range for a vocabulary of {V}")
         self.params = params
         self.stacked = params.embed.value.ndim == 3
-        source = self._source = _encode_sources(params, sources)
         w = params.wiring
-        self._W_src, self._P_y, P_x, self._out_b = _decode_tables(params)
+        self._W_src, self._P_y, P_x, self._out_b, enc = _decode_tables(params)
+        source = self._source = _encode_sources(params, sources, enc)
         zx = np.atleast_2d(params.dec.b.value)    # a row [1, 4n]; a stack's [K, 1, 4n]
         if w.e_per_step:
             zx = zx + source.e @ self._W_src

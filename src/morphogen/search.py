@@ -22,13 +22,13 @@ Adjacent members that share (variant, hidden, embed_dim) step as one stack:
 one DecodeSession over all of them, so each decoder step is one
 DecodeSession.step call and one cell step for the run, with a leading
 member axis K on its states and scores. A run of one member steps
-unstacked, so a single model decodes as it would alone. A run of loaded or
-trained, read-only members is stacked once and the stack kept (_runs);
-writeable members, which training updates in place, are stacked per call.
-Every DecodeSession is over a batch of sources, one row each: beam search
-builds one per run over its word's source and steps the word's live
-hypotheses as the rows [B, ·] of each step call, so batching beam over
-words is a matter of passing more sources. Everything goes through
+unstacked, so a single model decodes as it would alone. _runs groups the
+members; model._run_params gives each run's model or stack, which a run of
+read-only members keeps (model.ModelParams). Every DecodeSession is over a
+batch of sources, one row each: beam search builds one per run over its
+word's source and steps the word's live hypotheses as the rows [B, ·] of
+each step call, so batching beam over words is a matter of passing more
+sources. Everything goes through
 _next_dist, and the combiner below works row by row on [B, V] arrays as
 well as on single vectors.
 
@@ -57,7 +57,7 @@ from .autodiff import log_softmax
 from .charlm import BOW, EOW
 from .data import open_text, split_fields
 from .errors import DataError, SearchError
-from .model import DecodeSession, _stack
+from .model import DecodeSession, _run_params
 from .vocab import BOS, EOS, N_SPECIAL, UNK
 
 __all__ = [
@@ -167,32 +167,10 @@ def _check_models(models, max_len, lm, lam):
 
 def _runs(models):
     """The parameters of each run of adjacent members that share (variant,
-    hidden, embed_dim): the model itself for a run of one, the run as one
-    stack otherwise, in member order.
-
-    A stack copies the members' values. A run of writeable members is
-    stacked per call, so its stack never serves across a training step. A
-    run of read-only members (load_model, trainer) is stacked once: the
-    stack is kept on the run's first member, keyed by the ids of the run's
-    members in order. The first member owns the stack and the stack holds
-    the later members, so no key's ids can be reused while the stack lives,
-    and it is freed with its members, with no cycle for the collector to
-    find."""
-    out = []
-    for _, run in groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim)):
-        run = tuple(run)
-        if len(run) == 1:
-            out.append(run[0])
-        elif all(m.read_only for m in run):
-            key = tuple(map(id, run))
-            stacks = run[0]._stacks
-            if key not in stacks:
-                stacks[key] = _stack(run)
-                stacks[key].later_members = run[1:]
-            out.append(stacks[key])
-        else:
-            out.append(_stack(run))
-    return out
+    hidden, embed_dim), in member order: the model itself for a run of one,
+    the run's stack otherwise (model._run_params)."""
+    return [_run_params(tuple(run)) for _, run in
+            groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim))]
 
 
 def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
@@ -221,10 +199,10 @@ def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     weight lam defaults to the first member's learned lm_lambda, else 1.0.
 
     A single model steps one state. An ensemble steps one row per member:
-    it runs greedy_decode_batch's row loop on a batch of this one source."""
-    vocab, lm, lam = _check_models(models, max_len, lm, lam)
+    it is greedy_decode_batch on a batch of this one source."""
     if len(models) > 1:
-        return _greedy_rows(_runs(models), [x_ids], [max_len], vocab, lm, lam)[0]
+        return greedy_decode_batch(models, [x_ids], [max_len], lm, lam)[0]
+    vocab, lm, lam = _check_models(models, max_len, lm, lam)
     sessions = [DecodeSession(models[0], [x_ids])]
     h, c = sessions[0].initial_state()
     states = [(h[0], c[0])]     # the source's row as one state
@@ -251,13 +229,15 @@ def greedy_decode_batch(models, sources, max_lens, lm=None, lam=None):
     """greedy_decode of every source (max_lens[i] for sources[i]), in input
     order, stepped as the rows of one batch per BATCH_SOURCES sources.
 
-    The members are grouped and stacked once per call (read-only members
-    once for good, _runs). Each row keeps its own source, e, source pointer
-    and max_len; it retires at EOS or at its max_len, and the live rows are
-    compacted. A row's ids and truncation flag are greedy_decode's, and its
-    log-prob is to rounding: rows step lstm.rows_step and row products where
-    a single model steps one state.
+    The members are grouped and stacked once per call (_runs). Each row
+    keeps its own source, e, source pointer and max_len; it retires at EOS
+    or at its max_len, and the live rows are compacted. A row's ids and
+    truncation flag are greedy_decode's, and its log-prob is to rounding:
+    rows step lstm.rows_step and row products where a single model steps
+    one state. max_lens must hold one length per source.
     """
+    if len(max_lens) != len(sources):
+        raise SearchError(f"one max_len per source: {len(max_lens)} for {len(sources)} sources")
     if not sources:
         return []
     vocab, lm, lam = _check_models(models, min(max_lens), lm, lam)

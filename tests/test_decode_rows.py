@@ -100,13 +100,13 @@ def test_an_empty_lemma_in_a_run_raises_the_per_word_error(name):
 def test_a_run_stacks_its_members_once(monkeypatch):
     """A stack is built once per decode_lemmas call, however many batches."""
     stacks = []
-    real = se._stack
+    real = mod._stack
 
     def spy(models):
         stacks.append(len(models))
         return real(models)
 
-    monkeypatch.setattr(se, "_stack", spy)
+    monkeypatch.setattr(mod, "_stack", spy)
     monkeypatch.setattr(se, "BATCH_SOURCES", 3)
     ev.decode_lemmas(ENSEMBLES["mixed"], LEMMAS)
     assert stacks == [2]
@@ -160,7 +160,8 @@ def test_masked_encoder_rows_equal_each_source_alone():
         m.embed.value[start:start + len(x)] = x
         start += len(x)
     m.embed.value[EPS] = 99.0
-    n, H = m.hidden, mod._encode_sources(m, ids).H     # [B, T, 2n] rows [fwd h_t ; bwd h_t]
+    # [B, T, 2n] rows [fwd h_t ; bwd h_t]
+    n, H = m.hidden, mod._encode_sources(m, ids, mod._decode_tables(m)[-1]).H
     for r, x in enumerate(sources):
         fwd_one, bwd_one = lstm.encode_bidirectional(m.enc_fwd, m.enc_bwd, list(x))[:2]
         for t in range(len(x)):

@@ -1,5 +1,6 @@
-"""Decoding encodes its sources through per-id tables (model._encoder_tables)
-and a pass of its own (model._encoder_pass), with no training caches.
+"""Decoding encodes its sources through per-id tables (the encoder's part of
+model._decode_tables) and a pass of its own (model._encoder_pass), with no
+training caches.
 
 Each table row is built as training forms one vector's values: the input
 projection E[v] W_xᵀ + b as a one-row product, and the first state as
@@ -45,7 +46,7 @@ def test_table_rows_are_trainings_values_for_each_id(variant, k):
     """Row v of Z is training's E[v] @ W_x.T + b, and row v of (H1, C1) its
     first lstm_step from the zero state, byte for byte, for every id."""
     members, params = _members_and_params(variant, k)
-    for direction, tables in enumerate(mod._encoder_tables(params)):
+    for direction, tables in enumerate(mod._decode_tables(params)[-1]):
         for j, m in enumerate(members):
             cell, E = (m.enc_fwd, m.enc_bwd)[direction], m.embed.value
             zero = np.zeros(cell.hidden_size)
@@ -65,7 +66,8 @@ def test_a_batch_of_one_encodes_as_training_does(variant, k):
     members, params = _members_and_params(variant, k)
     for word in WORDS:
         x = VOCAB.encode(word)
-        for rows in [mod._encode_sources(p, [x]) for p in (params, params.copy())]:
+        for rows in [mod._encode_sources(p, [x], mod._decode_tables(p)[-1])
+                     for p in (params, params.copy())]:
             assert rows.pad is None
             for j, m in enumerate(members):
                 one = mod._encode_source(m, x)[0]
@@ -100,7 +102,7 @@ def test_encoder_tables_are_built_once_per_read_only_params(monkeypatch):
     assert sorted(map(id, built)) == sorted(id(cell) for p in kept
                                              for cell in (p.enc_fwd, p.enc_bwd))
     for params in kept:
-        assert not any(table.flags.writeable for tables in params._enc_tables for table in tables)
+        assert not any(table.flags.writeable for tables in params._tables[-1] for table in tables)
     # writeable copies build them per call: per greedy batch, per beam word
     built.clear()
     copies = [m.copy() for m in models]
@@ -110,7 +112,7 @@ def test_encoder_tables_are_built_once_per_read_only_params(monkeypatch):
     built.clear()
     ev.decode_lemmas(copies, lemmas[:5], beam_width=2)
     assert len(built) == 5 * 3 * 2
-    assert all(m._enc_tables is None for m in copies)
+    assert all(m._tables is None for m in copies)
 
 
 @pytest.mark.parametrize("variant", ENCODERS)
@@ -119,7 +121,7 @@ def test_a_changed_writeable_copy_encodes_its_new_weights(variant):
     sources = [VOCAB.encode(w) for w in WORDS]
 
     def encoded(params):
-        source = mod._encode_sources(params, sources)
+        source = mod._encode_sources(params, sources, mod._decode_tables(params)[-1])
         return [getattr(source, attr).tobytes() for attr in ("e", "H") if
                 getattr(source, attr) is not None]
 

@@ -86,7 +86,7 @@ def test_a_lone_source_encodes_as_training_does(variant):
     m = randomize_params(_model(variant), 4)
     x = VOCAB.encode("abba")
     one = mod._encode_source(m, x)[0]
-    rows = mod._encode_sources(m, [x])
+    rows = mod._encode_sources(m, [x], mod._decode_tables(m)[-1])
     assert rows.x_ids.tolist() == [x + [EPS]] and rows.pad is None
     for attr in ("e", "H", "keys"):
         want, got = getattr(one, attr), getattr(rows, attr)
@@ -101,7 +101,7 @@ def test_one_source_attends_every_row_with_one_product():
     m = randomize_params(_model("attention", hidden=32, embed_dim=8), 4)
     x = VOCAB.encode("abbabaabb")
     S = np.random.default_rng(0).normal(size=(8, m.hidden))
-    got = mod.attention_context(m, mod._encode_sources(m, [x]), S)
+    got = mod.attention_context(m, mod._encode_sources(m, [x], mod._decode_tables(m)[-1]), S)
     want = mod.attention_context(m, mod._encode_source(m, x)[0], S)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)

@@ -3,8 +3,8 @@ what it derives from their weights.
 
 load_model and the trainer freeze theta and every tensor, so a write raises
 instead of leaving derived state stale. A run of read-only members is
-stacked once (search._runs keeps the stack on the run's first member) and a
-read-only model or stack builds its decode tables once
+stacked once (model._run_params keeps the stack on the run's first member)
+and a read-only model or stack builds its decode tables once
 (model._decode_tables). Writeable models, which training updates in place,
 take the per-call path. Both paths give the same results, bit for bit."""
 
@@ -129,7 +129,7 @@ def test_a_run_of_loaded_members_is_stacked_and_tabled_once(tmp_path, monkeypatc
     model's or stack's tables (here, its masked bias) built once."""
     models = _loaded(tmp_path, ENSEMBLES["mixed"])
     stacks, tables = [], []
-    real_stack, real_bias = se._stack, mod._masked_bias
+    real_stack, real_bias = mod._stack, mod._masked_bias
 
     def stack_spy(run):
         stacks.append(run)
@@ -139,7 +139,7 @@ def test_a_run_of_loaded_members_is_stacked_and_tabled_once(tmp_path, monkeypatc
         tables.append(params)
         return real_bias(params)
 
-    monkeypatch.setattr(se, "_stack", stack_spy)
+    monkeypatch.setattr(mod, "_stack", stack_spy)
     monkeypatch.setattr(mod, "_masked_bias", bias_spy)
     lemmas = (LEMMAS * 5)[:50]
     ev.decode_lemmas(models, lemmas)
@@ -150,7 +150,7 @@ def test_a_run_of_loaded_members_is_stacked_and_tabled_once(tmp_path, monkeypatc
     assert [id(p) for p in tables] == [id(models[0]), id(stack), id(models[3])]
     assert stack.read_only and stack.later_members == (models[2],)
     for params in (models[0], stack, models[3]):
-        assert all(t is None or not t.flags.writeable for t in params._tables[1:])
+        assert all(t is None or not t.flags.writeable for t in params._tables[1:4])
     # writeable copies stack and build their tables per call
     stacks.clear()
     tables.clear()

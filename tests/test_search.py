@@ -177,6 +177,20 @@ def test_decode_validates_arguments():
         se.greedy_decode([m, other], VOCAB.encode("a"), 5)
 
 
+@pytest.mark.parametrize("seed", (0, 1))
+def test_batch_entry_points_reject_bad_arguments(seed):
+    """One max_len per source and at least one source, checked up front: at
+    seed 0 every row stops at step 0, before a missing max_len is read."""
+    m = init_model(CharVocab("abc"), "full", hidden=4, seed=seed)
+    x = m.vocab.encode("ab")
+    for sources, max_lens in (([x, x], [5]), ([x], []), ([], [5]), ([x], [5, 5])):
+        with pytest.raises(SearchError, match="one max_len per source"):
+            se.greedy_decode_batch([m], sources, max_lens)
+    with pytest.raises(DataError, match="at least one source"):
+        DecodeSession(m, [])
+    assert se.greedy_decode_batch([m], [], []) == []
+
+
 def test_greedy_uniform_logits_stop_immediately():
     # zeroed output layer: every unmasked id gets 0.25 and the argmax tie
     # breaks toward the lowest id, which is EOS
