@@ -68,17 +68,19 @@ class WittenBellLM:
                 self._observe(seq[i - hlen:i], seq[i])
 
     def prob(self, history, char):
+        """P(char | the last order - 1 characters of history), interpolated
+        from the empty history up, one order at a time: a loop, so that any
+        order runs without recursion."""
         h = history[-(self.order - 1):] if self.order > 1 else ""
-        return self._prob(h, char)
-
-    def _prob(self, h, char):
-        lower = self.base_prob if h == "" else self._prob(h[1:], char)
-        total = self._total.get(h, 0)
-        if total == 0:
-            return lower
-        succ = self._succ[h]
-        t = len(succ)
-        return (succ.get(char, 0) + t * lower) / (total + t)
+        p = self.base_prob
+        for i in range(len(h), -1, -1):     # the history's suffixes, shortest first
+            suffix = h[i:]
+            total = self._total.get(suffix, 0)
+            if total:
+                succ = self._succ[suffix]
+                t = len(succ)
+                p = (succ.get(char, 0) + t * p) / (total + t)
+        return p
 
     @classmethod
     def from_counts(cls, order, alphabet, counts):

@@ -597,16 +597,16 @@ class DecodeSession:
     step. The tables the weights alone fix (P_y, x_t's table, the masked
     bias and the encoder's) come from one _decode_tables call per session,
     which a read-only model or stack answers from what it keeps
-    (ModelParams). An empty list of sources is a DataError. step advances
-    the decoder untaped, on state rows (lstm.rows_step) or, for a single
-    model over one source, on one state (lstm.lstm_step), and emits the
-    output layer's masked scores, not log-probs: the search normalizes a
-    step once, after combining the members and the LM.
+    (ModelParams). An empty list of sources is a DataError. The session
+    owns its rows: the decoder states H, C ([B, n], a stack's [K, B, n]),
+    each source's initial state at first. step advances them untaped and
+    emits the output layer's masked scores, not log-probs: the search
+    normalizes a step once, after combining the members and the LM. select
+    is the one row gather, of the rows the search keeps.
 
     Row b of every step reads source b's e, its own x_t (EPS past its own
     end) and, with attention, source b's states alone; one source serves
-    any number of rows, a beam's hypotheses. select keeps a subset of the
-    rows as the search retires the others.
+    any number of rows, a beam's hypotheses.
     """
 
     def __init__(self, params, sources):
@@ -631,35 +631,37 @@ class DecodeSession:
         self._zx = zx[None]
         if w.consumes_source:
             self._zx = zx + P_x.take(source.x_ids.T, axis=-2).swapaxes(0, -3)
-
-    def initial_state(self):
-        """The decoder's (h, c) before the first step, one row per source:
-        [B, n] arrays, a stack's [K, B, n]."""
-        p, source = self.params, self._source
-        shape = (*p.embed.value.shape[:-2], len(source.x_ids), p.hidden)
-        return source.e if p.wiring.e_as_init else np.zeros(shape), np.zeros(shape)
+        shape = (*params.embed.value.shape[:-2], len(sources), params.hidden)
+        self.C = np.zeros(shape)
+        self.H = source.e if w.e_as_init else np.zeros(shape)
 
     def select(self, rows):
         """Keep the given rows (indices into the current rows, in their new
-        order) of the session's per-source tables, as the search does with
-        its state rows when it retires the others."""
+        order, repeats allowed): the state rows and every per-source table
+        with more than one row on its source axis. An index in place of a
+        list leaves one state [n], for a single model over one source."""
+        if isinstance(rows, (int, np.integer)) and (self.stacked or len(self._source.x_ids) > 1):
+            raise DimensionError("one state steps only a single model over one source; "
+                                 "a stack or a batch of sources steps rows")
+
+        def take(a, axis):  # a table of one row serves every row
+            return a.take(rows, axis=axis) if a.shape[axis] > 1 else a
+
         source = self._source
-        if self.params.wiring.consumes_source:
-            self._zx = self._zx.take(rows, axis=-2)
+        self.H, self.C = self.H.take(rows, axis=-2), self.C.take(rows, axis=-2)
+        self._zx = take(self._zx, -2)
         if source.H is not None:
-            source.H, source.keys = source.H.take(rows, axis=-3), source.keys.take(rows, axis=-3)
+            source.H, source.keys = take(source.H, -3), take(source.keys, -3)
             if source.pad is not None:
-                source.pad = source.pad.take(rows, axis=0)
+                source.pad = take(source.pad, 0)
 
-    def step(self, H, C, y_prev, t):
-        """One decoder step and its output layer -> (H', C', the masked
-        scores H' out_W^T + out_b: unnormalized, -inf at BOS and EPS).
+    def step(self, y_prev, t):
+        """One decoder step on the session's rows and its output layer ->
+        the masked scores H' out_W^T + out_b: unnormalized, -inf at BOS and
+        EPS.
 
-        B rows: H, C [B,n] and y_prev [B] ids -> (H', C', scores [B,V]).
-        A stack steps rows with a leading member axis K: H, C [K,B,n] and
-        y_prev [B] -> (H', C', scores [K,B,V]).
-        One state, on a single model's session over one source: H, C [n]
-        and an int y_prev -> (H', C', scores [V]).
+        B rows: y_prev [B] ids -> scores [B,V], a stack's [K,B,V].
+        One state (select with an index): an int y_prev -> scores [V].
         The input projection comes from the session's tables, so the gates
         equal training's to rounding, not bit for bit. One state steps
         lstm.lstm_step, training's cell; rows step lstm.rows_step, whose
@@ -667,29 +669,24 @@ class DecodeSession:
         the one state's bits. Row ids are not range-checked: only the
         search makes them.
         """
-        params, source, P_y = self.params, self._source, self._P_y
+        params, source, P_y, H = self.params, self._source, self._P_y, self.H
         zx = self._zx[min(t, len(self._zx) - 1)]
         one = H.ndim == 1
         if one:
-            if self.stacked or len(source.x_ids) > 1:
-                raise DimensionError("one state steps only a single model over one source")
             if not 0 <= y_prev < len(P_y):
                 raise DimensionError(f"y_prev id {y_prev} out of range "
                                      f"for a vocabulary of {len(P_y)}")
             ZX, cell = zx[0] + P_y[y_prev], lstm.lstm_step
-        elif H.ndim != P_y.ndim:
-            raise DimensionError(f"decoder states of shape {H.shape} for a decoder with "
-                                 f"tables of shape {P_y.shape}: a stack steps rows [K, B, n]")
         else:   # row ids index the vocabulary axis, a stack's second
             ZX, cell = P_y.take(y_prev, axis=-2), lstm.rows_step
             ZX += zx
         if params.wiring.attention:     # one state's context is a row of one
             context = attention_context(params, source, H)[0]
             ZX += (context[0] if one else context) @ self._W_src
-        H, C = cell(params.dec, ZX, H, C)[:2]
-        scores = H @ params.out_W.value.mT
+        self.H, self.C = cell(params.dec, ZX, H, self.C)[:2]
+        scores = self.H @ params.out_W.value.mT
         scores += self._out_b
-        return H, C, scores
+        return scores
 
 
 # --- persistence -----------------------------------------------------------

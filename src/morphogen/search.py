@@ -28,18 +28,19 @@ read-only members keeps (model.ModelParams). Every DecodeSession is over a
 batch of sources, one row each: beam search builds one per run over its
 word's source and steps the word's live hypotheses as the rows [B, ·] of
 each step call, so batching beam over words is a matter of passing more
-sources. Everything goes through
-_next_dist, and the combiner below works row by row on [B, V] arrays as
-well as on single vectors.
+sources. Each session owns its rows' decoder states, so the search keeps
+only ids and scores: DecodeSession.select is the one gather of the rows it
+keeps. Everything goes through _next_dist, and the combiner below works row
+by row on [B, V] arrays as well as on single vectors.
 
 Greedy search has two paths. greedy_decode_batch decodes a run of sources
 (evaluate.decode_lemmas: a file, a tag, a dev set) as the rows of one batch
 per BATCH_SOURCES sources: the members are stacked once per run, the
 sources are encoded together, each row keeps its own source and max_len,
 and rows retire at EOS or at their max_len. greedy_decode decodes one
-source: one state for a single model, which is faster per word than a row
-of one, and for an ensemble the same row loop on a batch of that one
-source. The two paths give the same ids and truncation flags; their
+source: one state for a single model (select(0)), which is faster per word
+than a row of one, and for an ensemble the same row loop on a batch of
+that one source. The two paths give the same ids and truncation flags; their
 log-probs agree to rounding (1e-12), since rows step lstm.rows_step and
 row products where one state steps lstm.lstm_step.
 
@@ -173,44 +174,35 @@ def _runs(models):
             groupby(models, key=lambda m: (m.variant, m.hidden, m.embed_dim))]
 
 
-def _next_dist(sessions, states, y_prev, t, lm_dist, lam):
-    """Step every session and combine the members' scores with the LM
-    vector, if any, into one log-softmax.
-
-    states holds one (h, c) per session, as one state or as B rows, with a
-    leading member axis for a stack; returns the stepped states and the
-    step's log-probs [V] or [B, V].
-    """
-    stepped, scores = [], []
-    for sess, (H, C) in zip(sessions, states):
-        H, C, S = sess.step(H, C, y_prev, t)
-        stepped.append((H, C))
-        scores.append(S)
+def _next_dist(sessions, y_prev, t, lm_dist, lam):
+    """Step every session's rows and combine the members' scores with the
+    LM vector, if any, into one log-softmax -> the step's log-probs [V]
+    (one state) or [B, V]. The sessions own their decoder states."""
+    scores = [sess.step(y_prev, t) for sess in sessions]
     # the members' scores, in member order, as one [K, ...] array
     if len(sessions) > 1:
         scores = np.concatenate([S if s.stacked else S[None] for s, S in zip(sessions, scores)])
     elif sessions[0].stacked:
         scores = scores[0]
-    return stepped, ensemble_next_dist(scores, lm_dist, lam)
+    return ensemble_next_dist(scores, lm_dist, lam)
 
 
 def greedy_decode(models, x_ids, max_len, lm=None, lam=None):
     """Pick the argmax at every step; lowest id wins exact ties. The LM
     weight lam defaults to the first member's learned lm_lambda, else 1.0.
 
-    A single model steps one state. An ensemble steps one row per member:
-    it is greedy_decode_batch on a batch of this one source."""
+    A single model steps one state (DecodeSession.select(0)). An ensemble
+    steps one row per member: it is greedy_decode_batch on a batch of this
+    one source."""
     if len(models) > 1:
         return greedy_decode_batch(models, [x_ids], [max_len], lm, lam)[0]
     vocab, lm, lam = _check_models(models, max_len, lm, lam)
     sessions = [DecodeSession(models[0], [x_ids])]
-    h, c = sessions[0].initial_state()
-    states = [(h[0], c[0])]     # the source's row as one state
+    sessions[0].select(0)    # the source's row as one state
     ids, logprob = (), 0.0
     for t in range(max_len):
         lm_dist = lm_next_dist(lm, vocab, ids) if lm is not None else None
-        y_prev = ids[-1] if ids else BOS
-        states, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        dist = _next_dist(sessions, ids[-1] if ids else BOS, t, lm_dist, lam)
         choice = int(dist.argmax())
         logprob += float(dist[choice])
         if choice == EOS:
@@ -253,7 +245,6 @@ def _greedy_rows(runs, sources, max_lens, vocab, lm, lam):
     """The greedy row loop over a batch of sources, one DecodeSession per
     run of members -> each source's DecodeResult, in input order."""
     sessions = [DecodeSession(params, sources) for params in runs]
-    states = [s.initial_state() for s in sessions]
     live = list(range(len(sources)))    # the source of each row
     ids = [()] * len(sources)
     out = [None] * len(sources)
@@ -262,7 +253,7 @@ def _greedy_rows(runs, sources, max_lens, vocab, lm, lam):
     for t in range(max(max_lens)):
         lm_dist = np.array([lm_next_dist(lm, vocab, ids[i]) for i in live]) \
             if lm is not None else None
-        states, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        dist = _next_dist(sessions, y_prev, t, lm_dist, lam)
         y_prev = dist.argmax(axis=-1)
         logprob += dist.max(axis=-1)    # each row's entry at y_prev
         keep = []
@@ -280,7 +271,6 @@ def _greedy_rows(runs, sources, max_lens, vocab, lm, lam):
         if len(keep) < len(live):
             live = [live[r] for r in keep]
             logprob, y_prev = logprob[keep], y_prev[keep]
-            states = [(H.take(keep, axis=-2), C.take(keep, axis=-2)) for H, C in states]
             for s in sessions:
                 s.select(keep)
     return out
@@ -295,23 +285,21 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
     the width-th best of them: scores never rise (every step's log-probs are
     <= 0), so no live hypothesis could still enter the n-best.
 
-    The live hypotheses are rows of one [B, n] state batch per session
-    ([K, B, n] for a stack), each session over the one source; after each
-    step the rows of the survivors' parents are gathered in their order,
-    once per session.
+    The live hypotheses are the rows of each session, over the one source;
+    after each step every session selects the survivors' parent rows, in
+    their order.
     """
     if width < 1:
         raise SearchError(f"beam width must be >= 1, got {width}")
     vocab, lm, lam = _check_models(models, max_len, lm, lam)
     sessions = [DecodeSession(params, [x_ids]) for params in _runs(models)]
-    states = [s.initial_state() for s in sessions]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
         lm_dist = np.array([lm_next_dist(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
-        stepped, dist = _next_dist(sessions, states, y_prev, t, lm_dist, lam)
+        dist = _next_dist(sessions, y_prev, t, lm_dist, lam)
         scores = np.array(live_lp)[:, None] + dist
         # EOS expansions compete with content expansions for the width slots;
         # surviving EOS branches retire, so width 1 walks the greedy path.
@@ -329,7 +317,8 @@ def beam_decode(models, x_ids, width, max_len, lm=None, lam=None):
         if len(pool) >= width and live_lp[0] < sorted(r.logprob for r in pool)[-width]:
             live_ids = []   # none of them, nor any descendant, is in the n-best
             break
-        states = [(np.take(H, rows, axis=-2), np.take(C, rows, axis=-2)) for H, C in stepped]
+        for s in sessions:
+            s.select(rows)
     pool += [DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]
     pool.sort(key=lambda r: (-r.logprob, r.ids))
     return pool[:width]

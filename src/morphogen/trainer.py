@@ -71,11 +71,12 @@ class TrainConfig:
         return tuple(range(self.seed, self.seed + self.ensemble_k))
 
 
-def exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=None):
-    """Greedy exact-match rate over examples (None if none); lam as in decode_lemmas."""
+def exact_match_accuracy(models, examples, max_len_slack, lm=None):
+    """Greedy exact-match rate over examples (None if none), with the LM at
+    the first member's lm_lambda (decode_lemmas)."""
     if not examples:
         return None
-    results = decode_lemmas(models, [ex.lemma for ex in examples], lm=lm, lam=lam,
+    results = decode_lemmas(models, [ex.lemma for ex in examples], lm=lm,
                             max_len_slack=max_len_slack)
     vocab = models[0].vocab
     hits = sum(best.text(vocab) == ex.inflected for (best,), ex in zip(results, examples))

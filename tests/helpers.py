@@ -767,19 +767,21 @@ def _combine_lse(member_lps, lm_lp, lam):
 # for a beam wide enough to keep every path.
 
 def one_state(session):
-    """The (h, c) of a session over one source as one state [n], the row
-    DecodeSession.initial_state gives that source."""
-    h, c = session.initial_state()
-    return h[0], c[0]
+    """A session over one source, stepping one state [n]: its source's row,
+    kept by DecodeSession.select(0). Returns the session."""
+    session.select(0)
+    return session
 
 
 def exhaustive_decode(model, x_ids, max_len):
     """Complete search tree: every EOS leaf plus every truncated path."""
-    sess = DecodeSession(model, [x_ids])
+    sess = one_state(DecodeSession(model, [x_ids]))
     out = []
 
     def rec(state, ids, lp, t):
-        h, c, scores = sess.step(*state, ids[-1] if ids else BOS, t)
+        sess.H, sess.C = state
+        scores = sess.step(ids[-1] if ids else BOS, t)
+        h, c = sess.H, sess.C
         logprobs = ad.log_softmax(scores)
         for i in np.flatnonzero(logprobs > -np.inf):
             i = int(i)
@@ -791,7 +793,7 @@ def exhaustive_decode(model, x_ids, max_len):
             else:
                 rec((h, c), ids + (i,), lp2, t + 1)
 
-    rec(one_state(sess), (), 0.0, 0)
+    rec((sess.H, sess.C), (), 0.0, 0)
     out.sort(key=lambda r: (-r.logprob, r.ids))
     return out
 
@@ -801,15 +803,19 @@ def exhaustive_decode(model, x_ids, max_len):
 # batched search.beam_decode and its partial selection.
 
 def reference_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
-    sessions = [DecodeSession(m, [x_ids]) for m in models]
+    sessions = [one_state(DecodeSession(m, [x_ids])) for m in models]
     vocab = models[0].vocab
-    live = [((), 0.0, tuple(one_state(s) for s in sessions))]
+    live = [((), 0.0, tuple((s.H, s.C) for s in sessions))]
     pool = []
     for t in range(max_len):
         cands = []
         for ids, logprob, states in live:
             y_prev = ids[-1] if ids else BOS
-            stepped = [s.step(h, c, y_prev, t) for s, (h, c) in zip(sessions, states)]
+            stepped = []
+            for s, state in zip(sessions, states):
+                s.H, s.C = state
+                scores = s.step(y_prev, t)
+                stepped.append((s.H, s.C, scores))
             logprobs = _combine_lse([ad.log_softmax(s) for _, _, s in stepped],
                                     None if lm is None else _lm_logprobs(lm, vocab, ids), lam)
             for i in np.flatnonzero(logprobs > -np.inf):
@@ -843,16 +849,12 @@ def _renormalized(lp):
     return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
 
 
-def _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam):
-    stepped, scores = [], []
-    for sess, (H, C) in zip(sessions, states):
-        H, C, s = sess.step(H, C, y_prev, t)
-        stepped.append((H, C))
-        scores.append(s)
+def _per_member_next_dist(sessions, y_prev, t, lm_lp, lam):
+    scores = [sess.step(y_prev, t) for sess in sessions]
     z = scores[0] if len(scores) == 1 else sum(scores[1:], scores[0]) / len(scores)
     if lm_lp is not None and lam != 0:
         z = z + lam * lm_lp
-    return stepped, _renormalized(z)
+    return _renormalized(z)
 
 
 def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
@@ -860,13 +862,13 @@ def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
     sessions = [DecodeSession(m, [x_ids]) for m in models]
     # an ensemble steps each member as a row of one, as greedy_decode does
     rows = len(models) > 1
-    states = [s.initial_state() if rows else one_state(s) for s in sessions]
+    if not rows:
+        one_state(sessions[0])
     ids, logprob = (), 0.0
     for t in range(max_len + 1):
         lm_lp = _lm_logprobs(lm, vocab, ids) if lm is not None else None
         y_prev = ids[-1] if ids else BOS
-        states, lp = _per_member_next_dist(sessions, states, [y_prev] if rows else y_prev, t,
-                                           lm_lp, lam)
+        lp = _per_member_next_dist(sessions, [y_prev] if rows else y_prev, t, lm_lp, lam)
         if rows:
             lp = lp[0]
         choice = int(np.argmax(lp))
@@ -881,14 +883,13 @@ def per_member_greedy_decode(models, x_ids, max_len, lm=None, lam=1.0):
 def per_member_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
     vocab = models[0].vocab
     sessions = [DecodeSession(m, [x_ids]) for m in models]
-    states = [s.initial_state() for s in sessions]
     live_ids, live_lp = [()], [0.0]
     pool = []
     for t in range(max_len):
         y_prev = np.array([ids[-1] if ids else BOS for ids in live_ids])
         lm_lp = np.array([_lm_logprobs(lm, vocab, ids) for ids in live_ids]) \
             if lm is not None else None
-        stepped, lp = _per_member_next_dist(sessions, states, y_prev, t, lm_lp, lam)
+        lp = _per_member_next_dist(sessions, y_prev, t, lm_lp, lam)
         scores = np.array(live_lp)[:, None] + lp
         best = search._best(scores.ravel(), live_ids, width)
         rows, live_ids, live_lp = [], [], []
@@ -901,7 +902,8 @@ def per_member_beam_decode(models, x_ids, width, max_len, lm=None, lam=1.0):
                 live_lp.append(lp)
         if not rows:
             break
-        states = [(H[rows], C[rows]) for H, C in stepped]
+        for s in sessions:
+            s.H, s.C = s.H[rows], s.C[rows]
     pool += [search.DecodeResult(ids, lp, truncated=True) for ids, lp in zip(live_ids, live_lp)]
     pool.sort(key=lambda r: (-r.logprob, r.ids))
     return pool[:width]

@@ -222,11 +222,10 @@ def test_criterion_07_interpolation_identities():
     uniform = WittenBellLM(5, "abcd")  # no counts: every outcome 1/5
     for word in ("ab", "dca"):
         x = vocab.encode(word)
-        sess = DecodeSession(model, [x])
-        h, c = one_state(sess)
+        sess = one_state(DecodeSession(model, [x]))
         prefix = []
         for t in range(len(x) + 3):
-            h, c, scores = sess.step(h, c, prefix[-1] if prefix else BOS, t)
+            scores = sess.step(prefix[-1] if prefix else BOS, t)
             dist = log_softmax(scores)
             lm_dist = lm_next_dist(uniform, vocab, prefix)
             for lam in (0.3, 1.0, 2.5):

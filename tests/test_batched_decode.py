@@ -52,13 +52,15 @@ def test_step_many_rows_equal_step(variant, B):
     for t in (0, 2, 6):   # t = 6 is past the source end: x_t is EPS
         H, C = rng.normal(size=(B, n)), rng.normal(size=(B, n))
         y_prev = rng.integers(0, len(VOCAB), size=B)
-        H2, C2, scores = sess.step(H, C, y_prev, t)
-        dist = ad.log_softmax(scores)
+        sess.H, sess.C = H, C
+        dist = ad.log_softmax(sess.step(y_prev, t))
+        H2, C2 = sess.H, sess.C
         assert H2.shape == C2.shape == (B, n) and dist.shape == (B, len(VOCAB))
         for r in range(B):
             want = _training_step(m, source, H[r], C[r], int(y_prev[r]), t)
-            h1, c1, s1 = sess.step(H[r], C[r], int(y_prev[r]), t)
-            one = (h1, c1, ad.log_softmax(s1))
+            sess.H, sess.C = H[r], C[r]     # one state
+            s1 = sess.step(int(y_prev[r]), t)
+            one = (sess.H, sess.C, ad.log_softmax(s1))
             assert one[0].shape == one[1].shape == (n,) and one[2].shape == (len(VOCAB),)
             for got_row, got_one, w in zip((H2[r], C2[r], dist[r]), one, want):
                 np.testing.assert_allclose(got_row, w, rtol=0, atol=TOL)
@@ -251,13 +253,13 @@ def test_beam_stops_once_the_n_best_is_settled(monkeypatch):
         assert len(se._runs(models)) == 1      # one stack of three
         ref_steps, steps = [], []
 
-        def ref_step(self, H, C, y_prev, t):
+        def ref_step(self, y_prev, t):
             ref_steps.append(t)
-            return real_step(self, H, C, y_prev, t)
+            return real_step(self, y_prev, t)
 
-        def next_dist(sessions, states, y_prev, t, lm_dist, lam):
+        def next_dist(sessions, y_prev, t, lm_dist, lam):
             steps.append(t)
-            return real_next_dist(sessions, states, y_prev, t, lm_dist, lam)
+            return real_next_dist(sessions, y_prev, t, lm_dist, lam)
 
         with monkeypatch.context() as mp:
             mp.setattr(DecodeSession, "step", ref_step)
@@ -288,16 +290,16 @@ def test_next_dist_rows_are_nonpositive_with_a_finite_entry(members, lam, with_l
         models = [_model(v, seed + j, hidden=h) for j, (v, h) in enumerate(members)]
         x = VOCAB.encode("abcab"[:seed + 2])
         sessions = [DecodeSession(params, [x]) for params in se._runs(models)]
-        states = [(rng.normal(size=(*h.shape[:-2], B, h.shape[-1])),
-                   rng.normal(size=(*c.shape[:-2], B, c.shape[-1])))
-                  for h, c in (s.initial_state() for s in sessions)]
+        for s in sessions:
+            H = rng.normal(size=(*s.H.shape[:-2], B, s.H.shape[-1]))
+            s.H, s.C = H, rng.normal(size=H.shape)
         for t in range(len(x) + 3):
             prefixes = [tuple(rng.integers(4, len(VOCAB), size=rng.integers(0, 4)).tolist())
                         for _ in range(B)]
             y_prev = np.array([p[-1] if p else BOS for p in prefixes])
             lm_dist = np.array([se.lm_next_dist(lm, VOCAB, p) for p in prefixes]) \
                 if lm is not None else None
-            states, dist = se._next_dist(sessions, states, y_prev, t, lm_dist, lam)
+            dist = se._next_dist(sessions, y_prev, t, lm_dist, lam)
             assert dist.shape == (B, len(VOCAB))
             assert (dist <= 0).all()
             assert np.isfinite(dist).any(axis=1).all()

@@ -5,6 +5,7 @@ import pytest
 
 from morphogen import charlm as cl
 from morphogen.errors import DataError
+from morphogen.search import lm_next_dist
 from morphogen.vocab import CharVocab
 
 
@@ -185,3 +186,18 @@ def test_load_rejects_fields_save_lm_never_writes(tmp_path):
     p.write_text("ngram-order 2\nalphabet \\ a\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad alphabet"):
         cl.load_lm(p)
+
+
+def test_an_order_far_above_the_recursion_limit_equals_its_counts_order():
+    """prob interpolates the orders in a loop, not one call per history
+    character: an order-2000 LM whose only counts are the empty history's
+    scores every word and every bridge vector as the order-1 LM with those
+    counts, bit for bit."""
+    counts = {"": {"a": 2, "b": 1}}
+    high, low = (cl.WittenBellLM.from_counts(order, "ab", counts) for order in (2000, 1))
+    vocab = CharVocab("ab")
+    for word in ("", "ab", "ba" * 700):
+        assert cl.lm_score_word(high, word).hex() == cl.lm_score_word(low, word).hex()
+    for prefix in ((), vocab.encode("ab"), vocab.encode("ba" * 700)):
+        assert lm_next_dist(high, vocab, prefix).tobytes() == \
+            lm_next_dist(low, vocab, prefix).tobytes()

@@ -121,28 +121,92 @@ def test_a_batch_session_row_is_its_source_alone(variant, members):
     params = models[0] if members == 1 else mod._stack(models)
     sources = [VOCAB.encode(w) for w in ("abcdab", "a", "zcd")]
     batch = DecodeSession(params, sources)
-    H, C = batch.initial_state()
     rng = np.random.default_rng(0)
-    H, C = H + rng.normal(size=H.shape), C + rng.normal(size=C.shape)
+    H, C = batch.H + rng.normal(size=batch.H.shape), batch.C + rng.normal(size=batch.C.shape)
     y = rng.integers(0, len(VOCAB), size=len(sources))
     alone = [DecodeSession(params, [x_ids]) for x_ids in sources]
     for r, session in enumerate(alone):
-        np.testing.assert_allclose(batch.initial_state()[0][..., r:r + 1, :],
-                                   session.initial_state()[0], rtol=0, atol=TOL)
+        np.testing.assert_allclose(batch.H[..., r:r + 1, :], session.H, rtol=0, atol=TOL)
+
+    def step(session, rows, y_prev, t):
+        """session's step from the rows of H, C -> (H', C', scores)."""
+        session.H, session.C = H[..., rows, :], C[..., rows, :]
+        scores = session.step(y_prev, t)
+        return session.H, session.C, scores
+
     for t in (0, 2, 7):    # t = 7 is past every source's end
-        outs = batch.step(H, C, y, t)
+        outs = step(batch, slice(None), y, t)
         for r, session in enumerate(alone):
-            want = session.step(H[..., r:r + 1, :], C[..., r:r + 1, :], y[r:r + 1], t)
+            want = step(session, slice(r, r + 1), y[r:r + 1], t)
             for got, w in zip(outs, want):
                 np.testing.assert_allclose(got[..., r:r + 1, :], w, rtol=0, atol=TOL)
     # select keeps rows 2 and 0, in that order
     keep = [2, 0]
     batch.select(keep)
-    kept = batch.step(H[..., keep, :], C[..., keep, :], y[keep], 1)
+    kept = step(batch, keep, y[keep], 1)
     for row, r in enumerate(keep):
-        want = alone[r].step(H[..., r:r + 1, :], C[..., r:r + 1, :], y[r:r + 1], 1)
+        want = step(alone[r], slice(r, r + 1), y[r:r + 1], 1)
         for got, w in zip(kept, want):
             np.testing.assert_allclose(got[..., row:row + 1, :], w, rtol=0, atol=TOL)
+
+
+def _tables(session):
+    """A session's per-source tables: the step constants and, with
+    attention, the encoded source's states, keys and padding."""
+    source = session._source
+    return {"zx": session._zx, "H": source.H, "keys": source.keys, "pad": source.pad}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("members", (1, 3))
+def test_select_on_one_source_gathers_the_state_rows_only(variant, members):
+    """A beam's parent rows, repeated: the one source's one-row tables serve
+    every row, so select leaves them as they are and takes the states. The
+    next step then equals a fresh session's over that source stepped from
+    the selected states, byte for byte."""
+    models = [_model(variant, seed) for seed in range(1, members + 1)]
+    params = models[0] if members == 1 else mod._stack(models)
+    x = VOCAB.encode("abcda")
+    session = DecodeSession(params, [x])
+    tables = _tables(session)
+    session.select([0, 0, 0])
+    rng = np.random.default_rng(members)
+    session.step(rng.integers(0, len(VOCAB), size=3), 0)
+    H, C = session.H, session.C
+    rows = [2, 0, 2, 1]
+    session.select(rows)
+    assert all(got is tables[k] for k, got in _tables(session).items())
+    fresh = DecodeSession(params, [x])
+    fresh.H, fresh.C = H[..., rows, :], C[..., rows, :]
+    y = rng.integers(0, len(VOCAB), size=len(rows))
+    assert session.step(y, 1).tobytes() == fresh.step(y, 1).tobytes()
+    assert session.H.tobytes() == fresh.H.tobytes() and session.C.tobytes() == fresh.C.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("members", (1, 3))
+def test_select_on_a_batch_gathers_its_tables_with_the_states(variant, members):
+    """Over several sources select takes each table with more than one row
+    on its source axis, in the rows' order, and leaves a one-row table,
+    which serves every row, as it is."""
+    models = [_model(variant, seed) for seed in range(1, members + 1)]
+    params = models[0] if members == 1 else mod._stack(models)
+    session = DecodeSession(params, [VOCAB.encode(w) for w in ("abcdab", "a", "zcd")])
+    before, H, C = _tables(session), session.H, session.C
+    rows = [2, 0, 2]
+    session.select(rows)
+    assert np.array_equal(session.H, H[..., rows, :]) and np.array_equal(session.C, C[..., rows, :])
+    axes = {"zx": -2, "H": -3, "keys": -3, "pad": 0}
+    gathered = 0
+    for k, got in _tables(session).items():
+        table = before[k]
+        if table is None or table.shape[axes[k]] == 1:
+            assert got is table
+        else:
+            assert np.array_equal(got, table.take(rows, axis=axes[k]))
+            gathered += 1
+    # x_t's step constants, or attention's states, keys and padding
+    assert gathered == {"full": 1, "no-encoder": 1, "attention": 3, "plain-encdec": 0}[variant]
 
 
 def test_masked_encoder_rows_equal_each_source_alone():

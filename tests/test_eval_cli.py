@@ -10,7 +10,7 @@ from morphogen import cli
 from morphogen import evaluate as ev
 from morphogen import search as se
 from morphogen import trainer
-from morphogen.charlm import load_lm
+from morphogen.charlm import WittenBellLM, load_lm, save_lm
 from morphogen.data import DatasetSplit, Example, parse_dataset
 from morphogen.errors import DataError, SearchError
 from morphogen.model import load_model, save_model
@@ -365,6 +365,20 @@ def test_cli_predict_with_lm_flags(workspace, tmp_path):
     rc = cli.main(["predict", "--model", workspace["model.ckpt"],
                    "--data", workspace["dev.tsv"], "--lm", workspace["lm.txt"],
                    "--interp-lambda", "0.5", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8").strip()
+
+
+def test_cli_predict_with_an_lm_of_order_2000(workspace, tmp_path):
+    """An LM's order sets no recursion depth: predict --lm decodes with an
+    order-2000 LM file and exits 0."""
+    path = tmp_path / "lm2000.txt"
+    alphabet = load_lm(workspace["lm.txt"]).alphabet
+    save_lm(WittenBellLM.from_counts(2000, alphabet, {"": {alphabet[0]: 2, alphabet[-1]: 1}}),
+            path)
+    out = tmp_path / "preds.tsv"
+    rc = cli.main(["predict", "--model", workspace["model.ckpt"],
+                   "--data", workspace["dev.tsv"], "--lm", str(path), "--out", str(out)])
     assert rc == 0
     assert out.read_text(encoding="utf-8").strip()
 

@@ -110,18 +110,18 @@ def test_one_source_attends_every_row_with_one_product():
 def test_one_state_steps_only_a_single_models_session_over_one_source():
     models = [randomize_params(_model(), seed) for seed in (4, 5)]
     x = VOCAB.encode("ab")
-    h, c = one_state(mod.DecodeSession(models[0], [x]))
+    assert one_state(mod.DecodeSession(models[0], [x])).H.shape == (models[0].hidden,)
     for sess in (mod.DecodeSession(mod._stack(models), [x]),
                  mod.DecodeSession(models[0], [x, VOCAB.encode("b")])):
         with pytest.raises(DimensionError, match="one state steps only"):
-            sess.step(h, c, BOS, 0)
+            one_state(sess)
 
 
 def test_step_distribution_masks_and_normalizes():
     for variant in mod.VARIANTS:
         m = randomize_params(_model(variant), 4)
         sess = mod.DecodeSession(m, [VOCAB.encode("ab")])
-        _, _, scores = sess.step(*one_state(sess), BOS, 0)
+        scores = one_state(sess).step(BOS, 0)
         dist = np.exp(ad.log_softmax(scores))
         assert dist[BOS] == 0.0 and dist[EPS] == 0.0
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -134,16 +134,15 @@ def test_step_scores_are_minus_inf_exactly_at_bos_and_eps(variant):
     # only the masked ids are -inf, for one state, for B rows and for a stack
     models = [randomize_params(_model(variant), seed) for seed in (4, 5)]
     x = VOCAB.encode("ab")
-    sess = mod.DecodeSession(models[0], [x])
+    sess = one_state(mod.DecodeSession(models[0], [x]))
     stack = mod.DecodeSession(mod._stack(models), [x])
-    h, c = one_state(sess)
-    H, C = stack.initial_state()
     rng = np.random.default_rng(0)
-    one = sess.step(h, c, BOS, 0)
-    rows = sess.step(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), [BOS, 4, 5], 1)
-    stacked = stack.step(H, C, [BOS], 0)
-    outputs = [(one[0], one[2], models[0]), (rows[0], rows[2], models[0])]
-    outputs += [(stacked[0][k], stacked[2][k], m) for k, m in enumerate(models)]
+    one = sess.step(BOS, 0), sess.H
+    sess.H, sess.C = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    rows = sess.step([BOS, 4, 5], 1), sess.H
+    stacked = stack.step([BOS], 0), stack.H
+    outputs = [(one[1], one[0], models[0]), (rows[1], rows[0], models[0])]
+    outputs += [(stacked[1][k], stacked[0][k], m) for k, m in enumerate(models)]
     kept = [i for i in range(len(VOCAB)) if i not in (BOS, EPS)]
     for h2, scores, m in outputs:
         assert scores.shape[-1] == len(VOCAB)
@@ -154,10 +153,9 @@ def test_step_scores_are_minus_inf_exactly_at_bos_and_eps(variant):
 
 def test_session_consumes_epsilon_past_source_end():
     m = randomize_params(_model("full"), 4)
-    sess = mod.DecodeSession(m, [VOCAB.encode("ab")])
-    h, c = one_state(sess)
+    sess = one_state(mod.DecodeSession(m, [VOCAB.encode("ab")]))
     for t in range(6):  # steps 2.. feed the learned epsilon symbol
-        h, c, scores = sess.step(h, c, 4, t)
+        scores = sess.step(4, t)
         assert abs(np.exp(ad.log_softmax(scores)).sum() - 1.0) < 1e-12
 
 
@@ -199,12 +197,11 @@ def test_training_loss_matches_inference_distributions():
         m = randomize_params(_model(variant), 4)
         x, y = VOCAB.encode("aab"), VOCAB.encode("ba")
         targets = y + [EOS]
-        sess = mod.DecodeSession(m, [x])
-        h, c = one_state(sess)
+        sess = one_state(mod.DecodeSession(m, [x]))
         total = 0.0
         for t, target in enumerate(targets):
             y_prev = BOS if t == 0 else targets[t - 1]
-            h, c, scores = sess.step(h, c, y_prev, t)
+            scores = sess.step(y_prev, t)
             total -= ad.log_softmax(scores)[target]
         loss = mod.forward_variant(None, m, x, y)
         assert abs(loss - total) < 1e-9, variant
@@ -253,12 +250,11 @@ def test_attention_context_rejects_other_variants():
 
 def test_decoder_step_rejects_out_of_range_ids():
     m = randomize_params(_model("full"), 4)
-    sess = mod.DecodeSession(m, [VOCAB.encode("a")])
-    h, c = one_state(sess)
+    sess = one_state(mod.DecodeSession(m, [VOCAB.encode("a")]))
     with pytest.raises(DimensionError, match="out of range"):
-        sess.step(h, c, len(VOCAB), 0)
+        sess.step(len(VOCAB), 0)
     with pytest.raises(DimensionError, match="out of range"):
-        sess.step(h, c, -1, 0)
+        sess.step(-1, 0)
     with pytest.raises(DimensionError, match="out of range"):
         mod.DecodeSession(m, [[len(VOCAB)]])
     with pytest.raises(DimensionError, match="out of range"):   # no encoder reads x

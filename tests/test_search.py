@@ -278,16 +278,14 @@ def test_beam_deterministic():
 
 def _replay_logprob(models, x_ids, result, lm=None, lam=1.0):
     """Recompute a result's score from public per-step distributions."""
-    sessions = [DecodeSession(m, [x_ids]) for m in models]
-    states = [one_state(s) for s in sessions]
+    sessions = [one_state(DecodeSession(m, [x_ids])) for m in models]
     chosen = list(result.ids) if result.truncated else list(result.ids) + [EOS]
     prefix = []
     total = 0.0
     for t, choice in enumerate(chosen):
         dists = []
-        for j, sess in enumerate(sessions):
-            h, c, scores = sess.step(*states[j], prefix[-1] if prefix else BOS, t)
-            states[j] = (h, c)
+        for sess in sessions:
+            scores = sess.step(prefix[-1] if prefix else BOS, t)
             dists.append(ad.log_softmax(scores))
         lm_dist = None if lm is None else se.lm_next_dist(lm, models[0].vocab, prefix)
         dist = se.ensemble_next_dist(dists, lm_dist, lam)

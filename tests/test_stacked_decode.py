@@ -125,14 +125,15 @@ def test_single_model_session_keeps_its_shapes(variant):
     n, V = m.hidden, len(VOCAB)
     sess = DecodeSession(m, [VOCAB.encode("abc")])
     assert not sess.stacked
-    assert all(a.shape == (1, n) for a in sess.initial_state())    # one row: the source's
-    h, c = one_state(sess)
-    assert h.shape == c.shape == (n,)
-    h2, c2, dist = sess.step(h, c, 2, 0)
-    assert h2.shape == c2.shape == (n,) and dist.shape == (V,)
-    H = np.stack([h2] * 5)
-    H2, C2, dist = sess.step(H, H.copy(), np.arange(5) % V, 1)
-    assert H2.shape == C2.shape == (5, n) and dist.shape == (5, V)
+    assert all(a.shape == (1, n) for a in (sess.H, sess.C))    # one row: the source's
+    one_state(sess)
+    assert sess.H.shape == sess.C.shape == (n,)
+    dist = sess.step(2, 0)
+    assert sess.H.shape == sess.C.shape == (n,) and dist.shape == (V,)
+    H = np.stack([sess.H] * 5)
+    sess.H, sess.C = H, H.copy()
+    dist = sess.step(np.arange(5) % V, 1)
+    assert sess.H.shape == sess.C.shape == (5, n) and dist.shape == (5, V)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -142,35 +143,40 @@ def test_stack_step_is_each_members_step(variant):
     stack = DecodeSession(mod._stack(models), [x])
     alone = [DecodeSession(m, [x]) for m in models]
     n, V = models[0].hidden, len(VOCAB)
-    H, C = stack.initial_state()
-    assert H.shape == C.shape == (3, 1, n)
+    assert stack.H.shape == stack.C.shape == (3, 1, n)
     for k, sess in enumerate(alone):
-        for got, want in zip((H[k], C[k]), sess.initial_state()):
+        for got, want in zip((stack.H[k], stack.C[k]), (sess.H, sess.C)):
             assert np.array_equal(got, want)
+
+    def step(session, H, C, y_prev, t):
+        """session's step from the rows H, C -> (H', C', scores)."""
+        session.H, session.C = H, C
+        scores = session.step(y_prev, t)
+        return session.H, session.C, scores
+
     rng = np.random.default_rng(0)
     for t in (0, 3, 6):    # t = 6 is past the source end: x_t is EPS
         # B rows per member
         for B in (1, 8):
             H, C = rng.normal(size=(3, B, n)), rng.normal(size=(3, B, n))
             y = rng.integers(0, V, size=B)
-            out = stack.step(H, C, y, t)
+            out = step(stack, H, C, y, t)
             assert [a.shape for a in out] == [(3, B, n), (3, B, n), (3, B, V)]
             for k, sess in enumerate(alone):
                 # at B = 1 too: greedy's row of one is the member's row of one
-                for got, want in zip(out, sess.step(H[k], C[k], y, t)):
+                for got, want in zip(out, step(sess, H[k], C[k], y, t)):
                     assert np.array_equal(got[k], want)
                 if B == 1:     # and the member's one state (lstm_step's expit) to rounding
-                    for got, want in zip(out, sess.step(H[k, 0], C[k, 0], int(y[0]), t)):
+                    for got, want in zip(out, step(sess, H[k, 0], C[k, 0], int(y[0]), t)):
                         assert_within_ulp(got[k, 0], want)
 
 
 def test_stack_steps_rows_only():
     stack = DecodeSession(mod._stack([_model("full", seed) for seed in (1, 2)]),
                           [VOCAB.encode("ab")])
-    H, C = stack.initial_state()
     with pytest.raises(DimensionError, match="rows"):    # one state per member, [K, n]
-        stack.step(H[:, 0], C[:, 0], 2, 0)
-    H, C, dist = stack.step(H, C, [2], 0)
+        stack.select(0)
+    dist = stack.step([2], 0)
     assert dist.shape == (2, 1, len(VOCAB))
 
 

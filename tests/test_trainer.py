@@ -234,13 +234,13 @@ def test_each_dev_evaluation_decodes_the_dev_set_in_one_call(monkeypatch):
     assert dev_lemmas and calls == [dev_lemmas] * 3
 
 
-def _per_word_exact_match_accuracy(models, examples, max_len_slack, lm=None, lam=None):
+def _per_word_exact_match_accuracy(models, examples, max_len_slack, lm=None):
     """exact_match_accuracy with every dev lemma decoded by search.greedy_decode."""
     if not examples:
         return None
     vocab = models[0].vocab
     hits = sum(search.greedy_decode(models, vocab.encode(ex.lemma), len(ex.lemma) + max_len_slack,
-                                    lm=lm, lam=lam).text(vocab) == ex.inflected
+                                    lm=lm).text(vocab) == ex.inflected
                for ex in examples)
     return hits / len(examples)
 
